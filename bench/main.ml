@@ -9,10 +9,6 @@
                                            plus the per-zone self-profile
                                            (--trials, --json,
                                            --selfprof-out)
-     dune exec bench/main.exe -- bechamel  Bechamel micro-benchmarks: one
-                                           Test.make per table/figure
-                                           (its core computational
-                                           kernel) plus substrate micros
      dune exec bench/main.exe -- ablations design-choice ablations
                                            (copy-on-demand, compression
                                            direction, dynamic decisions,
@@ -51,9 +47,8 @@
                                            --metrics-out, --json)
 
    Full-scale table regeneration takes minutes (it sweeps 17 workloads
-   x 4 configurations), so the Bechamel entries wrap each table's
-   *kernel* at reduced scale — what the table costs per unit of work —
-   while the default mode produces the tables themselves. *)
+   x 4 configurations); the micro lane measures the per-event and
+   compressor costs at reduced scale. *)
 
 open No_prelude.Prelude
 
@@ -90,40 +85,7 @@ let regenerate_all () =
   Fmt.pr "geomean battery saving (slow):  %.1f%% (paper: 77.2%%)@."
     h.Evaluation.h_battery_saving_slow_pct
 
-(* {1 Bechamel micro-benchmarks} *)
-
-let structs_of m name = Ir.find_struct_exn m name
-
-(* Prebuilt state shared by the staged functions (construction cost
-   must stay out of the measured loop). *)
-let chess_module = lazy (Chess.build ())
-
-let chess_samples =
-  lazy
-    (Compiler.profile ~script:(Chess.script ~depth:3 ~turns:1)
-       ~files:[] (Lazy.force chess_module))
-
-let chess_verdicts = lazy (Filter.analyze (Lazy.force chess_module))
-
-let hmmer_entry = lazy (Option.get (Registry.by_name "456.hmmer"))
-
-let hmmer_compiled =
-  lazy
-    (let entry = Lazy.force hmmer_entry in
-     Compiler.compile ~profile_script:entry.Registry.e_profile_script
-       ~profile_files:entry.Registry.e_files
-       ~eval_scale:entry.Registry.e_eval_scale
-       (entry.Registry.e_build ()))
-
-let synthetic_battery () =
-  let b = Battery.create (Power_model.galaxy_s5 ~fast_radio:true) in
-  for i = 0 to 199 do
-    let t0 = float_of_int i *. 0.05 in
-    Battery.spend b ~from_s:t0 ~to_s:(t0 +. 0.05)
-      (if i mod 3 = 0 then Power_model.Computing else Power_model.Waiting)
-  done;
-  b
-
+(* 64 KiB of slowly varying bytes: the micro lane's compressor input. *)
 let compressible_page =
   lazy
     (let data = Bytes.create 65536 in
@@ -131,140 +93,6 @@ let compressible_page =
        Bytes.set data i (Char.chr ((i / 97) land 0xff))
      done;
      data)
-
-let run_chess_ai depth =
-  let m = Lazy.force chess_module in
-  let layout = Layout.env_of_arch Arch.arm32 ~structs:(structs_of m) in
-  let host =
-    Host.create ~arch:Arch.arm32 ~role:Host.Mobile ~modul:m ~layout
-      ~console:(Console.create ~script:(Chess.script ~depth ~turns:1) ())
-      ()
-  in
-  ignore (Interp.run_main host)
-
-let run_hmmer_offload () =
-  let entry = Lazy.force hmmer_entry in
-  let compiled = Lazy.force hmmer_compiled in
-  let session =
-    Session.create
-      ~config:(Session.default_config ())
-      ~script:entry.Registry.e_profile_script ~files:entry.Registry.e_files
-      compiled.Compiler.c_output ~seeds:compiled.Compiler.c_seeds
-  in
-  ignore (Session.run session)
-
-let micro_tests () =
-  let open Bechamel in
-  let stage = Staged.stage in
-  let per_table =
-    [
-      (* Table 1's kernel: interpreting the chess AI on the mobile
-         cost model. *)
-      Test.make ~name:"table1:chess-ai-depth3" (stage (fun () -> run_chess_ai 3));
-      (* Table 2: corpus statistics. *)
-      Test.make ~name:"table2:corpus-summary"
-        (stage (fun () -> ignore (No_corpus.Android_apps.summarize ())));
-      (* Table 3: Equation-1 estimation + selection over profiled
-         samples. *)
-      Test.make ~name:"table3:estimate-select"
-        (stage (fun () ->
-             let m = Lazy.force chess_module in
-             ignore
-               (Static_estimate.run m ~r:5.76 ~bw_bps:5e6
-                  (Lazy.force chess_verdicts)
-                  (Lazy.force chess_samples))));
-      (* Table 4's kernel: the whole compiler pipeline over chess. *)
-      Test.make ~name:"table4:compile-pipeline"
-        (stage (fun () ->
-             ignore
-               (Pipeline.run ~mobile:Arch.arm32 ~server:Arch.x86_64
-                  ~targets:[ Chess.target ]
-                  (Lazy.force chess_module))));
-      (* Table 5: the comparison query. *)
-      Test.make ~name:"table5:related-query"
-        (stage (fun () ->
-             ignore (No_corpus.Related_systems.unique_full_combination ())));
-      (* Figure 6's kernel: one full offloading session (hmmer,
-         profile-sized input). *)
-      Test.make ~name:"fig6:offload-session" (stage run_hmmer_offload);
-      (* Figure 6(b)/8 kernel: battery integration and resampling. *)
-      Test.make ~name:"fig6b:battery-integration"
-        (stage (fun () -> ignore (Battery.energy_mj (synthetic_battery ()))));
-      Test.make ~name:"fig8:trace-resample"
-        (stage
-           (let b = synthetic_battery () in
-            fun () -> ignore (Battery.resample b ~period_s:0.01)));
-      (* Figure 7's kernel: Equation 1 itself (evaluated per decision). *)
-      Test.make ~name:"fig7:equation1"
-        (stage (fun () ->
-             ignore
-               (Equation.evaluate
-                  { Equation.tm_s = 26.0; r = 5.76; mem_bytes = 12 lsl 20;
-                    bw_bps = 80e6; invocations = 3 })));
-    ]
-  in
-  let substrate =
-    [
-      Test.make ~name:"compress-64KiB"
-        (stage (fun () ->
-             ignore (Compress.compress (Lazy.force compressible_page))));
-      Test.make ~name:"decompress-64KiB"
-        (stage
-           (let packed = Compress.compress (Lazy.force compressible_page) in
-            fun () -> ignore (Compress.decompress packed)));
-      Test.make ~name:"page-fault-service"
-        (stage
-           (let home = Memory.create Memory.Home in
-            Memory.write_byte home Region.heap_base 1;
-            fun () ->
-              let remote = Memory.create Memory.Remote in
-              remote.Memory.on_fault <-
-                Some
-                  (fun mem page ->
-                    Memory.install_page mem page (Memory.page_copy home page));
-              ignore (Memory.read_byte remote Region.heap_base)));
-      Test.make ~name:"uva-alloc-free"
-        (stage
-           (let u = Uva.create () in
-            fun () ->
-              let a = Uva.alloc u 256 in
-              Uva.dealloc u a));
-    ]
-  in
-  Test.make_grouped ~name:"native-offloader"
-    [ Test.make_grouped ~name:"tables" per_table;
-      Test.make_grouped ~name:"substrate" substrate ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:None ()
-  in
-  let raw = Benchmark.all cfg instances (micro_tests ()) in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let table =
-    Table.create ~title:"Bechamel micro-benchmarks (monotonic clock)"
-      [ "benchmark"; "ns/run" ]
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (est :: _) -> Printf.sprintf "%.0f" est
-        | Some [] | None -> "-"
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  List.iter
-    (fun (name, ns) -> Table.add_row table [ name; ns ])
-    (List.sort compare !rows);
-  Table.print table
 
 (* {1 Headline JSON}
 
@@ -1447,7 +1275,6 @@ let () =
   | _ :: "micro" :: _ ->
     run_micro ?trials:(opt_int "--trials") ?json:(opt "--json")
       ?selfprof_out:(opt "--selfprof-out") ()
-  | _ :: "bechamel" :: _ -> run_bechamel ()
   | _ :: "ablations" :: _ -> run_ablations ()
   | _ :: "trace" :: _ -> run_trace_summaries ?json:(opt "--json") ()
   | _ :: "faults" :: _ ->

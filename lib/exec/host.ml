@@ -658,11 +658,6 @@ let compile_func ~(arch : Arch.t) ~(layout : Layout.env)
     c_scratch = !scratch;
   }
 
-(* Emit a runtime event stamped with this host's simulated clock. *)
-let emit host ev =
-  if not (No_trace.Trace.is_null host.sink) then
-    host.sink.No_trace.Trace.emit ~ts:host.clock.now ev
-
 type role = Mobile | Server
 
 let stack_of_role = function
@@ -792,13 +787,14 @@ let create ~arch ~role ~(modul : Ir.modul) ~layout
       Loader.write_init ~layout ~endianness:arch.Arch.endianness ~write_byte
         ~fn_addr:fn_addr_standard ~addr g.Ir.g_ty g.Ir.g_init)
     modul.Ir.m_globals;
-  emit host
-    (No_trace.Trace.Module_load
-       {
-         role = (match role with Mobile -> "mobile" | Server -> "server");
-         functions = List.length modul.Ir.m_funcs;
-         globals = List.length modul.Ir.m_globals;
-       });
+  if not (No_trace.Trace.is_null sink) then begin
+    let row = No_trace.Trace.Row.create () in
+    No_trace.Trace.Row.set_module_load row
+      ~role:(match role with Mobile -> "mobile" | Server -> "server")
+      ~functions:(List.length modul.Ir.m_funcs)
+      ~globals:(List.length modul.Ir.m_globals);
+    sink ~ts:host.clock.now row
+  end;
   host
 
 let charge host cls =

@@ -118,7 +118,7 @@ let flush t : float =
           | To_mobile -> No_trace.Trace.To_mobile)
         ~raw_bytes:raw ~wire_bytes:wire ~transfer_s:transfer
         ~codec_s:codec_time;
-      t.sink.No_trace.Trace.emit_row ~ts:(t.clock ()) t.row
+      t.sink ~ts:(t.clock ()) t.row
     end;
     transfer +. codec_time
   end

@@ -146,7 +146,7 @@ let of_run ?series (m : Trace.Metrics.t) : string =
     family "offload_latency_seconds" "summary"
       "Per-event-kind latency distribution";
     List.iter
-      (fun (kind, _) ->
+      (fun kind ->
         let h = Series.kind_hist series kind in
         if Hist.count h > 0 then begin
           List.iter
@@ -181,7 +181,7 @@ let of_run ?series (m : Trace.Metrics.t) : string =
     in
     let kinds_with_exemplars =
       List.filter_map
-        (fun (kind, _) ->
+        (fun kind ->
           let h = Series.kind_hist series kind in
           match Hist.exemplars h with [] -> None | exs -> Some (kind, h, exs))
         Series.latency_kinds

@@ -22,36 +22,10 @@ module Trace = No_trace.Trace
 
 let default_window_s = 1.0
 
-(* Per-event-kind latency selectors, shared by the windowed histograms,
-   the SLO evaluator and the trace differ.  Names are the stable
-   telemetry vocabulary (OpenMetrics label values, SLO grammar kinds). *)
-let latency_kinds : (string * (Trace.event -> float option)) list =
-  [
-    ( "offload-span",
-      function Trace.Offload_end { span_s; _ } -> Some span_s | _ -> None );
-    ( "page-fault",
-      function Trace.Page_fault { service_s; _ } -> Some service_s | _ -> None );
-    ( "flush",
-      function
-      | Trace.Flush { transfer_s; codec_s; _ } -> Some (transfer_s +. codec_s)
-      | _ -> None );
-    ( "remote-io",
-      function Trace.Remote_io { cost_s; _ } -> Some cost_s | _ -> None );
-    ( "fnptr-translate",
-      function Trace.Fnptr_translate { cost_s } -> Some cost_s | _ -> None );
-    ( "rpc-timeout",
-      function Trace.Rpc_timeout { waited_s; _ } -> Some waited_s | _ -> None );
-    ( "retry-backoff",
-      function Trace.Retry { backoff_s; _ } -> Some backoff_s | _ -> None );
-    ( "replay",
-      function Trace.Replay { replay_s; _ } -> Some replay_s | _ -> None );
-    ( "queue-wait",
-      function Trace.Queue { wait_s; _ } -> Some wait_s | _ -> None );
-    ( "migrate-transfer",
-      function
-      | Trace.Migrate_start { transfer_s; _ } -> Some transfer_s
-      | _ -> None );
-  ]
+(* The latency-bearing kinds' names, in histogram-slot order: the
+   stable telemetry vocabulary (OpenMetrics label values, SLO grammar
+   kinds).  The kind -> slot mapping lives in [Trace.Row]. *)
+let latency_kinds = Trace.Row.latency_names
 
 type window = {
   w_index : int;
@@ -66,25 +40,17 @@ type window = {
   mutable w_bw_bps : float;              (* last sampled belief; NaN = none *)
 }
 
-(* A window plus its hot-path machinery: the batched metrics
-   accumulator (float sums unboxed until [settle]) and the latency
-   histograms as an array, indexed in [latency_kinds] order so the
-   per-event charge is one array read instead of an assoc walk.  The
-   array aliases the same [Hist.t] values as the public [w_hists]
-   list. *)
-type slot = {
-  sw : window;
-  s_acc : Trace.Metrics.acc;
-  s_sink : Trace.sink;                   (* acc_sink of s_acc *)
-  s_harr : Hist.t array;
-}
+(* A window plus its latency histograms as an array, indexed in
+   [latency_kinds] order so the per-event charge is one array read
+   instead of an assoc walk.  The array aliases the same [Hist.t]
+   values as the public [w_hists] list. *)
+type slot = { sw : window; s_harr : Hist.t array }
 
 type t = {
   window_s : float;
   by_index : (int, slot) Hashtbl.t;
   mutable max_index : int;               (* highest window touched; -1 = none *)
   mutable end_s : float;                 (* latest instant any event reaches *)
-  srow : Trace.Row.t;                    (* scratch for the boxed door *)
   mutable last_index : int;              (* cached slot; -1 = none *)
   mutable last_slot : slot option;
 }
@@ -96,7 +62,6 @@ let create ?(window_s = default_window_s) () =
     by_index = Hashtbl.create 64;
     max_index = -1;
     end_s = 0.0;
-    srow = Trace.Row.create ();
     last_index = -1;
     last_slot = None;
   }
@@ -105,25 +70,19 @@ let window_s t = t.window_s
 let duration_s t = t.end_s
 
 let fresh_slot t index =
-  let metrics = Trace.Metrics.create () in
-  let acc = Trace.Metrics.acc metrics in
-  let hists =
-    List.map (fun (name, _) -> (name, Hist.create ())) latency_kinds
-  in
+  let hists = List.map (fun name -> (name, Hist.create ())) latency_kinds in
   {
     sw =
       {
         w_index = index;
         w_start_s = float_of_int index *. t.window_s;
-        w_metrics = metrics;
+        w_metrics = Trace.Metrics.create ();
         w_hists = hists;
         w_peak_queue_depth = 0;
         w_peak_occupancy = 0;
         w_server_peaks = [];
         w_bw_bps = Float.nan;
       };
-    s_acc = acc;
-    s_sink = Trace.Metrics.acc_sink acc;
     s_harr = Array.of_list (List.map snd hists);
   }
 
@@ -147,28 +106,6 @@ let slot_at t index =
 
 let window_at t index = (slot_at t index).sw
 
-(* Fold every window's batched float sums into its metrics record —
-   the read boundary.  Cheap and idempotent, so every accessor below
-   just calls it. *)
-let settle t =
-  Hashtbl.iter (fun _ s -> Trace.Metrics.flush_acc s.s_acc) t.by_index
-
-(* Row kind -> slot in [latency_kinds] order, -1 for kinds that carry
-   no latency.  Must mirror the selector list above. *)
-let lat_slot =
-  let a = Array.make 24 (-1) in
-  a.(Trace.Row.k_offload_end) <- 0;
-  a.(Trace.Row.k_page_fault) <- 1;
-  a.(Trace.Row.k_flush) <- 2;
-  a.(Trace.Row.k_remote_io) <- 3;
-  a.(Trace.Row.k_fnptr_translate) <- 4;
-  a.(Trace.Row.k_rpc_timeout) <- 5;
-  a.(Trace.Row.k_retry) <- 6;
-  a.(Trace.Row.k_replay) <- 7;
-  a.(Trace.Row.k_queue) <- 8;
-  a.(Trace.Row.k_migrate_start) <- 9;
-  a
-
 (* The instant an event's span closes — mirrors Span.run_end_s, so a
    series over a session trace covers exactly the run's wall clock.
    Every spanning kind keeps its span in f.(0) (plus f.(1) for a
@@ -190,25 +127,20 @@ let close_of_row ts (r : Trace.Row.t) =
   then ts +. r.Trace.Row.f.(0)
   else ts
 
-(* The hot door: metrics flow into the window's batched accumulator,
-   the (at most one) latency sample into the window's histogram, and
-   the gauges read the row in place — nothing here boxes an event. *)
-let observe_row t ~ts (r : Trace.Row.t) =
+(* Metrics fold into the window's record, the (at most one) latency
+   sample goes to the window's histogram, and the gauges read the row
+   in place — nothing here boxes an event. *)
+let sink t : Trace.sink =
+ fun ~ts (r : Trace.Row.t) ->
   let index =
     if ts <= 0.0 then 0 else int_of_float (Float.floor (ts /. t.window_s))
   in
   let s = slot_at t index in
   let w = s.sw in
-  s.s_sink.Trace.emit_row ~ts r;
+  Trace.Metrics.sink w.w_metrics ~ts r;
   let k = r.Trace.Row.kind in
-  let li = lat_slot.(k) in
-  if li >= 0 then begin
-    let v =
-      if k = Trace.Row.k_flush then r.Trace.Row.f.(0) +. r.Trace.Row.f.(1)
-      else r.Trace.Row.f.(0)
-    in
-    Hist.add s.s_harr.(li) v
-  end;
+  let li = Trace.Row.latency_slot k in
+  if li >= 0 then Hist.add s.s_harr.(li) (Trace.Row.latency r);
   (if k = Trace.Row.k_queue then
      (* i2 requests already waiting, plus this one. *)
      w.w_peak_queue_depth <- max w.w_peak_queue_depth (r.Trace.Row.i2 + 1)
@@ -229,41 +161,28 @@ let observe_row t ~ts (r : Trace.Row.t) =
   let close = close_of_row ts r in
   if close > t.end_s then t.end_s <- close
 
-let observe t ~ts ev =
-  Trace.Row.of_event t.srow ev;
-  observe_row t ~ts t.srow
-
 (* Exemplar attachment: route a kept trace's latency sample to the
-   same per-kind window histogram [observe_row] charged it to, as an
+   same per-kind window histogram [sink] charged it to, as an
    out-of-band annotation.  Kinds that carry no latency are ignored. *)
 let add_exemplar t ~ts ~kind ~value ~trace_id =
-  if kind >= 0 && kind < Array.length lat_slot then begin
-    let li = lat_slot.(kind) in
-    if li >= 0 then begin
-      let index =
-        if ts <= 0.0 then 0 else int_of_float (Float.floor (ts /. t.window_s))
-      in
-      let s = slot_at t index in
-      Hist.note_exemplar s.s_harr.(li) ~trace_id value
-    end
+  let li = Trace.Row.latency_slot kind in
+  if li >= 0 then begin
+    let index =
+      if ts <= 0.0 then 0 else int_of_float (Float.floor (ts /. t.window_s))
+    in
+    let s = slot_at t index in
+    Hist.note_exemplar s.s_harr.(li) ~trace_id value
   end
-
-let sink t =
-  {
-    Trace.emit = (fun ~ts ev -> observe t ~ts ev);
-    Trace.emit_row = (fun ~ts r -> observe_row t ~ts r);
-  }
 
 let of_events ?window_s events =
   let t = create ?window_s () in
-  List.iter (fun (ts, ev) -> observe t ~ts ev) events;
+  Trace.replay (sink t) events;
   t
 
 (* Dense, chronological: every window from 0 up to the later of the
    last touched window and the last covered instant, gaps filled with
    (cached) empty windows so rates read as zero rather than missing. *)
 let windows t =
-  settle t;
   let last_covered =
     if t.end_s <= 0.0 then 0
     else int_of_float (Float.ceil (t.end_s /. t.window_s)) - 1

@@ -15,13 +15,14 @@
 val default_window_s : float
 (** 1.0 simulated second. *)
 
-val latency_kinds :
-  (string * (No_trace.Trace.event -> float option)) list
-(** The per-event-kind latency selectors (name, duration-of-event):
+val latency_kinds : string list
+(** The latency-bearing event kinds, by name in histogram order:
     offload-span, page-fault, flush, remote-io, fnptr-translate,
-    rpc-timeout, retry-backoff, replay, queue-wait.  The names are the
-    stable telemetry vocabulary shared by the windowed histograms, the
-    SLO grammar and the OpenMetrics exposition. *)
+    rpc-timeout, retry-backoff, replay, queue-wait, migrate-transfer.
+    The names are the stable telemetry vocabulary shared by the
+    windowed histograms, the SLO grammar and the OpenMetrics
+    exposition; {!No_trace.Trace.Row.latency_slot} maps row kinds onto
+    them. *)
 
 type window = {
   w_index : int;
@@ -49,8 +50,6 @@ val duration_s : t -> float
 
 val sink : t -> No_trace.Trace.sink
 (** Live attachment: fan this out next to the metrics/ring sinks. *)
-
-val observe : t -> ts:float -> No_trace.Trace.event -> unit
 
 val add_exemplar :
   t -> ts:float -> kind:int -> value:float -> trace_id:string -> unit

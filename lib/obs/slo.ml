@@ -73,9 +73,8 @@ let normalize s =
 let kind_of_string s =
   let key = normalize s in
   List.find_opt
-    (fun (name, _) -> String.equal (normalize name) key)
+    (fun name -> String.equal (normalize name) key)
     Series.latency_kinds
-  |> Option.map fst
 
 let counters : (string * (Trace.Metrics.t -> int)) list =
   [

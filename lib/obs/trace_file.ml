@@ -329,7 +329,12 @@ let num fields key =
   | F v -> v
   | _ -> raise (Bad (Printf.sprintf "field %S: expected a number" key))
 
-let int_ fields key = int_of_float (num fields key)
+(* Integer fields are written with %d, so anything but an exact,
+   in-range integer (1.5, -inf, 1e30) marks a damaged file. *)
+let int_ fields key =
+  let v = num fields key in
+  if Float.is_integer v && Float.abs v < 0x1p62 then int_of_float v
+  else raise (Bad (Printf.sprintf "field %S: expected an integer" key))
 
 let bool_ fields key =
   match get fields key with
@@ -474,12 +479,14 @@ let of_string_traces (s : string) :
             (Bad
                (Printf.sprintf "line 1: not a no-trace-raw header (%s)" msg))
       in
-      (try
-         let fmt = str fields "format" in
-         if fmt <> "no-trace-raw" then
-           raise (Bad (Printf.sprintf "line 1: unknown format %S" fmt))
-       with Bad msg -> raise (Bad (Printf.sprintf "line 1: %s" msg)));
-      let got_version = int_ fields "version" in
+      let line1 f =
+        try f () with Bad msg -> raise (Bad (Printf.sprintf "line 1: %s" msg))
+      in
+      line1 (fun () ->
+          let fmt = str fields "format" in
+          if fmt <> "no-trace-raw" then
+            raise (Bad (Printf.sprintf "unknown format %S" fmt)));
+      let got_version = line1 (fun () -> int_ fields "version") in
       if got_version < min_read_version || got_version > version then
         raise
           (Bad
@@ -487,7 +494,7 @@ let of_string_traces (s : string) :
                 "unsupported trace version %d (this build reads versions \
                  %d-%d); re-record the trace"
                 got_version min_read_version version));
-      let declared = int_ fields "events" in
+      let declared = line1 (fun () -> int_ fields "events") in
       (* Absent in version 2-3 headers, so those read as unsampled. *)
       let sampled =
         match List.assoc_opt "sampled" fields with

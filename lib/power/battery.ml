@@ -34,7 +34,7 @@ let spend t ~from_s ~to_s state =
       No_trace.Trace.Row.set_power_state t.row
         ~state:(Power_model.state_to_string state)
         ~mw ~duration_s:(to_s -. from_s);
-      t.sink.No_trace.Trace.emit_row ~ts:from_s t.row
+      t.sink ~ts:from_s t.row
     end
   end
 

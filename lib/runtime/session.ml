@@ -250,20 +250,14 @@ let advance t seconds = t.clock.Host.now <- t.clock.Host.now +. seconds
    Events mirror exactly what the session charges: span events are
    stamped with the span's start.  The mutable [overheads] counters
    are kept alongside; the aggregating trace sink must reproduce them
-   bit-for-bit (enforced by the trace regression tests). *)
+   bit-for-bit (enforced by the trace regression tests).
 
-let emit_at t ~ts ev =
-  if not (Trace.is_null t.config.trace) then t.config.trace.Trace.emit ~ts ev
-
-let emit t ev = emit_at t ~ts:t.clock.Host.now ev
-
-(* Hot-path variants: the caller fills [t.row] with a [Trace.Row.set_*]
-   and emits it in place — no event is boxed unless a capture sink
-   (ring, jsonl) sits behind the trace.  The row is only valid for the
-   duration of the call. *)
+   The caller fills [t.row] with a [Trace.Row.set_*] and emits it in
+   place — no event is boxed unless a capture sink (ring, sampler)
+   sits behind the trace.  The row is only valid for the duration of
+   the call. *)
 let emit_row_at t ~ts =
-  if not (Trace.is_null t.config.trace) then
-    t.config.trace.Trace.emit_row ~ts t.row
+  if not (Trace.is_null t.config.trace) then t.config.trace ~ts t.row
 
 let emit_row t = emit_row_at t ~ts:t.clock.Host.now
 
@@ -379,12 +373,9 @@ let create ?(config = default_config ()) ?(script = []) ?(files = [])
   let channel_sink =
     if Trace.is_null config.trace then Trace.null
     else if config.ideal then
-      { Trace.emit =
-          (fun ~ts ev -> config.trace.Trace.emit ~ts (Trace.zero_cost ev));
-        Trace.emit_row =
-          (fun ~ts row ->
-            Trace.zero_cost_row row;
-            config.trace.Trace.emit_row ~ts row) }
+      fun ~ts row ->
+        Trace.zero_cost_row row;
+        config.trace ~ts row
     else config.trace
   in
   let channel_clock () = clock.Host.now in
@@ -560,7 +551,8 @@ let exchange t ~op ~state (deliver : unit -> 'a) : 'a =
         let backoff = Injector.backoff_s policy ~attempt in
         let ts = t.clock.Host.now in
         wait backoff;
-        emit_at t ~ts (Trace.Retry { op; attempt; backoff_s = backoff });
+        Trace.Row.set_retry t.row ~op ~attempt ~backoff_s:backoff;
+        emit_row_at t ~ts;
         t.ov.retries <- t.ov.retries + 1
       end
     in
@@ -570,18 +562,21 @@ let exchange t ~op ~state (deliver : unit -> 'a) : 'a =
       match verdict with
       | Injector.Deliver -> with_state t state deliver
       | Injector.Server_down ->
-        emit t (Trace.Fault_injected { kind = "server-crash"; op });
+        Trace.Row.set_fault_injected t.row ~kind:"server-crash" ~op;
+        emit_row t;
         t.server_dead <- true;
         give_up "server crashed"
       | Injector.Outage _ | Injector.Drop ->
         (* The message vanishes into dead air; we only learn by
            waiting out the deadline. *)
-        emit t
-          (Trace.Fault_injected { kind = Injector.verdict_kind verdict; op });
+        Trace.Row.set_fault_injected t.row
+          ~kind:(Injector.verdict_kind verdict) ~op;
+        emit_row t;
         let ts = t.clock.Host.now in
         wait policy.Injector.deadline_s;
-        emit_at t ~ts
-          (Trace.Rpc_timeout { op; attempt; waited_s = policy.Injector.deadline_s });
+        Trace.Row.set_rpc_timeout t.row ~op ~attempt
+          ~waited_s:policy.Injector.deadline_s;
+        emit_row_at t ~ts;
         t.ov.rpc_timeouts <- t.ov.rpc_timeouts + 1;
         backoff_then attempt;
         go (attempt + 1)
@@ -589,7 +584,8 @@ let exchange t ~op ~state (deliver : unit -> 'a) : 'a =
         (* The payload crossed but arrived mangled; the receiver's
            checksum rejects it and NACKs — one small control round
            trip, then an immediate resend. *)
-        emit t (Trace.Fault_injected { kind = "corruption"; op });
+        Trace.Row.set_fault_injected t.row ~kind:"corruption" ~op;
+        emit_row t;
         let nack_s =
           Link.round_trip_time_scaled t.config.link ~req:48 ~resp:48
             ~bw_factor:(bw_factor t)
@@ -922,10 +918,9 @@ let rollback t (target : Partition.target) snap =
   Memory.clear_dirty t.server.Host.mem;
   t.pending_request <- None;
   t.pending_args <- [||];
-  emit t
-    (Trace.Rollback
-       { target = target.Partition.t_name; pages_restored = snap.sn_pages;
-         bytes_discarded })
+  Trace.Row.set_rollback t.row ~target:target.Partition.t_name
+    ~pages_restored:snap.sn_pages ~bytes_discarded;
+  emit_row t
 
 (* {1 The offload protocol (mobile side)} *)
 
@@ -1066,11 +1061,11 @@ let offload_invoke t (target : Partition.target) (args : Value.t list) :
         ~server_stack:snap.sn_server_stack
     in
     t.ov.checkpoints <- t.ov.checkpoints + 1;
-    emit t
-      (Trace.Checkpoint
-         { target = tname; pages = Checkpoint.dirty_count ck;
-           image_bytes = Checkpoint.image_bytes ck;
-           io_cursor = ck.Checkpoint.ck_io_cursor; ledger_bytes });
+    Trace.Row.set_checkpoint t.row ~target:tname
+      ~pages:(Checkpoint.dirty_count ck)
+      ~image_bytes:(Checkpoint.image_bytes ck)
+      ~io_cursor:ck.Checkpoint.ck_io_cursor ~ledger_bytes;
+    emit_row t;
     let mig = Migrator.create ~checkpoint:ck ~from_server ~reason in
     match
       sh.sh_migrate ~now:t.clock.Host.now ~target:tname ~from_server ~reason
@@ -1089,9 +1084,9 @@ let offload_invoke t (target : Partition.target) (args : Value.t list) :
           Migrator.transfer_time mig ~link:t.config.link
             ~bw_factor:(bw_factor t)
       in
-      emit t
-        (Trace.Migrate_start
-           { target = tname; from_server; to_server; reason; transfer_s });
+      Trace.Row.set_migrate_start t.row ~target:tname ~from_server ~to_server
+        ~reason ~transfer_s;
+      emit_row t;
       t.ov.migrations <- t.ov.migrations + 1;
       t.ov.migrate_transfer_s <- t.ov.migrate_transfer_s +. transfer_s;
       with_state t Power_model.Transmitting (fun () -> advance t transfer_s);
@@ -1133,9 +1128,9 @@ let offload_invoke t (target : Partition.target) (args : Value.t list) :
         let resumed_span_s = t.clock.Host.now -. resume_t0 in
         t.ov.migrations_done <- t.ov.migrations_done + 1;
         t.ov.migrate_resume_s <- t.ov.migrate_resume_s +. resumed_span_s;
-        emit t
-          (Trace.Migrate_done { target = tname; server = to_server;
-                                resumed_span_s });
+        Trace.Row.set_migrate_done t.row ~target:tname ~server:to_server
+          ~resumed_span_s;
+        emit_row t;
         let span_s = t.clock.Host.now -. t0 in
         t.server_exec_s <- t.server_exec_s +. span_s;
         Trace.Row.set_offload_end t.row ~target:tname
@@ -1185,9 +1180,9 @@ let offload_invoke t (target : Partition.target) (args : Value.t list) :
     let recovery_s = t.clock.Host.now -. t0 in
     t.ov.fallbacks <- t.ov.fallbacks + 1;
     t.ov.recovery_s <- t.ov.recovery_s +. recovery_s;
-    emit t
-      (Trace.Fallback_local
-         { target = target.Partition.t_name; reason; recovery_s });
+    Trace.Row.set_fallback_local t.row ~target:target.Partition.t_name ~reason
+      ~recovery_s;
+    emit_row t;
     let span_s = t.clock.Host.now -. t0 in
     t.server_exec_s <- t.server_exec_s +. span_s;
     Trace.Row.set_offload_end t.row ~target:target.Partition.t_name
@@ -1217,7 +1212,8 @@ let mobile_extern t name (argv : Value.t list) : Value.t option =
     if t.server_dead then begin
       (* The server is gone; don't even consult the estimator. *)
       t.ov.refusals <- t.ov.refusals + 1;
-      emit t (Trace.Refusal { target });
+      Trace.Row.set_refusal t.row ~target;
+      emit_row t;
       Some (Value.of_bool false)
     end
     else begin
@@ -1255,7 +1251,8 @@ let mobile_extern t name (argv : Value.t list) : Value.t option =
     end;
     if not decision then begin
       t.ov.refusals <- t.ov.refusals + 1;
-      emit t (Trace.Refusal { target })
+      Trace.Row.set_refusal t.row ~target;
+      emit_row t
     end;
     Some (Value.of_bool decision)
     end

@@ -278,20 +278,10 @@ let run ?(config = default_config) (clients : client list) : result =
      interleaving cannot perturb the result. *)
   let latency = Hist.create () in
   let event_count = ref 0 in
-  let stream_sink =
-    {
-      Trace.emit =
-        (fun ~ts:_ ev ->
-          incr event_count;
-          match ev with
-          | Trace.Offload_end { span_s; _ } -> Hist.add latency span_s
-          | _ -> ());
-      Trace.emit_row =
-        (fun ~ts:_ row ->
-          incr event_count;
-          if row.Trace.Row.kind = Trace.Row.k_offload_end then
-            Hist.add latency row.Trace.Row.f.(0));
-    }
+  let stream_sink ~ts:_ (row : Trace.Row.t) =
+    incr event_count;
+    if row.Trace.Row.kind = Trace.Row.k_offload_end then
+      Hist.add latency row.Trace.Row.f.(0)
   in
   let results = Array.make n None in
   let client_main idx (cl : client) () =
@@ -307,15 +297,9 @@ let run ?(config = default_config) (clients : client list) : result =
         | Some global ->
           (* Re-stamp onto the global clock as events stream, so the
              fleet-wide consumer (SLO series, telemetry) never needs the
-             per-client rings.  Rows are forwarded as rows — the wrapper
-             only rewrites the timestamp. *)
-          [ {
-              Trace.emit =
-                (fun ~ts ev -> global.Trace.emit ~ts:(cl.cl_start_s +. ts) ev);
-              Trace.emit_row =
-                (fun ~ts row ->
-                  global.Trace.emit_row ~ts:(cl.cl_start_s +. ts) row);
-            } ])
+             per-client rings.  The wrapper only rewrites the
+             timestamp. *)
+          [ (fun ~ts row -> global ~ts:(cl.cl_start_s +. ts) row) ])
       @
       match config.s_sampler with
       | None -> []

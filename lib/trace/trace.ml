@@ -85,17 +85,16 @@ type event =
 
 (* {1 The scratch row}
 
-   The two-tier event representation: hot emitters fill a preallocated
-   mutable row (ints, a flat float array, shared strings — nothing the
-   write allocates) and hand it to [sink.emit_row]; the boxed [event]
-   variant above is materialized only at capture boundaries (ring
-   buffers, jsonl files) via [Row.to_event].  Aggregating sinks
+   Every emitter fills a preallocated mutable row (ints, a flat float
+   array, shared strings — nothing the write allocates) and hands it
+   to the sink; the boxed [event] variant above is the decoded view,
+   materialized only at capture boundaries (ring buffers, the tail
+   sampler's kept traces) via [Row.to_event].  Aggregating sinks
    (metrics, windowed series, the simulator's latency stream) read the
-   row's fields in place, so a fleet bench with no ring attached moves
-   every event from emitter to accumulator without allocating it.
+   row's fields in place.
 
-   A row is only valid for the duration of the [emit_row] call: sinks
-   must copy (or box) anything they keep. *)
+   A row is only valid for the duration of the sink call: sinks must
+   copy (or box) anything they keep. *)
 
 module Row = struct
   (* Kind codes, one per [event] constructor. *)
@@ -123,6 +122,7 @@ module Row = struct
   let k_checkpoint = 21
   let k_migrate_start = 22
   let k_migrate_done = 23
+  let kinds = 24
 
   (* Generic slots; the [set_*]/[to_event] pair below is the field
      mapping's single source of truth.  Floats live in a flat array so
@@ -288,7 +288,7 @@ module Row = struct
     r.f.(0) <- resumed_span_s
 
   (* Boxing boundary: exact inverse of the setters, so a captured
-     stream is indistinguishable from one emitted boxed. *)
+     stream decodes to exactly the events the emitters described. *)
   let to_event (r : t) : event =
     if r.kind = k_flush then
       Flush
@@ -351,8 +351,7 @@ module Row = struct
       Migrate_done { target = r.s1; server = r.i1; resumed_span_s = r.f.(0) }
     else invalid_arg "Trace.Row.to_event: uninitialized row"
 
-  (* Unboxing boundary: lets a row-native sink accept a boxed event
-     through its [emit] field with one shared scratch row. *)
+  (* Unboxing boundary: how a captured stream re-enters a sink. *)
   let of_event (r : t) (ev : event) : unit =
     match ev with
     | Flush { direction; raw_bytes; wire_bytes; transfer_s; codec_s } ->
@@ -394,49 +393,73 @@ module Row = struct
       set_migrate_start r ~target ~from_server ~to_server ~reason ~transfer_s
     | Migrate_done { target; server; resumed_span_s } ->
       set_migrate_done r ~target ~server ~resumed_span_s
+
+  (* The kinds that carry a latency, in histogram-slot order, with
+     their telemetry names (OpenMetrics label values, SLO grammar
+     kinds).  The windowed series and the trace sampler both read the
+     mapping from here. *)
+  let latency_kinds =
+    [
+      (k_offload_end, "offload-span");
+      (k_page_fault, "page-fault");
+      (k_flush, "flush");
+      (k_remote_io, "remote-io");
+      (k_fnptr_translate, "fnptr-translate");
+      (k_rpc_timeout, "rpc-timeout");
+      (k_retry, "retry-backoff");
+      (k_replay, "replay");
+      (k_queue, "queue-wait");
+      (k_migrate_start, "migrate-transfer");
+    ]
+
+  let latency_names = List.map snd latency_kinds
+
+  let slot_of_kind =
+    let a = Array.make kinds (-1) in
+    List.iteri (fun slot (k, _) -> a.(k) <- slot) latency_kinds;
+    a
+
+  let latency_slot kind =
+    if kind >= 0 && kind < kinds then slot_of_kind.(kind) else -1
+
+  (* A flush's latency is its transfer plus codec legs; every other
+     latency kind keeps its duration in f.(0). *)
+  let latency (r : t) =
+    if latency_slot r.kind < 0 then Float.nan
+    else if r.kind = k_flush then r.f.(0) +. r.f.(1)
+    else r.f.(0)
 end
 
 (* Events that carry a time-span are stamped with the *start* of the
-   span; the clock value is simulated seconds.  Every sink accepts the
-   stream through either door — a boxed [event] or a scratch [Row.t] —
-   and an emitter picks exactly one per event, so fan-outs and
-   re-stamping wrappers forward whichever arrived without converting. *)
-type sink = {
-  emit : ts:float -> event -> unit;
-  emit_row : ts:float -> Row.t -> unit;
-}
+   span; the clock value is simulated seconds.  The scratch row is the
+   only way into a sink; capture sinks box it with [Row.to_event]. *)
+type sink = ts:float -> Row.t -> unit
 
-(* Wrap a boxed-event consumer: rows are materialized at this boundary
-   (the capture sinks — rings, jsonl writers — are built this way). *)
-let of_emit emit =
-  { emit; emit_row = (fun ~ts row -> emit ~ts (Row.to_event row)) }
+let null : sink = fun ~ts:_ _ -> ()
 
-let null =
-  { emit = (fun ~ts:_ _ -> ()); emit_row = (fun ~ts:_ _ -> ()) }
-
-(* Physical equality against the unique [null] closure pair lets hot
-   emitters skip event construction entirely. *)
-let is_null sink = sink == null
+(* Physical equality against the unique [null] closure lets hot
+   emitters skip filling a row entirely. *)
+let is_null (sink : sink) = sink == null
 
 let fan_out = function
   | [] -> null
   | [ sink ] -> sink
-  | sinks ->
-    {
-      emit = (fun ~ts ev -> List.iter (fun s -> s.emit ~ts ev) sinks);
-      emit_row = (fun ~ts row -> List.iter (fun s -> s.emit_row ~ts row) sinks);
-    }
+  | sinks -> fun ~ts row -> List.iter (fun (s : sink) -> s ~ts row) sinks
+
+(* Captured events go back in through one scratch row. *)
+let replay (sink : sink) events =
+  let row = Row.create () in
+  List.iter
+    (fun (ts, ev) ->
+      Row.of_event row ev;
+      sink ~ts row)
+    events
 
 (* An ideal (zero-communication-cost) run still moves bytes logically;
    only the charged times vanish.  Sessions wrap their channel sink
-   with this so the stream always reflects what was *charged*. *)
-let zero_cost = function
-  | Flush f -> Flush { f with transfer_s = 0.0; codec_s = 0.0 }
-  | ev -> ev
-
-(* In-place twin of [zero_cost] for the row path.  Mutating the row is
-   fine: it belongs to the emitter, which is done with the charged
-   values once it hands the row over. *)
+   with this so the stream always reflects what was *charged*.
+   Mutating the row is fine: it belongs to the emitter, which is done
+   with the charged values once it hands the row over. *)
 let zero_cost_row (r : Row.t) =
   if r.Row.kind = Row.k_flush then begin
     r.Row.f.(0) <- 0.0;
@@ -570,244 +593,98 @@ module Metrics = struct
       power_rev = [];
     }
 
-  let observe t ~ts ev =
+  (* The one fold: every row updates the record in place, so it is
+     current at every read.  Float sums are mutable fields of a mixed
+     record and box on each write — at most two per event. *)
+  let observe_row t ~ts (r : Row.t) =
     Selfprof.enter Sink_emit;
-    (match ev with
-    | Flush { direction; raw_bytes; wire_bytes; transfer_s; codec_s } ->
-      (match direction with
-      | To_server ->
-        t.flushes_to_server <- t.flushes_to_server + 1;
-        t.raw_to_server <- t.raw_to_server + raw_bytes;
-        t.wire_to_server <- t.wire_to_server + wire_bytes
-      | To_mobile ->
-        t.flushes_to_mobile <- t.flushes_to_mobile + 1;
-        t.raw_to_mobile <- t.raw_to_mobile + raw_bytes;
-        t.wire_to_mobile <- t.wire_to_mobile + wire_bytes);
-      t.transfer_s <- t.transfer_s +. transfer_s;
-      t.codec_s <- t.codec_s +. codec_s
-    | Page_fault { service_s; _ } ->
-      t.fault_count <- t.fault_count + 1;
-      t.fault_s <- t.fault_s +. service_s
-    | Prefetch { pages; bytes } ->
-      t.prefetched_pages <- t.prefetched_pages + pages;
-      t.prefetched_bytes <- t.prefetched_bytes + bytes
-    | Fnptr_translate { cost_s } ->
-      t.fnptr_count <- t.fnptr_count + 1;
-      t.fnptr_s <- t.fnptr_s +. cost_s
-    | Remote_io { cost_s; _ } ->
-      t.remote_io_count <- t.remote_io_count + 1;
-      t.remote_io_s <- t.remote_io_s +. cost_s
-    | Offload_begin _ -> t.offloads <- t.offloads + 1
-    | Offload_end { span_s; _ } ->
-      t.offload_span_s <- t.offload_span_s +. span_s
-    | Refusal _ -> t.refusals <- t.refusals + 1
-    | Power_state { state; mw; duration_s } ->
-      t.energy_mj <- t.energy_mj +. (mw *. duration_s);
-      let prev = Option.value ~default:0.0 (Hashtbl.find_opt t.power_s state) in
-      Hashtbl.replace t.power_s state (prev +. duration_s);
-      t.power_rev <- (ts, mw, duration_s, state) :: t.power_rev
-    | Estimate _ -> t.estimates <- t.estimates + 1
-    | Module_load _ -> ()
-    | Fault_injected _ -> t.faults_injected <- t.faults_injected + 1
-    | Rpc_timeout { waited_s; _ } ->
-      t.rpc_timeouts <- t.rpc_timeouts + 1;
-      t.retry_wait_s <- t.retry_wait_s +. waited_s
-    | Retry { backoff_s; _ } ->
-      t.retries <- t.retries + 1;
-      t.retry_wait_s <- t.retry_wait_s +. backoff_s
-    | Fallback_local { recovery_s; _ } ->
-      t.fallbacks <- t.fallbacks + 1;
-      t.recovery_s <- t.recovery_s +. recovery_s
-    | Rollback _ -> t.rollbacks <- t.rollbacks + 1
-    | Replay { replay_s; _ } ->
-      t.replays <- t.replays + 1;
-      t.replay_s <- t.replay_s +. replay_s
-    | Queue { wait_s; _ } ->
-      t.queued <- t.queued + 1;
-      t.queue_wait_s <- t.queue_wait_s +. wait_s
-    | Admit _ -> t.admits <- t.admits + 1
-    | Reject _ -> t.rejects <- t.rejects + 1
-    | Bw_sample _ -> ()
-    | Checkpoint { pages; image_bytes; _ } ->
-      t.checkpoints <- t.checkpoints + 1;
-      t.checkpoint_pages <- t.checkpoint_pages + pages;
-      t.checkpoint_bytes <- t.checkpoint_bytes + image_bytes
-    | Migrate_start { transfer_s; _ } ->
-      t.migrations <- t.migrations + 1;
-      t.migrate_transfer_s <- t.migrate_transfer_s +. transfer_s
-    | Migrate_done { resumed_span_s; _ } ->
-      t.migrations_done <- t.migrations_done + 1;
-      t.migrate_resume_s <- t.migrate_resume_s +. resumed_span_s);
-    Selfprof.leave Sink_emit
-
-  let sink t = of_emit (fun ~ts ev -> observe t ~ts ev)
-
-  (* {2 Batched accumulation}
-
-     The float sums above are mutable fields of a mixed record, so
-     every per-event [t.transfer_s <- t.transfer_s +. x] boxes a
-     float.  An [acc] keeps those thirteen sums in a flat float array
-     — the authoritative store while the accumulator is attached — and
-     [flush_acc] materializes them into the record at window/run
-     boundaries.  The addition sequence per field is exactly the
-     per-event sequence, so a flushed record is bit-identical to one
-     fed through [observe]; only the boxing moves to the boundary.
-     Int counters and the (rare) power-residency structures update the
-     record directly.
-
-     While an [acc] is attached, read the record only after
-     [flush_acc] — the float fields lag the array between flushes. *)
-
-  (* Slots in [af], one per float field of [t]. *)
-  let a_transfer = 0
-  let a_codec = 1
-  let a_fault = 2
-  let a_fnptr = 3
-  let a_remote_io = 4
-  let a_offload_span = 5
-  let a_retry_wait = 6
-  let a_recovery = 7
-  let a_replay = 8
-  let a_queue_wait = 9
-  let a_migrate_transfer = 10
-  let a_migrate_resume = 11
-  let a_energy = 12
-  let a_slots = 13
-
-  type acc = { am : t; af : float array; arow : Row.t }
-
-  let acc m =
-    let af = Array.make a_slots 0.0 in
-    af.(a_transfer) <- m.transfer_s;
-    af.(a_codec) <- m.codec_s;
-    af.(a_fault) <- m.fault_s;
-    af.(a_fnptr) <- m.fnptr_s;
-    af.(a_remote_io) <- m.remote_io_s;
-    af.(a_offload_span) <- m.offload_span_s;
-    af.(a_retry_wait) <- m.retry_wait_s;
-    af.(a_recovery) <- m.recovery_s;
-    af.(a_replay) <- m.replay_s;
-    af.(a_queue_wait) <- m.queue_wait_s;
-    af.(a_migrate_transfer) <- m.migrate_transfer_s;
-    af.(a_migrate_resume) <- m.migrate_resume_s;
-    af.(a_energy) <- m.energy_mj;
-    { am = m; af; arow = Row.create () }
-
-  let flush_acc a =
-    let m = a.am and af = a.af in
-    m.transfer_s <- af.(a_transfer);
-    m.codec_s <- af.(a_codec);
-    m.fault_s <- af.(a_fault);
-    m.fnptr_s <- af.(a_fnptr);
-    m.remote_io_s <- af.(a_remote_io);
-    m.offload_span_s <- af.(a_offload_span);
-    m.retry_wait_s <- af.(a_retry_wait);
-    m.recovery_s <- af.(a_recovery);
-    m.replay_s <- af.(a_replay);
-    m.queue_wait_s <- af.(a_queue_wait);
-    m.migrate_transfer_s <- af.(a_migrate_transfer);
-    m.migrate_resume_s <- af.(a_migrate_resume);
-    m.energy_mj <- af.(a_energy)
-
-  let observe_row a ~ts (r : Row.t) =
-    Selfprof.enter Sink_emit;
-    let m = a.am and af = a.af in
     let k = r.Row.kind in
     (if k = Row.k_flush then begin
        (if r.Row.i1 = 0 then begin
-          m.flushes_to_server <- m.flushes_to_server + 1;
-          m.raw_to_server <- m.raw_to_server + r.Row.i2;
-          m.wire_to_server <- m.wire_to_server + r.Row.i3
+          t.flushes_to_server <- t.flushes_to_server + 1;
+          t.raw_to_server <- t.raw_to_server + r.Row.i2;
+          t.wire_to_server <- t.wire_to_server + r.Row.i3
         end
         else begin
-          m.flushes_to_mobile <- m.flushes_to_mobile + 1;
-          m.raw_to_mobile <- m.raw_to_mobile + r.Row.i2;
-          m.wire_to_mobile <- m.wire_to_mobile + r.Row.i3
+          t.flushes_to_mobile <- t.flushes_to_mobile + 1;
+          t.raw_to_mobile <- t.raw_to_mobile + r.Row.i2;
+          t.wire_to_mobile <- t.wire_to_mobile + r.Row.i3
         end);
-       af.(a_transfer) <- af.(a_transfer) +. r.Row.f.(0);
-       af.(a_codec) <- af.(a_codec) +. r.Row.f.(1)
+       t.transfer_s <- t.transfer_s +. r.Row.f.(0);
+       t.codec_s <- t.codec_s +. r.Row.f.(1)
      end
      else if k = Row.k_page_fault then begin
-       m.fault_count <- m.fault_count + 1;
-       af.(a_fault) <- af.(a_fault) +. r.Row.f.(0)
+       t.fault_count <- t.fault_count + 1;
+       t.fault_s <- t.fault_s +. r.Row.f.(0)
      end
      else if k = Row.k_prefetch then begin
-       m.prefetched_pages <- m.prefetched_pages + r.Row.i1;
-       m.prefetched_bytes <- m.prefetched_bytes + r.Row.i2
+       t.prefetched_pages <- t.prefetched_pages + r.Row.i1;
+       t.prefetched_bytes <- t.prefetched_bytes + r.Row.i2
      end
      else if k = Row.k_fnptr_translate then begin
-       m.fnptr_count <- m.fnptr_count + 1;
-       af.(a_fnptr) <- af.(a_fnptr) +. r.Row.f.(0)
+       t.fnptr_count <- t.fnptr_count + 1;
+       t.fnptr_s <- t.fnptr_s +. r.Row.f.(0)
      end
      else if k = Row.k_remote_io then begin
-       m.remote_io_count <- m.remote_io_count + 1;
-       af.(a_remote_io) <- af.(a_remote_io) +. r.Row.f.(0)
+       t.remote_io_count <- t.remote_io_count + 1;
+       t.remote_io_s <- t.remote_io_s +. r.Row.f.(0)
      end
-     else if k = Row.k_offload_begin then m.offloads <- m.offloads + 1
+     else if k = Row.k_offload_begin then t.offloads <- t.offloads + 1
      else if k = Row.k_offload_end then
-       af.(a_offload_span) <- af.(a_offload_span) +. r.Row.f.(0)
-     else if k = Row.k_refusal then m.refusals <- m.refusals + 1
+       t.offload_span_s <- t.offload_span_s +. r.Row.f.(0)
+     else if k = Row.k_refusal then t.refusals <- t.refusals + 1
      else if k = Row.k_power_state then begin
        let mw = r.Row.f.(0) and duration_s = r.Row.f.(1) in
-       af.(a_energy) <- af.(a_energy) +. (mw *. duration_s);
+       t.energy_mj <- t.energy_mj +. (mw *. duration_s);
        let state = r.Row.s1 in
        let prev =
-         Option.value ~default:0.0 (Hashtbl.find_opt m.power_s state)
+         Option.value ~default:0.0 (Hashtbl.find_opt t.power_s state)
        in
-       Hashtbl.replace m.power_s state (prev +. duration_s);
-       m.power_rev <- (ts, mw, duration_s, state) :: m.power_rev
+       Hashtbl.replace t.power_s state (prev +. duration_s);
+       t.power_rev <- (ts, mw, duration_s, state) :: t.power_rev
      end
-     else if k = Row.k_estimate then m.estimates <- m.estimates + 1
-     else if k = Row.k_module_load then ()
+     else if k = Row.k_estimate then t.estimates <- t.estimates + 1
      else if k = Row.k_fault_injected then
-       m.faults_injected <- m.faults_injected + 1
+       t.faults_injected <- t.faults_injected + 1
      else if k = Row.k_rpc_timeout then begin
-       m.rpc_timeouts <- m.rpc_timeouts + 1;
-       af.(a_retry_wait) <- af.(a_retry_wait) +. r.Row.f.(0)
+       t.rpc_timeouts <- t.rpc_timeouts + 1;
+       t.retry_wait_s <- t.retry_wait_s +. r.Row.f.(0)
      end
      else if k = Row.k_retry then begin
-       m.retries <- m.retries + 1;
-       af.(a_retry_wait) <- af.(a_retry_wait) +. r.Row.f.(0)
+       t.retries <- t.retries + 1;
+       t.retry_wait_s <- t.retry_wait_s +. r.Row.f.(0)
      end
      else if k = Row.k_fallback_local then begin
-       m.fallbacks <- m.fallbacks + 1;
-       af.(a_recovery) <- af.(a_recovery) +. r.Row.f.(0)
+       t.fallbacks <- t.fallbacks + 1;
+       t.recovery_s <- t.recovery_s +. r.Row.f.(0)
      end
-     else if k = Row.k_rollback then m.rollbacks <- m.rollbacks + 1
+     else if k = Row.k_rollback then t.rollbacks <- t.rollbacks + 1
      else if k = Row.k_replay then begin
-       m.replays <- m.replays + 1;
-       af.(a_replay) <- af.(a_replay) +. r.Row.f.(0)
+       t.replays <- t.replays + 1;
+       t.replay_s <- t.replay_s +. r.Row.f.(0)
      end
      else if k = Row.k_queue then begin
-       m.queued <- m.queued + 1;
-       af.(a_queue_wait) <- af.(a_queue_wait) +. r.Row.f.(0)
+       t.queued <- t.queued + 1;
+       t.queue_wait_s <- t.queue_wait_s +. r.Row.f.(0)
      end
-     else if k = Row.k_admit then m.admits <- m.admits + 1
-     else if k = Row.k_reject then m.rejects <- m.rejects + 1
-     else if k = Row.k_bw_sample then ()
+     else if k = Row.k_admit then t.admits <- t.admits + 1
+     else if k = Row.k_reject then t.rejects <- t.rejects + 1
      else if k = Row.k_checkpoint then begin
-       m.checkpoints <- m.checkpoints + 1;
-       m.checkpoint_pages <- m.checkpoint_pages + r.Row.i1;
-       m.checkpoint_bytes <- m.checkpoint_bytes + r.Row.i2
+       t.checkpoints <- t.checkpoints + 1;
+       t.checkpoint_pages <- t.checkpoint_pages + r.Row.i1;
+       t.checkpoint_bytes <- t.checkpoint_bytes + r.Row.i2
      end
      else if k = Row.k_migrate_start then begin
-       m.migrations <- m.migrations + 1;
-       af.(a_migrate_transfer) <- af.(a_migrate_transfer) +. r.Row.f.(0)
+       t.migrations <- t.migrations + 1;
+       t.migrate_transfer_s <- t.migrate_transfer_s +. r.Row.f.(0)
      end
      else if k = Row.k_migrate_done then begin
-       m.migrations_done <- m.migrations_done + 1;
-       af.(a_migrate_resume) <- af.(a_migrate_resume) +. r.Row.f.(0)
+       t.migrations_done <- t.migrations_done + 1;
+       t.migrate_resume_s <- t.migrate_resume_s +. r.Row.f.(0)
      end);
     Selfprof.leave Sink_emit
 
-  let acc_sink a =
-    {
-      emit =
-        (fun ~ts ev ->
-          Row.of_event a.arow ev;
-          observe_row a ~ts a.arow);
-      emit_row = (fun ~ts r -> observe_row a ~ts r);
-    }
+  let sink = observe_row
 
   (* Field-wise addition, used to reconstitute run totals from
      windowed per-interval metrics (Obs.Series).  Power segments are
@@ -979,7 +856,7 @@ module Ring = struct
     Selfprof.leave Sink_emit
 
   (* Rows are boxed here — the ring is a capture boundary. *)
-  let sink t = of_emit (fun ~ts ev -> record t ~ts ev)
+  let sink t : sink = fun ~ts row -> record t ~ts (Row.to_event row)
 
   let length t = t.stored
   let dropped t = t.dropped
@@ -1042,7 +919,6 @@ module Sampler = struct
     c_id : int;
     c_start : float;
     c_buf : buf;
-    c_srow : Row.t;               (* scratch for the boxed door *)
     mutable c_task : int;         (* next task ordinal for this client *)
     mutable c_pending : bool;     (* terminal row seen; close on task start *)
     mutable c_faulted : bool;
@@ -1108,19 +984,6 @@ module Sampler = struct
     dst.Row.s1 <- src.Row.s1;
     dst.Row.s2 <- src.Row.s2
 
-  (* The latency a row contributes to the tail decision and to
-     exemplars — mirrors the windowed series' latency kinds. *)
-  let latency_of_row (r : Row.t) =
-    let k = r.Row.kind in
-    if k = Row.k_flush then r.Row.f.(0) +. r.Row.f.(1)
-    else if
-      k = Row.k_offload_end || k = Row.k_page_fault
-      || k = Row.k_remote_io || k = Row.k_fnptr_translate
-      || k = Row.k_rpc_timeout || k = Row.k_retry || k = Row.k_replay
-      || k = Row.k_queue || k = Row.k_migrate_start
-    then r.Row.f.(0)
-    else Float.nan
-
   (* Online fleet-wide top-K reservoir: admit a completed task's peak
      latency when the reservoir has room or the latency beats its
      current minimum.  Stream order is deterministic, so the admitted
@@ -1183,7 +1046,7 @@ module Sampler = struct
           match t.sp_exemplar with
           | None -> ()
           | Some hook ->
-            let v = latency_of_row row in
+            let v = Row.latency row in
             if not (Float.is_nan v) then
               hook ~ts ~kind:row.Row.kind ~value:v ~trace_id
         done;
@@ -1242,7 +1105,6 @@ module Sampler = struct
           c_buf = { bts = Array.make 32 0.0;
                     brows = Array.init 32 (fun _ -> Row.create ());
                     blen = 0 };
-          c_srow = Row.create ();
           c_task = 0;
           c_pending = false;
           c_faulted = false;
@@ -1256,15 +1118,9 @@ module Sampler = struct
   (* The per-client door.  Timestamps are re-stamped onto the global
      clock here ([start_s] added), so kept traces from different
      clients interleave on one timeline. *)
-  let client_sink t ~client ~start_s =
+  let client_sink t ~client ~start_s : sink =
     let c = cstate_of t ~client ~start_s in
-    {
-      emit =
-        (fun ~ts ev ->
-          Row.of_event c.c_srow ev;
-          observe_row t c ~ts:(c.c_start +. ts) c.c_srow);
-      emit_row = (fun ~ts row -> observe_row t c ~ts:(c.c_start +. ts) row);
-    }
+    fun ~ts row -> observe_row t c ~ts:(c.c_start +. ts) row
 
   (* A client's session ended: decide its trailing task now, so its
      buffer frees while the fleet is still running — peak resident

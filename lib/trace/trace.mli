@@ -100,13 +100,12 @@ type event =
       (** the migrated task resumed and completed on member [server];
           [resumed_span_s] is the remote span after resumption *)
 
-(** The scratch-row tier of the two-tier event representation: hot
-    emitters fill a preallocated mutable row (ints, a flat float
-    array, shared strings — nothing a fill allocates) and hand it to
-    {!sink.emit_row}; the boxed {!event} is materialized only at
+(** The scratch row, the only way an event enters a {!sink}: every
+    emitter fills a preallocated mutable row (ints, a flat float
+    array, shared strings — nothing a fill allocates) and hands it
+    over; the boxed {!event} is the decoded view, materialized only at
     capture boundaries via {!Row.to_event}.  A row is valid only for
-    the duration of the [emit_row] call — sinks must copy what they
-    keep. *)
+    the duration of the sink call — sinks must copy what they keep. *)
 module Row : sig
   type t = {
     mutable kind : int;  (** one of the [k_*] codes *)
@@ -214,39 +213,46 @@ module Row : sig
       [Invalid_argument] on an uninitialized row. *)
 
   val of_event : t -> event -> unit
-  (** Fill the row from a boxed event — how a row-native sink accepts
-      the boxed door with one shared scratch row. *)
+  (** Fill the row from a boxed event — how a captured stream
+      re-enters a sink (see {!replay}). *)
+
+  val latency_names : string list
+  (** The kinds that carry a latency, by telemetry name in histogram
+      slot order: offload-span, page-fault, flush, remote-io,
+      fnptr-translate, rpc-timeout, retry-backoff, replay, queue-wait,
+      migrate-transfer. *)
+
+  val latency_slot : int -> int
+  (** Kind code -> index into {!latency_names}; -1 for kinds (or
+      out-of-range codes) that carry no latency. *)
+
+  val latency : t -> float
+  (** The row's latency sample (a flush's transfer plus codec legs,
+      otherwise the span in [f.(0)]); NaN for kinds without one. *)
 end
 
-type sink = {
-  emit : ts:float -> event -> unit;
-  emit_row : ts:float -> Row.t -> unit;
-}
+type sink = ts:float -> Row.t -> unit
 (** [ts] is simulated seconds; events that span time are stamped with
-    the {e start} of their span.  An emitter delivers each event
-    through exactly one of the two doors; every sink accepts both. *)
-
-val of_emit : (ts:float -> event -> unit) -> sink
-(** Wrap a boxed-event consumer: rows are boxed ({!Row.to_event}) at
-    this boundary.  How capture sinks (rings, jsonl writers) are
-    built. *)
+    the {e start} of their span.  The row belongs to the emitter and is
+    only valid for the duration of the call. *)
 
 val null : sink
 (** Discards everything. *)
 
 val is_null : sink -> bool
-(** Physical check against {!null}, letting hot emitters skip event
-    construction. *)
+(** Physical check against {!null}, letting hot emitters skip filling
+    a row. *)
 
 val fan_out : sink list -> sink
-(** Emit to every sink in order (rows are forwarded as rows). *)
+(** Emit to every sink in order. *)
 
-val zero_cost : event -> event
-(** Zero the charged-time fields of a {!Flush} (ideal-mode wrapper);
-    other events pass through. *)
+val replay : sink -> (float * event) list -> unit
+(** Feed a captured stream to [sink] through one scratch row
+    ({!Row.of_event}). *)
 
 val zero_cost_row : Row.t -> unit
-(** In-place twin of {!zero_cost} for the row door. *)
+(** Zero the charged-time fields of a flush row in place (ideal-mode
+    wrapper); other kinds pass through. *)
 
 val event_name : event -> string
 (** Short display name, e.g. ["flush:to-server"]. *)
@@ -302,23 +308,10 @@ module Metrics : sig
   }
 
   val create : unit -> t
+
   val sink : t -> sink
-
-  type acc
-  (** Batched accumulator over a {!t}: the thirteen float sums live in
-      a flat array (no per-event boxing) and materialize into the
-      record at {!flush_acc}.  The per-field addition sequence is
-      exactly {!sink}'s, so a flushed record is bit-identical to one
-      fed per-event.  While attached, read the record only after
-      {!flush_acc}. *)
-
-  val acc : t -> acc
-  val acc_sink : acc -> sink
-
-  val flush_acc : acc -> unit
-  (** Fold the accumulated float sums into the underlying record
-      (idempotent; int counters and power structures are always
-      current). *)
+  (** Folds each row into the record in place, so the record is
+      current at every read. *)
 
   val merge_into : into:t -> t -> unit
   (** Field-wise addition (power-state residencies included), so that
@@ -366,7 +359,7 @@ module Ring : sig
       evicted before the call. *)
 end
 
-(** Tail-based per-task sampler over the two-door spine.
+(** Tail-based per-task sampler over the event spine.
 
     One shared sampler receives each client's stream through a
     {!Sampler.client_sink} view, buffers rows per in-flight task

@@ -452,7 +452,20 @@ let test_trace_file_diagnostics () =
   (* Garbage mid-file. *)
   expect_error "garbage line" "line 2"
     "{\"format\":\"no-trace-raw\",\"version\":2,\"events\":1}\n\
-     not json\n"
+     not json\n";
+  (* Integer fields must hold exact integers, not the nearest one. *)
+  expect_error "fractional int" "line 2: field \"pages\": expected an integer"
+    "{\"format\":\"no-trace-raw\",\"version\":2,\"events\":1}\n\
+     {\"ts\":0.5,\"kind\":\"prefetch\",\"pages\":1.5,\"bytes\":4096}\n";
+  expect_error "fractional version"
+    "line 1: field \"version\": expected an integer"
+    "{\"format\":\"no-trace-raw\",\"version\":4.5,\"events\":0}\n";
+  expect_error "infinite int" "line 2: field \"page\": expected an integer"
+    "{\"format\":\"no-trace-raw\",\"version\":2,\"events\":1}\n\
+     {\"ts\":0.5,\"kind\":\"page-fault\",\"page\":-inf,\"service_s\":0.1}\n";
+  expect_error "out-of-range count"
+    "line 1: field \"events\": expected an integer"
+    "{\"format\":\"no-trace-raw\",\"version\":2,\"events\":1e30}\n"
 
 let tests =
   [

@@ -56,7 +56,7 @@ let feed_client sampler ~client specs =
   let sink = Trace.Sampler.client_sink sampler ~client ~start_s:0.0 in
   let t = ref (0.01 *. float_of_int client) in
   let emit ev =
-    sink.Trace.emit ~ts:!t ev;
+    Trace.replay sink [ (!t, ev) ];
     t := !t +. 0.001
   in
   List.iter
@@ -288,8 +288,8 @@ let test_hist_exemplar_reservoir () =
 
 let test_series_exemplar_merges () =
   let series = Series.create () in
-  Series.observe series ~ts:0.5
-    (Trace.Page_fault { page = 1; service_s = 0.2 });
+  Trace.replay (Series.sink series)
+    [ (0.5, Trace.Page_fault { page = 1; service_s = 0.2 }) ];
   Series.add_exemplar series ~ts:0.5 ~kind:Trace.Row.k_page_fault ~value:0.2
     ~trace_id:"c0-t0";
   let h = Series.kind_hist series "page-fault" in
@@ -303,7 +303,8 @@ let test_series_exemplar_merges () =
 let outage_series ~heal =
   let series = Series.create () in
   let fault ts service_s =
-    Series.observe series ~ts (Trace.Page_fault { page = 1; service_s })
+    Trace.replay (Series.sink series)
+      [ (ts, Trace.Page_fault { page = 1; service_s }) ]
   in
   fault 0.2 0.001;
   fault 1.2 0.001;
@@ -349,8 +350,8 @@ let test_incident_exemplars_and_jsonl () =
       i.Incident.i_exemplars
   | l -> Alcotest.failf "expected one incident, got %d" (List.length l));
   let healthy = Series.create () in
-  Series.observe healthy ~ts:0.5
-    (Trace.Page_fault { page = 1; service_s = 0.001 });
+  Trace.replay (Series.sink healthy)
+    [ (0.5, Trace.Page_fault { page = 1; service_s = 0.001 }) ];
   Alcotest.(check string)
     "healthy series renders 'no incidents'" "no incidents"
     (Incident.render (Incident.detect objectives healthy));

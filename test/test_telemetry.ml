@@ -86,7 +86,7 @@ let check_metrics_conserved name (a : Trace.Metrics.t) (b : Trace.Metrics.t) =
 
 let test_series_windowing () =
   let series = Series.create ~window_s:1.0 () in
-  let feed ts ev = Series.observe series ~ts ev in
+  let feed ts ev = Trace.replay (Series.sink series) [ (ts, ev) ] in
   feed 0.2 (Trace.Offload_begin { target = "w" });
   feed 0.3 (Trace.Queue { target = "w"; server = 0; wait_s = 0.1; depth = 2 });
   feed 0.4 (Trace.Admit { target = "w"; server = 0; occupancy = 2; slot = 1 });
@@ -207,9 +207,7 @@ let test_sim_series_deterministic () =
   (* Conservation on the merged fleet stream. *)
   let series = Series.of_events ea in
   let direct = Trace.Metrics.create () in
-  List.iter
-    (fun (ts, ev) -> (Trace.Metrics.sink direct).Trace.emit ~ts ev)
-    ea;
+  Trace.replay (Trace.Metrics.sink direct) ea;
   check_metrics_conserved "4-client fleet" (Series.totals series) direct;
   (* The whole OpenMetrics exposition is byte-identical across seeded
      reruns — the bench lane archives and diffs this file. *)
@@ -296,19 +294,19 @@ let test_slo_parse () =
    it — the fast/slow pair only alarms when both agree. *)
 let slo_series () =
   let series = Series.create ~window_s:1.0 () in
+  let feed ts ev = Trace.replay (Series.sink series) [ (ts, ev) ] in
   for i = 0 to 9 do
     let ts = (float_of_int i *. 1.0) +. 0.1 in
-    Series.observe series ~ts (Trace.Offload_begin { target = "w" });
-    Series.observe series ~ts:(ts +. 0.01)
-      (Trace.Page_fault { page = i; service_s = 0.004 });
+    feed ts (Trace.Offload_begin { target = "w" });
+    feed (ts +. 0.01) (Trace.Page_fault { page = i; service_s = 0.004 });
     if i >= 8 then
-      Series.observe series ~ts:(ts +. 0.2)
+      feed (ts +. 0.2)
         (Trace.Fallback_local
            { target = "w"; reason = "outage"; recovery_s = 0.1 })
   done;
   (* A closing power segment pins the covered timeline to 10.0 s
      (windows 0..9, failures in the last two). *)
-  Series.observe series ~ts:9.7
+  feed 9.7
     (Trace.Power_state { state = "waiting"; mw = 100.0; duration_s = 0.3 });
   series
 

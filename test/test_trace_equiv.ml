@@ -1,14 +1,11 @@
-(* Observation equivalence of the two-tier event spine (QCheck): a
-   stream delivered through the row door must be indistinguishable
-   from the same stream delivered boxed — bit-equal Metrics whether
-   folded per-event or through the batched accumulator, bit-equal
-   windowed series (histogram quantiles included), and an identical
-   raw-trace capture.  Checked over generated streams covering every
-   event kind and over real workload runs under a fault plan. *)
+(* What can still diverge on the one-door event spine (QCheck): the
+   row encoding of every event kind must decode back to the same event
+   bit for bit, and a captured stream replayed through fresh sinks
+   must rebuild the Metrics and windowed Series the live run folded,
+   bitwise — checked on real workload runs under a fault plan. *)
 
 module Trace = No_trace.Trace
 module Series = No_obs.Series
-module Hist = No_obs.Hist
 module Trace_file = No_obs.Trace_file
 module Session = No_runtime.Session
 module Chess = No_workloads.Chess
@@ -101,170 +98,31 @@ let gen_event : Trace.event QCheck.Gen.t =
             resumed_span_s = secs st });
     ]
 
-let stream_arb =
-  QCheck.make
-    ~print:(fun s -> Trace_file.to_string s)
-    QCheck.Gen.(
-      list_size (int_range 0 300) (pair (float_range 0.0 30.0) gen_event))
-
-(* {1 The two doors} *)
-
-let feed_boxed sink stream =
-  List.iter (fun (ts, ev) -> sink.Trace.emit ~ts ev) stream
-
-(* One scratch row reused for the whole stream — exactly the hot
-   emitters' discipline. *)
-let feed_rows sink stream =
-  let row = Trace.Row.create () in
-  List.iter
-    (fun (ts, ev) ->
-      Trace.Row.of_event row ev;
-      sink.Trace.emit_row ~ts row)
-    stream
-
 (* {1 Bitwise equality}
 
-   [Int64.bits_of_float] equality, not [=]: NaN gauges (an empty
-   window's bandwidth belief) must compare equal to themselves, and
-   any summation-order drift must fail loudly. *)
+   Values are marshalled without sharing and compared as bytes, so
+   floats compare by their bits (0.0 vs -0.0, NaN gauges, any
+   summation-order drift) rather than by [=]. *)
 
-let fe a b = Int64.bits_of_float a = Int64.bits_of_float b
+let bits v = Marshal.to_string v [ Marshal.No_sharing ]
 
-let check_f label a b =
-  if not (fe a b) then
-    Alcotest.failf "%s differs bitwise: %h vs %h" label a b
+(* {1 Row round trip} *)
 
-let check_i label a b = Alcotest.(check int) label a b
+let prop_round_trip =
+  QCheck.Test.make ~name:"row round trip (generated events)" ~count:2000
+    (QCheck.make
+       ~print:(fun ev -> Trace_file.to_string [ (0.0, ev) ])
+       gen_event)
+    (fun ev ->
+      let row = Trace.Row.create () in
+      Trace.Row.of_event row ev;
+      bits (Trace.Row.to_event row) = bits ev)
 
-let check_metrics label (a : Trace.Metrics.t) (b : Trace.Metrics.t) =
-  let i n = check_i (label ^ ": " ^ n) in
-  let f n = check_f (label ^ ": " ^ n) in
-  i "flushes_to_server" a.flushes_to_server b.flushes_to_server;
-  i "flushes_to_mobile" a.flushes_to_mobile b.flushes_to_mobile;
-  i "raw_to_server" a.raw_to_server b.raw_to_server;
-  i "raw_to_mobile" a.raw_to_mobile b.raw_to_mobile;
-  i "wire_to_server" a.wire_to_server b.wire_to_server;
-  i "wire_to_mobile" a.wire_to_mobile b.wire_to_mobile;
-  f "transfer_s" a.transfer_s b.transfer_s;
-  f "codec_s" a.codec_s b.codec_s;
-  i "fault_count" a.fault_count b.fault_count;
-  f "fault_s" a.fault_s b.fault_s;
-  i "prefetched_pages" a.prefetched_pages b.prefetched_pages;
-  i "prefetched_bytes" a.prefetched_bytes b.prefetched_bytes;
-  i "fnptr_count" a.fnptr_count b.fnptr_count;
-  f "fnptr_s" a.fnptr_s b.fnptr_s;
-  i "remote_io_count" a.remote_io_count b.remote_io_count;
-  f "remote_io_s" a.remote_io_s b.remote_io_s;
-  i "offloads" a.offloads b.offloads;
-  f "offload_span_s" a.offload_span_s b.offload_span_s;
-  i "refusals" a.refusals b.refusals;
-  i "estimates" a.estimates b.estimates;
-  i "faults_injected" a.faults_injected b.faults_injected;
-  i "rpc_timeouts" a.rpc_timeouts b.rpc_timeouts;
-  i "retries" a.retries b.retries;
-  f "retry_wait_s" a.retry_wait_s b.retry_wait_s;
-  i "fallbacks" a.fallbacks b.fallbacks;
-  i "rollbacks" a.rollbacks b.rollbacks;
-  f "recovery_s" a.recovery_s b.recovery_s;
-  i "replays" a.replays b.replays;
-  f "replay_s" a.replay_s b.replay_s;
-  i "queued" a.queued b.queued;
-  f "queue_wait_s" a.queue_wait_s b.queue_wait_s;
-  i "admits" a.admits b.admits;
-  i "rejects" a.rejects b.rejects;
-  i "checkpoints" a.checkpoints b.checkpoints;
-  i "checkpoint_pages" a.checkpoint_pages b.checkpoint_pages;
-  i "checkpoint_bytes" a.checkpoint_bytes b.checkpoint_bytes;
-  i "migrations" a.migrations b.migrations;
-  i "migrations_done" a.migrations_done b.migrations_done;
-  f "migrate_transfer_s" a.migrate_transfer_s b.migrate_transfer_s;
-  f "migrate_resume_s" a.migrate_resume_s b.migrate_resume_s;
-  f "energy_mj" a.energy_mj b.energy_mj;
-  i "power states" (Hashtbl.length a.power_s) (Hashtbl.length b.power_s);
-  Hashtbl.iter
-    (fun k v ->
-      match Hashtbl.find_opt b.power_s k with
-      | Some v' -> f (Printf.sprintf "power_s[%s]" k) v v'
-      | None -> Alcotest.failf "%s: power state %s missing" label k)
-    a.power_s;
-  i "power segments" (List.length a.power_rev) (List.length b.power_rev);
-  List.iter2
-    (fun (t1, mw1, d1, s1) (t2, mw2, d2, s2) ->
-      f "segment start" t1 t2;
-      f "segment mw" mw1 mw2;
-      f "segment duration" d1 d2;
-      Alcotest.(check string) (label ^ ": segment state") s1 s2)
-    a.power_rev b.power_rev
+(* {1 Replay = live, on real workloads under a fault plan}
 
-let quantiles = [ 0.25; 0.5; 0.9; 0.99; 1.0 ]
-
-let check_hist label a b =
-  check_i (label ^ ": count") (Hist.count a) (Hist.count b);
-  check_f (label ^ ": sum") (Hist.sum a) (Hist.sum b);
-  check_f (label ^ ": min") (Hist.min a) (Hist.min b);
-  check_f (label ^ ": max") (Hist.max a) (Hist.max b);
-  List.iter
-    (fun q ->
-      check_f
-        (Printf.sprintf "%s: q%.2f" label q)
-        (Hist.quantile a q) (Hist.quantile b q))
-    quantiles
-
-let check_window (a : Series.window) (b : Series.window) =
-  let label = Printf.sprintf "window %d" a.Series.w_index in
-  check_i (label ^ ": index") a.Series.w_index b.Series.w_index;
-  check_metrics label a.Series.w_metrics b.Series.w_metrics;
-  List.iter2
-    (fun (na, ha) (nb, hb) ->
-      Alcotest.(check string) (label ^ ": hist name") na nb;
-      check_hist (label ^ ": " ^ na) ha hb)
-    a.Series.w_hists b.Series.w_hists;
-  check_i (label ^ ": peak queue depth") a.Series.w_peak_queue_depth
-    b.Series.w_peak_queue_depth;
-  check_i (label ^ ": peak occupancy") a.Series.w_peak_occupancy
-    b.Series.w_peak_occupancy;
-  Alcotest.(check (list (pair int int)))
-    (label ^ ": server peaks") a.Series.w_server_peaks
-    b.Series.w_server_peaks;
-  check_f (label ^ ": bw belief") a.Series.w_bw_bps b.Series.w_bw_bps
-
-(* The property itself: both doors, three observers. *)
-let check_stream stream =
-  (* Metrics: per-event record updates vs batched accumulator fold. *)
-  let ma = Trace.Metrics.create () in
-  feed_boxed (Trace.Metrics.sink ma) stream;
-  let mb = Trace.Metrics.create () in
-  let acc = Trace.Metrics.acc mb in
-  feed_rows (Trace.Metrics.acc_sink acc) stream;
-  Trace.Metrics.flush_acc acc;
-  check_metrics "metrics" ma mb;
-  (* Windowed series, histograms and gauges included. *)
-  let sa = Series.create () in
-  feed_boxed (Series.sink sa) stream;
-  let sb = Series.create () in
-  feed_rows (Series.sink sb) stream;
-  let wa = Series.windows sa and wb = Series.windows sb in
-  check_i "window count" (List.length wa) (List.length wb);
-  List.iter2 check_window wa wb;
-  (* Capture: rows boxed at the ring boundary serialize identically. *)
-  let ra = Trace.Ring.create () in
-  feed_boxed (Trace.Ring.sink ra) stream;
-  let rb = Trace.Ring.create () in
-  feed_rows (Trace.Ring.sink rb) stream;
-  Alcotest.(check string) "identical raw capture"
-    (Trace_file.to_string (Trace.Ring.events ra))
-    (Trace_file.to_string (Trace.Ring.events rb));
-  true
-
-let prop_generated =
-  QCheck.Test.make ~name:"row door = boxed door (generated streams)"
-    ~count:100 stream_arb check_stream
-
-(* {1 Real workloads under a fault plan}
-
-   The generated streams cover the kinds; a faulted chess run covers
-   the emitters — hot sites fill the session's scratch row, and the
-   recorder's boxed door replays the capture through both doors. *)
+   The live run folds rows straight from the emitters; the capture is
+   the ring's boxed copy of the same stream, fed back through
+   [Trace.replay]. *)
 
 let chess_compiled =
   lazy
@@ -272,7 +130,7 @@ let chess_compiled =
        ~profile_script:(Chess.script ~depth:3 ~turns:2)
        ~eval_scale:2.0 (Chess.build ()))
 
-let chess_events seed =
+let check_replay seed =
   let compiled = Lazy.force chess_compiled in
   let plan =
     match
@@ -283,11 +141,15 @@ let chess_events seed =
     | Ok p -> p
     | Error msg -> Alcotest.failf "fault plan: %s" msg
   in
-  let log = ref [] in
-  let recorder = Trace.of_emit (fun ~ts ev -> log := (ts, ev) :: !log) in
+  let ring = Trace.Ring.create () in
+  let metrics = Trace.Metrics.create () in
+  let series = Series.create () in
   let config =
     { (Experiment.fast_config ()) with
-      Session.trace = recorder;
+      Session.trace =
+        Trace.fan_out
+          [ Trace.Ring.sink ring; Trace.Metrics.sink metrics;
+            Series.sink series ];
       Session.faults = Some plan }
   in
   let session =
@@ -296,16 +158,24 @@ let chess_events seed =
       ~files:[] compiled.Compiler.c_output ~seeds:compiled.Compiler.c_seeds
   in
   ignore (Session.run session);
-  List.rev !log
+  Alcotest.(check int) "ring kept everything" 0 (Trace.Ring.dropped ring);
+  let events = Trace.Ring.events ring in
+  let replayed = Trace.Metrics.create () in
+  Trace.replay (Trace.Metrics.sink replayed) events;
+  Alcotest.(check bool) "metrics replay bitwise" true
+    (bits metrics = bits replayed);
+  Alcotest.(check bool) "series replay bitwise" true
+    (bits (Series.windows series)
+    = bits (Series.windows (Series.of_events events)));
+  true
 
-let prop_workload =
-  QCheck.Test.make ~name:"row door = boxed door (faulted chess runs)"
-    ~count:4
+let prop_replay =
+  QCheck.Test.make ~name:"replay = live (faulted chess runs)" ~count:4
     QCheck.(int_range 1 10_000)
-    (fun seed -> check_stream (chess_events seed))
+    check_replay
 
 let tests =
   [
-    QCheck_alcotest.to_alcotest prop_generated;
-    QCheck_alcotest.to_alcotest prop_workload;
+    QCheck_alcotest.to_alcotest prop_round_trip;
+    QCheck_alcotest.to_alcotest prop_replay;
   ]
