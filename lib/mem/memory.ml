@@ -35,7 +35,7 @@ type t = {
       (* must install the page (see [install_page]) or raise *)
   mutable track_dirty : bool;
   mutable on_touch : (int -> unit) option;
-      (* profiler hook: called with the page of every access *)
+      (* profiler hook: called once per page each access covers *)
   mutable fault_count : int;
 }
 
@@ -159,9 +159,14 @@ let check_mapped addr =
   | Region.Globals | Region.Mobile_stack | Region.Server_stack
   | Region.Heap -> ()
 
-let note_touched t addr =
+(* The touch hook sees each page an access covers once, in ascending
+   page order, before that page is translated (so before any fault it
+   raises).  Accesses span at most a few pages, so the hook costs one
+   closure call per page rather than one per byte, and the fast paths
+   below stay open while a profiler is attached. *)
+let[@inline] touch t page =
   match t.on_touch with
-  | Some callback -> callback (Region.page_of_addr addr)
+  | Some callback -> callback page
   | None -> ()
 
 let mark_dirty t page =
@@ -170,46 +175,62 @@ let mark_dirty t page =
     t.dirty_cached <- page
   end
 
+(* Byte access on a page whose region was checked and whose touch was
+   reported by the caller. *)
+let get_byte t addr =
+  let page = Region.page_of_addr addr in
+  Char.code (Bytes.get t.slab (page_off t page lor Region.offset_in_page addr))
+
+let set_byte t addr v =
+  let page = Region.page_of_addr addr in
+  Bytes.set t.slab (page_off t page lor Region.offset_in_page addr)
+    (Char.chr (v land 0xff));
+  if t.track_dirty then mark_dirty t page
+
 let read_byte t addr =
   check_mapped addr;
-  note_touched t addr;
-  let page = Region.page_of_addr addr in
-  let off = page_off t page lor Region.offset_in_page addr in
-  Char.code (Bytes.get t.slab off)
+  touch t (Region.page_of_addr addr);
+  get_byte t addr
 
 let write_byte t addr v =
   check_mapped addr;
-  note_touched t addr;
-  let page = Region.page_of_addr addr in
-  let off = page_off t page lor Region.offset_in_page addr in
-  Bytes.set t.slab off (Char.chr (v land 0xff));
-  if t.track_dirty then mark_dirty t page
+  touch t (Region.page_of_addr addr);
+  set_byte t addr v
 
 (* Word-width scalar access, the interpreter's hot path.
 
-   The fast path applies when the access stays inside one page and no
-   per-byte touch profiler is installed: one region check (regions are
-   page-aligned, so every byte of a same-page word shares the first
-   byte's region), one TLB translation, one unaligned word read or
-   write on the slab, and at most one dirty mark.  Otherwise we fall
-   back to [Scalar]'s byte loop over [read_byte]/[write_byte], which
-   preserves the exact per-byte touch-callback and fault order.
+   The fast path applies when the access stays inside one page: one
+   region check (regions are page-aligned, so every byte of a same-page
+   word shares the first byte's region), one touch, one TLB
+   translation, one unaligned word read or write on the slab, and at
+   most one dirty mark.  A word that crosses a page boundary checks
+   both ends' regions, reports both pages, then goes through
+   [Scalar]'s byte loop.
 
    The byte order is always little-endian (the unified order);
    big-endian hosts go through the [Scalar] path in [Host]. *)
 
 let page_limit = Region.page_size
 
-let[@inline] no_touch t =
+(* A word spans at most two pages, so its ends' regions cover it. *)
+let check_and_touch_span t addr nbytes =
+  let last = addr + nbytes - 1 in
+  check_mapped addr;
+  check_mapped last;
   match t.on_touch with
-  | None -> true
-  | Some _ -> false
+  | Some callback ->
+    for page = Region.page_of_addr addr to Region.page_of_addr last do
+      callback page
+    done
+  | None -> ()
 
 let load_le t addr nbytes =
   let in_page = Region.offset_in_page addr in
-  if no_touch t && in_page + nbytes <= page_limit then begin
+  if in_page + nbytes <= page_limit then begin
     check_mapped addr;
-    let base = page_off t (Region.page_of_addr addr) lor in_page in
+    let page = Region.page_of_addr addr in
+    touch t page;
+    let base = page_off t page lor in_page in
     match nbytes with
     | 8 -> Bytes.get_int64_le t.slab base
     | 4 ->
@@ -219,20 +240,19 @@ let load_le t addr nbytes =
     | 2 -> Int64.of_int (Bytes.get_uint16_le t.slab base)
     | 1 -> Int64.of_int (Bytes.get_uint8 t.slab base)
     | _ ->
-      Scalar.load_int No_arch.Arch.Little
-        ~read_byte:(fun a -> read_byte t a)
-        addr nbytes
+      Scalar.load_int No_arch.Arch.Little ~read_byte:(get_byte t) addr nbytes
   end
-  else
-    Scalar.load_int No_arch.Arch.Little
-      ~read_byte:(fun a -> read_byte t a)
-      addr nbytes
+  else begin
+    check_and_touch_span t addr nbytes;
+    Scalar.load_int No_arch.Arch.Little ~read_byte:(get_byte t) addr nbytes
+  end
 
 let store_le t addr nbytes value =
   let in_page = Region.offset_in_page addr in
-  if no_touch t && in_page + nbytes <= page_limit then begin
+  if in_page + nbytes <= page_limit then begin
     check_mapped addr;
     let page = Region.page_of_addr addr in
+    touch t page;
     let base = page_off t page lor in_page in
     (match nbytes with
     | 8 -> Bytes.set_int64_le t.slab base value
@@ -243,39 +263,42 @@ let store_le t addr nbytes value =
     | 2 -> Bytes.set_uint16_le t.slab base (Int64.to_int value land 0xffff)
     | 1 -> Bytes.set_uint8 t.slab base (Int64.to_int value land 0xff)
     | _ ->
-      Scalar.store_int No_arch.Arch.Little
-        ~write_byte:(fun a b -> write_byte t a b)
-        addr nbytes value);
+      Scalar.store_int No_arch.Arch.Little ~write_byte:(set_byte t) addr
+        nbytes value);
     if t.track_dirty then mark_dirty t page
   end
-  else
-    Scalar.store_int No_arch.Arch.Little
-      ~write_byte:(fun a b -> write_byte t a b)
-      addr nbytes value
+  else begin
+    check_and_touch_span t addr nbytes;
+    Scalar.store_int No_arch.Arch.Little ~write_byte:(set_byte t) addr nbytes
+      value
+  end
 
 (* Fast-path admission for callers that access the slab directly (the
    interpreter's fused chains, which must not box an int64 across a
    function return): the byte offset of [addr]'s word in [slab] when
-   the [nbytes] access stays inside one page and no touch profiler is
-   installed — performing the same region check, TLB translation and
-   fault service as [load_le]/[store_le] — or -1 when the caller must
-   take the [load_le]/[store_le] slow path.  [store_base] also marks
-   the page dirty (bookkeeping only; the order relative to the write
-   is unobservable). *)
+   the [nbytes] access stays inside one page — performing the same
+   region check, touch, TLB translation and fault service as
+   [load_le]/[store_le] — or -1, having done none of them, when the
+   caller must take the [load_le]/[store_le] slow path.  [store_base]
+   also marks the page dirty (bookkeeping only; the order relative to
+   the write is unobservable). *)
 
 let load_base t addr nbytes =
   let in_page = Region.offset_in_page addr in
-  if no_touch t && in_page + nbytes <= page_limit then begin
+  if in_page + nbytes <= page_limit then begin
     check_mapped addr;
-    page_off t (Region.page_of_addr addr) lor in_page
+    let page = Region.page_of_addr addr in
+    touch t page;
+    page_off t page lor in_page
   end
   else -1
 
 let store_base t addr nbytes =
   let in_page = Region.offset_in_page addr in
-  if no_touch t && in_page + nbytes <= page_limit then begin
+  if in_page + nbytes <= page_limit then begin
     check_mapped addr;
     let page = Region.page_of_addr addr in
+    touch t page;
     let base = page_off t page lor in_page in
     if t.track_dirty then mark_dirty t page;
     base
@@ -283,48 +306,38 @@ let store_base t addr nbytes =
   else -1
 
 (* Bulk transfer helpers used by memcpy/memset builtins and by the
-   communication manager.  With no touch profiler installed these run
-   as one blit per page segment; segments are visited in ascending
-   address order, matching the per-byte loop's fault order. *)
+   communication manager: one touch and one blit per page segment,
+   visited in ascending address order. *)
 
 let read_block t addr len =
   let out = Bytes.create len in
-  if no_touch t then begin
-    let pos = ref 0 in
-    while !pos < len do
-      let a = addr + !pos in
-      let in_page = Region.offset_in_page a in
-      let seg = min (len - !pos) (page_limit - in_page) in
-      check_mapped a;
-      let base = page_off t (Region.page_of_addr a) lor in_page in
-      Bytes.blit t.slab base out !pos seg;
-      pos := !pos + seg
-    done
-  end
-  else
-    for i = 0 to len - 1 do
-      Bytes.set out i (Char.chr (read_byte t (addr + i)))
-    done;
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let in_page = Region.offset_in_page a in
+    let seg = min (len - !pos) (page_limit - in_page) in
+    check_mapped a;
+    let page = Region.page_of_addr a in
+    touch t page;
+    Bytes.blit t.slab (page_off t page lor in_page) out !pos seg;
+    pos := !pos + seg
+  done;
   out
 
 let write_block t addr data =
   let len = Bytes.length data in
-  if no_touch t then begin
-    let pos = ref 0 in
-    while !pos < len do
-      let a = addr + !pos in
-      let in_page = Region.offset_in_page a in
-      let seg = min (len - !pos) (page_limit - in_page) in
-      check_mapped a;
-      let page = Region.page_of_addr a in
-      let base = page_off t page lor in_page in
-      Bytes.blit data !pos t.slab base seg;
-      if t.track_dirty then mark_dirty t page;
-      pos := !pos + seg
-    done
-  end
-  else
-    Bytes.iteri (fun i c -> write_byte t (addr + i) (Char.code c)) data
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let in_page = Region.offset_in_page a in
+    let seg = min (len - !pos) (page_limit - in_page) in
+    check_mapped a;
+    let page = Region.page_of_addr a in
+    touch t page;
+    Bytes.blit data !pos t.slab (page_off t page lor in_page) seg;
+    if t.track_dirty then mark_dirty t page;
+    pos := !pos + seg
+  done
 
 (* Page-table style queries for the runtime. *)
 let resident_pages t =

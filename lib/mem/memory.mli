@@ -34,7 +34,8 @@ type t = {
       (** must install the missing page or raise *)
   mutable track_dirty : bool;
   mutable on_touch : (int -> unit) option;
-      (** profiler hook, called with the page of every access *)
+      (** profiler hook: called once per page per access, with each
+          page the accessed bytes cover, in ascending order *)
   mutable fault_count : int;
 }
 
@@ -55,9 +56,8 @@ val load_le : t -> int -> int -> int64
 (** [load_le t addr nbytes] reads an [nbytes]-wide little-endian
     scalar ([nbytes] ≤ 8; the result's high bits are zero).
     Equivalent to [Scalar.load_int Little] over [read_byte] — same
-    faults, same touch callbacks — but a single word access on the
-    slab when the word stays inside one page and no touch profiler is
-    installed. *)
+    faults — but a single word access on the slab when the word stays
+    inside one page. *)
 
 val store_le : t -> int -> int -> int64 -> unit
 (** [store_le t addr nbytes v] writes the low [nbytes] bytes of [v]
@@ -68,15 +68,18 @@ val load_base : t -> int -> int -> int
 (** [load_base t addr nbytes] admits a direct slab access: the byte
     offset of the word in [slab] (after the same region check, TLB
     translation and fault service [load_le] performs), or [-1] when
-    the access crosses a page or a touch profiler is installed and
-    the caller must use [load_le].  Lets the interpreter read words
-    without boxing an int64 across a function boundary. *)
+    the access crosses a page and the caller must use [load_le]; [-1]
+    is returned before any check, touch or fault.  Lets the
+    interpreter read words without boxing an int64 across a function
+    boundary. *)
 
 val store_base : t -> int -> int -> int
 (** Store twin of [load_base]; also marks the page dirty. *)
 
 val read_block : t -> int -> int -> Bytes.t
 val write_block : t -> int -> Bytes.t -> unit
+(** Block transfers: one touch and one blit per page, in ascending
+    address order. *)
 
 val resident_pages : t -> int list
 val dirty_pages : t -> int list

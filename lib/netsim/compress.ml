@@ -10,8 +10,18 @@
 
    Format: a stream of tokens.
      0x00 <varint len> <len bytes>      literal run
-     0x01 <varint dist> <varint len>    match (dist >= 1, len >= 4)
-   Varints are LEB128. *)
+     0x01 <varint dist> <varint len>    match (1 <= dist <= 65536,
+                                                4 <= len <= 262)
+   Varints are LEB128, at most 9 bytes.
+
+   Matches are found greedily through 4-byte hash chains, newest
+   candidate first, at most [max_chain] deep.  The walk stops at the
+   first candidate outside the 64 KiB window (all older ones are
+   outside too) or once a match reaches the length limit, and a
+   candidate is only measured if it agrees with the input at the
+   current best length — the one byte any longer match must share.
+   None of these cuts changes which match wins, so the stream is the
+   one an exhaustive walk of the same chains would produce. *)
 
 let min_match = 4
 let max_match = 262
@@ -38,20 +48,17 @@ let put_varint buf v =
   done;
   Buffer.add_char buf (Char.chr !v)
 
-let get_varint data pos =
-  let v = ref 0 and shift = ref 0 and p = ref pos in
-  let continue = ref true in
-  while !continue do
-    let b = Char.code (Bytes.get data !p) in
-    incr p;
-    v := !v lor ((b land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    continue := b land 0x80 <> 0
-  done;
-  (!v, !p)
-
+(* Eight bytes at a time, then byte by byte; [cand < pos] and
+   [pos + limit <= length data] keep every read in bounds. *)
 let match_length data pos cand limit =
   let n = ref 0 in
+  while
+    !n + 8 <= limit
+    && (Bytes.get_int64_le data (cand + !n) : int64)
+       = Bytes.get_int64_le data (pos + !n)
+  do
+    n := !n + 8
+  done;
   while
     !n < limit
     && Bytes.unsafe_get data (cand + !n) = Bytes.unsafe_get data (pos + !n)
@@ -108,11 +115,25 @@ let compress (data : Bytes.t) : Bytes.t =
     let best_len = ref 0 and best_dist = ref 0 in
     if !i + min_match <= len then begin
       let limit = min max_match (len - !i) in
+      (* Link [!i] into its chain first: the walk starts below it. *)
       let h0 = hash4 data !i in
       let cand = ref (if head_epoch.(h0) = epoch then head.(h0) else -1) in
+      prev.(!i) <- !cand;
+      head.(h0) <- !i;
+      head_epoch.(h0) <- epoch;
       let chain = ref 0 in
-      while !cand >= 0 && !chain < max_chain do
-        if !i - !cand <= window_size then begin
+      (* Chains run newest to oldest, so the first candidate past the
+         window ends the walk, and so does a match of [limit] bytes.
+         A candidate can only beat [best_len] if it also matches at
+         that offset; one byte comparison rules most of them out. *)
+      while
+        !cand >= 0 && !chain < max_chain && !i - !cand <= window_size
+        && !best_len < limit
+      do
+        if
+          Bytes.unsafe_get data (!cand + !best_len)
+          = Bytes.unsafe_get data (!i + !best_len)
+        then begin
           let l = match_length data !i !cand limit in
           if l > !best_len then begin
             best_len := l;
@@ -128,16 +149,13 @@ let compress (data : Bytes.t) : Bytes.t =
       Buffer.add_char out '\001';
       put_varint out !best_dist;
       put_varint out !best_len;
-      for k = !i to !i + !best_len - 1 do
+      for k = !i + 1 to !i + !best_len - 1 do
         insert k
       done;
       i := !i + !best_len;
       lit_start := !i
     end
-    else begin
-      insert !i;
-      incr i
-    end
+    else incr i
   done;
   flush_literals len;
   let res = Buffer.to_bytes out in
@@ -146,31 +164,59 @@ let compress (data : Bytes.t) : Bytes.t =
 
 exception Corrupt of string
 
+let corrupt pos fmt =
+  Printf.ksprintf
+    (fun msg -> raise (Corrupt (Printf.sprintf "byte %d: %s" pos msg)))
+    fmt
+
+(* Nine LEB128 bytes carry 63 bits, all an OCaml int holds. *)
+let max_varint_bytes = 9
+
+let get_varint data pos =
+  let len = Bytes.length data in
+  let v = ref 0 and shift = ref 0 and p = ref pos in
+  let continue = ref true in
+  while !continue do
+    if !p >= len then corrupt pos "truncated varint";
+    if !p - pos = max_varint_bytes then
+      corrupt pos "varint longer than %d bytes" max_varint_bytes;
+    let b = Char.code (Bytes.get data !p) in
+    incr p;
+    v := !v lor ((b land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    continue := b land 0x80 <> 0
+  done;
+  (!v, !p)
+
 let decompress_unprofiled (data : Bytes.t) : Bytes.t =
   let len = Bytes.length data in
   let out = Buffer.create (len * 2) in
   let pos = ref 0 in
   while !pos < len do
-    let tag = Bytes.get data !pos in
+    let at = !pos in
+    let tag = Bytes.get data at in
     incr pos;
     match tag with
     | '\000' ->
       let n, p = get_varint data !pos in
-      pos := p;
-      if !pos + n > len then raise (Corrupt "literal run past end");
-      Buffer.add_subbytes out data !pos n;
-      pos := !pos + n
+      if n < 0 || n > len - p then corrupt at "literal run past end";
+      Buffer.add_subbytes out data p n;
+      pos := p + n
     | '\001' ->
       let dist, p = get_varint data !pos in
       let mlen, p = get_varint data p in
       pos := p;
-      let base = Buffer.length out - dist in
-      if dist = 0 || base < 0 then raise (Corrupt "bad match distance");
+      if dist <= 0 || dist > Buffer.length out then
+        corrupt at "bad match distance %d" dist;
+      if mlen < min_match || mlen > max_match then
+        corrupt at "match length %d outside [%d, %d]" mlen min_match
+          max_match;
       (* Overlapping copies are legal (dist < len). *)
+      let base = Buffer.length out - dist in
       for k = 0 to mlen - 1 do
         Buffer.add_char out (Buffer.nth out (base + k))
       done
-    | c -> raise (Corrupt (Printf.sprintf "bad token %C" c))
+    | c -> corrupt at "bad token %C" c
   done;
   Buffer.to_bytes out
 

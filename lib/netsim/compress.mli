@@ -10,7 +10,10 @@ exception Corrupt of string
 val compress : Bytes.t -> Bytes.t
 
 val decompress : Bytes.t -> Bytes.t
-(** Inverse of {!compress}. @raise Corrupt on malformed input. *)
+(** Inverse of {!compress}.
+    @raise Corrupt on malformed input (unknown token, truncated or
+    overlong varint, literal run past the end, match distance or
+    length out of range), naming the offending byte offset. *)
 
 val ratio : Bytes.t -> float
 (** Compressed/original size; 1.0 means incompressible. *)

@@ -28,7 +28,7 @@ val attach : No_exec.Host.t -> t
 (** Install the profiling hooks on [host]; profile whatever runs next. *)
 
 val detach : t -> unit
-(** Remove the hooks. *)
+(** Put back the hooks that were installed before {!attach}. *)
 
 val results : t -> sample list
 (** Samples sorted by decreasing time. *)

@@ -50,10 +50,118 @@ let test_compress_overlap () =
   Alcotest.(check bytes) "overlapping copy" data
     (Compress.decompress (Compress.compress data))
 
+(* Every malformed stream raises [Corrupt], never an escaping
+   [Invalid_argument]: unknown tokens, truncated varints, varints past
+   nine bytes, and match lengths outside [4, 262]. *)
 let test_corrupt_rejected () =
-  match Compress.decompress (Bytes.of_string "\x07garbage") with
-  | _ -> Alcotest.fail "expected Corrupt"
-  | exception Compress.Corrupt _ -> ()
+  List.iter
+    (fun input ->
+      match Compress.decompress (Bytes.of_string input) with
+      | _ -> Alcotest.failf "expected Corrupt on %S" input
+      | exception Compress.Corrupt _ -> ())
+    [ "\x07garbage";
+      "\x00";
+      "\x01\x05";
+      "\x00" ^ String.make 10 '\xff' ^ "\x01";
+      "\x00\x03abc\x01\x01\x03";
+      "\x00\x03abc\x01\x01\x80\x03";
+      "\x00\x03abc\x01\x04\x04";
+      "\x00\x05abc" ]
+
+(* Golden streams, recorded before the match search learned to stop
+   early: the format and every match choice are locked. *)
+let structured_page () =
+  Bytes.init 65536 (fun i -> Char.chr ((i / 97) land 0xff))
+
+(* 200 KiB cycling through a 70,000-byte pseudo-random block: every
+   repeat lies 70,000 bytes back, beyond the 64 KiB window, so the
+   stream must be a single literal run. *)
+let far_repeats () =
+  let block = 70_000 in
+  let s = ref 0x2545F491 in
+  let a =
+    Bytes.init block (fun _ ->
+        s := ((!s * 1103515245) + 12345) land 0x7fffffff;
+        Char.chr ((!s lsr 16) land 0xff))
+  in
+  Bytes.init 204_800 (fun i -> Bytes.get a (i mod block))
+
+let test_compress_golden () =
+  List.iter
+    (fun (name, data, len, md5) ->
+      let packed = Compress.compress data in
+      Alcotest.(check int) (name ^ " length") len (Bytes.length packed);
+      Alcotest.(check string) (name ^ " md5") md5
+        (Digest.to_hex (Digest.bytes packed)))
+    [ ("zero page", Bytes.make 4096 '\000', 67,
+       "3921d5f7e78747f3348505b09afebf92");
+      ("structured page", structured_page (), 4896,
+       "e7ef55a6f9e8422bec2813aee05d8f14");
+      ("far repeats", far_repeats (), 204_804,
+       "e224a3806fa3716402e68bf8e30859b7") ]
+
+(* The token stream's matches, read independently of the decoder. *)
+let matches packed =
+  let varint pos =
+    let rec go pos shift acc =
+      let b = Char.code (Bytes.get packed pos) in
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b land 0x80 = 0 then (acc, pos + 1) else go (pos + 1) (shift + 7) acc
+    in
+    go pos 0 0
+  in
+  let rec go pos acc =
+    if pos >= Bytes.length packed then List.rev acc
+    else
+      match Bytes.get packed pos with
+      | '\000' ->
+        let n, p = varint (pos + 1) in
+        go (p + n) acc
+      | _ ->
+        let dist, p = varint (pos + 1) in
+        let len, p = varint p in
+        go p ((dist, len) :: acc)
+  in
+  go 0 []
+
+(* Inputs up to 150 KB built from literals and copies reaching up to
+   100 KB back, so the window edge is crossed often. *)
+let gen_repetitive =
+  QCheck.Gen.(
+    int_range 0 150_000 >>= fun len ->
+    int_range 1 256 >>= fun alphabet ->
+    int >>= fun seed ->
+    let st = Random.State.make [| seed |] in
+    let d = Bytes.create len in
+    let i = ref 0 in
+    while !i < len do
+      if !i > 8 && Random.State.int st 4 = 0 then begin
+        let reach = if Random.State.bool st then 100_000 else 300 in
+        let dist = 1 + Random.State.int st (min !i reach) in
+        let n = min (len - !i) (1 + Random.State.int st 600) in
+        for k = 0 to n - 1 do
+          Bytes.set d (!i + k) (Bytes.get d (!i + k - dist))
+        done;
+        i := !i + n
+      end
+      else begin
+        Bytes.set d !i (Char.chr (Random.State.int st alphabet));
+        incr i
+      end
+    done;
+    return (Bytes.to_string d))
+
+let prop_match_bounds =
+  QCheck.Test.make ~name:"matches stay in window and length bounds" ~count:25
+    (QCheck.make ~print:(fun s -> Printf.sprintf "<%d bytes>" (String.length s))
+       gen_repetitive)
+    (fun s ->
+      let data = Bytes.of_string s in
+      let packed = Compress.compress data in
+      List.for_all
+        (fun (dist, len) -> dist >= 1 && dist <= 65536 && len >= 4 && len <= 262)
+        (matches packed)
+      && Bytes.equal data (Compress.decompress packed))
 
 let test_channel_batching () =
   let ch = Channel.create Link.fast_wifi Channel.To_server in
@@ -159,6 +267,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_compress_roundtrip;
     Alcotest.test_case "compress overlap" `Quick test_compress_overlap;
     Alcotest.test_case "corrupt rejected" `Quick test_corrupt_rejected;
+    Alcotest.test_case "compress golden streams" `Quick test_compress_golden;
+    QCheck_alcotest.to_alcotest prop_match_bounds;
     Alcotest.test_case "channel batching" `Quick test_channel_batching;
     Alcotest.test_case "channel compression" `Quick test_channel_compression;
     Alcotest.test_case "compression fallback" `Quick

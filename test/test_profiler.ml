@@ -1,6 +1,7 @@
 (* Direct profiler tests on a program with known counts: function
    invocations, loop invocations vs iterations, inclusive times,
-   per-task memory footprints, and recursion handling. *)
+   per-task memory footprints, recursion handling, the memory touch
+   hook's once-per-page contract, and hook restoration on detach. *)
 
 module B = No_ir.Builder
 module Ir = No_ir.Ir
@@ -10,6 +11,8 @@ module Layout = No_arch.Layout
 module Host = No_exec.Host
 module Interp = No_exec.Interp
 module Profiler = No_profiler.Profiler
+module Memory = No_mem.Memory
+module Region = No_mem.Region
 
 let build () =
   let t = B.create "profiled" in
@@ -109,10 +112,188 @@ let test_recursion () =
   Alcotest.(check bool) "rec time <= main time" true
     (rec_s.Profiler.s_time <= main.Profiler.s_time)
 
+(* {1 The touch hook}
+
+   Every memory entry point reports each page its bytes cover exactly
+   once, in ascending order — whether the access stays in one page,
+   crosses into the next, or is a multi-page block. *)
+
+type access =
+  | Load of int * int              (* addr, width *)
+  | Store of int * int
+  | Load_base of int * int         (* fused-chain admission, else load_le *)
+  | Store_base of int * int
+  | Read_byte of int
+  | Write_byte of int
+  | Read_block of int * int        (* addr, length *)
+  | Write_block of int * int
+
+let span = function
+  | Load (a, w) | Store (a, w) | Load_base (a, w) | Store_base (a, w) -> (a, w)
+  | Read_byte a | Write_byte a -> (a, 1)
+  | Read_block (a, n) | Write_block (a, n) -> (a, n)
+
+let show_access acc =
+  let a, n = span acc in
+  let kind =
+    match acc with
+    | Load _ -> "load" | Store _ -> "store" | Load_base _ -> "load_base"
+    | Store_base _ -> "store_base" | Read_byte _ -> "read_byte"
+    | Write_byte _ -> "write_byte" | Read_block _ -> "read_block"
+    | Write_block _ -> "write_block"
+  in
+  Printf.sprintf "%s heap+%d (%d bytes)" kind (a - Region.heap_base) n
+
+let perform m = function
+  | Load (a, w) -> ignore (Memory.load_le m a w)
+  | Store (a, w) -> Memory.store_le m a w 0x0102030405060708L
+  | Load_base (a, w) ->
+    if Memory.load_base m a w < 0 then ignore (Memory.load_le m a w)
+  | Store_base (a, w) ->
+    if Memory.store_base m a w < 0 then Memory.store_le m a w 7L
+  | Read_byte a -> ignore (Memory.read_byte m a)
+  | Write_byte a -> Memory.write_byte m a 0x5a
+  | Read_block (a, n) -> ignore (Memory.read_block m a n)
+  | Write_block (a, n) -> Memory.write_block m a (Bytes.make n 'x')
+
+let gen_access =
+  QCheck.Gen.(
+    let page = int_range 0 5 in
+    (* Offsets cluster at both page edges so crossings are common. *)
+    let offset =
+      oneof
+        [ int_range 0 16;
+          int_range (Region.page_size - 16) (Region.page_size - 1);
+          int_range 0 (Region.page_size - 1) ]
+    in
+    let addr =
+      map2 (fun p o -> Region.heap_base + (p * Region.page_size) + o) page offset
+    in
+    let width = oneofl [ 1; 2; 4; 8 ] in
+    let len = int_range 0 (3 * Region.page_size) in
+    oneof
+      [ map2 (fun a w -> Load (a, w)) addr width;
+        map2 (fun a w -> Store (a, w)) addr width;
+        map2 (fun a w -> Load_base (a, w)) addr width;
+        map2 (fun a w -> Store_base (a, w)) addr width;
+        map (fun a -> Read_byte a) addr;
+        map (fun a -> Write_byte a) addr;
+        map2 (fun a n -> Read_block (a, n)) addr len;
+        map2 (fun a n -> Write_block (a, n)) addr len ])
+
+let prop_touch_once_per_page =
+  QCheck.Test.make ~name:"touch hook sees each covered page once" ~count:500
+    (QCheck.make ~print:(QCheck.Print.list show_access)
+       QCheck.Gen.(list_size (int_range 1 8) gen_access))
+    (fun accesses ->
+      let m = Memory.create Memory.Home in
+      m.Memory.track_dirty <- true;
+      let seen = ref [] in
+      Memory.set_touch_callback m (Some (fun page -> seen := page :: !seen));
+      List.for_all
+        (fun acc ->
+          seen := [];
+          perform m acc;
+          let a, n = span acc in
+          let expected =
+            if n = 0 then []
+            else
+              List.init
+                (Region.page_of_addr (a + n - 1) - Region.page_of_addr a + 1)
+                (fun k -> Region.page_of_addr a + k)
+          in
+          List.rev !seen = expected)
+        accesses)
+
+(* A hot loop the interpreter runs as a fused chain (load, add and
+   store of an i64 per page, straight on the slab): its footprint is
+   exactly the [sweep_pages] heap pages it writes, since the induction
+   variable lives in a register and malloc's 16-byte alignment keeps
+   each word inside its page. *)
+let sweep_pages = 5
+
+let build_sweep () =
+  let t = B.create "sweep" in
+  let _ =
+    B.func t "sweep" ~params:[] ~ret:Ty.Void (fun fb _ ->
+        let buf = B.call fb "malloc" [ B.i64 (sweep_pages * 4096) ] in
+        B.for_ fb ~name:"sweep_loop" ~from:(B.i64 0) ~below:(B.i64 sweep_pages)
+          (fun i ->
+            let p = B.gep fb Ty.I8 buf [ Ir.Index (B.imul fb i (B.i64 4096)) ] in
+            let c = B.load fb Ty.I64 p in
+            B.store fb Ty.I64 (B.iadd fb c i) p);
+        B.ret_void fb)
+  in
+  let _ =
+    B.func t "main" ~params:[] ~ret:Ty.I64 (fun fb _ ->
+        B.call_void fb "sweep" [];
+        B.ret fb (Some (B.i64 0)))
+  in
+  B.finish t
+
+let host_of m =
+  let layout = Layout.env_of_arch Arch.arm32 ~structs:(Ir.find_struct_exn m) in
+  Host.create ~arch:Arch.arm32 ~role:Host.Mobile ~modul:m ~layout ()
+
+let test_fused_chain_footprint () =
+  let host = host_of (build_sweep ()) in
+  let fused_memory_ops =
+    match Host.compiled host "sweep" with
+    | None -> Alcotest.fail "sweep not compiled"
+    | Some c ->
+      Array.exists
+        (fun (b : Host.cblock) ->
+          b.Host.cb_label = "sweep_loop.body"
+          && Array.exists
+               (function
+                 | Host.C_chain ch ->
+                   let has op =
+                     Array.exists (fun m -> m.Host.mo_op = op) ch.Host.ch_ops
+                   in
+                   has Host.mo_load && has Host.mo_store
+                 | _ -> false)
+               b.Host.cb_instrs)
+        c.Host.c_blocks
+  in
+  Alcotest.(check bool) "loop body is a fused load/store chain" true
+    fused_memory_ops;
+  let profiler = Profiler.attach host in
+  ignore (Interp.run_main host);
+  Profiler.detach profiler;
+  let samples = Profiler.results profiler in
+  let loop = sample samples Profiler.Loop "sweep_loop" in
+  Alcotest.(check int) "loop footprint" (sweep_pages * Region.page_size)
+    loop.Profiler.s_mem_bytes;
+  let sweep = sample samples Profiler.Func "sweep" in
+  Alcotest.(check bool) "function footprint covers the loop's" true
+    (sweep.Profiler.s_mem_bytes >= loop.Profiler.s_mem_bytes)
+
+(* Detach puts back whatever hooks were installed before attach. *)
+let test_detach_restores_hooks () =
+  let host = host_of (build ()) in
+  let entered = ref 0 in
+  let custom _ = incr entered in
+  host.Host.hooks.Host.on_enter <- custom;
+  let profiler = Profiler.attach host in
+  ignore (Interp.run_main host);
+  Alcotest.(check int) "profiler replaces the hook while attached" 0 !entered;
+  Profiler.detach profiler;
+  Alcotest.(check bool) "on_enter restored" true
+    (host.Host.hooks.Host.on_enter == custom);
+  Alcotest.(check bool) "touch hook removed" true
+    (Option.is_none host.Host.mem.Memory.on_touch);
+  ignore (Interp.run_main host);
+  Alcotest.(check bool) "custom hook runs after detach" true (!entered > 0)
+
 let tests =
   [
     Alcotest.test_case "counts" `Quick test_counts;
     Alcotest.test_case "inclusive times" `Quick test_inclusive_times;
     Alcotest.test_case "memory footprint" `Quick test_memory_footprint;
     Alcotest.test_case "recursion" `Quick test_recursion;
+    QCheck_alcotest.to_alcotest prop_touch_once_per_page;
+    Alcotest.test_case "fused chain footprint" `Quick
+      test_fused_chain_footprint;
+    Alcotest.test_case "detach restores hooks" `Quick
+      test_detach_restores_hooks;
   ]
