@@ -434,16 +434,19 @@ let load_cmd =
       close_in ic;
       s
     in
-    let m =
-      try No_ir.Parser.parse text
-      with No_ir.Parser.Parse_error (line, msg) ->
-        Fmt.epr "%s:%d: %s@." file line msg;
-        exit 1
-    in
     let script value = [ No_exec.Console.In_int (Int64.of_int value) ] in
     let compiled =
-      Compiler.compile ~profile_script:(script (max 1 (input / 10)))
-        ~eval_scale:10.0 m
+      match
+        Compiler.compile ~profile_script:(script (max 1 (input / 10)))
+          ~eval_scale:10.0 (No_ir.Parser.parse text)
+      with
+      | compiled -> compiled
+      | exception No_ir.Parser.Parse_error (line, msg) ->
+        Fmt.epr "%s:%d: %s@." file line msg;
+        exit 1
+      | exception No_ir.Validate.Ill_typed msg ->
+        Fmt.epr "%s: %s@." file msg;
+        exit 1
     in
     Fmt.pr "selected targets: %a@."
       Fmt.(list ~sep:comma string)

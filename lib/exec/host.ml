@@ -40,23 +40,25 @@ let default_hooks () = {
 
 (* {1 Pre-decoded function bodies}
 
-   Each IR function is lowered once, at host creation, into a form the
-   interpreter can run without per-instruction decode work: block
-   labels become array indices, per-instruction cycle costs become
+   Each IR function is lowered once per module, before any host runs
+   it, into the only form the interpreter executes: block labels
+   become array indices, per-instruction cycle costs become
    precomputed seconds under this host's cost model (the same float
-   the old per-instruction [Cost.seconds_of] call produced, so the
-   simulated clock advances bit-identically), and constant operands —
-   literals, globals, function addresses — become pre-boxed
-   {!Value.t}s shared across executions, so the inner loop allocates
-   only for values it actually computes.  Anything that cannot be
-   resolved statically (unknown global, non-struct field access, …)
-   falls back to a [C_slow*]/[Ct_slow] node interpreted exactly like
-   the original IR: same traps, same messages, same charges. *)
+   [Cost.seconds_of] gives, so the simulated clock advances
+   bit-identically), and constant operands (literals, globals,
+   function addresses) become pre-boxed {!Value.t}s shared across
+   executions, so the inner loop allocates only for values it
+   actually computes.
+
+   Lowering is total over modules {!No_ir.Validate} accepts: every
+   global, function address, block label, struct field and type size
+   resolves here.  Anything that does not raises [Invalid_argument
+   "Host.compile: <fn>: <what>"], which only a caller that skips
+   validation can see. *)
 
 type cop =
   | C_reg of int
   | C_val of Value.t            (* pre-boxed constant, already canonical *)
-  | C_slow_op of Ir.operand     (* resolved (and trapping) per use *)
 
 type crv =
   | C_bin of Ir.binop * cop * cop
@@ -70,7 +72,6 @@ type crv =
   | C_call_ind of cop * cop array
   | C_bswap of Ty.t * cop
   | C_fn_map of Ir.fn_map_dir * cop
-  | C_slow_rv of Ir.rvalue
 
 (* {2 Fused straight-line chains}
 
@@ -153,7 +154,6 @@ type cterm =
   | Ct_ret_void
   | Ct_ret of cop
   | Ct_unreachable
-  | Ct_slow of Ir.terminator               (* names an unknown block *)
 
 type cblock = {
   cb_label : string;
@@ -165,9 +165,7 @@ type cblock = {
 
 type compiled = {
   c_func : Ir.func;
-  c_blocks : cblock array;
-  c_index : (string, int) Hashtbl.t;       (* label -> block index *)
-  c_entry : int;
+  c_blocks : cblock array;               (* entry block first *)
   c_scratch : int;               (* chain scratch slots a frame needs *)
 }
 
@@ -336,7 +334,7 @@ let fuse_block ~arch ~(reads : int array) (cb : cblock) : cblock * int =
   in
   let can_resolve = function
     | C_reg _ | C_val (Value.VInt _) -> true
-    | C_val (Value.VFloat _) | C_slow_op _ -> false
+    | C_val (Value.VFloat _) -> false
   in
   let resolve (c : cop) : int =
     match c with
@@ -362,7 +360,7 @@ let fuse_block ~arch ~(reads : int array) (cb : cblock) : cblock * int =
         Hashtbl.replace imm_slot v s;
         imms := (s, v) :: !imms;
         s)
-    | C_val (Value.VFloat _) | C_slow_op _ -> assert false
+    | C_val (Value.VFloat _) -> assert false
   in
   let bind_write r is_bool =
     let s = !next_slot in
@@ -509,65 +507,48 @@ let fuse_block ~arch ~(reads : int array) (cb : cblock) : cblock * int =
 let compile_func ~(arch : Arch.t) ~(layout : Layout.env)
     ~(globals : (string, int) Hashtbl.t) ~(fn_table : Fn_table.t)
     (f : Ir.func) : compiled =
-  let scalar_bytes (ty : Ty.t) =
-    match ty with
-    | Ty.I8 -> Some 1
-    | Ty.I16 -> Some 2
-    | Ty.I32 | Ty.F32 -> Some 4
-    | Ty.I64 | Ty.F64 -> Some 8
-    | Ty.Ptr _ | Ty.Fn_ptr _ | Ty.Struct _ | Ty.Array _ | Ty.Void -> None
-  in
+  let addr a = C_val (Value.VInt (Int64.of_int a)) in
   let cop (op : Ir.operand) : cop =
     match op with
     | Ir.Reg r -> C_reg r
-    | Ir.Int (v, ty) -> (
-      (* Same canonicalization the interpreter applied per evaluation:
-         sub-word literals are kept sign-extended. *)
-      match scalar_bytes ty with
-      | Some n -> C_val (Value.VInt (No_mem.Scalar.sign_extend v n))
-      | None -> C_slow_op op)
+    | Ir.Int (v, ty) ->
+      (* Sub-word literals are kept sign-extended, like every integer
+         the interpreter computes. *)
+      let bytes = Ty.scalar_bits ty / 8 in
+      C_val (Value.VInt (No_mem.Scalar.sign_extend v bytes))
     | Ir.Float (v, _) -> C_val (Value.VFloat v)
     | Ir.Null _ -> C_val Value.zero
     | Ir.Global name -> (
       match Hashtbl.find_opt globals name with
-      | Some addr -> C_val (Value.VInt (Int64.of_int addr))
-      | None -> C_slow_op op)
-    | Ir.Fn_addr name -> (
-      match Fn_table.addr_of fn_table name with
-      | addr -> C_val (Value.VInt (Int64.of_int addr))
-      | exception _ -> C_slow_op op)
+      | Some a -> addr a
+      | None -> invalid_arg ("unknown global @" ^ name))
+    | Ir.Fn_addr name -> addr (Fn_table.addr_of fn_table name)
   in
   let gep (pointee : Ty.t) base path : crv =
     (* Static part of the layout walk: field offsets always, index
        scaling when the index is a literal.  Integer address addition
        is exact, so folding constants cannot change the result. *)
-    match
-      let rec walk acc dyn (ty : Ty.t) = function
-        | [] -> (acc, List.rev dyn)
-        | Ir.Field fname :: rest -> (
-          match ty with
-          | Ty.Struct sname ->
-            walk
-              (acc + Layout.field_offset layout sname fname)
-              dyn
-              (Layout.field_ty layout sname fname)
-              rest
-          | _ -> raise Exit)
-        | Ir.Index op :: rest -> (
-          let elem, size =
-            match ty with
-            | Ty.Array (e, _) -> (e, Layout.size_of layout e)
-            | _ -> (ty, Layout.size_of layout ty)
-          in
-          match cop op with
-          | C_val (Value.VInt v) ->
-            walk (acc + (Int64.to_int v * size)) dyn elem rest
-          | c -> walk acc ((c, size) :: dyn) elem rest)
-      in
-      walk 0 [] pointee path
-    with
-    | const, dyn -> C_gep (cop base, const, Array.of_list dyn)
-    | exception _ -> C_slow_rv (Ir.Gep (pointee, base, path))
+    let rec walk acc dyn (ty : Ty.t) = function
+      | [] -> C_gep (cop base, acc, Array.of_list (List.rev dyn))
+      | Ir.Field fname :: rest -> (
+        match ty with
+        | Ty.Struct sname ->
+          walk
+            (acc + Layout.field_offset layout sname fname)
+            dyn
+            (Layout.field_ty layout sname fname)
+            rest
+        | _ ->
+          invalid_arg ("gep: field " ^ fname ^ " of " ^ Ty.to_string ty))
+      | Ir.Index op :: rest -> (
+        let elem = match ty with Ty.Array (e, _) -> e | _ -> ty in
+        let size = Layout.size_of layout elem in
+        match cop op with
+        | C_val (Value.VInt v) ->
+          walk (acc + (Int64.to_int v * size)) dyn elem rest
+        | c -> walk acc ((c, size) :: dyn) elem rest)
+    in
+    walk 0 [] pointee path
   in
   let crv (rv : Ir.rvalue) : crv =
     match rv with
@@ -576,10 +557,8 @@ let compile_func ~(arch : Arch.t) ~(layout : Layout.env)
     | Ir.Cast (op, src, a, dst) -> C_cast (op, src, cop a, dst)
     | Ir.Select (c, a, b) -> C_select (cop c, cop a, cop b)
     | Ir.Load (ty, a) -> C_load (ty, cop a)
-    | Ir.Alloca (ty, n) -> (
-      match (Layout.size_of layout ty, Layout.align_of layout ty) with
-      | size, align -> C_alloca (size * n, align)
-      | exception _ -> C_slow_rv rv)
+    | Ir.Alloca (ty, n) ->
+      C_alloca (Layout.size_of layout ty * n, Layout.align_of layout ty)
     | Ir.Gep (pointee, base, path) -> gep pointee base path
     | Ir.Call (name, args) -> C_call (name, Array.of_list (List.map cop args))
     | Ir.Call_ind (_sg, fp, args) ->
@@ -595,33 +574,24 @@ let compile_func ~(arch : Arch.t) ~(layout : Layout.env)
     | Ir.Asm _ -> C_asm
   in
   let blocks = Array.of_list f.Ir.f_blocks in
-  let c_index = Hashtbl.create (2 * Array.length blocks) in
+  let index = Hashtbl.create (2 * Array.length blocks) in
   Array.iteri
-    (fun i (b : Ir.block) -> Hashtbl.replace c_index b.Ir.label i)
+    (fun i (b : Ir.block) -> Hashtbl.replace index b.Ir.label i)
     blocks;
-  let idx_of label = Hashtbl.find_opt c_index label in
+  let idx label =
+    match Hashtbl.find_opt index label with
+    | Some i -> i
+    | None -> invalid_arg ("jump to unknown block " ^ label)
+  in
   let cterm (term : Ir.terminator) : cterm =
     match term with
-    | Ir.Br l -> (
-      match idx_of l with Some i -> Ct_br i | None -> Ct_slow term)
-    | Ir.Cbr (c, t, e) -> (
-      match (idx_of t, idx_of e) with
-      | Some ti, Some ei -> Ct_cbr (cop c, ti, ei)
-      | _ -> Ct_slow term)
-    | Ir.Switch (v, cases, default) -> (
-      match idx_of default with
-      | None -> Ct_slow term
-      | Some di ->
-        let rec conv acc = function
-          | [] -> Some (List.rev acc)
-          | (value, l) :: rest -> (
-            match idx_of l with
-            | Some i -> conv ((value, i) :: acc) rest
-            | None -> None)
-        in
-        (match conv [] cases with
-        | Some cases -> Ct_switch (cop v, Array.of_list cases, di)
-        | None -> Ct_slow term))
+    | Ir.Br l -> Ct_br (idx l)
+    | Ir.Cbr (c, t, e) -> Ct_cbr (cop c, idx t, idx e)
+    | Ir.Switch (v, cases, default) ->
+      Ct_switch
+        ( cop v,
+          Array.of_list (List.map (fun (value, l) -> (value, idx l)) cases),
+          idx default )
     | Ir.Ret None -> Ct_ret_void
     | Ir.Ret (Some op) -> Ct_ret (cop op)
     | Ir.Unreachable -> Ct_unreachable
@@ -639,24 +609,19 @@ let compile_func ~(arch : Arch.t) ~(layout : Layout.env)
       cb_term_cost = Cost.seconds_of arch (Cost.class_of_terminator b.Ir.term);
     }
   in
-  let entry_label = (Ir.entry_block f).Ir.label in
   let reads = reg_read_counts f in
   let scratch = ref 0 in
-  let c_blocks =
+  match
     Array.map
       (fun b ->
         let fused, slots = fuse_block ~arch ~reads (cblock b) in
         if slots > !scratch then scratch := slots;
         fused)
       blocks
-  in
-  {
-    c_func = f;
-    c_blocks;
-    c_index;
-    c_entry = (match idx_of entry_label with Some i -> i | None -> 0);
-    c_scratch = !scratch;
-  }
+  with
+  | c_blocks -> { c_func = f; c_blocks; c_scratch = !scratch }
+  | exception Invalid_argument what ->
+    invalid_arg (Printf.sprintf "Host.compile: %s: %s" f.Ir.f_name what)
 
 type role = Mobile | Server
 
@@ -668,35 +633,20 @@ let globals_base_of_role = function
   | Mobile -> No_mem.Region.globals_base
   | Server -> No_mem.Region.globals_base + 0x0200_0000
 
-(* Create a host for [modul] on [arch] in [role].
-
-   [layout] is the layout environment the module's GEPs were lowered
-   with (native for an untransformed module, unified for partitioned
-   ones).  [fn_addr_standard] resolves function names to the addresses
-   stored in memory for function-pointer initializers: for unified
-   setups this is the *mobile* table regardless of which device we
-   are.  [uva], [console], [fs] and [clock] may be shared between the
-   two hosts of an offloading session. *)
-(* Default per-role function table, shared by [create] and
-   [compile_module]. *)
-let role_fn_table role (modul : Ir.modul) =
-  let names = List.map (fun (f : Ir.func) -> f.Ir.f_name) modul.Ir.m_funcs in
-  match role with
-  | Mobile -> Fn_table.mobile names
-  | Server -> Fn_table.server names
-
-(* Pre-decode [modul]'s functions without creating a host.  Everything
-   the lowering depends on — cost model, layout walk results, global
-   and function addresses — is a deterministic function of
-   (arch, role, modul, layout, fn_table), so the returned table can be
-   shared by every host created with equal inputs (pass it to [create]
-   via [?code]); the table is immutable after this call. *)
-let compile_module ~arch ~role ~(modul : Ir.modul) ~layout
-    ?(fn_table : Fn_table.t option) () : (string, compiled) Hashtbl.t =
+(* The function table ([fn_table], or [role]'s default over [modul]'s
+   functions) and global addresses a host of [modul] in [role] uses:
+   everything lowering resolves names against. *)
+let link ~role ~(modul : Ir.modul) ~layout (fn_table : Fn_table.t option) =
   let fn_table =
     match fn_table with
     | Some table -> table
-    | None -> role_fn_table role modul
+    | None -> (
+      let names =
+        List.map (fun (f : Ir.func) -> f.Ir.f_name) modul.Ir.m_funcs
+      in
+      match role with
+      | Mobile -> Fn_table.mobile names
+      | Server -> Fn_table.server names)
   in
   let assignments, _next =
     Loader.assign_addresses layout ~base:(globals_base_of_role role)
@@ -704,6 +654,19 @@ let compile_module ~arch ~role ~(modul : Ir.modul) ~layout
   in
   let globals = Hashtbl.create 64 in
   List.iter (fun (name, addr) -> Hashtbl.replace globals name addr) assignments;
+  (fn_table, globals)
+
+(* Pre-decode [modul]'s functions without creating a host.  Everything
+   the lowering depends on — cost model, layout walk results, global
+   and function addresses — is a deterministic function of
+   (arch, role, modul, layout, fn_table), so the returned table can be
+   shared by every host created with equal inputs (pass it to [create]
+   via [?code]); the table is immutable after this call.  A module
+   naming something that does not resolve, which {!No_ir.Validate}
+   rejects, raises [Invalid_argument "Host.compile: ..."]. *)
+let compile_module ~arch ~role ~(modul : Ir.modul) ~layout
+    ?(fn_table : Fn_table.t option) () : (string, compiled) Hashtbl.t =
+  let fn_table, globals = link ~role ~modul ~layout fn_table in
   let code = Hashtbl.create 64 in
   List.iter
     (fun (f : Ir.func) ->
@@ -712,6 +675,16 @@ let compile_module ~arch ~role ~(modul : Ir.modul) ~layout
     modul.Ir.m_funcs;
   code
 
+(* Create a host for [modul] on [arch] in [role].
+
+   [layout] is the layout environment the module's GEPs were lowered
+   with (native for an untransformed module, unified for partitioned
+   ones).  [fn_addr_standard] resolves function names to the addresses
+   stored in memory for function-pointer initializers: for unified
+   setups this is the *mobile* table regardless of which device we
+   are.  [uva], [console], [fs] and [clock] may be shared between the
+   two hosts of an offloading session; [code] is a table
+   [compile_module] built for equal inputs. *)
 let create ~arch ~role ~(modul : Ir.modul) ~layout
     ?(fn_table : Fn_table.t option) ?(fn_addr_standard : (string -> int) option)
     ?(uva : Uva.t option) ?(console : Console.t option) ?(fs : Fs.t option)
@@ -720,22 +693,17 @@ let create ~arch ~role ~(modul : Ir.modul) ~layout
   let mem =
     Memory.create (match role with Mobile -> Memory.Home | Server -> Memory.Remote)
   in
-  let fn_table =
-    match fn_table with
-    | Some table -> table
-    | None -> role_fn_table role modul
-  in
+  let fn_table, globals = link ~role ~modul ~layout fn_table in
   let fn_addr_standard =
     match fn_addr_standard with
     | Some resolve -> resolve
     | None -> Fn_table.addr_of fn_table
   in
-  let assignments, _next =
-    Loader.assign_addresses layout ~base:(globals_base_of_role role)
-      modul.Ir.m_globals
+  let code =
+    match code with
+    | Some shared -> shared
+    | None -> compile_module ~arch ~role ~modul ~layout ~fn_table ()
   in
-  let globals = Hashtbl.create 64 in
-  List.iter (fun (name, addr) -> Hashtbl.replace globals name addr) assignments;
   let host =
     {
       arch;
@@ -751,21 +719,12 @@ let create ~arch ~role ~(modul : Ir.modul) ~layout
       clock = (match clock with Some c -> c | None -> { now = 0.0 });
       hooks = default_hooks ();
       sink;
-      code =
-        (match code with Some shared -> shared | None -> Hashtbl.create 64);
+      code;
       instr_count = 0;
       fuel = -1;
       slowdown = 1.0;
     }
   in
-  (match code with
-  | Some _ -> ()     (* pre-decoded table shared by the caller *)
-  | None ->
-    List.iter
-      (fun (f : Ir.func) ->
-        Hashtbl.replace host.code f.Ir.f_name
-          (compile_func ~arch ~layout ~globals ~fn_table f))
-      modul.Ir.m_funcs);
   (* Materialize globals.  On a Remote host this would fault, so only
      Home memories get initial contents; a server reads globals it
      needs through copy-on-demand...  *except* that each device's

@@ -9,7 +9,6 @@
 
 module Arch = No_arch.Arch
 module Cost = No_arch.Cost
-module Layout = No_arch.Layout
 module Ir = No_ir.Ir
 module Ty = No_ir.Ty
 module Builtins = No_ir.Builtins
@@ -73,17 +72,7 @@ let read_cstring host addr =
   go addr;
   Buffer.contents buf
 
-let rec eval_operand frame (op : Ir.operand) : Value.t =
-  match op with
-  | Ir.Reg r -> frame.regs.(r)
-  | Ir.Int (v, ty) -> Value.VInt (canon ty v)
-  | Ir.Float (v, _) -> Value.VFloat v
-  | Ir.Null _ -> Value.VInt 0L
-  | Ir.Global name -> Value.VInt (Int64.of_int (Host.global_addr frame.host name))
-  | Ir.Fn_addr name ->
-    Value.VInt (Int64.of_int (Fn_table.addr_of frame.host.Host.fn_table name))
-
-and eval_binop (op : Ir.binop) a b : Value.t =
+let eval_binop (op : Ir.binop) a b : Value.t =
   match op with
   | Ir.Fadd -> Value.VFloat (Value.to_float a +. Value.to_float b)
   | Ir.Fsub -> Value.VFloat (Value.to_float a -. Value.to_float b)
@@ -110,7 +99,7 @@ and eval_binop (op : Ir.binop) a b : Value.t =
     | Ir.Ashr -> Value.VInt (Int64.shift_right x (Int64.to_int y land 63))
     | Ir.Fadd | Ir.Fsub | Ir.Fmul | Ir.Fdiv -> assert false)
 
-and eval_cmp (op : Ir.cmpop) a b : Value.t =
+let eval_cmp (op : Ir.cmpop) a b : Value.t =
   let vb =
     match op with
     | Ir.Eq -> Value.equal a b
@@ -132,7 +121,7 @@ and eval_cmp (op : Ir.cmpop) a b : Value.t =
   in
   Value.of_bool vb
 
-and eval_cast (op : Ir.castop) (src : Ty.t) v (dst : Ty.t) : Value.t =
+let eval_cast (op : Ir.castop) (src : Ty.t) v (dst : Ty.t) : Value.t =
   match op with
   | Ir.Zext -> Value.VInt (canon dst (mask_to_width src (Value.to_int v)))
   | Ir.Sext -> Value.VInt (canon dst (Value.to_int v))
@@ -146,66 +135,7 @@ and eval_cast (op : Ir.castop) (src : Ty.t) v (dst : Ty.t) : Value.t =
   | Ir.Ptr_to_int -> Value.VInt (canon dst (Value.to_int v))
   | Ir.Int_to_ptr -> Value.VInt (Value.to_int v)
 
-(* Compute a GEP address under the host's layout environment.  The
-   profiler runs before lowering, so the interpreter must understand
-   symbolic GEPs; lowered modules contain none. *)
-and eval_gep frame (pointee : Ty.t) base (path : Ir.gep_index list) : int =
-  let layout = frame.host.Host.layout in
-  let rec walk addr (ty : Ty.t) path =
-    match path with
-    | [] -> addr
-    | Ir.Field fname :: rest -> (
-      match ty with
-      | Ty.Struct sname ->
-        walk
-          (addr + Layout.field_offset layout sname fname)
-          (Layout.field_ty layout sname fname)
-          rest
-      | _ -> trap "gep: field %s of non-struct %s" fname (Ty.to_string ty))
-    | Ir.Index op :: rest -> (
-      let idx = Int64.to_int (Value.to_int (eval_operand frame op)) in
-      match ty with
-      | Ty.Array (elem, _) ->
-        walk (addr + (idx * Layout.size_of layout elem)) elem rest
-      | _ -> walk (addr + (idx * Layout.size_of layout ty)) ty rest)
-  in
-  walk (Value.to_addr (eval_operand frame base)) pointee path
-
-and eval_rvalue frame (rv : Ir.rvalue) : Value.t =
-  let host = frame.host in
-  match rv with
-  | Ir.Bin (op, a, b) ->
-    eval_binop op (eval_operand frame a) (eval_operand frame b)
-  | Ir.Cmp (op, a, b) ->
-    eval_cmp op (eval_operand frame a) (eval_operand frame b)
-  | Ir.Cast (op, src, a, dst) -> eval_cast op src (eval_operand frame a) dst
-  | Ir.Select (c, a, b) ->
-    if Value.to_bool (eval_operand frame c) then eval_operand frame a
-    else eval_operand frame b
-  | Ir.Load (ty, a) ->
-    Host.load_scalar host ty (Value.to_addr (eval_operand frame a))
-  | Ir.Alloca (ty, n) ->
-    let layout = host.Host.layout in
-    let size = Layout.size_of layout ty * n in
-    let align = Layout.align_of layout ty in
-    Value.VInt (Int64.of_int (Stack_alloc.alloc host.Host.stack size align))
-  | Ir.Gep (pointee, base, path) ->
-    Value.VInt (Int64.of_int (eval_gep frame pointee base path))
-  | Ir.Call (name, args) ->
-    let argv = List.map (eval_operand frame) args in
-    call_by_name host name argv
-  | Ir.Call_ind (sg, f, args) -> (
-    let addr = Value.to_addr (eval_operand frame f) in
-    let argv = List.map (eval_operand frame) args in
-    ignore sg;
-    match Fn_table.name_of host.Host.fn_table addr with
-    | name -> call_by_name host name argv
-    | exception Fn_table.Not_a_function _ ->
-      trap "indirect call through foreign or invalid address 0x%x" addr)
-  | Ir.Bswap (ty, a) -> eval_bswap frame ty (eval_operand frame a)
-  | Ir.Fn_map (dir, a) -> eval_fn_map host dir (eval_operand frame a)
-
-and eval_bswap _frame (ty : Ty.t) v : Value.t =
+let eval_bswap (ty : Ty.t) v : Value.t =
   let nbytes = width_bits ty / 8 in
   match ty with
   | Ty.F32 | Ty.F64 ->
@@ -216,7 +146,7 @@ and eval_bswap _frame (ty : Ty.t) v : Value.t =
     let x = Value.to_int v in
     Value.VInt (canon ty (Scalar.bswap (mask_to_width ty x) nbytes))
 
-and eval_fn_map host dir v : Value.t =
+let eval_fn_map host dir v : Value.t =
   (* A lone host maps identically (it has only its own table); the
      offloading runtime installs the real mobile<->server translation
      and charges its cost. *)
@@ -224,24 +154,24 @@ and eval_fn_map host dir v : Value.t =
   | Some translate -> translate dir v
   | None -> v
 
-(* {1 Pre-decoded evaluation — the hot path}
+(* {1 Evaluation of pre-decoded code}
 
-   Mirrors [eval_rvalue] over [Host.crv]; constants are pre-boxed, so
-   evaluating an operand is an array read or a pointer return. *)
+   [Host] lowered every operand, address and label when the module was
+   compiled, so evaluating an operand is an array read or a pointer
+   return. *)
 
-and eval_cop frame (op : Host.cop) : Value.t =
+let eval_cop frame (op : Host.cop) : Value.t =
   match op with
   | Host.C_reg r -> frame.regs.(r)
   | Host.C_val v -> v
-  | Host.C_slow_op op -> eval_operand frame op
 
-and eval_args frame (args : Host.cop array) i : Value.t list =
+let rec eval_args frame (args : Host.cop array) i : Value.t list =
   if i >= Array.length args then []
   else
     let v = eval_cop frame (Array.unsafe_get args i) in
     v :: eval_args frame args (i + 1)
 
-and eval_crv frame (rv : Host.crv) : Value.t =
+let rec eval_crv frame (rv : Host.crv) : Value.t =
   let host = frame.host in
   match rv with
   | Host.C_bin (op, a, b) ->
@@ -271,9 +201,8 @@ and eval_crv frame (rv : Host.crv) : Value.t =
     | name -> call_by_name host name argv
     | exception Fn_table.Not_a_function _ ->
       trap "indirect call through foreign or invalid address 0x%x" addr)
-  | Host.C_bswap (ty, a) -> eval_bswap frame ty (eval_cop frame a)
+  | Host.C_bswap (ty, a) -> eval_bswap ty (eval_cop frame a)
   | Host.C_fn_map (dir, a) -> eval_fn_map host dir (eval_cop frame a)
-  | Host.C_slow_rv rv -> eval_rvalue frame rv
 
 (* {1 Builtins} *)
 
@@ -405,7 +334,7 @@ and run_function (host : Host.t) (compiled : Host.compiled) argv : Value.t =
   in
   let frame = { host; regs; func = compiled; scratch } in
   let mark = Stack_alloc.frame_mark host.Host.stack in
-  let result = run_blocks frame compiled.Host.c_entry in
+  let result = run_blocks frame 0 in
   Stack_alloc.release host.Host.stack mark;
   host.Host.hooks.Host.on_exit f.Ir.f_name;
   result
@@ -476,7 +405,6 @@ and run_blocks frame idx : Value.t =
   | Host.Ct_ret_void -> Value.zero
   | Host.Ct_ret op -> eval_cop frame op
   | Host.Ct_unreachable -> trap "%s: reached unreachable" fname
-  | Host.Ct_slow term -> exec_slow_term frame term
 
 (* Fused integer chain (see Host.chain): preload the boxed inputs
    into the frame's float-array scratch, run the micro-ops with the
@@ -646,30 +574,6 @@ and exec_chain frame (ch : Host.chain) : unit =
        else Value.VInt bits);
     q := !q + 3
   done
-
-(* Terminator naming a block the compile pass could not resolve: jump
-   by label so only the taken edge traps, as before. *)
-and exec_slow_term frame (term : Ir.terminator) : Value.t =
-  let fname = frame.func.Host.c_func.Ir.f_name in
-  let jump label =
-    match Hashtbl.find_opt frame.func.Host.c_index label with
-    | Some i -> run_blocks frame i
-    | None -> trap "%s: jump to unknown block %s" fname label
-  in
-  match term with
-  | Ir.Br next -> jump next
-  | Ir.Cbr (c, t, e) ->
-    if Value.to_bool (eval_operand frame c) then jump t else jump e
-  | Ir.Switch (v, cases, default) -> (
-    let scrutinee = Value.to_int (eval_operand frame v) in
-    match
-      List.find_opt (fun (value, _) -> Int64.equal value scrutinee) cases
-    with
-    | Some (_, target) -> jump target
-    | None -> jump default)
-  | Ir.Ret _ | Ir.Unreachable ->
-    (* Always compiled to their [cterm] forms. *)
-    assert false
 
 (* {1 Entry points} *)
 

@@ -237,7 +237,8 @@ let has_indirect_call (f : func) =
 (* Type of the object denoted by a GEP path starting from a pointee
    type.  [Index] on a non-array type means pointer-style indexing over
    elements of that same type (C's p[i]); [Index] on an array steps into
-   the element type; [Field] projects a named struct field. *)
+   the element type; [Field] projects a named struct field.  A step
+   that does not apply raises [Invalid_argument] naming it. *)
 let rec gep_result_ty ~structs (ty : Ty.t) (path : gep_index list) : Ty.t =
   match path with
   | [] -> ty
@@ -249,7 +250,7 @@ let rec gep_result_ty ~structs (ty : Ty.t) (path : gep_index list) : Ty.t =
       (* C-style p[i]: i-th element of type [ty]; only valid as the
          first step, enforced by the validator. *)
       gep_result_ty ~structs ty rest
-    | Ty.Void -> invalid_arg "gep_result_ty: indexing void")
+    | Ty.Void -> invalid_arg "gep: index into void")
   | Field fname :: rest -> (
     match ty with
     | Ty.Struct sname -> (
@@ -258,12 +259,12 @@ let rec gep_result_ty ~structs (ty : Ty.t) (path : gep_index list) : Ty.t =
       | Some fty -> gep_result_ty ~structs fty rest
       | None ->
         invalid_arg
-          (Printf.sprintf "gep_result_ty: no field %s in struct %s" fname
-             sname))
+          (Printf.sprintf "gep: no field %s in struct %%%s" fname sname))
     | Ty.I8 | Ty.I16 | Ty.I32 | Ty.I64 | Ty.F32 | Ty.F64 | Ty.Ptr _
     | Ty.Fn_ptr _ | Ty.Array _ | Ty.Void ->
       invalid_arg
-        (Printf.sprintf "gep_result_ty: field %s of non-struct" fname))
+        (Printf.sprintf "gep: field %s of non-struct %s" fname
+           (Ty.to_string ty)))
 
 (* Fresh-register supply when a pass needs scratch registers. *)
 type reg_supply = { mutable next : int }

@@ -99,7 +99,10 @@ let digits c =
     c.pos <- c.pos + 1
   done;
   if c.pos = start then fail c.line "expected digits";
-  String.sub c.text start (c.pos - start)
+  let tok = String.sub c.text start (c.pos - start) in
+  match int_of_string_opt tok with
+  | Some n -> n
+  | None -> fail c.line "number %s out of range" tok
 
 let number_token c =
   skip_ws c;
@@ -117,6 +120,12 @@ let number_token c =
   done;
   if c.pos = start then fail c.line "expected number";
   String.sub c.text start (c.pos - start)
+
+(* The value of a [number_token], read by [conv]. *)
+let number c conv tok =
+  match conv tok with
+  | Some v -> v
+  | None -> fail c.line "bad number %S" tok
 
 let quoted_string c =
   skip_ws c;
@@ -173,7 +182,7 @@ let rec parse_ty c : Ty.t =
     else if try_consume c "void" then Ty.Void
     else if try_consume c "%" then Ty.Struct (ident c)
     else if try_consume c "[" then begin
-      let n = int_of_string (digits c) in
+      let n = digits c in
       expect c "x";
       let elem = parse_ty c in
       expect c "]";
@@ -208,7 +217,7 @@ let parse_operand c : Ir.operand =
   match peek c with
   | Some '%' ->
     expect c "%r";
-    Ir.Reg (int_of_string (digits c))
+    Ir.Reg (digits c)
   | Some '@' ->
     expect c "@";
     Ir.Global (ident c)
@@ -222,8 +231,8 @@ let parse_operand c : Ir.operand =
     let tok = number_token c in
     expect c ":";
     let ty = parse_ty c in
-    if Ty.is_float ty then Ir.Float (float_of_string tok, ty)
-    else Ir.Int (Int64.of_string tok, ty)
+    if Ty.is_float ty then Ir.Float (number c float_of_string_opt tok, ty)
+    else Ir.Int (number c Int64.of_string_opt tok, ty)
   | None -> fail c.line "expected operand"
 
 (* {1 Rvalues and instructions} *)
@@ -312,7 +321,7 @@ let parse_rvalue c : Ir.rvalue =
   | "alloca" ->
     let ty = parse_ty c in
     expect c "x";
-    Ir.Alloca (ty, int_of_string (digits c))
+    Ir.Alloca (ty, digits c)
   | "gep" ->
     let ty = parse_ty c in
     expect c ",";
@@ -366,7 +375,7 @@ let parse_instr c : Ir.instr =
   else if try_consume c "asm" then Ir.Asm (quoted_string c)
   else if peek c = Some '%' then begin
     expect c "%r";
-    let r = int_of_string (digits c) in
+    let r = digits c in
     expect c "=";
     Ir.Assign (r, parse_rvalue c)
   end
@@ -390,7 +399,7 @@ let parse_terminator c : Ir.terminator option =
     let cases = ref [] in
     if not (try_consume c "]") then begin
       let rec loop () =
-        let value = Int64.of_string (number_token c) in
+        let value = number c Int64.of_string_opt (number_token c) in
         expect c "->";
         let label = ident c in
         cases := (value, label) :: !cases;
@@ -431,8 +440,9 @@ let rec parse_init c : Ir.const_init =
     let tok = number_token c in
     expect c ":";
     let ty = parse_ty c in
-    if Ty.is_float ty then Ir.Float_init (float_of_string tok, ty)
-    else Ir.Int_init (Int64.of_string tok, ty)
+    if Ty.is_float ty then
+      Ir.Float_init (number c float_of_string_opt tok, ty)
+    else Ir.Int_init (number c Int64.of_string_opt tok, ty)
   end
 
 (* {1 Top level} *)
@@ -502,7 +512,7 @@ let parse (text : string) : Ir.modul =
       if String.length trimmed = 0 || trimmed.[0] = '#' then ()
       else begin
         let c = make_cursor lineno trimmed in
-        if st.cur_fn <> None then begin
+        (if st.cur_fn <> None then begin
           (* inside a function *)
           if try_consume c "}" then close_fn st lineno
           else if
@@ -513,7 +523,8 @@ let parse (text : string) : Ir.modul =
             if st.cur_label <> None then
               fail lineno "block started before previous terminated";
             st.cur_label <-
-              Some (String.sub trimmed 0 (String.length trimmed - 1))
+              Some (String.sub trimmed 0 (String.length trimmed - 1));
+            c.pos <- String.length trimmed
           end
           else
             match parse_terminator c with
@@ -580,7 +591,7 @@ let parse (text : string) : Ir.modul =
           if not (try_consume c ")") then begin
             let rec loop () =
               expect c "%r";
-              let r = int_of_string (digits c) in
+              let r = digits c in
               expect c ":";
               let ty = parse_ty c in
               params := (r, ty) :: !params;
@@ -595,7 +606,11 @@ let parse (text : string) : Ir.modul =
           st.max_reg <-
             List.fold_left (fun acc (r, _) -> max acc r) (-1) !params
         end
-        else fail lineno "unrecognized line: %s" trimmed
+        else fail lineno "unrecognized line: %s" trimmed);
+        (* Every construct takes a whole line. *)
+        if not (eof c) then
+          fail lineno "unexpected %S at end of line"
+            (String.sub trimmed c.pos (String.length trimmed - c.pos))
       end)
     lines;
   if st.cur_fn <> None then fail (List.length lines) "unterminated function";

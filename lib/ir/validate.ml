@@ -6,7 +6,12 @@
    order.  The checker verifies branch-target existence, register
    bounds, operand type agreement, call signatures, and that every
    block is properly terminated (guaranteed by construction via
-   {!Builder}, re-checked here for hand-built or transformed IR). *)
+   {!Builder}, re-checked here for hand-built or transformed IR).
+
+   It is also the only gate in front of execution: every name a
+   module uses (global, function address, struct, field, block label)
+   resolves, and every type it lays out has a size, so lowering a
+   module this checker accepts cannot fail. *)
 
 open Ir
 
@@ -14,22 +19,40 @@ exception Ill_typed of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Ill_typed s)) fmt
 
+(* A type lowering can lay out: every struct it names is defined, and
+   void appears only as a return type or behind a pointer.  The
+   message names [where] (a function, global or struct) and [what]. *)
+let rec check_ty m where what ?(void = false) (ty : Ty.t) =
+  match ty with
+  | Ty.I8 | Ty.I16 | Ty.I32 | Ty.I64 | Ty.F32 | Ty.F64 -> ()
+  | Ty.Void -> if not void then fail "%s: %s: void has no size" where what
+  | Ty.Ptr t -> check_ty m where what ~void:true t
+  | Ty.Fn_ptr sg -> check_sig m where what sg
+  | Ty.Struct s ->
+    if find_struct m s = None then
+      fail "%s: %s: unknown struct %%%s" where what s
+  | Ty.Array (t, _) -> check_ty m where what t
+
+and check_sig m where what (sg : Ty.signature) =
+  List.iter (check_ty m where what) sg.Ty.args;
+  check_ty m where what ~void:true sg.Ty.ret
+
 type ctx = {
   m : modul;
   f : func;
   reg_ty : Ty.t option array;
 }
 
-let structs_fn m name = find_struct_exn m name
-
 let global_ty ctx name =
   match find_global ctx.m name with
   | Some g -> Ty.Ptr g.g_ty
   | None -> fail "%s: unknown global @%s" ctx.f.f_name name
 
+let sig_of_func f = Ty.signature (List.map snd f.f_params) f.f_ret
+
 let func_sig ctx name =
   match find_func ctx.m name with
-  | Some f -> Ty.signature (List.map snd f.f_params) f.f_ret
+  | Some f -> sig_of_func f
   | None -> (
     match Builtins.signature_of name with
     | Some sg -> sg
@@ -60,9 +83,14 @@ let operand_ty ctx op =
   | Null ty ->
     if not (Ty.is_pointer ty) then
       fail "%s: null of non-pointer type %s" ctx.f.f_name (Ty.to_string ty);
+    check_ty ctx.m ctx.f.f_name "null" ty;
     ty
   | Global name -> global_ty ctx name
-  | Fn_addr name -> Ty.Fn_ptr (func_sig ctx name)
+  | Fn_addr name -> (
+    match find_func ctx.m name with
+    | Some f -> Ty.Fn_ptr (sig_of_func f)
+    | None ->
+      fail "%s: &%s is not a function of this module" ctx.f.f_name name)
 
 let check_same ctx what a b =
   if not (Ty.equal a b) then
@@ -97,6 +125,7 @@ let rvalue_ty ctx rv : Ty.t =
         fail "%s: float compare on %s" ctx.f.f_name (Ty.to_string ta);
       Ty.I8)
   | Cast (op, src, a, ty) -> (
+    check_ty ctx.m ctx.f.f_name "cast" ty;
     let ta = operand_ty ctx a in
     check_same ctx "cast source" ta src;
     let want_int t =
@@ -138,12 +167,15 @@ let rvalue_ty ctx rv : Ty.t =
   | Load (ty, a) ->
     if not (Ty.is_scalar ty) then
       fail "%s: load of non-scalar %s" ctx.f.f_name (Ty.to_string ty);
+    check_ty ctx.m ctx.f.f_name "load" ty;
     check_same ctx "load address" (operand_ty ctx a) (Ty.Ptr ty);
     ty
   | Alloca (ty, n) ->
     if n <= 0 then fail "%s: alloca of %d elements" ctx.f.f_name n;
+    check_ty ctx.m ctx.f.f_name "alloca" ty;
     Ty.Ptr ty
-  | Gep (pointee, base, path) ->
+  | Gep (pointee, base, path) -> (
+    check_ty ctx.m ctx.f.f_name "gep" pointee;
     check_same ctx "gep base" (operand_ty ctx base) (Ty.Ptr pointee);
     List.iter
       (fun idx ->
@@ -153,7 +185,9 @@ let rvalue_ty ctx rv : Ty.t =
           if not (Ty.is_integer (operand_ty ctx op)) then
             fail "%s: gep index must be integer" ctx.f.f_name)
       path;
-    Ty.Ptr (gep_result_ty ~structs:(structs_fn ctx.m) pointee path)
+    match gep_result_ty ~structs:(find_struct_exn ctx.m) pointee path with
+    | ty -> Ty.Ptr ty
+    | exception Invalid_argument msg -> fail "%s: %s" ctx.f.f_name msg)
   | Call (name, args) ->
     let sg = func_sig ctx name in
     if
@@ -171,9 +205,11 @@ let rvalue_ty ctx rv : Ty.t =
           | Ty.Ptr Ty.I8 when Ty.is_pointer got -> ()
           | _ -> check_same ctx ("call " ^ name) got want)
         args sg.Ty.args
-    end;
+    end
+    else List.iter (fun arg -> ignore (operand_ty ctx arg)) args;
     sg.Ty.ret
   | Call_ind (sg, f, args) ->
+    check_sig ctx.m ctx.f.f_name "call.ind" sg;
     let tf = operand_ty ctx f in
     (match tf with
     | Ty.Fn_ptr got -> check_same ctx "indirect callee"
@@ -220,6 +256,7 @@ let check_instr ctx instr =
   | Store (ty, v, a) ->
     if not (Ty.is_scalar ty) then
       fail "%s: store of non-scalar %s" ctx.f.f_name (Ty.to_string ty);
+    check_ty ctx.m ctx.f.f_name "store" ty;
     check_same ctx "store value" (operand_ty ctx v) ty;
     check_same ctx "store address" (operand_ty ctx a) (Ty.Ptr ty)
   | Asm _ -> ()
@@ -258,6 +295,8 @@ let check_func m (f : func) =
   let distinct = List.sort_uniq String.compare labels in
   if List.length distinct <> List.length labels then
     fail "%s: duplicate block labels" f.f_name;
+  List.iter (fun (_, ty) -> check_ty m f.f_name "parameter" ty) f.f_params;
+  check_ty m f.f_name "return" ~void:true f.f_ret;
   let ctx = { m; f; reg_ty = Array.make (max f.f_nregs 1) None } in
   List.iter (fun (r, ty) -> ctx.reg_ty.(r) <- Some ty) f.f_params;
   let collect_pass () =
@@ -314,14 +353,49 @@ let rec check_init m (ty : Ty.t) (init : const_init) =
         (String.length s) n
   | String_init _, _ -> fail "global initializer: string for non-i8-array"
 
+let check_distinct what names =
+  let rec go = function
+    | a :: (b :: _ as rest) ->
+      if String.equal a b then fail "duplicate %s %s" what a else go rest
+    | [] | [ _ ] -> ()
+  in
+  go (List.sort String.compare names)
+
+(* Field types are sized and no struct contains itself by value, so
+   [Layout.size_of] terminates on every struct. *)
+let check_structs m =
+  let state = Hashtbl.create 16 in   (* name -> finished? *)
+  let rec visit sd =
+    match Hashtbl.find_opt state sd.s_name with
+    | Some true -> ()
+    | Some false -> fail "struct %%%s contains itself" sd.s_name
+    | None ->
+      Hashtbl.replace state sd.s_name false;
+      List.iter
+        (fun (fname, fty) ->
+          check_ty m ("struct %" ^ sd.s_name) ("field " ^ fname) fty;
+          by_value fty)
+        sd.s_fields;
+      Hashtbl.replace state sd.s_name true
+  and by_value (ty : Ty.t) =
+    match ty with
+    | Ty.Struct s -> visit (find_struct_exn m s)
+    | Ty.Array (t, _) -> by_value t
+    | Ty.I8 | Ty.I16 | Ty.I32 | Ty.I64 | Ty.F32 | Ty.F64 | Ty.Ptr _
+    | Ty.Fn_ptr _ | Ty.Void -> ()
+  in
+  List.iter visit m.m_structs
+
 let check_module (m : modul) =
+  check_distinct "struct" (List.map (fun s -> s.s_name) m.m_structs);
+  check_distinct "global" (List.map (fun g -> g.g_name) m.m_globals);
+  check_distinct "function" (List.map (fun f -> f.f_name) m.m_funcs);
+  check_structs m;
   List.iter
     (fun (g : global) ->
+      check_ty m ("global @" ^ g.g_name) "type" g.g_ty;
       check_init m g.g_ty g.g_init)
     m.m_globals;
-  let names = List.map (fun f -> f.f_name) m.m_funcs in
-  if List.length (List.sort_uniq String.compare names) <> List.length names
-  then fail "duplicate function names";
   List.iter (check_func m) m.m_funcs
 
 (* Result-typed wrapper for callers that prefer not to catch. *)

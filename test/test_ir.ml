@@ -7,6 +7,7 @@ module Ir = No_ir.Ir
 module Ty = No_ir.Ty
 module Validate = No_ir.Validate
 module Pretty = No_ir.Pretty
+module Parser = No_ir.Parser
 module Builtins = No_ir.Builtins
 
 let test_ty_helpers () =
@@ -126,7 +127,56 @@ let test_validator_rejections () =
   expect_ill_typed "bad init" (fun () ->
       let t = B.create "bad6" in
       B.global t "g" (Ty.Array (Ty.I64, 2)) (Ir.Array_init [ Ir.Int_init (1L, Ty.I64) ]);
-      B.finish t)
+      B.finish t);
+  (* Names and types lowering could not resolve: each is rejected with
+     a message that starts with where it is. *)
+  let program ?(top = "") body =
+    Printf.sprintf
+      "module bad\n%s\nfn main() -> i64 {\nentry:\n%s\n  ret 0:i64\n}\n" top
+      body
+  in
+  List.iter
+    (fun (where, src) ->
+      match Validate.check_module (Parser.parse src) with
+      | () -> Alcotest.failf "expected Ill_typed from %s" src
+      | exception Validate.Ill_typed msg ->
+        if not (String.starts_with ~prefix:where msg) then
+          Alcotest.failf "%S does not start with %S" msg where)
+    [
+      ("main: &print_i64",
+       program "%r0 = ptrtoint void(i64)* &print_i64 to i64");
+      ("main: alloca: void", program "%r0 = alloca void x 1");
+      ("main: alloca: unknown struct %nope",
+       program "%r0 = alloca %nope x 1");
+      ("global @g: type: unknown struct %nope",
+       program ~top:"global @g : %nope = zero" "");
+      ("struct %s: field b: unknown struct %nope",
+       program ~top:"struct %s { a: i64; b: %nope* }" "");
+      ("struct %s contains itself",
+       program ~top:"struct %s { a: i64; b: [2 x %s] }" "");
+      ("f: parameter: unknown struct %nope",
+       program ~top:"fn f(%r0:%nope*) -> i64 {\nentry:\n  ret 0:i64\n}" "");
+      ("f: return: unknown struct %nope",
+       program ~top:"fn f() -> %nope {\nentry:\n  unreachable\n}" "");
+      ("main: gep: unknown struct %nope",
+       program "%r0 = alloca i64 x 1\n%r1 = gep %nope, %r0[1:i64]");
+      ("main: cast: unknown struct %nope",
+       program "%r0 = inttoptr i64 64:i64 to %nope*");
+      ("main: load: unknown struct %nope",
+       program "%r0 = alloca i64 x 1\n%r1 = load %nope*, %r0");
+      ("main: store: unknown struct %nope",
+       program "%r0 = alloca i64 x 1\nstore %nope* null:%nope*, %r0");
+      ("main: call.ind: unknown struct %nope",
+       program "%r0 = add 0:i64, 0:i64\n%r1 = call.ind i64(%nope*)* %r0()");
+      ("main: gep: field f of non-struct i64",
+       program "%r0 = alloca i64 x 1\n%r1 = gep i64, %r0.f");
+      ("main: gep: no field zz in struct %s",
+       program ~top:"struct %s { a: i64 }"
+         "%r0 = alloca %s x 1\n%r1 = gep %s, %r0.zz");
+      ("main: unknown global @nope", program "call mystery(@nope)");
+      ("duplicate global g",
+       program ~top:"global @g : i64 = zero\nglobal @g : i8 = zero" "");
+    ]
 
 let test_validator_accepts_loop_reg () =
   (* A loop header reads the induction register assigned later in
