@@ -435,42 +435,61 @@ let load_cmd =
       s
     in
     let script value = [ No_exec.Console.In_int (Int64.of_int value) ] in
-    let compiled =
-      match
+    let fail fmt =
+      Fmt.kstr (fun msg -> Fmt.epr "%s: %s@." file msg; exit 1) fmt
+    in
+    match
+      let compiled =
         Compiler.compile ~profile_script:(script (max 1 (input / 10)))
           ~eval_scale:10.0 (No_ir.Parser.parse text)
-      with
-      | compiled -> compiled
-      | exception No_ir.Parser.Parse_error (line, msg) ->
-        Fmt.epr "%s:%d: %s@." file line msg;
-        exit 1
-      | exception No_ir.Validate.Ill_typed msg ->
-        Fmt.epr "%s: %s@." file msg;
-        exit 1
-    in
-    Fmt.pr "selected targets: %a@."
-      Fmt.(list ~sep:comma string)
-      compiled.Compiler.c_selection.No_estimator.Static_estimate.targets;
-    let local =
-      No_runtime.Local_run.run ~script:(script input)
-        compiled.Compiler.c_original
-    in
-    let session =
-      No_runtime.Session.create
-        ~config:(No_runtime.Session.default_config ())
-        ~script:(script input) compiled.Compiler.c_output
-        ~seeds:compiled.Compiler.c_seeds
-    in
-    let report = No_runtime.Session.run session in
-    Fmt.pr "local:     %6.2f s   %s" local.No_runtime.Local_run.lr_total_s
-      local.No_runtime.Local_run.lr_console;
-    Fmt.pr "offloaded: %6.2f s   %s" report.No_runtime.Session.rep_total_s
-      report.No_runtime.Session.rep_console;
-    Fmt.pr "speedup %.2fx, identical output: %b@."
-      (local.No_runtime.Local_run.lr_total_s
-      /. report.No_runtime.Session.rep_total_s)
-      (String.equal local.No_runtime.Local_run.lr_console
-         report.No_runtime.Session.rep_console)
+      in
+      Fmt.pr "selected targets: %a@."
+        Fmt.(list ~sep:comma string)
+        compiled.Compiler.c_selection.No_estimator.Static_estimate.targets;
+      let local =
+        No_runtime.Local_run.run ~script:(script input)
+          compiled.Compiler.c_original
+      in
+      let session =
+        No_runtime.Session.create
+          ~config:(No_runtime.Session.default_config ())
+          ~script:(script input) compiled.Compiler.c_output
+          ~seeds:compiled.Compiler.c_seeds
+      in
+      (local, No_runtime.Session.run session)
+    with
+    | local, report ->
+      Fmt.pr "local:     %6.2f s   %s" local.No_runtime.Local_run.lr_total_s
+        local.No_runtime.Local_run.lr_console;
+      Fmt.pr "offloaded: %6.2f s   %s" report.No_runtime.Session.rep_total_s
+        report.No_runtime.Session.rep_console;
+      Fmt.pr "speedup %.2fx, identical output: %b@."
+        (local.No_runtime.Local_run.lr_total_s
+        /. report.No_runtime.Session.rep_total_s)
+        (String.equal local.No_runtime.Local_run.lr_console
+           report.No_runtime.Session.rep_console)
+    | exception No_ir.Parser.Parse_error (line, msg) ->
+      Fmt.epr "%s:%d: %s@." file line msg;
+      exit 1
+    | exception No_ir.Validate.Ill_typed msg -> fail "%s" msg
+    | exception Compiler.No_profitable_target _ ->
+      fail "no function is worth offloading"
+    (* Run-time faults of a program that validates: the profiling run,
+       the local run and the offloaded run all execute it. *)
+    | exception (No_exec.Interp.Trap msg | No_exec.Value.Type_trap msg) ->
+      fail "trap: %s" msg
+    | exception No_mem.Memory.Bad_access (addr, why) ->
+      fail "bad access at 0x%x: %s" addr why
+    | exception No_mem.Uva.Invalid_free addr -> fail "invalid free of 0x%x" addr
+    | exception No_mem.Uva.Out_of_memory size ->
+      fail "out of memory allocating %d bytes" size
+    | exception No_exec.Console.Input_exhausted ->
+      fail "input exhausted: the program reads more than INPUT"
+    | exception No_exec.Fs.No_such_file name -> fail "no such file %S" name
+    | exception No_exec.Fs.Bad_fd fd -> fail "bad file descriptor %d" fd
+    | exception No_mem.Stack_alloc.Stack_overflow_uva size ->
+      fail "stack overflow allocating %d bytes" size
+    | exception Stack_overflow -> fail "stack overflow: recursion too deep"
   in
   Cmd.v
     (Cmd.info "load"

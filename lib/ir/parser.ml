@@ -104,6 +104,17 @@ let digits c =
   | Some n -> n
   | None -> fail c.line "number %s out of range" tok
 
+(* [Validate] and [Host] size per-function arrays by the highest
+   register number, so an absurd one would allocate gigabytes.  The
+   largest registry function uses 85 registers. *)
+let reg_limit = 65_535
+
+let reg c =
+  expect c "%r";
+  let r = digits c in
+  if r > reg_limit then fail c.line "register %%r%d above %%r%d" r reg_limit;
+  r
+
 let number_token c =
   skip_ws c;
   let start = c.pos in
@@ -215,9 +226,7 @@ let rec parse_ty c : Ty.t =
 let parse_operand c : Ir.operand =
   skip_ws c;
   match peek c with
-  | Some '%' ->
-    expect c "%r";
-    Ir.Reg (digits c)
+  | Some '%' -> Ir.Reg (reg c)
   | Some '@' ->
     expect c "@";
     Ir.Global (ident c)
@@ -374,8 +383,7 @@ let parse_instr c : Ir.instr =
   end
   else if try_consume c "asm" then Ir.Asm (quoted_string c)
   else if peek c = Some '%' then begin
-    expect c "%r";
-    let r = digits c in
+    let r = reg c in
     expect c "=";
     Ir.Assign (r, parse_rvalue c)
   end
@@ -590,8 +598,7 @@ let parse (text : string) : Ir.modul =
           let params = ref [] in
           if not (try_consume c ")") then begin
             let rec loop () =
-              expect c "%r";
-              let r = digits c in
+              let r = reg c in
               expect c ":";
               let ty = parse_ty c in
               params := (r, ty) :: !params;

@@ -83,7 +83,10 @@ let test_parse_errors () =
   expect_error (body "  %r0 = add 1:i64, 2:i64\n  ret %r0 garbage here");
   (* literals that do not convert *)
   expect_error (body "  ret 3.5:void");
-  expect_error "module m\nglobal @g : [99999999999999999999 x i8] = zero\n"
+  expect_error "module m\nglobal @g : [99999999999999999999 x i8] = zero\n";
+  (* register numbers past the limit, which would size huge arrays *)
+  expect_error (body "  %r99999999 = add 1:i64, 2:i64\n  ret 0:i64");
+  expect_error (body "  ret %r999999999999")
 
 let roundtrip (m : Ir.modul) =
   let printed = Pretty.modul_to_string m in
