@@ -558,16 +558,6 @@ let analyze_cmd =
   let analysis_json ~hist_specs ~sampled ~exemplars events =
     let b = Buffer.create 2048 in
     let jf = Printf.sprintf "%.9g" in
-    let esc s =
-      String.concat ""
-        (List.map
-           (fun c ->
-             match c with
-             | '"' -> "\\\""
-             | '\\' -> "\\\\"
-             | c -> String.make 1 c)
-           (List.init (String.length s) (String.get s)))
-    in
     Buffer.add_string b
       (Printf.sprintf "{\n  \"events\": %d,\n  \"histograms\": ["
          (List.length events));
@@ -581,10 +571,11 @@ let analyze_cmd =
           first := false;
           Buffer.add_string b
             (Printf.sprintf
-               "\n    {\"kind\": \"%s\", \"count\": %d, \"sum\": %s, \
+               "\n    {\"kind\": %s, \"count\": %d, \"sum\": %s, \
                 \"min\": %s, \"p50\": %s, \"p90\": %s, \"p95\": %s, \
                 \"p99\": %s, \"max\": %s}"
-               (esc name) (Hist.count h) (jf (Hist.sum h)) (jf (Hist.min h))
+               (Trace.json_string name) (Hist.count h) (jf (Hist.sum h))
+               (jf (Hist.min h))
                (jf (Hist.quantile h 0.50))
                (jf (Hist.quantile h 0.90))
                (jf (Hist.quantile h 0.95))
@@ -600,8 +591,8 @@ let analyze_cmd =
         if i > 0 then Buffer.add_char b ',';
         Buffer.add_string b
           (Printf.sprintf
-             "\n    {\"kind\": \"%s\", \"trace\": \"%s\", \"value\": %s}"
-             (esc name) (esc id) (jf v)))
+             "\n    {\"kind\": %s, \"trace\": %s, \"value\": %s}"
+             (Trace.json_string name) (Trace.json_string id) (jf v)))
       exemplars;
     Buffer.add_string b "\n  ],\n  \"audit\": [";
     let rows = Audit.of_events events in
@@ -610,10 +601,10 @@ let analyze_cmd =
         if i > 0 then Buffer.add_char b ',';
         Buffer.add_string b
           (Printf.sprintf
-             "\n    {\"ts_s\": %s, \"target\": \"%s\", \"decision\": \"%s\", \
+             "\n    {\"ts_s\": %s, \"target\": %s, \"decision\": \"%s\", \
               \"predicted_gain_s\": %s, \"measured_gain_s\": %s, \
               \"proxied\": %b, \"verdict\": \"%s\"}"
-             (jf r.Audit.a_ts) (esc r.Audit.a_target)
+             (jf r.Audit.a_ts) (Trace.json_string r.Audit.a_target)
              (if r.Audit.a_decision then "offload" else "refuse")
              (jf r.Audit.a_predicted_gain_s)
              (match r.Audit.a_measured_gain_s with

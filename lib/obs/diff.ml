@@ -229,20 +229,6 @@ let render ?(top_n = 10) r : string =
   end;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let jf = Printf.sprintf "%.9g"
 
 let to_json ?(top_n = 10) r : string =
@@ -257,10 +243,10 @@ let to_json ?(top_n = 10) r : string =
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf
-           "\n    {\"path\": \"%s\", \"count_a\": %d, \"count_b\": %d, \
+           "\n    {\"path\": %s, \"count_a\": %d, \"count_b\": %d, \
             \"total_a_s\": %s, \"total_b_s\": %s, \"self_a_s\": %s, \
             \"self_b_s\": %s, \"self_delta_s\": %s}"
-           (json_escape row.d_path) row.d_count_a row.d_count_b
+           (Trace.json_string row.d_path) row.d_count_a row.d_count_b
            (jf row.d_total_a_s) (jf row.d_total_b_s) (jf row.d_self_a_s)
            (jf row.d_self_b_s)
            (jf (row.d_self_b_s -. row.d_self_a_s))))
@@ -271,10 +257,10 @@ let to_json ?(top_n = 10) r : string =
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf
-           "\n    {\"kind\": \"%s\", \"count_a\": %d, \"count_b\": %d, \
+           "\n    {\"kind\": %s, \"count_a\": %d, \"count_b\": %d, \
             \"time_a_s\": %s, \"time_b_s\": %s, \"time_delta_s\": %s}"
-           (json_escape k.k_kind) k.k_count_a k.k_count_b (jf k.k_time_a_s)
-           (jf k.k_time_b_s)
+           (Trace.json_string k.k_kind) k.k_count_a k.k_count_b
+           (jf k.k_time_a_s) (jf k.k_time_b_s)
            (jf (k.k_time_b_s -. k.k_time_a_s))))
     r.r_kinds;
   Buffer.add_string b "\n  ]\n}\n";

@@ -195,31 +195,16 @@ let render incidents =
 (* One JSON object per incident, %.9g floats — same stability contract
    as the raw-trace files. *)
 let to_jsonl incidents =
-  let escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
   let line i =
     Printf.sprintf
-      "{\"label\":\"%s\",\"start_s\":%.9g,\"end_s\":%s,\"windows\":%d,\
+      "{\"label\":%s,\"start_s\":%.9g,\"end_s\":%s,\"windows\":%d,\
        \"peak\":%.9g,\"exemplars\":[%s]}"
-      (escape i.i_label) i.i_start_s
+      (Trace.json_string i.i_label) i.i_start_s
       (match i.i_end_s with
       | Some e -> Printf.sprintf "%.9g" e
       | None -> "null")
       i.i_windows i.i_peak
-      (String.concat ","
-         (List.map (fun id -> Printf.sprintf "\"%s\"" (escape id)) i.i_exemplars))
+      (String.concat "," (List.map Trace.json_string i.i_exemplars))
   in
   String.concat "" (List.map (fun i -> line i ^ "\n") incidents)
 

@@ -2,9 +2,10 @@
 
    Line 1 is a header carrying the format name, a version number and
    the event count; every following line is one timestamped event with
-   a "kind" tag and that variant's fields.  Floats print as %.17g so a
-   save/load round trip is bit-exact, which is what lets `analyze`
-   reproduce byte-identical reports from a recorded run.
+   a "kind" tag and the fields [Trace.Row.schema] lists for that kind.
+   Floats print as %.17g and integers as %d, so a save/load round trip
+   is bit-exact, which is what lets `analyze` reproduce byte-identical
+   reports from a recorded run.
 
    The loader is strict: an unknown version, an unknown kind, a
    missing field or a line count that disagrees with the header all
@@ -13,8 +14,9 @@
    shorter run. *)
 
 module Trace = No_trace.Trace
+module Row = Trace.Row
 
-(* Version 2: queue/admit/reject events gained a "server" field when
+(* Version 2: queue/admit/reject events gained a server id field when
    the scheduler grew a multi-server pool.  Version-1 traces predate
    server ids and must be re-recorded — the loader refuses them rather
    than guessing server 0.
@@ -36,137 +38,52 @@ let min_read_version = 2
 
 (* {1 Writing} *)
 
-let fl f = Printf.sprintf "%.17g" f
+let add_float buf f = Buffer.add_string buf (Printf.sprintf "%.17g" f)
+let direction_names = Array.map Trace.direction_to_string Row.directions
 
-let quote s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-let line_of_event ts (ev : Trace.event) : string =
-  let tagged kind rest =
-    Printf.sprintf "{\"ts\":%s,\"kind\":\"%s\"%s}" (fl ts) kind rest
-  in
-  match ev with
-  | Trace.Flush { direction; raw_bytes; wire_bytes; transfer_s; codec_s } ->
-    tagged "flush"
-      (Printf.sprintf
-         ",\"direction\":%s,\"raw_bytes\":%d,\"wire_bytes\":%d,\"transfer_s\":%s,\"codec_s\":%s"
-         (quote (Trace.direction_to_string direction))
-         raw_bytes wire_bytes (fl transfer_s) (fl codec_s))
-  | Trace.Page_fault { page; service_s } ->
-    tagged "page-fault"
-      (Printf.sprintf ",\"page\":%d,\"service_s\":%s" page (fl service_s))
-  | Trace.Prefetch { pages; bytes } ->
-    tagged "prefetch" (Printf.sprintf ",\"pages\":%d,\"bytes\":%d" pages bytes)
-  | Trace.Fnptr_translate { cost_s } ->
-    tagged "fnptr-translate" (Printf.sprintf ",\"cost_s\":%s" (fl cost_s))
-  | Trace.Remote_io { io_name; request_bytes; response_bytes; cost_s } ->
-    tagged "remote-io"
-      (Printf.sprintf
-         ",\"io_name\":%s,\"request_bytes\":%d,\"response_bytes\":%d,\"cost_s\":%s"
-         (quote io_name) request_bytes response_bytes (fl cost_s))
-  | Trace.Offload_begin { target } ->
-    tagged "offload-begin" (Printf.sprintf ",\"target\":%s" (quote target))
-  | Trace.Offload_end { target; dirty_pages; span_s } ->
-    tagged "offload-end"
-      (Printf.sprintf ",\"target\":%s,\"dirty_pages\":%d,\"span_s\":%s"
-         (quote target) dirty_pages (fl span_s))
-  | Trace.Refusal { target } ->
-    tagged "refusal" (Printf.sprintf ",\"target\":%s" (quote target))
-  | Trace.Power_state { state; mw; duration_s } ->
-    tagged "power-state"
-      (Printf.sprintf ",\"state\":%s,\"mw\":%s,\"duration_s\":%s"
-         (quote state) (fl mw) (fl duration_s))
-  | Trace.Estimate { target; predicted_gain_s; local_s; decision } ->
-    tagged "estimate"
-      (Printf.sprintf
-         ",\"target\":%s,\"predicted_gain_s\":%s,\"local_s\":%s,\"decision\":%b"
-         (quote target) (fl predicted_gain_s) (fl local_s) decision)
-  | Trace.Module_load { role; functions; globals } ->
-    tagged "module-load"
-      (Printf.sprintf ",\"role\":%s,\"functions\":%d,\"globals\":%d"
-         (quote role) functions globals)
-  | Trace.Fault_injected { kind; op } ->
-    tagged "fault-injected"
-      (Printf.sprintf ",\"fault\":%s,\"op\":%s" (quote kind) (quote op))
-  | Trace.Rpc_timeout { op; attempt; waited_s } ->
-    tagged "rpc-timeout"
-      (Printf.sprintf ",\"op\":%s,\"attempt\":%d,\"waited_s\":%s" (quote op)
-         attempt (fl waited_s))
-  | Trace.Retry { op; attempt; backoff_s } ->
-    tagged "retry"
-      (Printf.sprintf ",\"op\":%s,\"attempt\":%d,\"backoff_s\":%s" (quote op)
-         attempt (fl backoff_s))
-  | Trace.Fallback_local { target; reason; recovery_s } ->
-    tagged "fallback-local"
-      (Printf.sprintf ",\"target\":%s,\"reason\":%s,\"recovery_s\":%s"
-         (quote target) (quote reason) (fl recovery_s))
-  | Trace.Rollback { target; pages_restored; bytes_discarded } ->
-    tagged "rollback"
-      (Printf.sprintf
-         ",\"target\":%s,\"pages_restored\":%d,\"bytes_discarded\":%d"
-         (quote target) pages_restored bytes_discarded)
-  | Trace.Replay { target; replay_s } ->
-    tagged "replay"
-      (Printf.sprintf ",\"target\":%s,\"replay_s\":%s" (quote target)
-         (fl replay_s))
-  | Trace.Queue { target; server; wait_s; depth } ->
-    tagged "queue"
-      (Printf.sprintf ",\"target\":%s,\"server\":%d,\"wait_s\":%s,\"depth\":%d"
-         (quote target) server (fl wait_s) depth)
-  | Trace.Admit { target; server; occupancy; slot } ->
-    tagged "admit"
-      (Printf.sprintf ",\"target\":%s,\"server\":%d,\"occupancy\":%d,\"slot\":%d"
-         (quote target) server occupancy slot)
-  | Trace.Reject { target; server; queue_depth } ->
-    tagged "reject"
-      (Printf.sprintf ",\"target\":%s,\"server\":%d,\"queue_depth\":%d"
-         (quote target) server queue_depth)
-  | Trace.Bw_sample { bps } ->
-    tagged "bw-sample" (Printf.sprintf ",\"bps\":%s" (fl bps))
-  | Trace.Checkpoint { target; pages; image_bytes; io_cursor; ledger_bytes } ->
-    tagged "checkpoint"
-      (Printf.sprintf
-         ",\"target\":%s,\"pages\":%d,\"image_bytes\":%d,\"io_cursor\":%d,\"ledger_bytes\":%d"
-         (quote target) pages image_bytes io_cursor ledger_bytes)
-  | Trace.Migrate_start { target; from_server; to_server; reason; transfer_s }
-    ->
-    tagged "migrate-start"
-      (Printf.sprintf
-         ",\"target\":%s,\"from_server\":%d,\"to_server\":%d,\"reason\":%s,\"transfer_s\":%s"
-         (quote target) from_server to_server (quote reason) (fl transfer_s))
-  | Trace.Migrate_done { target; server; resumed_span_s } ->
-    tagged "migrate-done"
-      (Printf.sprintf ",\"target\":%s,\"server\":%d,\"resumed_span_s\":%s"
-         (quote target) server (fl resumed_span_s))
-
-let to_string ?(sampled = false) (events : (float * Trace.event) list) :
-    string =
-  let buf = Buffer.create 4096 in
+let add_header buf ~events ~sampled =
   Buffer.add_string buf
     (Printf.sprintf
-       "{\"format\":\"no-trace-raw\",\"version\":%d,\"events\":%d%s}\n" version
-       (List.length events)
-       (if sampled then ",\"sampled\":true" else ""));
-  List.iter
-    (fun (ts, ev) ->
-      Buffer.add_string buf (line_of_event ts ev);
-      Buffer.add_char buf '\n')
-    events;
+       "{\"format\":\"no-trace-raw\",\"version\":%d,\"events\":%d%s}\n"
+       version events
+       (if sampled then ",\"sampled\":true" else ""))
+
+(* One event line, a walk over the kind's schema: the envelope, each
+   field in wire order, then the kept-trace tag of a sampled file. *)
+let add_line buf (row : Row.t) ~ts ev ~trace =
+  Row.of_event row ev;
+  let k = Row.schema.(row.kind) in
+  Buffer.add_string buf "{\"ts\":";
+  add_float buf ts;
+  Buffer.add_string buf ",\"kind\":\"";
+  Buffer.add_string buf k.wire;
+  Buffer.add_char buf '"';
+  Array.iter
+    (fun { Row.name; ty; slot } ->
+      Buffer.add_string buf ",\"";
+      Buffer.add_string buf name;
+      Buffer.add_string buf "\":";
+      match ty with
+      | Int -> Buffer.add_string buf (string_of_int (Row.int_slot row slot))
+      | Float -> add_float buf row.f.(slot)
+      | String -> Trace.add_json_string buf (Row.string_slot row slot)
+      | Bool ->
+        Buffer.add_string buf
+          (if Row.int_slot row slot <> 0 then "true" else "false")
+      | Direction ->
+        Trace.add_json_string buf direction_names.(Row.int_slot row slot))
+    k.fields;
+  (match trace with
+  | Some id ->
+    Buffer.add_string buf ",\"trace\":";
+    Trace.add_json_string buf id
+  | None -> ());
+  Buffer.add_string buf "}\n"
+
+let to_string (events : (float * Trace.event) list) : string =
+  let buf = Buffer.create 4096 and row = Row.create () in
+  add_header buf ~events:(List.length events) ~sampled:false;
+  List.iter (fun (ts, ev) -> add_line buf row ~ts ev ~trace:None) events;
   Buffer.contents buf
 
 (* A sampled file additionally tags every event line with the kept
@@ -184,19 +101,10 @@ let to_string_traces (traces : (string * (float * Trace.event) list) list) :
   let tagged =
     List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b) tagged
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"format\":\"no-trace-raw\",\"version\":%d,\"events\":%d,\
-        \"sampled\":true}\n"
-       version (List.length tagged));
+  let buf = Buffer.create 4096 and row = Row.create () in
+  add_header buf ~events:(List.length tagged) ~sampled:true;
   List.iter
-    (fun (ts, ev, id) ->
-      let line = line_of_event ts ev in
-      Buffer.add_string buf (String.sub line 0 (String.length line - 1));
-      Buffer.add_string buf ",\"trace\":";
-      Buffer.add_string buf (quote id);
-      Buffer.add_string buf "}\n")
+    (fun (ts, ev, id) -> add_line buf row ~ts ev ~trace:(Some id))
     tagged;
   Buffer.contents buf
 
@@ -204,7 +112,9 @@ let to_string_traces (traces : (string * (float * Trace.event) list) list) :
 
 exception Bad of string
 
-type scalar = S of string | F of float | B of bool
+(* A number keeps its literal, so that an integer field reads it
+   exactly rather than through a float. *)
+type scalar = S of string | N of float * string | B of bool
 
 (* Flat JSON object parser: {"key": scalar, ...} with string, number
    and boolean values — all the grammar the format uses. *)
@@ -264,7 +174,8 @@ let parse_object (s : string) : (string * scalar) list =
     skip_ws ();
     match peek () with
     | Some '"' -> S (parse_string ())
-    | Some c when c = '-' || (c >= '0' && c <= '9') -> (
+    (* %.17g prints non-finite floats as nan, -nan, inf and -inf *)
+    | Some c when c = '-' || c = 'i' || c = 'n' || (c >= '0' && c <= '9') -> (
       let start = !pos in
       while
         !pos < n
@@ -272,14 +183,13 @@ let parse_object (s : string) : (string * scalar) list =
         let c = s.[!pos] in
         c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
         || (c >= '0' && c <= '9')
-        (* %.17g can print these on non-finite values *)
         || c = 'i' || c = 'n' || c = 'f' || c = 'a'
       do
         incr pos
       done;
       let lit = String.sub s start (!pos - start) in
       match float_of_string_opt lit with
-      | Some f -> F f
+      | Some f -> N (f, lit)
       | None -> fail (Printf.sprintf "bad number %S" lit))
     | Some 't' when !pos + 4 <= n && String.sub s !pos 4 = "true" ->
       pos := !pos + 4;
@@ -326,137 +236,53 @@ let str fields key =
 
 let num fields key =
   match get fields key with
-  | F v -> v
+  | N (v, _) -> v
   | _ -> raise (Bad (Printf.sprintf "field %S: expected a number" key))
 
-(* Integer fields are written with %d, so anything but an exact,
-   in-range integer (1.5, -inf, 1e30) marks a damaged file. *)
+(* Integer fields are written with %d and read back exactly, over the
+   whole int range; anything else (1.5, -inf, 1e30) marks a damaged
+   file. *)
 let int_ fields key =
-  let v = num fields key in
-  if Float.is_integer v && Float.abs v < 0x1p62 then int_of_float v
-  else raise (Bad (Printf.sprintf "field %S: expected an integer" key))
+  match get fields key with
+  | N (_, lit) -> (
+    match int_of_string_opt lit with
+    | Some v -> v
+    | None -> raise (Bad (Printf.sprintf "field %S: expected an integer" key)))
+  | _ -> raise (Bad (Printf.sprintf "field %S: expected a number" key))
 
 let bool_ fields key =
   match get fields key with
   | B v -> v
   | _ -> raise (Bad (Printf.sprintf "field %S: expected a boolean" key))
 
-let direction_of_string = function
-  | "to-server" -> Trace.To_server
-  | "to-mobile" -> Trace.To_mobile
-  | s -> raise (Bad (Printf.sprintf "unknown direction %S" s))
-
-let event_of_fields fields : float * Trace.event =
-  let ts = num fields "ts" in
-  let ev =
-    match str fields "kind" with
-    | "flush" ->
-      Trace.Flush
-        { direction = direction_of_string (str fields "direction");
-          raw_bytes = int_ fields "raw_bytes";
-          wire_bytes = int_ fields "wire_bytes";
-          transfer_s = num fields "transfer_s";
-          codec_s = num fields "codec_s" }
-    | "page-fault" ->
-      Trace.Page_fault
-        { page = int_ fields "page"; service_s = num fields "service_s" }
-    | "prefetch" ->
-      Trace.Prefetch { pages = int_ fields "pages"; bytes = int_ fields "bytes" }
-    | "fnptr-translate" -> Trace.Fnptr_translate { cost_s = num fields "cost_s" }
-    | "remote-io" ->
-      Trace.Remote_io
-        { io_name = str fields "io_name";
-          request_bytes = int_ fields "request_bytes";
-          response_bytes = int_ fields "response_bytes";
-          cost_s = num fields "cost_s" }
-    | "offload-begin" -> Trace.Offload_begin { target = str fields "target" }
-    | "offload-end" ->
-      Trace.Offload_end
-        { target = str fields "target";
-          dirty_pages = int_ fields "dirty_pages";
-          span_s = num fields "span_s" }
-    | "refusal" -> Trace.Refusal { target = str fields "target" }
-    | "power-state" ->
-      Trace.Power_state
-        { state = str fields "state";
-          mw = num fields "mw";
-          duration_s = num fields "duration_s" }
-    | "estimate" ->
-      Trace.Estimate
-        { target = str fields "target";
-          predicted_gain_s = num fields "predicted_gain_s";
-          local_s = num fields "local_s";
-          decision = bool_ fields "decision" }
-    | "module-load" ->
-      Trace.Module_load
-        { role = str fields "role";
-          functions = int_ fields "functions";
-          globals = int_ fields "globals" }
-    | "fault-injected" ->
-      Trace.Fault_injected { kind = str fields "fault"; op = str fields "op" }
-    | "rpc-timeout" ->
-      Trace.Rpc_timeout
-        { op = str fields "op";
-          attempt = int_ fields "attempt";
-          waited_s = num fields "waited_s" }
-    | "retry" ->
-      Trace.Retry
-        { op = str fields "op";
-          attempt = int_ fields "attempt";
-          backoff_s = num fields "backoff_s" }
-    | "fallback-local" ->
-      Trace.Fallback_local
-        { target = str fields "target";
-          reason = str fields "reason";
-          recovery_s = num fields "recovery_s" }
-    | "rollback" ->
-      Trace.Rollback
-        { target = str fields "target";
-          pages_restored = int_ fields "pages_restored";
-          bytes_discarded = int_ fields "bytes_discarded" }
-    | "replay" ->
-      Trace.Replay
-        { target = str fields "target"; replay_s = num fields "replay_s" }
-    | "queue" ->
-      Trace.Queue
-        { target = str fields "target";
-          server = int_ fields "server";
-          wait_s = num fields "wait_s";
-          depth = int_ fields "depth" }
-    | "admit" ->
-      Trace.Admit
-        { target = str fields "target";
-          server = int_ fields "server";
-          occupancy = int_ fields "occupancy";
-          slot = int_ fields "slot" }
-    | "reject" ->
-      Trace.Reject
-        { target = str fields "target";
-          server = int_ fields "server";
-          queue_depth = int_ fields "queue_depth" }
-    | "bw-sample" -> Trace.Bw_sample { bps = num fields "bps" }
-    | "checkpoint" ->
-      Trace.Checkpoint
-        { target = str fields "target";
-          pages = int_ fields "pages";
-          image_bytes = int_ fields "image_bytes";
-          io_cursor = int_ fields "io_cursor";
-          ledger_bytes = int_ fields "ledger_bytes" }
-    | "migrate-start" ->
-      Trace.Migrate_start
-        { target = str fields "target";
-          from_server = int_ fields "from_server";
-          to_server = int_ fields "to_server";
-          reason = str fields "reason";
-          transfer_s = num fields "transfer_s" }
-    | "migrate-done" ->
-      Trace.Migrate_done
-        { target = str fields "target";
-          server = int_ fields "server";
-          resumed_span_s = num fields "resumed_span_s" }
-    | kind -> raise (Bad (Printf.sprintf "unknown event kind %S" kind))
+(* Position of [name] in [names] (a kind code or a direction's slot
+   value), or an "unknown [what]" error. *)
+let index_of what names name =
+  let rec find i =
+    if i = Array.length names then
+      raise (Bad (Printf.sprintf "unknown %s %S" what name))
+    else if names.(i) = name then i
+    else find (i + 1)
   in
-  (ts, ev)
+  find 0
+
+let kind_names = Array.map (fun (k : Row.kind_schema) -> k.wire) Row.schema
+
+(* The decoding walk: the kind's schema names each field to read and
+   the row slot it fills. *)
+let fill_row (row : Row.t) fields =
+  row.kind <- index_of "event kind" kind_names (str fields "kind");
+  Array.iter
+    (fun { Row.name; ty; slot } ->
+      match ty with
+      | Int -> Row.set_int_slot row slot (int_ fields name)
+      | Float -> row.f.(slot) <- num fields name
+      | String -> Row.set_string_slot row slot (str fields name)
+      | Bool -> Row.set_int_slot row slot (if bool_ fields name then 1 else 0)
+      | Direction ->
+        Row.set_int_slot row slot
+          (index_of name direction_names (str fields name)))
+    Row.schema.(row.kind).fields
 
 let split_lines s =
   let raw = String.split_on_char '\n' s in
@@ -502,19 +328,21 @@ let of_string_traces (s : string) :
         | Some _ -> raise (Bad "line 1: field \"sampled\": expected a boolean")
         | None -> false
       in
+      let row = Row.create () in
       let events =
         List.mapi
           (fun i line ->
             try
               let fields = parse_object line in
-              let ts, ev = event_of_fields fields in
+              let ts = num fields "ts" in
+              fill_row row fields;
               let id =
                 match List.assoc_opt "trace" fields with
                 | Some (S id) -> Some id
                 | Some _ -> raise (Bad "field \"trace\": expected a string")
                 | None -> None
               in
-              (ts, ev, id)
+              (ts, Row.to_event row, id)
             with Bad msg -> raise (Bad (Printf.sprintf "line %d: %s" (i + 2) msg)))
           body
       in
@@ -529,29 +357,19 @@ let of_string_traces (s : string) :
       Ok (events, sampled)
     with Bad msg -> Error msg)
 
-let of_string_ex (s : string) :
-    ((float * Trace.event) list * bool, string) result =
+let of_string (s : string) : ((float * Trace.event) list, string) result =
   Result.map
-    (fun (tagged, sampled) ->
-      (List.map (fun (ts, ev, _) -> (ts, ev)) tagged, sampled))
+    (fun (tagged, _) -> List.map (fun (ts, ev, _) -> (ts, ev)) tagged)
     (of_string_traces s)
 
-let of_string (s : string) : ((float * Trace.event) list, string) result =
-  Result.map fst (of_string_ex s)
-
-let save ?sampled (path : string) (events : (float * Trace.event) list) : unit
-    =
+let write_file path text =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?sampled events))
+    (fun () -> output_string oc text)
 
-let save_traces (path : string)
-    (traces : (string * (float * Trace.event) list) list) : unit =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string_traces traces))
+let save path events = write_file path (to_string events)
+let save_traces path traces = write_file path (to_string_traces traces)
 
 let read_file path =
   match
@@ -563,13 +381,9 @@ let read_file path =
   | contents -> Ok contents
   | exception Sys_error msg -> Error msg
 
-let load_ex (path : string) :
-    ((float * Trace.event) list * bool, string) result =
-  Result.bind (read_file path) of_string_ex
-
 let load_traces (path : string) :
     ((float * Trace.event * string option) list * bool, string) result =
   Result.bind (read_file path) of_string_traces
 
 let load (path : string) : ((float * Trace.event) list, string) result =
-  Result.map fst (load_ex path)
+  Result.bind (read_file path) of_string

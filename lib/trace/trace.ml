@@ -23,6 +23,29 @@ let direction_to_string = function
   | To_server -> "to-server"
   | To_mobile -> "to-mobile"
 
+(* The one JSON string escaper: the raw trace files, the Chrome
+   exporter and every JSON report write strings through it. *)
+let add_json_string buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let json_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  add_json_string buf s;
+  Buffer.contents buf
+
 type event =
   | Flush of {
       direction : direction;
@@ -122,12 +145,11 @@ module Row = struct
   let k_checkpoint = 21
   let k_migrate_start = 22
   let k_migrate_done = 23
-  let kinds = 24
 
-  (* Generic slots; the [set_*]/[to_event] pair below is the field
-     mapping's single source of truth.  Floats live in a flat array so
-     filling a row never boxes (mutable float fields of a mixed record
-     would). *)
+  (* Generic slots; the [set_*]/[to_event] pair below is the typed
+     field mapping, and [schema] names the same slots for the wire.
+     Floats live in a flat array so filling a row never boxes (mutable
+     float fields of a mixed record would). *)
   type t = {
     mutable kind : int;
     mutable i1 : int;
@@ -394,6 +416,80 @@ module Row = struct
     | Migrate_done { target; server; resumed_span_s } ->
       set_migrate_done r ~target ~server ~resumed_span_s
 
+  (* {2 The wire schema}
+
+     Each kind's raw-trace form, written once: its wire name and, in
+     wire order, each field's name, type and the slot the setters above
+     fill.  The jsonl encoder and decoder are walks over this table, so
+     a new field is one entry here plus its typed setter. *)
+
+  type ty = Int | Float | String | Bool | Direction
+
+  (* [slot] numbers a slot of the field's type: 1-4 for [i1]-[i4] (Int,
+     Bool and Direction), 0-1 for [f], 1-2 for [s1]-[s2]. *)
+  type field = { name : string; ty : ty; slot : int }
+  type kind_schema = { wire : string; fields : field array }
+
+  (* A Direction slot holds its direction's index in this array. *)
+  let directions = [| To_server; To_mobile |]
+
+  (* Indexed by kind code, so the entries follow the [k_*] order. *)
+  let schema =
+    let kind wire fields = { wire; fields = Array.of_list fields } in
+    let i name slot = { name; ty = Int; slot }
+    and fl name slot = { name; ty = Float; slot }
+    and s name slot = { name; ty = String; slot } in
+    [|
+      kind "flush"
+        [ { name = "direction"; ty = Direction; slot = 1 }; i "raw_bytes" 2;
+          i "wire_bytes" 3; fl "transfer_s" 0; fl "codec_s" 1 ];
+      kind "page-fault" [ i "page" 1; fl "service_s" 0 ];
+      kind "prefetch" [ i "pages" 1; i "bytes" 2 ];
+      kind "fnptr-translate" [ fl "cost_s" 0 ];
+      kind "remote-io"
+        [ s "io_name" 1; i "request_bytes" 1; i "response_bytes" 2;
+          fl "cost_s" 0 ];
+      kind "offload-begin" [ s "target" 1 ];
+      kind "offload-end" [ s "target" 1; i "dirty_pages" 1; fl "span_s" 0 ];
+      kind "refusal" [ s "target" 1 ];
+      kind "power-state" [ s "state" 1; fl "mw" 0; fl "duration_s" 1 ];
+      kind "estimate"
+        [ s "target" 1; fl "predicted_gain_s" 0; fl "local_s" 1;
+          { name = "decision"; ty = Bool; slot = 1 } ];
+      kind "module-load" [ s "role" 1; i "functions" 1; i "globals" 2 ];
+      kind "fault-injected" [ s "fault" 1; s "op" 2 ];
+      kind "rpc-timeout" [ s "op" 1; i "attempt" 1; fl "waited_s" 0 ];
+      kind "retry" [ s "op" 1; i "attempt" 1; fl "backoff_s" 0 ];
+      kind "fallback-local" [ s "target" 1; s "reason" 2; fl "recovery_s" 0 ];
+      kind "rollback"
+        [ s "target" 1; i "pages_restored" 1; i "bytes_discarded" 2 ];
+      kind "replay" [ s "target" 1; fl "replay_s" 0 ];
+      kind "queue" [ s "target" 1; i "server" 1; fl "wait_s" 0; i "depth" 2 ];
+      kind "admit"
+        [ s "target" 1; i "server" 1; i "occupancy" 2; i "slot" 3 ];
+      kind "reject" [ s "target" 1; i "server" 1; i "queue_depth" 2 ];
+      kind "bw-sample" [ fl "bps" 0 ];
+      kind "checkpoint"
+        [ s "target" 1; i "pages" 1; i "image_bytes" 2; i "io_cursor" 3;
+          i "ledger_bytes" 4 ];
+      kind "migrate-start"
+        [ s "target" 1; i "from_server" 1; i "to_server" 2; s "reason" 2;
+          fl "transfer_s" 0 ];
+      kind "migrate-done" [ s "target" 1; i "server" 1; fl "resumed_span_s" 0 ];
+    |]
+
+  let int_slot r = function 1 -> r.i1 | 2 -> r.i2 | 3 -> r.i3 | _ -> r.i4
+
+  let set_int_slot r slot v =
+    match slot with
+    | 1 -> r.i1 <- v
+    | 2 -> r.i2 <- v
+    | 3 -> r.i3 <- v
+    | _ -> r.i4 <- v
+
+  let string_slot r slot = if slot = 1 then r.s1 else r.s2
+  let set_string_slot r slot v = if slot = 1 then r.s1 <- v else r.s2 <- v
+
   (* The kinds that carry a latency, in histogram-slot order, with
      their telemetry names (OpenMetrics label values, SLO grammar
      kinds).  The windowed series and the trace sampler both read the
@@ -415,12 +511,12 @@ module Row = struct
   let latency_names = List.map snd latency_kinds
 
   let slot_of_kind =
-    let a = Array.make kinds (-1) in
+    let a = Array.make (Array.length schema) (-1) in
     List.iteri (fun slot (k, _) -> a.(k) <- slot) latency_kinds;
     a
 
   let latency_slot kind =
-    if kind >= 0 && kind < kinds then slot_of_kind.(kind) else -1
+    if kind >= 0 && kind < Array.length schema then slot_of_kind.(kind) else -1
 
   (* A flush's latency is its transfer plus codec legs; every other
      latency kind keeps its duration in f.(0). *)
@@ -1173,22 +1269,6 @@ end
    power draw as a counter track.  Timestamps are microseconds. *)
 
 module Chrome = struct
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
   let us s = s *. 1e6
 
   (* Thread layout: 1 = the offload session, 2 = network + service
@@ -1200,8 +1280,8 @@ module Chrome = struct
   let record ~name ~ph ~ts ?dur ?tid ?args () =
     let b = Buffer.create 128 in
     Buffer.add_string b
-      (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1"
-         (escape name) ph ts);
+      (Printf.sprintf "{\"name\":%s,\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1"
+         (json_string name) ph ts);
     (match tid with
     | Some tid -> Buffer.add_string b (Printf.sprintf ",\"tid\":%d" tid)
     | None -> ());
@@ -1215,7 +1295,7 @@ module Chrome = struct
       Buffer.add_string b
         (String.concat ","
            (List.map
-              (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) v)
+              (fun (k, v) -> Printf.sprintf "%s:%s" (json_string k) v)
               kvs));
       Buffer.add_char b '}'
     | None -> ());
@@ -1268,8 +1348,7 @@ module Chrome = struct
     | Power_state { mw; state; _ } ->
       record ~name:"power" ~ph:"C" ~ts ~tid:power_tid
         ~args:
-          [ ("mW", Printf.sprintf "%.1f" mw);
-            ("state", Printf.sprintf "\"%s\"" (escape state)) ]
+          [ ("mW", Printf.sprintf "%.1f" mw); ("state", json_string state) ]
         ()
     | Estimate { predicted_gain_s; local_s; decision; _ } ->
       record ~name ~ph:"i" ~ts ~tid:session_tid
@@ -1290,29 +1369,21 @@ module Chrome = struct
         ()
     | Fault_injected { op; _ } ->
       record ~name ~ph:"i" ~ts ~tid:net_tid
-        ~args:[ ("op", Printf.sprintf "\"%s\"" (escape op)) ]
+        ~args:[ ("op", json_string op) ]
         ()
     | Rpc_timeout { op; attempt; waited_s } ->
       record ~name ~ph:"X" ~ts ~dur:(us waited_s) ~tid:net_tid
-        ~args:
-          [
-            ("op", Printf.sprintf "\"%s\"" (escape op));
-            ("attempt", string_of_int attempt);
-          ]
+        ~args:[ ("op", json_string op); ("attempt", string_of_int attempt) ]
         ()
     | Retry { op; attempt; backoff_s } ->
       record ~name ~ph:"X" ~ts ~dur:(us backoff_s) ~tid:net_tid
-        ~args:
-          [
-            ("op", Printf.sprintf "\"%s\"" (escape op));
-            ("attempt", string_of_int attempt);
-          ]
+        ~args:[ ("op", json_string op); ("attempt", string_of_int attempt) ]
         ()
     | Fallback_local { reason; recovery_s; _ } ->
       record ~name ~ph:"i" ~ts ~tid:session_tid
         ~args:
           [
-            ("reason", Printf.sprintf "\"%s\"" (escape reason));
+            ("reason", json_string reason);
             ("recovery_us", Printf.sprintf "%.3f" (us recovery_s));
           ]
         ()
@@ -1365,7 +1436,7 @@ module Chrome = struct
           [
             ("from_server", string_of_int from_server);
             ("to_server", string_of_int to_server);
-            ("reason", Printf.sprintf "\"%s\"" (escape reason));
+            ("reason", json_string reason);
           ]
         ()
     | Migrate_done { server; resumed_span_s; _ } ->
@@ -1380,8 +1451,8 @@ module Chrome = struct
   let thread_meta tid label =
     Printf.sprintf
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0.000,\"pid\":1,\
-       \"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-      tid (escape label)
+       \"tid\":%d,\"args\":{\"name\":%s}}"
+      tid (json_string label)
 
   let export ?(process = "native-offloader") (events : (float * event) list) :
       string =
@@ -1397,8 +1468,8 @@ module Chrome = struct
     Buffer.add_string buf
       (Printf.sprintf
          "{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0.000,\"pid\":1,\
-          \"args\":{\"name\":\"%s\"}}"
-         (escape process));
+          \"args\":{\"name\":%s}}"
+         (json_string process));
     List.iter
       (fun (tid, label) ->
         Buffer.add_char buf ',';

@@ -12,6 +12,15 @@ type direction = To_server | To_mobile
 
 val direction_to_string : direction -> string
 
+val add_json_string : Buffer.t -> string -> unit
+(** Append [s] as a JSON string literal, quotes included: the quote,
+    backslash, newline, tab and carriage return get their short escapes,
+    other control bytes [\u00XX], every other byte is verbatim.  The
+    one escaper of every JSON writer. *)
+
+val json_string : string -> string
+(** {!add_json_string} into a fresh string. *)
+
 type event =
   | Flush of {
       direction : direction;
@@ -147,9 +156,9 @@ module Row : sig
 
   val create : unit -> t
 
-  (** Setters, the slot mapping's single source of truth (inverted
-      exactly by {!to_event}).  Small on purpose so the inliner keeps
-      the float arguments unboxed. *)
+  (** Setters, the typed slot mapping (inverted exactly by
+      {!to_event}; {!schema} names the same slots for the wire).  Small
+      on purpose so the inliner keeps the float arguments unboxed. *)
 
   val set_flush :
     t -> direction:direction -> raw_bytes:int -> wire_bytes:int ->
@@ -215,6 +224,31 @@ module Row : sig
   val of_event : t -> event -> unit
   (** Fill the row from a boxed event — how a captured stream
       re-enters a sink (see {!replay}). *)
+
+  (** {2 The wire schema}
+
+      Each kind's raw-trace form, written once and walked by the jsonl
+      codec. *)
+
+  type ty = Int | Float | String | Bool | Direction
+
+  type field = { name : string; ty : ty; slot : int }
+  (** [slot] is 1-4 for [i1]-[i4] (Int; Bool as 0/1; Direction as an
+      index into {!directions}), 0-1 for [f], 1-2 for [s1]-[s2]. *)
+
+  type kind_schema = { wire : string; fields : field array }
+  (** [fields] in wire order. *)
+
+  val schema : kind_schema array
+  (** Indexed by kind code: a kind's wire name and fields, naming
+      exactly the slots its setter fills. *)
+
+  val directions : direction array
+
+  val int_slot : t -> int -> int
+  val set_int_slot : t -> int -> int -> unit
+  val string_slot : t -> int -> string
+  val set_string_slot : t -> int -> string -> unit
 
   val latency_names : string list
   (** The kinds that carry a latency, by telemetry name in histogram

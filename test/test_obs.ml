@@ -453,6 +453,10 @@ let test_trace_file_diagnostics () =
   expect_error "garbage line" "line 2"
     "{\"format\":\"no-trace-raw\",\"version\":2,\"events\":1}\n\
      not json\n";
+  (* The number scanner takes nan and inf, not any word. *)
+  expect_error "bare word" "line 2: bad number"
+    "{\"format\":\"no-trace-raw\",\"version\":2,\"events\":1}\n\
+     {\"ts\":0.5,\"kind\":\"page-fault\",\"page\":1,\"service_s\":nope}\n";
   (* Integer fields must hold exact integers, not the nearest one. *)
   expect_error "fractional int" "line 2: field \"pages\": expected an integer"
     "{\"format\":\"no-trace-raw\",\"version\":2,\"events\":1}\n\

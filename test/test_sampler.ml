@@ -368,13 +368,13 @@ let sample_events =
   ]
 
 let test_trace_file_sampled_round_trip () =
-  let text = Trace_file.to_string ~sampled:true sample_events in
-  (match Trace_file.of_string_ex text with
+  let text = Trace_file.to_string_traces [ ("c0-t0", sample_events) ] in
+  (match Trace_file.of_string_traces text with
   | Ok (events, sampled) ->
     Alcotest.(check bool) "sampled flag survives" true sampled;
     Alcotest.(check int) "events survive" 2 (List.length events)
   | Error msg -> Alcotest.failf "round trip failed: %s" msg);
-  match Trace_file.of_string_ex (Trace_file.to_string sample_events) with
+  match Trace_file.of_string_traces (Trace_file.to_string sample_events) with
   | Ok (_, sampled) ->
     Alcotest.(check bool) "unsampled default" false sampled
   | Error msg -> Alcotest.failf "unsampled round trip failed: %s" msg
@@ -384,7 +384,7 @@ let test_trace_file_v3_still_reads () =
     "{\"format\":\"no-trace-raw\",\"version\":3,\"events\":1}\n\
      {\"ts\":0.5,\"kind\":\"refusal\",\"target\":\"t\"}\n"
   in
-  match Trace_file.of_string_ex text with
+  match Trace_file.of_string_traces text with
   | Ok (events, sampled) ->
     Alcotest.(check int) "v3 body reads" 1 (List.length events);
     Alcotest.(check bool) "v3 is unsampled" false sampled

@@ -1,10 +1,13 @@
-(* What can still diverge on the one-door event spine (QCheck): the
-   row encoding of every event kind must decode back to the same event
-   bit for bit, and a captured stream replayed through fresh sinks
-   must rebuild the Metrics and windowed Series the live run folded,
-   bitwise — checked on real workload runs under a fault plan. *)
+(* What can still diverge on the one-door event spine (QCheck): a row
+   of every event kind, with any values in its fields, must come back
+   bit for bit through the boxed event and through a jsonl line, the
+   jsonl form of a hand-built stream is pinned verbatim, and a captured
+   stream replayed through fresh sinks must rebuild the Metrics and
+   windowed Series the live run folded, bitwise — checked on real
+   workload runs under a fault plan. *)
 
 module Trace = No_trace.Trace
+module Row = Trace.Row
 module Series = No_obs.Series
 module Trace_file = No_obs.Trace_file
 module Session = No_runtime.Session
@@ -12,91 +15,6 @@ module Chess = No_workloads.Chess
 module Fault_plan = No_fault.Plan
 module Compiler = Native_offloader.Compiler
 module Experiment = Native_offloader.Experiment
-
-(* {1 Stream generator}
-
-   Every constructor appears; floats are bounded and non-negative so
-   plans stay physical, but equality below is still bitwise. *)
-
-let gen_event : Trace.event QCheck.Gen.t =
-  let open QCheck.Gen in
-  let dir = oneofl [ Trace.To_server; Trace.To_mobile ] in
-  let name = oneofl [ "alpha"; "beta"; "gamma"; "fir" ] in
-  let state =
-    oneofl [ "idle"; "computing"; "waiting"; "transmitting"; "receiving" ]
-  in
-  let small = int_range 0 10_000 in
-  let secs = float_range 0.0 8.0 in
-  oneof
-    [
-      (fun st ->
-        Trace.Flush
-          { direction = dir st; raw_bytes = small st; wire_bytes = small st;
-            transfer_s = secs st; codec_s = secs st });
-      (fun st -> Trace.Page_fault { page = small st; service_s = secs st });
-      (fun st -> Trace.Prefetch { pages = small st; bytes = small st });
-      (fun st -> Trace.Fnptr_translate { cost_s = secs st });
-      (fun st ->
-        Trace.Remote_io
-          { io_name = name st; request_bytes = small st;
-            response_bytes = small st; cost_s = secs st });
-      (fun st -> Trace.Offload_begin { target = name st });
-      (fun st ->
-        Trace.Offload_end
-          { target = name st; dirty_pages = small st; span_s = secs st });
-      (fun st -> Trace.Refusal { target = name st });
-      (fun st ->
-        Trace.Power_state
-          { state = state st; mw = float_range 1.0 4000.0 st;
-            duration_s = secs st });
-      (fun st ->
-        Trace.Estimate
-          { target = name st; predicted_gain_s = float_range (-2.0) 5.0 st;
-            local_s = secs st; decision = bool st });
-      (fun st ->
-        Trace.Module_load
-          { role = name st; functions = small st; globals = small st });
-      (fun st -> Trace.Fault_injected { kind = name st; op = name st });
-      (fun st ->
-        Trace.Rpc_timeout
-          { op = name st; attempt = small st; waited_s = secs st });
-      (fun st ->
-        Trace.Retry { op = name st; attempt = small st; backoff_s = secs st });
-      (fun st ->
-        Trace.Fallback_local
-          { target = name st; reason = name st; recovery_s = secs st });
-      (fun st ->
-        Trace.Rollback
-          { target = name st; pages_restored = small st;
-            bytes_discarded = small st });
-      (fun st -> Trace.Replay { target = name st; replay_s = secs st });
-      (fun st ->
-        Trace.Queue
-          { target = name st; server = int_range 0 7 st; wait_s = secs st;
-            depth = int_range 0 31 st });
-      (fun st ->
-        Trace.Admit
-          { target = name st; server = int_range 0 7 st;
-            occupancy = int_range 1 8 st; slot = int_range 0 7 st });
-      (fun st ->
-        Trace.Reject
-          { target = name st; server = int_range 0 7 st;
-            queue_depth = int_range 0 31 st });
-      (fun st -> Trace.Bw_sample { bps = float_range 1e3 1e9 st });
-      (fun st ->
-        Trace.Checkpoint
-          { target = name st; pages = small st; image_bytes = small st;
-            io_cursor = small st; ledger_bytes = small st });
-      (fun st ->
-        Trace.Migrate_start
-          { target = name st; from_server = int_range 0 7 st;
-            to_server = int_range 0 7 st; reason = name st;
-            transfer_s = secs st });
-      (fun st ->
-        Trace.Migrate_done
-          { target = name st; server = int_range 0 7 st;
-            resumed_span_s = secs st });
-    ]
 
 (* {1 Bitwise equality}
 
@@ -106,17 +24,192 @@ let gen_event : Trace.event QCheck.Gen.t =
 
 let bits v = Marshal.to_string v [ Marshal.No_sharing ]
 
-(* {1 Row round trip} *)
+(* %.17g keeps a NaN a NaN but not its payload, so a jsonl round trip
+   is compared with every NaN made one. *)
+let canon x = if Float.is_nan x then Float.nan else x
+
+let canon_bits (ts, (r : Row.t)) =
+  bits (canon ts, { r with Row.f = Array.map canon r.Row.f })
+
+let row_of ev =
+  let r = Row.create () in
+  Row.of_event r ev;
+  r
+
+(* {1 Row generator}
+
+   A walk over [Row.schema], like the jsonl encoder and decoder: a row
+   of any kind whose fields hold unrestricted values — any int, any
+   float bit pattern (NaNs, infinities, subnormals, -0.0), any bytes. *)
+
+let gen_float : float QCheck.Gen.t =
+  let open QCheck.Gen in
+  oneof
+    [
+      oneofl
+        [ Float.nan; -.Float.nan; infinity; neg_infinity; -0.0; 0.0; 5e-324;
+          1e300; -1e300; max_float ];
+      (* uniform over all 64 bits *)
+      map2
+        (fun a b ->
+          Int64.(float_of_bits (logxor (of_int a) (shift_left (of_int b) 1))))
+        int int;
+      float;
+    ]
+
+let gen_int : int QCheck.Gen.t =
+  QCheck.Gen.(oneof [ int; oneofl [ max_int; min_int; 0; -1; (1 lsl 53) + 1 ] ])
+
+let gen_row : (float * Row.t) QCheck.Gen.t =
+ fun st ->
+  let open QCheck.Gen in
+  let r = Row.create () in
+  r.Row.kind <- int_bound (Array.length Row.schema - 1) st;
+  Array.iter
+    (fun { Row.ty; slot; _ } ->
+      match ty with
+      | Row.Int -> Row.set_int_slot r slot (gen_int st)
+      | Float -> r.Row.f.(slot) <- gen_float st
+      | String ->
+        Row.set_string_slot r slot (string_size ~gen:char (int_bound 12) st)
+      | Bool -> Row.set_int_slot r slot (int_bound 1 st)
+      | Direction ->
+        let n = Array.length Row.directions in
+        Row.set_int_slot r slot (int_bound (n - 1) st))
+    Row.schema.(r.Row.kind).fields;
+  (gen_float st, r)
+
+(* {1 Row round trip}
+
+   Three checks per row: row -> event -> row is bitwise; row -> jsonl
+   line -> row is bitwise up to NaN payloads; and decoding the line
+   then encoding it again gives the same bytes. *)
 
 let prop_round_trip =
   QCheck.Test.make ~name:"row round trip (generated events)" ~count:2000
     (QCheck.make
-       ~print:(fun ev -> Trace_file.to_string [ (0.0, ev) ])
-       gen_event)
-    (fun ev ->
-      let row = Trace.Row.create () in
-      Trace.Row.of_event row ev;
-      bits (Trace.Row.to_event row) = bits ev)
+       ~print:(fun (ts, r) -> Trace_file.to_string [ (ts, Row.to_event r) ])
+       gen_row)
+    (fun (ts, r) ->
+      let text = Trace_file.to_string [ (ts, Row.to_event r) ] in
+      bits (row_of (Row.to_event r)) = bits r
+      &&
+      match Trace_file.of_string text with
+      | Ok [ (ts', ev) ] ->
+        canon_bits (ts', row_of ev) = canon_bits (ts, r)
+        && Trace_file.to_string [ (ts', ev) ] = text
+      | Ok _ -> false
+      | Error msg -> QCheck.Test.fail_report msg)
+
+(* {1 The jsonl golden}
+
+   One event of every kind (and both directions and decisions), with
+   edge values and escapes, and its verbatim encoding, recorded from an
+   encoder that did not walk the schema, so the golden is no copy of
+   the code it checks. *)
+
+let golden_stream : (float * Trace.event) list =
+  [
+    ( 0.0,
+      Trace.Flush
+        { direction = To_server; raw_bytes = max_int; wire_bytes = min_int;
+          transfer_s = 5e-324; codec_s = 1e300 } );
+    ( 0.1,
+      Trace.Flush
+        { direction = To_mobile; raw_bytes = 0; wire_bytes = -1;
+          transfer_s = -0.0; codec_s = 0.1 +. 0.2 } );
+    (-0.0, Trace.Page_fault { page = 9007199254740993; service_s = infinity });
+    (1e-300, Trace.Prefetch { pages = 3; bytes = 12288 });
+    (0.5, Trace.Fnptr_translate { cost_s = neg_infinity });
+    ( 1.0,
+      Trace.Remote_io
+        { io_name = "rf_read \"q\" \\ /"; request_bytes = 4096;
+          response_bytes = 9007199254740992; cost_s = max_float } );
+    (1.5, Trace.Offload_begin { target = "tab\there" });
+    ( 2.0,
+      Trace.Offload_end
+        { target = "nl\nand\rcr"; dirty_pages = 17; span_s = min_float } );
+    (2.5, Trace.Refusal { target = "ctl\001\031" });
+    ( 3.0,
+      Trace.Power_state
+        { state = "caf\xc3\xa9"; mw = 1234.5; duration_s = 1e-9 } );
+    ( 3.5,
+      Trace.Estimate
+        { target = ""; predicted_gain_s = nan; local_s = -.nan;
+          decision = true } );
+    ( 3.75,
+      Trace.Estimate
+        { target = "t"; predicted_gain_s = -2.5; local_s = 0.0;
+          decision = false } );
+    (4.0, Trace.Module_load { role = "server"; functions = 3; globals = -7 });
+    (4.5, Trace.Fault_injected { kind = "link-outage"; op = "page-fault" });
+    (5.0, Trace.Rpc_timeout { op = "init"; attempt = 2; waited_s = 1.5 });
+    (5.5, Trace.Retry { op = "finalize"; attempt = 3; backoff_s = 0.25 });
+    ( 6.0,
+      Trace.Fallback_local
+        { target = "t"; reason = "server-crash"; recovery_s = 2.0 } );
+    ( 6.5,
+      Trace.Rollback { target = "t"; pages_restored = 12; bytes_discarded = 0 }
+    );
+    (7.0, Trace.Replay { target = "t"; replay_s = 1e-9 });
+    ( 7.5,
+      Trace.Queue { target = "t"; server = 1; wait_s = 0.125; depth = 4 } );
+    (8.0, Trace.Admit { target = "t"; server = 2; occupancy = 3; slot = 0 });
+    (8.5, Trace.Reject { target = "t"; server = 0; queue_depth = 8 });
+    (9.0, Trace.Bw_sample { bps = 1.25e6 });
+    ( 9.5,
+      Trace.Checkpoint
+        { target = "t"; pages = 5; image_bytes = 20480; io_cursor = 2;
+          ledger_bytes = 99 } );
+    ( 10.0,
+      Trace.Migrate_start
+        { target = "t"; from_server = 0; to_server = 1; reason = "crash";
+          transfer_s = 0.5 } );
+    ( 10.5,
+      Trace.Migrate_done { target = "t"; server = 1; resumed_span_s = 3.0 } );
+  ]
+
+let golden_text =
+  {|{"format":"no-trace-raw","version":4,"events":26}
+{"ts":0,"kind":"flush","direction":"to-server","raw_bytes":4611686018427387903,"wire_bytes":-4611686018427387904,"transfer_s":4.9406564584124654e-324,"codec_s":1.0000000000000001e+300}
+{"ts":0.10000000000000001,"kind":"flush","direction":"to-mobile","raw_bytes":0,"wire_bytes":-1,"transfer_s":-0,"codec_s":0.30000000000000004}
+{"ts":-0,"kind":"page-fault","page":9007199254740993,"service_s":inf}
+{"ts":1e-300,"kind":"prefetch","pages":3,"bytes":12288}
+{"ts":0.5,"kind":"fnptr-translate","cost_s":-inf}
+{"ts":1,"kind":"remote-io","io_name":"rf_read \"q\" \\ /","request_bytes":4096,"response_bytes":9007199254740992,"cost_s":1.7976931348623157e+308}
+{"ts":1.5,"kind":"offload-begin","target":"tab\there"}
+{"ts":2,"kind":"offload-end","target":"nl\nand\rcr","dirty_pages":17,"span_s":2.2250738585072014e-308}
+{"ts":2.5,"kind":"refusal","target":"ctl\u0001\u001f"}
+{"ts":3,"kind":"power-state","state":"café","mw":1234.5,"duration_s":1.0000000000000001e-09}
+{"ts":3.5,"kind":"estimate","target":"","predicted_gain_s":nan,"local_s":-nan,"decision":true}
+{"ts":3.75,"kind":"estimate","target":"t","predicted_gain_s":-2.5,"local_s":0,"decision":false}
+{"ts":4,"kind":"module-load","role":"server","functions":3,"globals":-7}
+{"ts":4.5,"kind":"fault-injected","fault":"link-outage","op":"page-fault"}
+{"ts":5,"kind":"rpc-timeout","op":"init","attempt":2,"waited_s":1.5}
+{"ts":5.5,"kind":"retry","op":"finalize","attempt":3,"backoff_s":0.25}
+{"ts":6,"kind":"fallback-local","target":"t","reason":"server-crash","recovery_s":2}
+{"ts":6.5,"kind":"rollback","target":"t","pages_restored":12,"bytes_discarded":0}
+{"ts":7,"kind":"replay","target":"t","replay_s":1.0000000000000001e-09}
+{"ts":7.5,"kind":"queue","target":"t","server":1,"wait_s":0.125,"depth":4}
+{"ts":8,"kind":"admit","target":"t","server":2,"occupancy":3,"slot":0}
+{"ts":8.5,"kind":"reject","target":"t","server":0,"queue_depth":8}
+{"ts":9,"kind":"bw-sample","bps":1250000}
+{"ts":9.5,"kind":"checkpoint","target":"t","pages":5,"image_bytes":20480,"io_cursor":2,"ledger_bytes":99}
+{"ts":10,"kind":"migrate-start","target":"t","from_server":0,"to_server":1,"reason":"crash","transfer_s":0.5}
+{"ts":10.5,"kind":"migrate-done","target":"t","server":1,"resumed_span_s":3}
+|}
+
+let test_golden () =
+  Alcotest.(check string) "encodes to the golden" golden_text
+    (Trace_file.to_string golden_stream);
+  match Trace_file.of_string golden_text with
+  | Error msg -> Alcotest.fail msg
+  | Ok decoded ->
+    let canon_all = List.map (fun (ts, ev) -> canon_bits (ts, row_of ev)) in
+    Alcotest.(check bool) "decodes to the stream" true
+      (canon_all decoded = canon_all golden_stream);
+    Alcotest.(check string) "re-encodes byte for byte" golden_text
+      (Trace_file.to_string decoded)
 
 (* {1 Replay = live, on real workloads under a fault plan}
 
@@ -177,5 +270,6 @@ let prop_replay =
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_round_trip;
+    Alcotest.test_case "jsonl golden (every kind)" `Quick test_golden;
     QCheck_alcotest.to_alcotest prop_replay;
   ]
