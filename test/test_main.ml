@@ -21,6 +21,7 @@ let () =
       ("fault", Test_fault.tests);
       ("sched", Test_sched.tests);
       ("migrate", Test_migrate.tests);
+      ("lifecycle", Test_lifecycle.tests);
       ("workloads", Test_workloads.tests);
       ("corpus-report", Test_corpus_report.tests);
       ("telemetry", Test_telemetry.tests);
