@@ -8,110 +8,51 @@
    runtime can avoid offloading under unfavorable situation such as
    slow network connection."
 
-   The estimator keeps per-target state: the profile-seeded mobile
-   time (refined by observed local executions) and the live memory
-   footprint at the decision point.  Figure 6 marks programs whose
-   targets this estimator refuses on the slow network with '*'. *)
-
-type target_state = {
-  ts_name : string;
-  mutable ts_local_time_s : float;    (* best current estimate of Tm *)
-  mutable ts_local_runs : int;
-  mutable ts_offload_runs : int;
-  mutable ts_refusals : int;
-}
+   The estimator keeps the profile-seeded mobile time of each target
+   and the current bandwidth belief; the memory footprint is observed
+   at the decision point.  Figure 6 marks programs whose targets this
+   estimator refuses on the slow network with '*'. *)
 
 type t = {
   r : float;
   mutable bw_bps : float;             (* current measured bandwidth *)
-  targets : (string, target_state) Hashtbl.t;
+  tm_s : (string, float) Hashtbl.t;   (* Tm belief per target *)
   mutable forced : bool option;       (* ablation: Some true = always
                                          offload, Some false = never *)
 }
 
-let create ~r ~bw_bps = {
-  r;
-  bw_bps;
-  targets = Hashtbl.create 8;
-  forced = None;
-}
+type estimate = { gain_s : float; local_s : float; offload : bool }
 
-let seed t ~name ~profile_time_s =
-  Hashtbl.replace t.targets name
-    { ts_name = name; ts_local_time_s = profile_time_s; ts_local_runs = 0;
-      ts_offload_runs = 0; ts_refusals = 0 }
+let create ~r ~bw_bps =
+  { r; bw_bps; tm_s = Hashtbl.create 8; forced = None }
 
-let state t name =
-  match Hashtbl.find_opt t.targets name with
-  | Some s -> s
-  | None ->
-    let s =
-      { ts_name = name; ts_local_time_s = 0.0; ts_local_runs = 0;
-        ts_offload_runs = 0; ts_refusals = 0 }
-    in
-    Hashtbl.replace t.targets name s;
-    s
-
+let seed t ~name ~profile_time_s = Hashtbl.replace t.tm_s name profile_time_s
 let set_bandwidth t bw_bps = t.bw_bps <- bw_bps
 let force t decision = t.forced <- decision
 
-(* Equation 1's Tg with the current beliefs — what a decision at this
-   instant is based on (forced modes ignore it but it is still the
-   estimator's live prediction, e.g. for tracing).
+(* Equation 1's Tg with the current beliefs and the memory footprint
+   observed *now*.  Forced modes still evaluate it: it is the
+   estimator's live prediction, which the trace records either way.
 
    [r_factor]/[bw_factor] fold server contention into the prediction:
    a shared server at occupancy m delivers only a fraction of its
    nominal speedup and link service rate, so a saturated client sees a
    smaller (possibly negative) gain and declines.  1.0 = exclusive
    server, bit-for-bit the single-client estimate. *)
-let predicted_gain_s ?(r_factor = 1.0) ?(bw_factor = 1.0) t ~name ~mem_bytes :
-    float =
-  let s = state t name in
-  (Equation.evaluate
-     {
-       Equation.tm_s = s.ts_local_time_s;
-       r = t.r *. r_factor;
-       mem_bytes;
-       bw_bps = t.bw_bps *. bw_factor;
-       invocations = 1;
-     })
-    .Equation.gain_s
-
-(* The Tm belief the gain prediction is derived from — recorded in
-   Estimate events so post-hoc audits can turn a measured offload cost
-   into a measured gain. *)
-let predicted_local_s t ~name = (state t name).ts_local_time_s
-
-(* The decision, with the memory footprint observed *now*. *)
-let should_offload ?(r_factor = 1.0) ?(bw_factor = 1.0) t ~name ~mem_bytes :
-    bool =
-  match t.forced with
-  | Some decision -> decision
-  | None ->
-    let s = state t name in
-    let decision =
-      Equation.profitable
-        {
-          Equation.tm_s = s.ts_local_time_s;
-          r = t.r *. r_factor;
-          mem_bytes;
-          bw_bps = t.bw_bps *. bw_factor;
-          invocations = 1;
-        }
-    in
-    if decision then s.ts_offload_runs <- s.ts_offload_runs + 1
-    else s.ts_refusals <- s.ts_refusals + 1;
-    decision
-
-(* Feedback from an actual local execution refines Tm (exponential
-   moving average over observed runs). *)
-let observe_local t ~name ~elapsed_s =
-  let s = state t name in
-  s.ts_local_runs <- s.ts_local_runs + 1;
-  if s.ts_local_runs = 1 && s.ts_local_time_s = 0.0 then
-    s.ts_local_time_s <- elapsed_s
-  else s.ts_local_time_s <- (0.5 *. s.ts_local_time_s) +. (0.5 *. elapsed_s)
-
-let stats t =
-  Hashtbl.fold (fun _ s acc -> s :: acc) t.targets []
-  |> List.sort (fun a b -> String.compare a.ts_name b.ts_name)
+let estimate ?(r_factor = 1.0) ?(bw_factor = 1.0) t ~name ~mem_bytes =
+  let local_s = Option.value ~default:0.0 (Hashtbl.find_opt t.tm_s name) in
+  let gain_s =
+    (Equation.evaluate
+       {
+         Equation.tm_s = local_s;
+         r = t.r *. r_factor;
+         mem_bytes;
+         bw_bps = t.bw_bps *. bw_factor;
+         invocations = 1;
+       })
+      .Equation.gain_s
+  in
+  let offload =
+    match t.forced with Some decision -> decision | None -> gain_s > 0.0
+  in
+  { gain_s; local_s; offload }

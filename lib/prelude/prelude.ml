@@ -65,10 +65,6 @@ module Incident = No_obs.Incident
 module Diff = No_obs.Diff
 module Selfprof = No_selfprof.Selfprof
 
-(* Checkpoint/migrate recovery *)
-module Checkpoint = No_migrate.Checkpoint
-module Migrator = No_migrate.Migrator
-
 (* Multi-client scheduling *)
 module Server_load = No_sched.Server_load
 module Event_queue = No_sched.Event_queue

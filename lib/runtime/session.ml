@@ -38,13 +38,12 @@ module Fn_table = No_exec.Fn_table
 module Loader = No_exec.Loader
 module Partition = No_transform.Partition
 module Pipeline = No_transform.Pipeline
+module Global_realloc = No_transform.Global_realloc
 module Dynamic_estimate = No_estimator.Dynamic_estimate
 module Bandwidth_predictor = No_estimator.Bandwidth_predictor
 module Trace = No_trace.Trace
 module Fault_plan = No_fault.Plan
 module Injector = No_fault.Injector
-module Checkpoint = No_migrate.Checkpoint
-module Migrator = No_migrate.Migrator
 module Selfprof = No_selfprof.Selfprof
 
 exception Offload_error of string
@@ -102,14 +101,14 @@ type server_handle = {
          answer from data — it runs between suspension points and may
          not block *)
   sh_migrate :
-    now:float -> target:string -> from_server:int -> reason:string ->
+    now:float -> target:string -> from_server:int -> crashed:bool ->
     admission;
       (* re-admission for a checkpointed task: route to a healthy
          member other than [from_server], through the normal queue.
-         [reason] is why the member was lost — a crash observation
-         quarantines it pool-wide, a scheduled drain does not.
-         [Rejected] means no healthy member — the caller falls back to
-         rollback + local replay *)
+         [crashed] is whether this session saw the member crash — a
+         crash observation quarantines it pool-wide, a scheduled drain
+         does not.  [Rejected] means no healthy member — the caller
+         falls back to rollback + local replay *)
 }
 
 type config = {
@@ -674,7 +673,7 @@ let unified_endianness t = t.config.mobile_arch.Arch.endianness
 let sync_uva_slots t =
   List.iter
     (fun (g : Ir.global) ->
-      let slot = No_transform.Global_realloc.slot_name g.Ir.g_name in
+      let slot = Global_realloc.slot_name g.Ir.g_name in
       let mob_addr = Host.global_addr t.mobile slot in
       let srv_addr = Host.global_addr t.server slot in
       let value =
@@ -687,7 +686,7 @@ let sync_uva_slots t =
         srv_addr 4 value)
     t.uva_globals
 
-let initialization t target_id (args : Value.t list) =
+let initialization t (args : Value.t list) =
   (* Offloading information: task id, stack pointer, page table,
      arguments, reallocated-global slot table. *)
   let resident = Memory.resident_count t.mobile.Host.mem in
@@ -701,7 +700,6 @@ let initialization t target_id (args : Value.t list) =
       send_to_server t (Bytes.make header_bytes '\000');
       flush_to_server t);
   sync_uva_slots t;
-  ignore target_id;
   (* Prefetch: the pages this target needed last time, or on the first
      offload every page the UVA heap has handed out. *)
   if t.config.copy_all then
@@ -718,6 +716,17 @@ let initialization t target_id (args : Value.t list) =
   end;
   Memory.clear_dirty t.server.Host.mem;
   t.server.Host.mem.Memory.track_dirty <- true
+
+(* Drop every mobile-owned page the server holds and stop tracking
+   dirt.  Returns the dropped pages. *)
+let drop_task_pages t =
+  let fetched =
+    List.filter mobile_owned_page (Memory.resident_pages t.server.Host.mem)
+  in
+  List.iter (Memory.drop_page t.server.Host.mem) fetched;
+  t.server.Host.mem.Memory.track_dirty <- false;
+  Memory.clear_dirty t.server.Host.mem;
+  fetched
 
 let finalization t : int =
   (* Dirty pages + return value + updated page table, compressed
@@ -741,14 +750,9 @@ let finalization t : int =
       flush_to_mobile t);
   (* Terminate the offloading process: the server keeps no offloading
      data (its own globals area survives; everything fetched or
-     allocated for the task is dropped). *)
-  let fetched =
-    List.filter mobile_owned_page (Memory.resident_pages t.server.Host.mem)
-  in
-  t.last_resident <- fetched;
-  List.iter (Memory.drop_page t.server.Host.mem) fetched;
-  t.server.Host.mem.Memory.track_dirty <- false;
-  Memory.clear_dirty t.server.Host.mem;
+     allocated for the task is dropped).  What it fetched is the next
+     prefetch set. *)
+  t.last_resident <- drop_task_pages t;
   List.length dirty
 
 (* {1 Server-side externs and intercepts} *)
@@ -897,376 +901,358 @@ let take_snapshot t =
     sn_pages = Memory.resident_count t.mobile.Host.mem;
   }
 
-let rollback t (target : Partition.target) snap =
-  (* Mobile state back to offload start. *)
+(* Mobile state back to the offload-start base, and the server-side
+   debris released: the interpreter leaks stack frames when an
+   exception unwinds it, and copy-on-demand may have left fetched
+   pages behind — the server keeps no offloading data.  [console]
+   decides the fate of the output delivered since the mark:
+   [Console.rollback_to] discards it (a local replay prints it again),
+   [Console.resume_at] keeps it as a suppression window (a resumed
+   attempt re-produces it).  Returns [console]'s byte count. *)
+let restore_base t snap ~console =
   Memory.restore t.mobile.Host.mem snap.sn_mem;
   Uva.restore t.mobile.Host.uva snap.sn_uva;
-  let bytes_discarded =
-    Console.rollback_to t.mobile.Host.console snap.sn_console
-  in
+  let bytes = console t.mobile.Host.console snap.sn_console in
   Fs.restore t.mobile.Host.fs snap.sn_fs;
-  (* Server-side debris: the interpreter leaks stack frames when an
-     exception unwinds it, and copy-on-demand may have left fetched
-     pages behind.  Release both — the server keeps no offloading
-     data. *)
   Stack_alloc.release t.server.Host.stack snap.sn_server_stack;
-  let fetched =
-    List.filter mobile_owned_page (Memory.resident_pages t.server.Host.mem)
-  in
-  List.iter (Memory.drop_page t.server.Host.mem) fetched;
-  t.server.Host.mem.Memory.track_dirty <- false;
-  Memory.clear_dirty t.server.Host.mem;
+  ignore (drop_task_pages t : int list);
   t.pending_request <- None;
   t.pending_args <- [||];
-  Trace.Row.set_rollback t.row ~target:target.Partition.t_name
-    ~pages_restored:snap.sn_pages ~bytes_discarded;
+  bytes
+
+(* {2 The checkpoint image}
+
+   When the granting server dies (or the pool drains it) mid-offload,
+   the task migrates instead of throwing the partial work away.  The
+   image is everything another pool member needs to finish the job
+   with the same observable history:
+
+   - the *base*: the snapshot above.  Restoring it on the mobile and
+     re-running the task body on the new member is how "resume" works
+     in this model — the interpreter's continuation is lost with the
+     server, but execution is deterministic, so re-execution from the
+     base reproduces it exactly;
+   - the *progress cursors*: how far the dead attempt got — dirty
+     pages accumulated on the lost server, remote-I/O operations
+     already performed, console bytes already delivered to the user.
+     The cursors are what makes resumption exactly-once: the mobile
+     suppresses (and verifies) re-delivered console bytes up to the
+     ledger cursor instead of showing them twice.
+
+   The image travels over the link, so it has a byte size: a fixed
+   continuation header (task id, program counter, stack cursor, the
+   three cursors — small and fixed, like a register file), the
+   committed console ledger (the new member verifies re-produced
+   output against it), and each dirty page the lost server had
+   produced, with its descriptor (page id + dirty range) — state the
+   new member cannot recompute without re-running, so it ships. *)
+
+let image_header_bytes = 256
+let image_page_header_bytes = 16
+
+let image_bytes ~dirty_pages ~ledger_bytes =
+  image_header_bytes + ledger_bytes
+  + (dirty_pages * (Region.page_size + image_page_header_bytes))
+
+(* {1 The offload protocol (mobile side)}
+
+   One invocation's life cycle, one function per phase: admission, an
+   attempt (initialization, the server's listener, finalization), and
+   on a lost server either migration and a second attempt or rollback
+   and local replay.  [offload_invoke] is the loop over them. *)
+
+(* Transparent local execution: the mobile partition retains every
+   target body for the refuse path, so a rejected or failed offload
+   runs it with the same arguments.  Stamped at the replay's start. *)
+let local_replay t tname args =
+  let t0 = t.clock.Host.now in
+  let result = Interp.call t.mobile tname args in
+  Trace.Row.set_replay t.row ~target:tname ~replay_s:(t.clock.Host.now -. t0);
+  emit_row_at t ~ts:t0;
+  result
+
+(* Close the invocation's span, opened at [t0]. *)
+let end_span t tname ~t0 ~dirty_pages =
+  let span_s = t.clock.Host.now -. t0 in
+  t.server_exec_s <- t.server_exec_s +. span_s;
+  Trace.Row.set_offload_end t.row ~target:tname ~dirty_pages ~span_s;
   emit_row t
 
-(* {1 The offload protocol (mobile side)} *)
+(* Occupy a granted slot: wait out the FIFO queue (the mobile radio
+   idles in Waiting), then price the contention — the server's slice
+   of the machine slows down and the shared link serves a fraction
+   of its bandwidth until the slot is released.  Used for the first
+   admission and again when a checkpointed task is re-admitted on a
+   new member.  Returns the slot's release. *)
+let occupy t sh tname ~server ~wait_s ~occupancy ~slot ~queue_depth ~r_scale
+    ~bw_scale =
+  if wait_s > 0.0 then begin
+    t.ov.queued <- t.ov.queued + 1;
+    t.ov.queue_wait_s <- t.ov.queue_wait_s +. wait_s;
+    Trace.Row.set_queue t.row ~target:tname ~server ~wait_s ~depth:queue_depth;
+    emit_row t;
+    with_state t Power_model.Waiting (fun () -> advance t wait_s)
+  end;
+  Trace.Row.set_admit t.row ~target:tname ~server ~occupancy ~slot;
+  emit_row t;
+  t.server.Host.slowdown <- 1.0 /. r_scale;
+  t.contention := bw_scale;
+  t.current_server <- Some server;
+  fun () ->
+    t.server.Host.slowdown <- 1.0;
+    t.contention := 1.0;
+    t.current_server <- None;
+    sh.sh_release ~now:t.clock.Host.now ~server ~slot
+
+(* One offloaded execution: initialization, then the generated
+   listener on the server — it accepts the request, unmarshals, calls
+   the target, posts the return value — then finalization.  Returns
+   the dirty pages written back. *)
+let attempt t (target : Partition.target) args =
+  initialization t args;
+  t.pending_request <- Some (target.Partition.t_id, args);
+  (match Interp.call t.server Partition.listener_name [] with
+  | _ -> ()
+  | exception Interp.Trap msg -> raise (Offload_error ("server trap: " ^ msg)));
+  let dirty_pages = finalization t in
+  (* Refresh the footprint estimate with what this run actually
+     moved. *)
+  let moved_bytes = List.length t.last_resident * Region.page_size in
+  if moved_bytes > 0 then
+    Hashtbl.replace t.mem_estimate target.Partition.t_name moved_bytes;
+  dirty_pages
+
+(* Mid-flight recovery by migration: capture the progress cursors,
+   ship the image to a healthy pool member, and reset the mobile to
+   the base WITHOUT undoing delivered output — the committed ledger
+   stays, armed as a suppression window, so the resumed attempt's
+   re-executed writes are verified against it and dropped rather than
+   shown twice.  Returns the new member and its slot's release, or
+   [None] (fall back to rollback + local replay) when no healthy member
+   admits the task. *)
+let migrate t sh tname snap ~from_server ~reason ~io0 =
+  Selfprof.enter Checkpoint;
+  let pages =
+    List.length
+      (List.filter mobile_owned_page (Memory.dirty_pages t.server.Host.mem))
+  in
+  let ledger_bytes =
+    Console.committed_since t.mobile.Host.console snap.sn_console
+  in
+  let io_cursor = t.ov.remote_io_count - io0 in
+  Selfprof.leave Checkpoint;
+  let image_bytes = image_bytes ~dirty_pages:pages ~ledger_bytes in
+  t.ov.checkpoints <- t.ov.checkpoints + 1;
+  Trace.Row.set_checkpoint t.row ~target:tname ~pages ~image_bytes ~io_cursor
+    ~ledger_bytes;
+  emit_row t;
+  match
+    sh.sh_migrate ~now:t.clock.Host.now ~target:tname ~from_server
+      ~crashed:t.server_dead
+  with
+  | Rejected _ -> None
+  | Admitted { server = to_server; wait_s; occupancy; slot; queue_depth;
+               r_scale; bw_scale } ->
+    (* The image crosses the link under the same contention scaling as
+       every other transfer. *)
+    let transfer_s =
+      if t.config.ideal then 0.0
+      else
+        Link.transfer_time_scaled t.config.link ~bytes:image_bytes
+          ~bw_factor:(bw_factor t)
+    in
+    Trace.Row.set_migrate_start t.row ~target:tname ~from_server ~to_server
+      ~reason ~transfer_s;
+    emit_row t;
+    t.ov.migrations <- t.ov.migrations + 1;
+    t.ov.migrate_transfer_s <- t.ov.migrate_transfer_s +. transfer_s;
+    with_state t Power_model.Transmitting (fun () -> advance t transfer_s);
+    ignore (restore_base t snap ~console:Console.resume_at : int);
+    if t.server_dead then begin
+      (* The planned crash killed [from_server]; the new member is
+         healthy, so the oracle's crash is spent. *)
+      Option.iter Injector.clear_crash t.injector;
+      t.server_dead <- false
+    end;
+    Some
+      ( to_server,
+        occupy t sh tname ~server:to_server ~wait_s ~occupancy ~slot
+          ~queue_depth ~r_scale ~bw_scale )
+
+(* Give up on the server: roll back to the base, discarding the dead
+   attempt's side effects, and replay the task locally from it. *)
+let fall_back t tname args snap ~t0 ~reason =
+  let bytes_discarded = restore_base t snap ~console:Console.rollback_to in
+  Trace.Row.set_rollback t.row ~target:tname ~pages_restored:snap.sn_pages
+    ~bytes_discarded;
+  emit_row t;
+  let recovery_s = t.clock.Host.now -. t0 in
+  t.ov.fallbacks <- t.ov.fallbacks + 1;
+  t.ov.recovery_s <- t.ov.recovery_s +. recovery_s;
+  Trace.Row.set_fallback_local t.row ~target:tname ~reason ~recovery_s;
+  emit_row t;
+  end_span t tname ~t0 ~dirty_pages:0;
+  local_replay t tname args
 
 let offload_invoke t (target : Partition.target) (args : Value.t list) :
     Value.t =
-  if t.server_dead then
-    (* The crash was already observed: the dispatcher may still force
-       its way here (Always_offload); run the retained local body. *)
-    Interp.call t.mobile target.Partition.t_name args
-  else begin
+  let tname = target.Partition.t_name in
   (* Shared-server admission: ask for a worker slot before any
      protocol work.  A rejection never leaves the mobile device — the
      retained local body runs, and the Replay event keeps the obs
      layer's accounting of forced local executions intact. *)
   let admission =
     Option.map
-      (fun sh ->
-        ( sh,
-          sh.sh_request ~now:t.clock.Host.now
-            ~target:target.Partition.t_name ))
+      (fun sh -> (sh, sh.sh_request ~now:t.clock.Host.now ~target:tname))
       t.config.server_handle
   in
   match admission with
   | Some (_, Rejected { server; queue_depth }) ->
     t.ov.rejects <- t.ov.rejects + 1;
-    Trace.Row.set_reject t.row ~target:target.Partition.t_name ~server
-      ~queue_depth;
+    Trace.Row.set_reject t.row ~target:tname ~server ~queue_depth;
     emit_row t;
-    let replay_t0 = t.clock.Host.now in
-    let result = Interp.call t.mobile target.Partition.t_name args in
-    Trace.Row.set_replay t.row ~target:target.Partition.t_name
-      ~replay_s:(t.clock.Host.now -. replay_t0);
-    emit_row_at t ~ts:replay_t0;
-    result
+    local_replay t tname args
   | None | Some (_, Admitted _) ->
-  (* A snapshot is needed whenever [Server_lost] can reach us: from
-     the fault oracle, or from a pool whose membership shifts under
-     running offloads (maintenance drains, crash quarantines). *)
-  let volatile =
-    match t.config.server_handle with
-    | Some sh -> sh.sh_volatile
-    | None -> false
-  in
-  let snap =
-    if t.injector <> None || volatile then Some (take_snapshot t) else None
-  in
-  t.ov.offloads <- t.ov.offloads + 1;
-  t.in_offload <- true;
-  let t0 = t.clock.Host.now in
-  let io0 = t.ov.remote_io_count in
-  Trace.Row.set_offload_begin t.row ~target:target.Partition.t_name;
-  emit_row_at t ~ts:t0;
-  (* Occupy a granted slot: wait out the FIFO queue (the mobile radio
-     idles in Waiting), then price the contention — the server's slice
-     of the machine slows down and the shared link serves a fraction
-     of its bandwidth until the slot is released.  Used for the first
-     admission and again when a checkpointed task is re-admitted on a
-     new member. *)
-  let occupy sh ~server ~wait_s ~occupancy ~slot ~queue_depth ~r_scale
-      ~bw_scale =
-    if wait_s > 0.0 then begin
-      t.ov.queued <- t.ov.queued + 1;
-      t.ov.queue_wait_s <- t.ov.queue_wait_s +. wait_s;
-      Trace.Row.set_queue t.row ~target:target.Partition.t_name ~server
-        ~wait_s ~depth:queue_depth;
-      emit_row t;
-      with_state t Power_model.Waiting (fun () -> advance t wait_s)
-    end;
-    Trace.Row.set_admit t.row ~target:target.Partition.t_name ~server
-      ~occupancy ~slot;
-    emit_row t;
-    t.server.Host.slowdown <- 1.0 /. r_scale;
-    t.contention := bw_scale;
-    t.current_server <- Some server;
-    fun () ->
-      t.server.Host.slowdown <- 1.0;
-      t.contention := 1.0;
-      t.current_server <- None;
-      sh.sh_release ~now:t.clock.Host.now ~server ~slot
-  in
-  let release_slot =
-    match admission with
-    | None -> fun () -> ()
-    | Some (sh, Admitted { server; wait_s; occupancy; slot; queue_depth;
-                           r_scale; bw_scale }) ->
-      occupy sh ~server ~wait_s ~occupancy ~slot ~queue_depth ~r_scale
-        ~bw_scale
-    | Some (_, Rejected _) -> assert false   (* handled above *)
-  in
-  let attempt () =
-    initialization t target.Partition.t_id args;
-    (* Offloading execution: run the generated listener on the server;
-       it accepts the request, unmarshals, calls the target, posts the
-       return value. *)
-    t.pending_request <- Some (target.Partition.t_id, args);
-    (match Interp.call t.server Partition.listener_name [] with
-    | _ -> ()
-    | exception Interp.Trap msg ->
-      raise (Offload_error ("server trap: " ^ msg)));
-    let dirty_count = finalization t in
-    (* Refresh the footprint estimate with what this run actually
-       moved. *)
-    let moved_bytes =
-      (List.length t.last_resident * Region.page_size)
+    (* A snapshot is needed whenever [Server_lost] can reach us: from
+       the fault oracle, or from a pool whose membership shifts under
+       running offloads (maintenance drains, crash quarantines). *)
+    let volatile =
+      match t.config.server_handle with
+      | Some sh -> sh.sh_volatile
+      | None -> false
     in
-    if moved_bytes > 0 then
-      Hashtbl.replace t.mem_estimate target.Partition.t_name moved_bytes;
-    dirty_count
-  in
-  (* Mid-flight recovery by migration: freeze the task into a
-     checkpoint, ship it to a healthy pool member, resume there.
-     "Resume" is deterministic re-execution from the offload-start
-     base — the interpreter continuation died with the server — with
-     the progress cursors making the re-run externally invisible: the
-     console arms a suppression window over the bytes already
-     delivered, so re-executed writes are verified against the
-     committed ledger and dropped rather than shown twice.  Returns
-     [None] (fall back to rollback + local replay) when no healthy
-     member remains or the resumed attempt dies too. *)
-  let try_migrate sh ~from_server ~reason snap =
-    let tname = target.Partition.t_name in
-    let dirty =
-      List.filter mobile_owned_page (Memory.dirty_pages t.server.Host.mem)
+    let snap =
+      if t.injector <> None || volatile then Some (take_snapshot t) else None
     in
-    let resident =
-      List.length
-        (List.filter mobile_owned_page
-           (Memory.resident_pages t.server.Host.mem))
-    in
-    let ledger_bytes =
-      Console.committed_since t.mobile.Host.console snap.sn_console
-    in
-    let ck =
-      Checkpoint.capture ~target:tname ~dirty_pages:dirty
-        ~resident_pages:resident ~io_cursor:(t.ov.remote_io_count - io0)
-        ~ledger_bytes ~mem:snap.sn_mem ~uva:snap.sn_uva
-        ~console:snap.sn_console ~fs:snap.sn_fs
-        ~server_stack:snap.sn_server_stack
-    in
-    t.ov.checkpoints <- t.ov.checkpoints + 1;
-    Trace.Row.set_checkpoint t.row ~target:tname
-      ~pages:(Checkpoint.dirty_count ck)
-      ~image_bytes:(Checkpoint.image_bytes ck)
-      ~io_cursor:ck.Checkpoint.ck_io_cursor ~ledger_bytes;
-    emit_row t;
-    let mig = Migrator.create ~checkpoint:ck ~from_server ~reason in
-    match
-      sh.sh_migrate ~now:t.clock.Host.now ~target:tname ~from_server ~reason
-    with
-    | Rejected _ ->
-      Migrator.abandon mig "no healthy member";
-      None
-    | Admitted { server = to_server; wait_s; occupancy; slot; queue_depth;
-                 r_scale; bw_scale } ->
-      (* Ship the image over the link, then reset the mobile to the
-         base WITHOUT undoing delivered output — the committed ledger
-         stays, armed as a suppression window. *)
-      let transfer_s =
-        if t.config.ideal then 0.0
-        else
-          Migrator.transfer_time mig ~link:t.config.link
-            ~bw_factor:(bw_factor t)
-      in
-      Trace.Row.set_migrate_start t.row ~target:tname ~from_server ~to_server
-        ~reason ~transfer_s;
-      emit_row t;
-      t.ov.migrations <- t.ov.migrations + 1;
-      t.ov.migrate_transfer_s <- t.ov.migrate_transfer_s +. transfer_s;
-      with_state t Power_model.Transmitting (fun () -> advance t transfer_s);
-      Migrator.ship mig ~to_server ~transfer_s;
-      Memory.restore t.mobile.Host.mem snap.sn_mem;
-      Uva.restore t.mobile.Host.uva snap.sn_uva;
-      ignore (Console.resume_at t.mobile.Host.console snap.sn_console);
-      Fs.restore t.mobile.Host.fs snap.sn_fs;
-      (* The lost member keeps no offloading data: leaked stack
-         frames and half-fetched pages are dropped, same as rollback. *)
-      Stack_alloc.release t.server.Host.stack snap.sn_server_stack;
-      let fetched =
-        List.filter mobile_owned_page
-          (Memory.resident_pages t.server.Host.mem)
-      in
-      List.iter (Memory.drop_page t.server.Host.mem) fetched;
-      t.server.Host.mem.Memory.track_dirty <- false;
-      Memory.clear_dirty t.server.Host.mem;
-      t.pending_request <- None;
-      t.pending_args <- [||];
-      if t.server_dead then begin
-        (* The planned crash killed [from_server]; the new member is
-           healthy, so the oracle's crash is spent. *)
-        (match t.injector with
-        | Some inj -> Injector.clear_crash inj
-        | None -> ());
-        t.server_dead <- false
-      end;
-      let release =
-        occupy sh ~server:to_server ~wait_s ~occupancy ~slot ~queue_depth
-          ~r_scale ~bw_scale
-      in
-      t.in_offload <- true;
-      let resume_t0 = t.clock.Host.now in
-      (match attempt () with
-      | dirty_count ->
-        Migrator.resume mig;
+    t.ov.offloads <- t.ov.offloads + 1;
+    t.in_offload <- true;
+    let t0 = t.clock.Host.now in
+    let io0 = t.ov.remote_io_count in
+    Trace.Row.set_offload_begin t.row ~target:tname;
+    emit_row_at t ~ts:t0;
+    (* The attempt loop.  A migrated task goes back through the same
+       attempt and the same success tail as the first try; [resumed] is
+       then the new member, the instant its attempt began and the first
+       loss's reason.  One migration per invocation: if the resumed
+       attempt dies too (a second outage, a drained replacement...),
+       local replay finishes the job, reporting the first loss's
+       reason. *)
+    let rec loop ~release ~resumed =
+      match attempt t target args with
+      | dirty_pages ->
         t.in_offload <- false;
-        let resumed_span_s = t.clock.Host.now -. resume_t0 in
-        t.ov.migrations_done <- t.ov.migrations_done + 1;
-        t.ov.migrate_resume_s <- t.ov.migrate_resume_s +. resumed_span_s;
-        Trace.Row.set_migrate_done t.row ~target:tname ~server:to_server
-          ~resumed_span_s;
-        emit_row t;
-        let span_s = t.clock.Host.now -. t0 in
-        t.server_exec_s <- t.server_exec_s +. span_s;
-        Trace.Row.set_offload_end t.row ~target:tname
-          ~dirty_pages:dirty_count ~span_s;
-        emit_row t;
+        Option.iter
+          (fun (server, resume_t0, _) ->
+            let resumed_span_s = t.clock.Host.now -. resume_t0 in
+            t.ov.migrations_done <- t.ov.migrations_done + 1;
+            t.ov.migrate_resume_s <- t.ov.migrate_resume_s +. resumed_span_s;
+            Trace.Row.set_migrate_done t.row ~target:tname ~server
+              ~resumed_span_s;
+            emit_row t)
+          resumed;
+        end_span t tname ~t0 ~dirty_pages;
         release ();
-        Some t.pending_ret
-      | exception Server_lost reason2 ->
-        (* The resumed attempt died too (second outage, a drained
-           replacement...).  One migration per invocation: give the
-           slot back and let local replay finish the job. *)
+        t.pending_ret
+      | exception Server_lost reason -> (
+        (* Close the span the failure interrupted (the mobile device
+           was waiting on the server) and release the lost member's
+           slot, then try to finish the job elsewhere in the pool
+           before giving up on it entirely. *)
         mark t Power_model.Waiting;
         t.in_offload <- false;
         release ();
-        Migrator.abandon mig reason2;
-        None)
-  in
-  match attempt () with
-  | dirty_count ->
-    t.in_offload <- false;
-    let span_s = t.clock.Host.now -. t0 in
-    t.server_exec_s <- t.server_exec_s +. span_s;
-    Trace.Row.set_offload_end t.row ~target:target.Partition.t_name
-      ~dirty_pages:dirty_count ~span_s;
-    emit_row t;
-    release_slot ();
-    t.pending_ret
-  | exception Server_lost reason ->
-    (* Close the span the failure interrupted (the mobile device was
-       waiting on the server) and release the lost member's slot, then
-       try to finish the job elsewhere in the pool before giving up on
-       it entirely. *)
-    mark t Power_model.Waiting;
-    t.in_offload <- false;
-    release_slot ();
-    let migrated =
-      match admission with
-      | Some (sh, Admitted { server = from_server; _ })
-        when t.config.migrate ->
-        try_migrate sh ~from_server ~reason (Option.get snap)
-      | _ -> None
+        let migrated =
+          match (resumed, admission) with
+          | None, Some (sh, Admitted { server = from_server; _ })
+            when t.config.migrate ->
+            migrate t sh tname (Option.get snap) ~from_server ~reason ~io0
+          | _ -> None
+        in
+        match migrated with
+        | Some (to_server, release) ->
+          t.in_offload <- true;
+          loop ~release ~resumed:(Some (to_server, t.clock.Host.now, reason))
+        | None ->
+          let reason =
+            match resumed with Some (_, _, first) -> first | None -> reason
+          in
+          fall_back t tname args (Option.get snap) ~t0 ~reason)
     in
-    match migrated with
-    | Some result -> result
-    | None ->
-    rollback t target (Option.get snap);
-    let recovery_s = t.clock.Host.now -. t0 in
-    t.ov.fallbacks <- t.ov.fallbacks + 1;
-    t.ov.recovery_s <- t.ov.recovery_s +. recovery_s;
-    Trace.Row.set_fallback_local t.row ~target:target.Partition.t_name ~reason
-      ~recovery_s;
-    emit_row t;
-    let span_s = t.clock.Host.now -. t0 in
-    t.server_exec_s <- t.server_exec_s +. span_s;
-    Trace.Row.set_offload_end t.row ~target:target.Partition.t_name
-      ~dirty_pages:0 ~span_s;
-    emit_row t;
-    (* Transparent local re-execution: the mobile partition retains
-       every target body for the refuse path; replay it with the same
-       arguments against the rolled-back state. *)
-    let replay_t0 = t.clock.Host.now in
-    let result = Interp.call t.mobile target.Partition.t_name args in
-    Trace.Row.set_replay t.row ~target:target.Partition.t_name
-      ~replay_s:(t.clock.Host.now -. replay_t0);
-    emit_row_at t ~ts:replay_t0;
-    result
-  end
+    let release =
+      match admission with
+      | Some (sh, Admitted { server; wait_s; occupancy; slot; queue_depth;
+                             r_scale; bw_scale }) ->
+        occupy t sh tname ~server ~wait_s ~occupancy ~slot ~queue_depth
+          ~r_scale ~bw_scale
+      | None | Some (_, Rejected _) -> ignore
+    in
+    loop ~release ~resumed:None
 
 (* {1 Mobile-side externs} *)
 
+(* Dynamic estimation, once per call: the decision and the Estimate
+   row both read the one estimate.  "The dynamic performance
+   estimation reflects the current network bandwidth, memory usage,
+   and target execution time": the footprint estimate is the live UVA
+   heap (what copy-on-demand and write-back would move), refined after
+   each offload by the bytes actually moved. *)
+let estimate t target =
+  let live = Uva.live_bytes t.mobile.Host.uva in
+  let mem_bytes =
+    match Hashtbl.find_opt t.mem_estimate target with
+    | Some observed -> max observed live
+    | None -> live
+  in
+  (* Under a shared server the estimator prices the speedup and the
+     link at the load an offload starting now would actually get, so
+     a saturated server turns profitable offloads into refusals. *)
+  let r_factor, bw_factor =
+    match t.config.server_handle with
+    | None -> (1.0, 1.0)
+    | Some sh -> sh.sh_load ~now:t.clock.Host.now
+  in
+  let e =
+    Dynamic_estimate.estimate ~r_factor ~bw_factor t.estimator ~name:target
+      ~mem_bytes
+  in
+  if not (Trace.is_null t.config.trace) then begin
+    Trace.Row.set_estimate t.row ~target
+      ~predicted_gain_s:e.Dynamic_estimate.gain_s ~local_s:e.local_s
+      ~decision:e.offload;
+    emit_row t
+  end;
+  e.offload
+
+(* Once the server's crash was observed it is gone: refuse without
+   even consulting the estimator.  The dispatch wrapper calls
+   [__offload$f] only after a true answer here, so [offload_invoke]
+   never starts on a dead server, forced modes included. *)
+let should_offload t target =
+  let offload = (not t.server_dead) && estimate t target in
+  if not offload then begin
+    t.ov.refusals <- t.ov.refusals + 1;
+    Trace.Row.set_refusal t.row ~target;
+    emit_row t
+  end;
+  offload
+
 let mobile_extern t name (argv : Value.t list) : Value.t option =
-  let strip prefix =
+  let suffix prefix =
     let plen = String.length prefix in
     String.sub name plen (String.length name - plen)
   in
-  if String.length name > 17 && String.sub name 0 17 = "__should_offload$"
-  then begin
-    let target = strip "__should_offload$" in
-    if t.server_dead then begin
-      (* The server is gone; don't even consult the estimator. *)
-      t.ov.refusals <- t.ov.refusals + 1;
-      Trace.Row.set_refusal t.row ~target;
-      emit_row t;
-      Some (Value.of_bool false)
-    end
-    else begin
-    (* "The dynamic performance estimation reflects the current
-       network bandwidth, memory usage, and target execution time":
-       the footprint estimate is the live UVA heap (what copy-on-
-       demand and write-back would move), refined after each offload
-       by the bytes actually moved. *)
-    let live = Uva.live_bytes t.mobile.Host.uva in
-    let mem_bytes =
-      match Hashtbl.find_opt t.mem_estimate target with
-      | Some observed -> max observed live
-      | None -> live
-    in
-    (* Under a shared server the estimator prices the speedup and the
-       link at the load an offload starting now would actually get, so
-       a saturated server turns profitable offloads into refusals. *)
-    let r_factor, bw_factor =
-      match t.config.server_handle with
-      | None -> (1.0, 1.0)
-      | Some sh -> sh.sh_load ~now:t.clock.Host.now
-    in
-    let decision =
-      Dynamic_estimate.should_offload ~r_factor ~bw_factor t.estimator
-        ~name:target ~mem_bytes
-    in
-    if not (Trace.is_null t.config.trace) then begin
-      Trace.Row.set_estimate t.row ~target
-        ~predicted_gain_s:
-          (Dynamic_estimate.predicted_gain_s ~r_factor ~bw_factor t.estimator
-             ~name:target ~mem_bytes)
-        ~local_s:(Dynamic_estimate.predicted_local_s t.estimator ~name:target)
-        ~decision;
-      emit_row t
-    end;
-    if not decision then begin
-      t.ov.refusals <- t.ov.refusals + 1;
-      Trace.Row.set_refusal t.row ~target;
-      emit_row t
-    end;
-    Some (Value.of_bool decision)
-    end
-  end
-  else if String.length name > 10 && String.sub name 0 10 = "__offload$" then begin
-    let target_name = strip "__offload$" in
+  if String.starts_with ~prefix:Partition.should_offload_prefix name then
+    Some
+      (Value.of_bool
+         (should_offload t (suffix Partition.should_offload_prefix)))
+  else if String.starts_with ~prefix:Partition.offload_prefix name then begin
+    let target_name = suffix Partition.offload_prefix in
     match target_by_name t target_name with
     | Some target -> Some (offload_invoke t target argv)
     | None -> raise (Offload_error ("unknown offload target " ^ target_name))
   end
-  else if
-    String.length name > 18 && String.sub name 0 18 = "__uva_init_global$"
-  then begin
-    let gname = strip "__uva_init_global$" in
+  else if String.starts_with ~prefix:Global_realloc.init_prefix name then begin
+    let gname = suffix Global_realloc.init_prefix in
     match
       List.find_opt
         (fun (g : Ir.global) -> String.equal g.Ir.g_name gname)

@@ -207,20 +207,8 @@ let run ?(config = default_config) (clients : client list) : result =
          it too.  Scheduled drains are not quarantined: the member
          comes back when its window closes. *)
       Session.sh_migrate =
-        (fun ~now ~target ~from_server ~reason ->
+        (fun ~now ~target ~from_server ~crashed ->
           sync (glob now);
-          let crashed =
-            (* the session's loss reasons: "...: server crashed" from
-               the fault oracle vs a drain reason from the schedule *)
-            let n = String.length reason in
-            let needle = "crashed" in
-            let nl = String.length needle in
-            let rec scan i =
-              i + nl <= n
-              && (String.sub reason i nl = needle || scan (i + 1))
-            in
-            scan 0
-          in
           if crashed then
             Pool.quarantine pool ~server:from_server ~reason:"crashed";
           Pool.request_excluding pool ~client:cl.cl_id ~now:(glob now)

@@ -18,7 +18,8 @@ module Ty = No_ir.Ty
 module String_set = Set.Make (String)
 
 let slot_name g = g ^ "__re"
-let init_extern g = "__uva_init_global$" ^ g
+let init_prefix = "__uva_init_global$"
+let init_extern g = init_prefix ^ g
 
 type stats = {
   reallocated : string list;          (* globals moved to UVA *)

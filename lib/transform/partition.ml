@@ -31,8 +31,10 @@ module Ty = No_ir.Ty
 module Reachability = No_analysis.Reachability
 
 let dispatch_name f = "__dispatch$" ^ f
-let should_offload_extern f = "__should_offload$" ^ f
-let offload_extern f = "__offload$" ^ f
+let should_offload_prefix = "__should_offload$"
+let should_offload_extern f = should_offload_prefix ^ f
+let offload_prefix = "__offload$"
+let offload_extern f = offload_prefix ^ f
 let serve_name f = "__serve$" ^ f
 let listener_name = "__listen_client"
 let accept_extern = "__accept_offload"

@@ -30,6 +30,13 @@ type result = {
 val dispatch_name : string -> string
 val should_offload_extern : string -> string
 val offload_extern : string -> string
+
+val should_offload_prefix : string
+val offload_prefix : string
+(** [should_offload_extern f] and [offload_extern f] are these
+    prefixes followed by [f]; the runtime recognises the externs by
+    them. *)
+
 val serve_name : string -> string
 val listener_name : string
 val accept_extern : string

@@ -100,26 +100,47 @@ let test_selection_subsumption () =
 let test_dynamic_estimator () =
   let d = Dynamic.create ~r:5.0 ~bw_bps:50e6 in
   Dynamic.seed d ~name:"kernel" ~profile_time_s:10.0;
+  let offload name ~mem_bytes =
+    (Dynamic.estimate d ~name ~mem_bytes).Dynamic.offload
+  in
   Alcotest.(check bool) "small footprint offloads" true
-    (Dynamic.should_offload d ~name:"kernel" ~mem_bytes:(1 lsl 16));
+    (offload "kernel" ~mem_bytes:(1 lsl 16));
   Alcotest.(check bool) "huge footprint refuses" false
-    (Dynamic.should_offload d ~name:"kernel" ~mem_bytes:(1 lsl 30));
+    (offload "kernel" ~mem_bytes:(1 lsl 30));
   (* bandwidth collapse flips the decision *)
   Dynamic.set_bandwidth d 1e4;
   Alcotest.(check bool) "slow network refuses" false
-    (Dynamic.should_offload d ~name:"kernel" ~mem_bytes:(1 lsl 16));
+    (offload "kernel" ~mem_bytes:(1 lsl 16));
   Dynamic.set_bandwidth d 50e6;
-  (* local observations refine Tm *)
-  Dynamic.observe_local d ~name:"cold" ~elapsed_s:0.0001;
+  (* a target whose profile saw almost no work *)
+  Dynamic.seed d ~name:"cold" ~profile_time_s:0.0001;
   Alcotest.(check bool) "tiny task refuses" false
-    (Dynamic.should_offload d ~name:"cold" ~mem_bytes:(1 lsl 24));
-  (* forcing *)
+    (offload "cold" ~mem_bytes:(1 lsl 24));
+  (* The estimate is one evaluation of Equation 1 over the seeded Tm,
+     with contention scaling R and BW. *)
+  let equation ~tm_s ~r ~mem_bytes ~bw_bps =
+    (Equation.evaluate
+       { Equation.tm_s; r; mem_bytes; bw_bps; invocations = 1 })
+      .Equation.gain_s
+  in
+  let e =
+    Dynamic.estimate ~r_factor:0.5 ~bw_factor:0.25 d ~name:"kernel"
+      ~mem_bytes:(1 lsl 20)
+  in
+  Alcotest.(check (float 0.0)) "gain_s is Equation 1's Tg"
+    (equation ~tm_s:10.0 ~r:2.5 ~mem_bytes:(1 lsl 20) ~bw_bps:12.5e6)
+    e.Dynamic.gain_s;
+  Alcotest.(check (float 0.0)) "local_s is the seeded Tm" 10.0
+    e.Dynamic.local_s;
+  (* forcing overrides the decision, not the estimate *)
   Dynamic.force d (Some true);
-  Alcotest.(check bool) "forced offload" true
-    (Dynamic.should_offload d ~name:"cold" ~mem_bytes:(1 lsl 30));
+  let e = Dynamic.estimate d ~name:"cold" ~mem_bytes:(1 lsl 30) in
+  Alcotest.(check bool) "forced offload" true e.Dynamic.offload;
+  Alcotest.(check (float 0.0)) "forced modes still estimate"
+    (equation ~tm_s:0.0001 ~r:5.0 ~mem_bytes:(1 lsl 30) ~bw_bps:50e6)
+    e.Dynamic.gain_s;
   Dynamic.force d (Some false);
-  Alcotest.(check bool) "forced local" false
-    (Dynamic.should_offload d ~name:"kernel" ~mem_bytes:64)
+  Alcotest.(check bool) "forced local" false (offload "kernel" ~mem_bytes:64)
 
 (* Abrupt mid-session bandwidth collapse: the predictor starts with a
    stale healthy-link belief, learns only from observed transfers, and
@@ -134,7 +155,7 @@ let test_predictor_collapse_flips_decision () =
   Dynamic.seed d ~name:"getAITurn" ~profile_time_s:26.0;
   let mem = 12 * 1024 * 1024 in
   Alcotest.(check bool) "healthy link offloads" true
-    (Dynamic.should_offload d ~name:"getAITurn" ~mem_bytes:mem);
+    (Dynamic.estimate d ~name:"getAITurn" ~mem_bytes:mem).Dynamic.offload;
   (* The link drops to 1 Mbps; each subsequent transfer is observed at
      the real rate and folded into the belief. *)
   let actual_bps = 1e6 in
@@ -158,7 +179,7 @@ let test_predictor_collapse_flips_decision () =
     true
     (non_increasing !beliefs);
   Alcotest.(check bool) "Equation 1 now refuses" false
-    (Dynamic.should_offload d ~name:"getAITurn" ~mem_bytes:mem)
+    (Dynamic.estimate d ~name:"getAITurn" ~mem_bytes:mem).Dynamic.offload
 
 let tests =
   [

@@ -147,7 +147,7 @@ let test_stub_admit_transparent () =
       Session.sh_volatile = false;
       Session.sh_interrupt = (fun ~now:_ ~server:_ -> None);
       Session.sh_migrate =
-        (fun ~now:_ ~target:_ ~from_server:_ ~reason:_ ->
+        (fun ~now:_ ~target:_ ~from_server:_ ~crashed:_ ->
           Session.Rejected { server = 0; queue_depth = 0 });
     }
   in
@@ -175,7 +175,7 @@ let test_stub_reject_runs_local () =
       Session.sh_volatile = false;
       Session.sh_interrupt = (fun ~now:_ ~server:_ -> None);
       Session.sh_migrate =
-        (fun ~now:_ ~target:_ ~from_server:_ ~reason:_ ->
+        (fun ~now:_ ~target:_ ~from_server:_ ~crashed:_ ->
           Session.Rejected { server = 0; queue_depth = 0 });
     }
   in
