@@ -31,5 +31,3 @@ let evaluate { tm_s; r; mem_bytes; bw_bps; invocations } : breakdown =
     2.0 *. (float_of_int mem_bytes *. 8.0 /. bw_bps) *. float_of_int invocations
   in
   { ideal_gain_s; comm_cost_s; gain_s = ideal_gain_s -. comm_cost_s }
-
-let profitable inputs = (evaluate inputs).gain_s > 0.0

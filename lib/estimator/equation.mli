@@ -25,7 +25,3 @@ type breakdown = {
 val evaluate : inputs -> breakdown
 (** Evaluate Equation 1.  @raise Invalid_argument on a non-positive
     ratio or bandwidth. *)
-
-val profitable : inputs -> bool
-(** [profitable i] is [(evaluate i).gain_s > 0.0] — the paper's
-    selection criterion. *)
