@@ -27,4 +27,5 @@ let () =
       ("telemetry", Test_telemetry.tests);
       ("sampler", Test_sampler.tests);
       ("selfprof", Test_selfprof.tests);
+      ("golden", Test_golden.tests);
     ]
