@@ -120,11 +120,13 @@ let drop_all_pages t =
   t.dirty_cached <- -1
 
 (* Byte offset in [slab] of [page]'s frame, materializing (Home) or
-   faulting (Remote) exactly as the per-page store did. *)
+   faulting (Remote) exactly as the per-page store did.  Every TLB miss
+   comes here, so a resident page is found without allocating an
+   option. *)
 let frame_off t page =
-  match Hashtbl.find_opt t.table page with
-  | Some f -> f lsl Region.page_bits
-  | None -> (
+  match Hashtbl.find t.table page with
+  | f -> f lsl Region.page_bits
+  | exception Not_found -> (
     match t.role with
     | Home ->
       let f = alloc_frame t in
@@ -274,7 +276,7 @@ let store_le t addr nbytes value =
   end
 
 (* Fast-path admission for callers that access the slab directly (the
-   interpreter's fused chains, which must not box an int64 across a
+   interpreter's loads and stores, which must not box an int64 across a
    function return): the byte offset of [addr]'s word in [slab] when
    the [nbytes] access stays inside one page — performing the same
    region check, touch, TLB translation and fault service as

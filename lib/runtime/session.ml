@@ -266,14 +266,13 @@ let server_globals_base = Host.globals_base_of_role Host.Server
 
 (* Pre-decoded code tables, shared across every session created from
    the same pipeline output on the same architectures.  Lowering
-   (including the instruction-fusion pass) depends only on the module,
-   the unified layout — itself a function of the mobile arch and the
-   module's structs — and the role's deterministic global/function
-   address assignment, so a fleet of hundreds of clients pays for it
-   once per workload instead of twice per session.  Keys compare
-   physically: the fleet driver caches its compiled outputs, and arch
-   descriptors are the shared [Arch] constants; a miss merely
-   recompiles. *)
+   depends only on the module, the unified layout — itself a function
+   of the mobile arch and the module's structs — and the role's
+   deterministic global/function address assignment, so a fleet of
+   hundreds of clients pays for it once per workload instead of twice
+   per session.  Keys compare physically: the fleet driver caches its
+   compiled outputs, and arch descriptors are the shared [Arch]
+   constants; a miss merely recompiles. *)
 let code_memo :
     (Pipeline.output
     * Arch.t

@@ -163,6 +163,22 @@ let test_math_builtins () =
   in
   Alcotest.(check int64) "sqrt+pow" 1028L (run (B.finish t))
 
+(* A global that ends past the globals region is refused when the host
+   links the module, at the global's address and by its name, before
+   any of it is written. *)
+let test_oversized_global () =
+  let t = B.create "bigglobal" in
+  B.global t "big" (Ty.Array (Ty.I8, 99_999_999)) Ir.Zero_init;
+  let _ =
+    B.func t "main" ~params:[] ~ret:Ty.I64 (fun fb _ -> B.ret fb (Some (B.i64 0)))
+  in
+  match make_host (B.finish t) with
+  | _ -> Alcotest.fail "expected the link to refuse @big"
+  | exception No_mem.Memory.Bad_access (addr, msg) ->
+    Alcotest.(check int) "at the global" No_mem.Region.globals_base addr;
+    Alcotest.(check bool) ("names the global: " ^ msg) true
+      (String.starts_with ~prefix:"global @big " msg)
+
 let tests =
   [
     Alcotest.test_case "file io" `Quick test_file_io;
@@ -173,4 +189,6 @@ let tests =
     Alcotest.test_case "fuel limit" `Quick test_fuel_limit;
     Alcotest.test_case "asm local no-op" `Quick test_asm_is_local_noop;
     Alcotest.test_case "math builtins" `Quick test_math_builtins;
+    Alcotest.test_case "oversized global refused at link" `Quick
+      test_oversized_global;
   ]

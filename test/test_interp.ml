@@ -198,6 +198,27 @@ let test_traps () =
   (match Interp.run_main (make_host (div_zero ())) with
   | _ -> Alcotest.fail "expected div-by-zero trap"
   | exception Interp.Trap _ -> ());
+  (* down(n) calls down(n + 1) forever: the depth limit stops it at
+     once, before the native stack fills. *)
+  let recurse () =
+    let t = B.create "recurse" in
+    let _ =
+      B.func t "down" ~params:[ Ty.I64 ] ~ret:Ty.I64 (fun fb args ->
+          let next = B.iadd fb (List.hd args) (B.i64 1) in
+          B.ret fb (Some (B.call fb "down" [ next ])))
+    in
+    let _ =
+      B.func t "main" ~params:[] ~ret:Ty.I64 (fun fb _ ->
+          B.ret fb (Some (B.call fb "down" [ B.i64 0 ])))
+    in
+    B.finish t
+  in
+  (match Interp.run_main (make_host (recurse ())) with
+  | _ -> Alcotest.fail "expected call-depth trap"
+  | exception Interp.Trap msg ->
+    Alcotest.(check string) "depth trap"
+      (Printf.sprintf "down: call depth limit %d exceeded" Interp.max_call_depth)
+      msg);
   let null_deref () =
     let t = B.create "nullderef" in
     let _ =
@@ -214,6 +235,29 @@ let test_traps () =
   | exception No_mem.Memory.Bad_access (addr, _) ->
     Alcotest.(check bool) "fault in null guard" true (addr < 0x1_0000)
 
+(* A register read before any write on the executed path holds
+   all-zero bits: a float one reads +0.0, so [f] takes the branch that
+   skips the assignment and returns 0.0 + 1.0. *)
+let test_unwritten_register () =
+  let m =
+    No_ir.Parser.parse
+      {|module unwritten
+fn f(%r0:i64) -> f64 {
+entry:
+  cbr %r0, set, use
+set:
+  %r2 = fadd 1.0:f64, 2.0:f64
+  br use
+use:
+  %r3 = fadd %r2, 1.0:f64
+  ret %r3
+}
+|}
+  in
+  let v = Interp.call (make_host m) "f" [ Value.VInt 0L ] in
+  Alcotest.(check int64) "returns 1.0" (Int64.bits_of_float 1.0)
+    (Int64.bits_of_float (Value.to_float v))
+
 let tests =
   [
     Alcotest.test_case "loop sum" `Quick test_loop_sum;
@@ -224,4 +268,6 @@ let tests =
     Alcotest.test_case "fn ptr table" `Quick test_fn_ptr_table;
     Alcotest.test_case "clock and ratio" `Quick test_clock_and_ratio;
     Alcotest.test_case "traps" `Quick test_traps;
+    Alcotest.test_case "unwritten register reads zero bits" `Quick
+      test_unwritten_register;
   ]
