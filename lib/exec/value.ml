@@ -1,4 +1,4 @@
-(* Dynamic values of the interpreter.
+(* Values that leave an interpreted frame (see value.mli).
 
    The IR is statically typed, so values carry no type; integers and
    pointers are int64 bit patterns (sub-word integers are kept
@@ -18,13 +18,7 @@ let to_float = function
   | VFloat v -> v
   | VInt _ -> raise (Type_trap "expected float, got integer")
 
-let to_bool v = not (Int64.equal (to_int v) 0L)
-
-(* Shared so comparisons on the interpreter hot path allocate
-   nothing; values are immutable, so sharing is unobservable. *)
-let vtrue = VInt 1L
-let vfalse = VInt 0L
-let of_bool b = if b then vtrue else vfalse
+let of_bool b = if b then VInt 1L else VInt 0L
 
 let to_addr v =
   let a = to_int v in

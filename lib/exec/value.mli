@@ -1,4 +1,6 @@
-(** Dynamic values of the interpreter.
+(** Values that leave an interpreted frame: parameters, returns, and
+    the arguments and results of calls, builtins, externs and hooks.
+    Inside a frame, registers stay unboxed in {!Host}'s slots.
 
     The IR is statically typed, so values carry no type tag beyond the
     int/float split: integers and pointers are int64 bit patterns
@@ -12,12 +14,7 @@ exception Type_trap of string
 
 val to_int : t -> int64
 val to_float : t -> float
-val to_bool : t -> bool
 val of_bool : bool -> t
-
-val vtrue : t
-val vfalse : t
-(** The shared values [of_bool] returns. *)
 
 val to_addr : t -> int
 (** Integer value as a non-negative address.  @raise Type_trap. *)

@@ -50,19 +50,24 @@ let global_ty ctx name =
 
 let sig_of_func f = Ty.signature (List.map snd f.f_params) f.f_ret
 
-let func_sig ctx name =
-  match find_func ctx.m name with
-  | Some f -> sig_of_func f
+(* The declared signature of a direct callee: a function of the
+   module, else a builtin, else an extern — the order in which the
+   interpreter resolves a call. *)
+let callee_sig m name =
+  match find_func m name with
+  | Some f -> Some (sig_of_func f)
   | None -> (
     match Builtins.signature_of name with
-    | Some sg -> sg
-    | None -> (
-      match List.assoc_opt name ctx.m.m_externs with
-      | Some sg -> sg
-      | None ->
-        (* Unknown external: callable, machine specific.  Treated as
-           variadic returning i64. *)
-        Ty.signature [] Ty.I64))
+    | Some sg -> Some sg
+    | None -> List.assoc_opt name m.m_externs)
+
+let func_sig ctx name =
+  match callee_sig ctx.m name with
+  | Some sg -> sg
+  | None ->
+    (* Unknown external: callable, machine specific.  Treated as
+       variadic returning i64. *)
+    Ty.signature [] Ty.I64
 
 let operand_ty ctx op =
   match op with
