@@ -15,7 +15,13 @@
      instruction count and clock bits after it.
 
    Both digests were recorded before the interpreter moved to one
-   unboxed register file. *)
+   unboxed register file.
+
+   A third digest pins what offloaded sessions report: every
+   [Session.report] field of 101 runs covering the configurations,
+   fault plans, migration scenarios and a filling admission queue.  It
+   was recorded while the session still kept its own overhead counters
+   beside the trace fold. *)
 
 module B = No_ir.Builder
 module Ir = No_ir.Ir
@@ -28,10 +34,17 @@ module Host = No_exec.Host
 module Interp = No_exec.Interp
 module Value = No_exec.Value
 module Local_run = No_runtime.Local_run
+module Session = No_runtime.Session
 module Registry = No_workloads.Registry
+module Compiler = Native_offloader.Compiler
+module Experiment = Native_offloader.Experiment
+module Fault_plan = No_fault.Plan
+module Server_load = No_sched.Server_load
+module Sim = No_sched.Sim
 
 let registry_md5 = "f4e757b4ae70b0b1fe46218fc0500dc8"
 let grid_md5 = "089225ab5e435a409144c47a3b96ab40"
+let sessions_md5 = "c95eeab7e4cbf6548a4b9e338b957b19"
 
 let value_bits (v : Value.t) =
   match v with
@@ -384,8 +397,159 @@ let test_grid () =
   in
   agree runs
 
+(* {1 Session reports} *)
+
+type field = Int of (Session.report -> int) | Float of (Session.report -> float)
+
+(* Every report field after the result and console, in record order. *)
+let fields =
+  Session.
+    [
+      ("total_s", Float (fun r -> r.rep_total_s));
+      ("energy_mj", Float (fun r -> r.rep_energy_mj));
+      ("mobile_compute_s", Float (fun r -> r.rep_mobile_compute_s));
+      ("server_span_s", Float (fun r -> r.rep_server_span_s));
+      ("comm_s", Float (fun r -> r.rep_comm_s));
+      ("fnptr_s", Float (fun r -> r.rep_fnptr_s));
+      ("remote_io_s", Float (fun r -> r.rep_remote_io_s));
+      ("offloads", Int (fun r -> r.rep_offloads));
+      ("refusals", Int (fun r -> r.rep_refusals));
+      ("faults", Int (fun r -> r.rep_faults));
+      ("prefetched_pages", Int (fun r -> r.rep_prefetched_pages));
+      ("fnptr_translations", Int (fun r -> r.rep_fnptr_translations));
+      ("remote_io_ops", Int (fun r -> r.rep_remote_io_ops));
+      ("bytes_to_server", Int (fun r -> r.rep_bytes_to_server));
+      ("bytes_to_mobile", Int (fun r -> r.rep_bytes_to_mobile));
+      ("wire_bytes_to_mobile", Int (fun r -> r.rep_wire_bytes_to_mobile));
+      ("rpc_timeouts", Int (fun r -> r.rep_rpc_timeouts));
+      ("retries", Int (fun r -> r.rep_retries));
+      ("fallbacks", Int (fun r -> r.rep_fallbacks));
+      ("recovery_s", Float (fun r -> r.rep_recovery_s));
+      ("queued", Int (fun r -> r.rep_queued));
+      ("queue_wait_s", Float (fun r -> r.rep_queue_wait_s));
+      ("rejects", Int (fun r -> r.rep_rejects));
+      ("checkpoints", Int (fun r -> r.rep_checkpoints));
+      ("migrations", Int (fun r -> r.rep_migrations));
+      ("migrations_done", Int (fun r -> r.rep_migrations_done));
+      ("migrate_transfer_s", Float (fun r -> r.rep_migrate_transfer_s));
+      ("migrate_resume_s", Float (fun r -> r.rep_migrate_resume_s));
+    ]
+
+let report_line label (r : Session.report) =
+  String.concat " "
+    (label
+    :: value_bits r.Session.rep_result
+    :: Digest.to_hex (Digest.string r.Session.rep_console)
+    :: List.map
+         (fun (_, f) ->
+           match f with
+           | Int get -> string_of_int (get r)
+           | Float get -> Printf.sprintf "%016Lx" (Int64.bits_of_float (get r)))
+         fields)
+
+let compiled_entry =
+  let cache = Hashtbl.create 32 in
+  fun (e : Registry.entry) ->
+    match Hashtbl.find_opt cache e.Registry.e_name with
+    | Some c -> c
+    | None ->
+      let c =
+        Compiler.compile ~profile_script:e.Registry.e_profile_script
+          ~profile_files:e.Registry.e_files ~eval_scale:e.Registry.e_eval_scale
+          (e.Registry.e_build ())
+      in
+      Hashtbl.replace cache e.Registry.e_name c;
+      c
+
+let session_report ~config (e : Registry.entry) =
+  let c = compiled_entry e in
+  Session.run
+    (Session.create ~config ~script:e.Registry.e_profile_script
+       ~files:e.Registry.e_files c.Compiler.c_output ~seeds:c.Compiler.c_seeds)
+
+let plan text =
+  match Fault_plan.parse text with
+  | Ok p -> p
+  | Error msg -> Alcotest.failf "plan %S: %s" text msg
+
+let fleet_reports label ~config clients =
+  List.map
+    (fun (c : Sim.client_result) ->
+      (Printf.sprintf "%s c%d" label c.Sim.cr_id, c.Sim.cr_report))
+    (Sim.run ~config clients).Sim.r_clients
+
+(* (label, report) of every run: the registry on its profile inputs
+   under the three offloaded configurations; three programs without
+   prefetch, so pages fault on demand; the life-cycle tests' fault
+   plans; every client of the migration scenarios with migration on
+   and off; and a one-slot fleet whose queue of one fills. *)
+let session_runs () =
+  let entry name = Option.get (Registry.by_name name) in
+  List.concat_map
+    (fun (cname, config) ->
+      List.map
+        (fun (e : Registry.entry) ->
+          (cname ^ " " ^ e.Registry.e_name, session_report ~config e))
+        (Registry.spec @ Registry.synthetic))
+    [ ("slow", Experiment.slow_config ()); ("fast", Experiment.fast_config ());
+      ("ideal", Experiment.ideal_config ()) ]
+  @ List.map
+      (fun name ->
+        ( "no-prefetch " ^ name,
+          session_report
+            ~config:{ (Experiment.fast_config ()) with Session.prefetch = false }
+            (entry name) ))
+      [ "164.gzip"; "458.sjeng"; "429.mcf" ]
+  @ List.map
+      (fun (name, faults) ->
+        ( Printf.sprintf "faults %s %s" name faults,
+          session_report
+            ~config:
+              { (Session.default_config ()) with
+                Session.faults = Some (plan faults) }
+            (entry name) ))
+      [ ("164.gzip", "outage=0.5:2.0,seed=7");
+        ("164.gzip", "drop=0.2,corrupt=0.1,seed=3");
+        ("458.sjeng", "crash=1.0,seed=7") ]
+  @ List.concat_map
+      (fun name ->
+        List.concat_map
+          (fun migrate ->
+            let sc = Sim.scenario ~migrate name in
+            fleet_reports
+              (Printf.sprintf "%s migrate=%b" name migrate)
+              ~config:sc.Sim.sc_config sc.Sim.sc_clients)
+          [ true; false ])
+      Sim.scenario_names
+  @ fleet_reports "queue"
+      ~config:
+        { Sim.default_config with
+          Sim.s_load =
+            { Server_load.default with Server_load.slots = 1; queue_cap = 1 } }
+      (Sim.make_clients ~stagger_s:0.0 ~workloads:[ "164.gzip"; "429.mcf" ]
+         ~count:6 ())
+
+let test_sessions () =
+  let runs = session_runs () in
+  Alcotest.(check int) "runs" 101 (List.length runs);
+  (* Every count and sum is exercised by some run, so the digest pins
+     it. *)
+  List.iter
+    (fun (name, f) ->
+      let nonzero (_, r) =
+        match f with Int get -> get r <> 0 | Float get -> get r <> 0.0
+      in
+      Alcotest.(check bool) (name ^ " nonzero in some run") true
+        (List.exists nonzero runs))
+    fields;
+  let text =
+    String.concat "" (List.map (fun (l, r) -> report_line l r ^ "\n") runs)
+  in
+  Alcotest.(check string) "session reports" sessions_md5 (md5 text)
+
 let tests =
   [
     Alcotest.test_case "registry local runs" `Quick test_registry;
     Alcotest.test_case "opcode grid" `Quick test_grid;
+    Alcotest.test_case "session reports" `Quick test_sessions;
   ]
