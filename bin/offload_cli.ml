@@ -122,15 +122,16 @@ let self_prof_end = function
 let traced_run entry (compiled : Compiler.compiled) ~config ~label ~trace_file
     ~trace_raw ~metrics ~metrics_out =
   let ring = Trace.Ring.create ~capacity:(1 lsl 20) () in
-  let m = Trace.Metrics.create () in
   let series = Series.create () in
   let config =
     { config with
       Session.trace =
-        Trace.fan_out
-          [ Trace.Ring.sink ring; Trace.Metrics.sink m; Series.sink series ] }
+        Trace.fan_out [ Trace.Ring.sink ring; Series.sink series ] }
   in
-  let _run, _session = Experiment.offloaded_run ~label:"traced" ~config compiled entry in
+  let run, _report =
+    Experiment.offloaded_run ~label:"traced" ~config compiled entry
+  in
+  let m = Option.get run.Experiment.run_metrics in
   (match trace_file with
   | None -> ()
   | Some file ->
@@ -308,11 +309,10 @@ let run_cmd =
     (match faulty_config with
     | None -> ()
     | Some config ->
-      let frun, fsession =
+      let frun, report =
         Experiment.offloaded_run ~label:"fault-injected" ~config
           res.Experiment.pres_compiled entry
       in
-      let ov = Session.overheads fsession in
       let survived =
         String.equal res.Experiment.pres_local.Experiment.run_console
           frun.Experiment.run_console
@@ -324,8 +324,9 @@ let run_cmd =
               timeouts %d  retries %d  recovery %.2f s@."
         frun.Experiment.run_exec_s
         res.Experiment.pres_local.Experiment.run_exec_s
-        frun.Experiment.run_offloads ov.Session.fallbacks
-        ov.Session.rpc_timeouts ov.Session.retries ov.Session.recovery_s;
+        frun.Experiment.run_offloads report.Session.rep_fallbacks
+        report.Session.rep_rpc_timeouts report.Session.rep_retries
+        report.Session.rep_recovery_s;
       Fmt.pr "  survived (console identical to local): %b@." survived);
     if trace_file <> None || trace_raw <> None || metrics
        || metrics_out <> None

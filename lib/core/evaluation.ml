@@ -311,10 +311,9 @@ let fig6b () =
 
 (* {1 Figure 7 — overhead breakdown}
 
-   Derived from the aggregating trace sink attached to every offloaded
-   run (the Flush / Page_fault / Fnptr_translate / Remote_io /
-   Power_state events), not from the session's mutable counters; the
-   trace regression tests pin the two representations together. *)
+   Read off each offloaded run's ledger, the fold of its Flush /
+   Page_fault / Fnptr_translate / Remote_io / Power_state events that
+   the session's report is filled from too. *)
 
 let fig7 () : Table.t =
   let table =
@@ -329,7 +328,10 @@ let fig7 () : Table.t =
     (fun (res : Experiment.program_result) ->
       List.iter
         (fun (tag, run) ->
-          let bd = Experiment.breakdown_of_trace run in
+          let bd =
+            Experiment.breakdown_of_trace
+              (Option.get run.Experiment.run_metrics)
+          in
           Table.add_row table
             [
               res.Experiment.pres_entry.Registry.e_name;
@@ -346,11 +348,8 @@ let fig7 () : Table.t =
 
 (* {1 Figure 8 — power over time}
 
-   The timeline is rebuilt from the Power_state events captured by the
-   run's aggregating sink — a derived view over the trace spine rather
-   than a read of the battery's internal segment list.  (The battery
-   still keeps its segments; the trace tests check both views are
-   identical.) *)
+   The timeline is resampled from the Power_state rows in the run's
+   ledger; the battery keeps no segment list of its own. *)
 
 let fig8_trace ~program ~(config : Session.config) ~points () :
     (float * float) list =
@@ -363,19 +362,17 @@ let fig8_trace ~program ~(config : Session.config) ~points () :
         ~profile_files:entry.Registry.e_files
         ~eval_scale:entry.Registry.e_eval_scale m
     in
-    let run, _session = Experiment.offloaded_run ~config compiled entry in
-    (match run.Experiment.run_metrics with
-    | None -> []
-    | Some metrics ->
-      let horizon =
-        List.fold_left
-          (fun acc (ts, _, dur, _) -> Float.max acc (ts +. dur))
-          0.0
-          (No_trace.Trace.Metrics.power_segments metrics)
-      in
-      let period = Float.max (horizon /. float_of_int points) 1e-9 in
-      No_trace.Trace.Metrics.resample_power metrics ~period_s:period
-        ~idle_mw:(Experiment.idle_mw_of_config config))
+    let run, _report = Experiment.offloaded_run ~config compiled entry in
+    let metrics = Option.get run.Experiment.run_metrics in
+    let horizon =
+      List.fold_left
+        (fun acc (ts, _, dur, _) -> Float.max acc (ts +. dur))
+        0.0
+        (No_trace.Trace.Metrics.power_segments metrics)
+    in
+    let period = Float.max (horizon /. float_of_int points) 1e-9 in
+    No_trace.Trace.Metrics.resample_power metrics ~period_s:period
+      ~idle_mw:(Experiment.idle_mw_of_config config)
 
 let fig8 ?(points = 60) () : Table.t =
   let table =

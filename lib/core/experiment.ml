@@ -11,7 +11,6 @@ module Link = No_netsim.Link
 module Session = No_runtime.Session
 module Local_run = No_runtime.Local_run
 module Registry = No_workloads.Registry
-module Battery = No_power.Battery
 module Trace = No_trace.Trace
 
 (* One configuration's outcome, in comparable units. *)
@@ -22,17 +21,12 @@ type run = {
   run_console : string;
   run_offloads : int;
   run_refusals : int;
-  run_comm_s : float;
-  run_fnptr_s : float;
-  run_remote_io_s : float;
   run_faults : int;
   run_bytes_to_server : int;
   run_bytes_to_mobile : int;
-  run_fnptr_translations : int;
-  run_remote_io_ops : int;
   run_server_span_s : float;     (* wall time inside offloads *)
   run_metrics : Trace.Metrics.t option;
-      (* event-derived aggregates; None for local (un-traced) runs *)
+      (* the session's ledger; None for local runs *)
 }
 
 type program_result = {
@@ -52,19 +46,14 @@ let run_of_local label (r : Local_run.report) : run =
     run_console = r.Local_run.lr_console;
     run_offloads = 0;
     run_refusals = 0;
-    run_comm_s = 0.0;
-    run_fnptr_s = 0.0;
-    run_remote_io_s = 0.0;
     run_faults = 0;
     run_bytes_to_server = 0;
     run_bytes_to_mobile = 0;
-    run_fnptr_translations = 0;
-    run_remote_io_ops = 0;
     run_server_span_s = 0.0;
     run_metrics = None;
   }
 
-let run_of_session ?metrics label (r : Session.report) : run =
+let run_of_session ~metrics label (r : Session.report) : run =
   {
     run_label = label;
     run_exec_s = r.Session.rep_total_s;
@@ -72,39 +61,26 @@ let run_of_session ?metrics label (r : Session.report) : run =
     run_console = r.Session.rep_console;
     run_offloads = r.Session.rep_offloads;
     run_refusals = r.Session.rep_refusals;
-    run_comm_s = r.Session.rep_comm_s;
-    run_fnptr_s = r.Session.rep_fnptr_s;
-    run_remote_io_s = r.Session.rep_remote_io_s;
     run_faults = r.Session.rep_faults;
     run_bytes_to_server = r.Session.rep_bytes_to_server;
     run_bytes_to_mobile = r.Session.rep_bytes_to_mobile;
-    run_fnptr_translations = r.Session.rep_fnptr_translations;
-    run_remote_io_ops = r.Session.rep_remote_io_ops;
     run_server_span_s = r.Session.rep_server_span_s;
-    run_metrics = metrics;
+    run_metrics = Some metrics;
   }
 
-(* Run one offloaded configuration; returns the session (for power
-   traces) along with the comparable run record.  Every offloaded run
-   carries an aggregating metrics sink (fanned out with whatever sink
-   the caller configured), so figures can be derived from the event
-   stream. *)
+(* Run one offloaded configuration; returns the comparable run record,
+   which carries the session's ledger so figures can be derived from
+   the event stream, along with the session's full report. *)
 let offloaded_run ?(label = "offloaded") ~(config : Session.config)
     (compiled : Compiler.compiled) (entry : Registry.entry) :
-    run * Session.t =
-  let metrics = Trace.Metrics.create () in
-  let config =
-    { config with
-      Session.trace =
-        Trace.fan_out [ Trace.Metrics.sink metrics; config.Session.trace ] }
-  in
+    run * Session.report =
   let session =
     Session.create ~config ~script:entry.Registry.e_eval_script
       ~files:entry.Registry.e_files compiled.Compiler.c_output
       ~seeds:compiled.Compiler.c_seeds
   in
   let report = Session.run session in
-  (run_of_session ~metrics label report, session)
+  (run_of_session ~metrics:(Session.ledger session) label report, report)
 
 let slow_config () =
   { (Session.default_config ~link:Link.slow_wifi ()) with
@@ -165,36 +141,21 @@ type breakdown = {
   bd_comm_s : float;
 }
 
-let breakdown_of (r : run) : breakdown =
-  let overheads = r.run_comm_s +. r.run_fnptr_s +. r.run_remote_io_s in
+(* The breakdown of an offloaded run, read off its ledger: the total
+   is the sum of the power segments (they partition the timeline) and
+   the overheads are the folded Flush / Page_fault / Fnptr_translate /
+   Remote_io costs. *)
+let breakdown_of_trace (m : Trace.Metrics.t) : breakdown =
+  let comm = m.Trace.Metrics.comm_s in
+  let fnptr = m.Trace.Metrics.fnptr_s in
+  let remote_io = m.Trace.Metrics.remote_io_s in
+  let total = Trace.Metrics.total_s m in
   {
-    bd_computation_s = Float.max 0.0 (r.run_exec_s -. overheads);
-    bd_fnptr_s = r.run_fnptr_s;
-    bd_remote_io_s = r.run_remote_io_s;
-    bd_comm_s = r.run_comm_s;
+    bd_computation_s = Float.max 0.0 (total -. (comm +. fnptr +. remote_io));
+    bd_fnptr_s = fnptr;
+    bd_remote_io_s = remote_io;
+    bd_comm_s = comm;
   }
-
-(* The same breakdown derived purely from the run's event stream: the
-   total is the sum of the power segments (they partition the
-   timeline) and the overheads are the aggregated Flush / Page_fault /
-   Fnptr_translate / Remote_io costs.  Must agree with [breakdown_of]
-   (the trace regression tests enforce it); local runs have no stream
-   and fall back to the counters. *)
-let breakdown_of_trace (r : run) : breakdown =
-  match r.run_metrics with
-  | None -> breakdown_of r
-  | Some m ->
-    let comm = Trace.Metrics.comm_s m in
-    let fnptr = m.Trace.Metrics.fnptr_s in
-    let remote_io = m.Trace.Metrics.remote_io_s in
-    let total = Trace.Metrics.total_s m in
-    {
-      bd_computation_s =
-        Float.max 0.0 (total -. (comm +. fnptr +. remote_io));
-      bd_fnptr_s = fnptr;
-      bd_remote_io_s = remote_io;
-      bd_comm_s = comm;
-    }
 
 (* Geometric mean over a list of positive ratios. *)
 let geomean values =
@@ -205,27 +166,9 @@ let geomean values =
       (List.fold_left (fun acc v -> acc +. log v) 0.0 values
       /. float_of_int (List.length values))
 
-(* The idle power level the session's battery model falls back to —
-   needed to resample a power timeline from the event stream exactly
-   as [Battery.resample] does. *)
+(* The idle power level of the session's battery model: what a
+   resampled power timeline shows where no segment covers a sample. *)
 let idle_mw_of_config (config : Session.config) : float =
   No_power.Power_model.draw_mw
     (No_power.Power_model.galaxy_s5 ~fast_radio:config.Session.fast_radio)
     No_power.Power_model.Idle
-
-(* Power trace for Figure 8: run one offloaded configuration and
-   resample the power timeline from its event stream. *)
-let power_trace ?(config = fast_config ()) (entry : Registry.entry)
-    ~(period_s : float) : (float * float) list =
-  let m = entry.Registry.e_build () in
-  let compiled =
-    Compiler.compile ~profile_script:entry.Registry.e_profile_script
-      ~profile_files:entry.Registry.e_files
-      ~eval_scale:entry.Registry.e_eval_scale m
-  in
-  let run, _session = offloaded_run ~config compiled entry in
-  match run.run_metrics with
-  | Some metrics ->
-    Trace.Metrics.resample_power metrics ~period_s
-      ~idle_mw:(idle_mw_of_config config)
-  | None -> []

@@ -12,24 +12,6 @@
 
 type direction = To_server | To_mobile
 
-type stats = {
-  mutable messages : int;        (* logical messages batched *)
-  mutable flushes : int;         (* physical transfers *)
-  mutable raw_bytes : int;
-  mutable wire_bytes : int;
-  mutable transfer_time : float;
-  mutable codec_time : float;
-}
-
-let empty_stats () = {
-  messages = 0;
-  flushes = 0;
-  raw_bytes = 0;
-  wire_bytes = 0;
-  transfer_time = 0.0;
-  codec_time = 0.0;
-}
-
 type t = {
   link : Link.t;
   direction : direction;
@@ -37,7 +19,6 @@ type t = {
   compress_s_per_byte : float;    (* sender-side CPU cost *)
   decompress_s_per_byte : float;  (* receiver-side CPU cost *)
   mutable pending : Buffer.t;
-  stats : stats;
   sink : No_trace.Trace.sink;     (* receives one Flush per transfer *)
   row : No_trace.Trace.Row.t;     (* scratch for zero-alloc emission *)
   clock : unit -> float;          (* timestamps for emitted events *)
@@ -63,7 +44,6 @@ let create ?(compress = false)
     compress_s_per_byte;
     decompress_s_per_byte;
     pending = Buffer.create 4096;
-    stats = empty_stats ();
     sink;
     row = No_trace.Trace.Row.create ();
     clock;
@@ -71,14 +51,12 @@ let create ?(compress = false)
   }
 
 (* Queue a logical message; costs nothing until flushed. *)
-let send t (payload : Bytes.t) =
-  t.stats.messages <- t.stats.messages + 1;
-  Buffer.add_bytes t.pending payload
+let send t (payload : Bytes.t) = Buffer.add_bytes t.pending payload
 
 let pending_bytes t = Buffer.length t.pending
 
 (* Transmit the batch; returns elapsed time.  Flushing an empty
-   pending buffer is a strict no-op: no stats, no event, zero time. *)
+   pending buffer is a strict no-op: no event, zero time. *)
 let flush t : float =
   let raw = Buffer.length t.pending in
   if raw = 0 then 0.0
@@ -105,31 +83,13 @@ let flush t : float =
     let transfer =
       Link.transfer_time_scaled t.link ~bytes:wire ~bw_factor:(t.bw_factor ())
     in
-    t.stats.flushes <- t.stats.flushes + 1;
-    t.stats.raw_bytes <- t.stats.raw_bytes + raw;
-    t.stats.wire_bytes <- t.stats.wire_bytes + wire;
-    t.stats.transfer_time <- t.stats.transfer_time +. transfer;
-    t.stats.codec_time <- t.stats.codec_time +. codec_time;
-    if not (No_trace.Trace.is_null t.sink) then begin
-      No_trace.Trace.Row.set_flush t.row
-        ~direction:
-          (match t.direction with
-          | To_server -> No_trace.Trace.To_server
-          | To_mobile -> No_trace.Trace.To_mobile)
-        ~raw_bytes:raw ~wire_bytes:wire ~transfer_s:transfer
-        ~codec_s:codec_time;
-      t.sink ~ts:(t.clock ()) t.row
-    end;
+    No_trace.Trace.Row.set_flush t.row
+      ~direction:
+        (match t.direction with
+        | To_server -> No_trace.Trace.To_server
+        | To_mobile -> No_trace.Trace.To_mobile)
+      ~raw_bytes:raw ~wire_bytes:wire ~transfer_s:transfer
+      ~codec_s:codec_time;
+    t.sink ~ts:(t.clock ()) t.row;
     transfer +. codec_time
   end
-
-(* Unbatched convenience: send one message and flush immediately. *)
-let send_now t payload =
-  send t payload;
-  flush t
-
-let stats t = t.stats
-
-let compression_ratio t =
-  if t.stats.raw_bytes = 0 then 1.0
-  else float_of_int t.stats.wire_bytes /. float_of_int t.stats.raw_bytes

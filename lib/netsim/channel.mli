@@ -9,15 +9,6 @@
 
 type direction = To_server | To_mobile
 
-type stats = {
-  mutable messages : int;        (** logical messages batched *)
-  mutable flushes : int;         (** physical transfers *)
-  mutable raw_bytes : int;
-  mutable wire_bytes : int;      (** after compression *)
-  mutable transfer_time : float;
-  mutable codec_time : float;
-}
-
 type t
 
 val default_compress_s_per_byte : float
@@ -46,15 +37,7 @@ val send : t -> Bytes.t -> unit
 val pending_bytes : t -> int
 
 val flush : t -> float
-(** Transmit the batch; returns elapsed seconds.  Flushing an empty
-    pending buffer is a strict no-op: zero time, no stats update, no
-    event.  Compression falls back to raw when it would expand the
-    data, so [wire_bytes <= raw_bytes] always holds. *)
-
-val send_now : t -> Bytes.t -> float
-(** [send] then [flush]. *)
-
-val stats : t -> stats
-
-val compression_ratio : t -> float
-(** wire/raw over the channel's lifetime; 1.0 = incompressible. *)
+(** Transmit the batch and emit its Flush row; returns elapsed
+    seconds.  Flushing an empty pending buffer is a strict no-op: zero
+    time, no event.  Compression falls back to raw when it would
+    expand the data, so [wire_bytes <= raw_bytes] always holds. *)

@@ -1,12 +1,6 @@
 (** Battery accounting: integrates the power model over the simulated
-    timeline and keeps the (time, power) trace behind Figure 8. *)
-
-type segment = {
-  seg_start : float;
-  seg_end : float;
-  seg_state : Power_model.state;
-  seg_mw : float;
-}
+    timeline.  Each recorded segment goes to the sink as a
+    Power_state row, the raw material of Figure 8. *)
 
 type t
 
@@ -21,12 +15,3 @@ val spend : t -> from_s:float -> to_s:float -> Power_model.state -> unit
 
 val energy_mj : t -> float
 (** Total energy so far (mW·s = mJ). *)
-
-val segments : t -> segment list
-(** In chronological order. *)
-
-val resample : t -> period_s:float -> (float * float) list
-(** (time, mW) pairs at a fixed period, for plotting. *)
-
-val time_by_state : t -> (Power_model.state * float) list
-(** Total seconds per state, for overhead analysis. *)

@@ -125,8 +125,8 @@ type config = {
   fast_radio : bool;             (* selects the remote-I/O power level *)
   initial_bw_bps : float option; (* stale bandwidth belief; None = the
                                     configured link's effective rate *)
-  trace : Trace.sink;            (* runtime event spine; every layer of
-                                    the session emits through this *)
+  trace : Trace.sink;            (* runtime event spine: receives every
+                                    row the session's ledger folds *)
   faults : Fault_plan.t option;  (* deterministic fault schedule; None
                                     (and the empty plan) = no faults *)
   retry : Injector.policy;       (* per-RPC deadline + backoff bounds *)
@@ -165,31 +165,6 @@ type target_seed = {
   seed_mem_bytes : int;          (* expected shared-memory footprint *)
 }
 
-(* Figure 7's overhead categories, accumulated as they occur. *)
-type overheads = {
-  mutable comm_s : float;
-  mutable fnptr_s : float;
-  mutable remote_io_s : float;
-  mutable fnptr_count : int;
-  mutable remote_io_count : int;
-  mutable fault_count : int;
-  mutable prefetched_pages : int;
-  mutable offloads : int;
-  mutable refusals : int;
-  mutable rpc_timeouts : int;
-  mutable retries : int;
-  mutable fallbacks : int;
-  mutable recovery_s : float;    (* wall time lost to failed attempts *)
-  mutable queued : int;          (* offloads that waited for a slot *)
-  mutable queue_wait_s : float;  (* total FIFO wait *)
-  mutable rejects : int;         (* admissions refused (queue full) *)
-  mutable checkpoints : int;     (* task images captured on Server_lost *)
-  mutable migrations : int;      (* checkpoints shipped to a new member *)
-  mutable migrations_done : int; (* resumed attempts that completed *)
-  mutable migrate_transfer_s : float; (* image time on the wire *)
-  mutable migrate_resume_s : float;   (* re-execution span on the new member *)
-}
-
 type t = {
   config : config;
   mobile : Host.t;
@@ -203,7 +178,9 @@ type t = {
   targets : Partition.target list;
   uva_globals : Ir.global list;
   unified_layout : Layout.env;
-  ov : overheads;
+  ledger : Trace.Metrics.t;                (* every row emitted, folded *)
+  sink : Trace.sink;                       (* the ledger, fanned out with
+                                              [config.trace] *)
   mem_estimate : (string, int) Hashtbl.t;  (* per-target footprint *)
   uva_global_addr : (string, int) Hashtbl.t; (* g -> UVA object address *)
   mutable last_mark : float;
@@ -212,7 +189,6 @@ type t = {
   mutable pending_args : Value.t array;
   mutable pending_ret : Value.t;
   mutable last_resident : int list;        (* server residency, for prefetch *)
-  mutable server_exec_s : float;           (* wall time inside offloads *)
   mutable finished : bool;
   injector : Injector.t option;            (* fault oracle; None = clean run *)
   mutable server_dead : bool;              (* crash observed; refuse future
@@ -247,16 +223,15 @@ let advance t seconds = t.clock.Host.now <- t.clock.Host.now +. seconds
 (* {1 Event emission}
 
    Events mirror exactly what the session charges: span events are
-   stamped with the span's start.  The mutable [overheads] counters
-   are kept alongside; the aggregating trace sink must reproduce them
-   bit-for-bit (enforced by the trace regression tests).
+   stamped with the span's start.  The session keeps no counters of
+   its own: every row goes to its ledger, a [Trace.Metrics] fold, and
+   on to [config.trace]; [run] reads the report off the ledger.
 
    The caller fills [t.row] with a [Trace.Row.set_*] and emits it in
    place — no event is boxed unless a capture sink (ring, sampler)
    sits behind the trace.  The row is only valid for the duration of
    the call. *)
-let emit_row_at t ~ts =
-  if not (Trace.is_null t.config.trace) then t.config.trace ~ts t.row
+let emit_row_at t ~ts = t.sink ~ts t.row
 
 let emit_row t = emit_row_at t ~ts:t.clock.Host.now
 
@@ -332,10 +307,12 @@ let create ?(config = default_config ()) ?(script = []) ?(files = [])
       ~server_arch:config.server_arch ~layout:unified_layout
       ~mobile_table ~server_table
   in
+  let ledger = Trace.Metrics.create () in
+  let sink = Trace.fan_out [ Trace.Metrics.sink ledger; config.trace ] in
   let mobile =
     Host.create ~arch:config.mobile_arch ~role:Host.Mobile
       ~modul:output.Pipeline.o_mobile ~layout:unified_layout
-      ~fn_table:mobile_table ~uva ~console ~fs ~clock ~sink:config.trace
+      ~fn_table:mobile_table ~uva ~console ~fs ~clock ~sink
       ~code:mobile_code ()
   in
   let server =
@@ -343,7 +320,7 @@ let create ?(config = default_config ()) ?(script = []) ?(files = [])
       ~modul:output.Pipeline.o_server ~layout:unified_layout
       ~fn_table:server_table
       ~fn_addr_standard:(Fn_table.addr_of mobile_table)
-      ~uva ~console ~fs ~clock ~sink:config.trace ~code:server_code ()
+      ~uva ~console ~fs ~clock ~sink ~code:server_code ()
   in
   let r =
     Arch.performance_ratio ~mobile:config.mobile_arch
@@ -369,12 +346,11 @@ let create ?(config = default_config ()) ?(script = []) ?(files = [])
      charged; wrap the channels' sink so the emitted Flush events
      reflect the charged (zero) cost. *)
   let channel_sink =
-    if Trace.is_null config.trace then Trace.null
-    else if config.ideal then
+    if config.ideal then
       fun ~ts row ->
         Trace.zero_cost_row row;
-        config.trace ~ts row
-    else config.trace
+        sink ~ts row
+    else sink
   in
   let channel_clock () = clock.Host.now in
   (* The fault oracle, shared by the channels (bandwidth collapse) and
@@ -405,7 +381,7 @@ let create ?(config = default_config ()) ?(script = []) ?(files = [])
       server;
       clock;
       battery =
-        Battery.create ~sink:config.trace
+        Battery.create ~sink
           (Power_model.galaxy_s5 ~fast_radio:config.fast_radio);
       estimator;
       predictor = Bandwidth_predictor.create ~initial_bps:initial_bw ();
@@ -420,13 +396,8 @@ let create ?(config = default_config ()) ?(script = []) ?(files = [])
       targets = output.Pipeline.o_targets;
       uva_globals = output.Pipeline.o_mobile.Ir.m_uva_globals;
       unified_layout;
-      ov =
-        { comm_s = 0.0; fnptr_s = 0.0; remote_io_s = 0.0; fnptr_count = 0;
-          remote_io_count = 0; fault_count = 0; prefetched_pages = 0;
-          offloads = 0; refusals = 0; rpc_timeouts = 0; retries = 0;
-          fallbacks = 0; recovery_s = 0.0; queued = 0; queue_wait_s = 0.0;
-          rejects = 0; checkpoints = 0; migrations = 0; migrations_done = 0;
-          migrate_transfer_s = 0.0; migrate_resume_s = 0.0 };
+      ledger;
+      sink;
       mem_estimate;
       uva_global_addr = Hashtbl.create 16;
       last_mark = 0.0;
@@ -435,7 +406,6 @@ let create ?(config = default_config ()) ?(script = []) ?(files = [])
       pending_args = [||];
       pending_ret = Value.zero;
       last_resident = [];
-      server_exec_s = 0.0;
       finished = false;
       injector;
       server_dead = false;
@@ -448,11 +418,7 @@ let create ?(config = default_config ()) ?(script = []) ?(files = [])
 
 (* {1 Communication primitives} *)
 
-let charge_comm t seconds =
-  if not t.config.ideal then begin
-    advance t seconds;
-    t.ov.comm_s <- t.ov.comm_s +. seconds
-  end
+let charge_comm t seconds = if not t.config.ideal then advance t seconds
 
 (* Every physical transfer feeds the bandwidth predictor, which in
    turn refreshes the dynamic estimator's belief — the NWSLite-style
@@ -550,8 +516,7 @@ let exchange t ~op ~state (deliver : unit -> 'a) : 'a =
         let ts = t.clock.Host.now in
         wait backoff;
         Trace.Row.set_retry t.row ~op ~attempt ~backoff_s:backoff;
-        emit_row_at t ~ts;
-        t.ov.retries <- t.ov.retries + 1
+        emit_row_at t ~ts
       end
     in
     let rec go attempt =
@@ -575,7 +540,6 @@ let exchange t ~op ~state (deliver : unit -> 'a) : 'a =
         Trace.Row.set_rpc_timeout t.row ~op ~attempt
           ~waited_s:policy.Injector.deadline_s;
         emit_row_at t ~ts;
-        t.ov.rpc_timeouts <- t.ov.rpc_timeouts + 1;
         backoff_then attempt;
         go (attempt + 1)
       | Injector.Corrupt ->
@@ -616,7 +580,6 @@ let service_fault_unprofiled t (mem : Memory.t) page =
     Memory.install_page mem page (Bytes.make Region.page_size '\000')
   else begin
     exchange t ~op:"page-fault" ~state:Power_model.Transmitting (fun () ->
-        t.ov.fault_count <- t.ov.fault_count + 1;
         let ts = t.clock.Host.now in
         let seconds =
           Link.round_trip_time_scaled t.config.link ~req:48
@@ -658,7 +621,6 @@ let push_pages_to_server t (pages : int list) =
             send_to_server t (Bytes.make 8 '\000') (* page header *))
           pages;
         flush_to_server t;
-        t.ov.prefetched_pages <- t.ov.prefetched_pages + List.length pages;
         Trace.Row.set_prefetch t.row ~pages:(List.length pages)
           ~bytes:(List.length pages * Region.page_size);
         emit_row_at t ~ts)
@@ -766,7 +728,6 @@ let remote_io_cost t ~(io_name : string) ~(request : int) ~(response : int)
     ~(round_trip : bool) =
   if not t.config.ideal then
     exchange t ~op:io_name ~state:Power_model.Remote_io_service (fun () ->
-        t.ov.remote_io_count <- t.ov.remote_io_count + 1;
         let ts = t.clock.Host.now in
         let seconds =
           if round_trip then
@@ -777,7 +738,6 @@ let remote_io_cost t ~(io_name : string) ~(request : int) ~(response : int)
               ~bw_factor:(bw_factor t)
         in
         advance t seconds;
-        t.ov.remote_io_s <- t.ov.remote_io_s +. seconds;
         Trace.Row.set_remote_io t.row ~io_name ~request_bytes:request
           ~response_bytes:response ~cost_s:seconds;
         emit_row_at t ~ts)
@@ -850,10 +810,8 @@ let install_server_hooks t =
     Some
       (fun dir v ->
         if not t.config.ideal then begin
-          t.ov.fnptr_count <- t.ov.fnptr_count + 1;
           let ts = t.clock.Host.now in
           advance t t.config.fnptr_translation_s;
-          t.ov.fnptr_s <- t.ov.fnptr_s +. t.config.fnptr_translation_s;
           Trace.Row.set_fnptr_translate t.row
             ~cost_s:t.config.fnptr_translation_s;
           emit_row_at t ~ts
@@ -973,7 +931,6 @@ let local_replay t tname args =
 (* Close the invocation's span, opened at [t0]. *)
 let end_span t tname ~t0 ~dirty_pages =
   let span_s = t.clock.Host.now -. t0 in
-  t.server_exec_s <- t.server_exec_s +. span_s;
   Trace.Row.set_offload_end t.row ~target:tname ~dirty_pages ~span_s;
   emit_row t
 
@@ -986,8 +943,6 @@ let end_span t tname ~t0 ~dirty_pages =
 let occupy t sh tname ~server ~wait_s ~occupancy ~slot ~queue_depth ~r_scale
     ~bw_scale =
   if wait_s > 0.0 then begin
-    t.ov.queued <- t.ov.queued + 1;
-    t.ov.queue_wait_s <- t.ov.queue_wait_s +. wait_s;
     Trace.Row.set_queue t.row ~target:tname ~server ~wait_s ~depth:queue_depth;
     emit_row t;
     with_state t Power_model.Waiting (fun () -> advance t wait_s)
@@ -1038,10 +993,9 @@ let migrate t sh tname snap ~from_server ~reason ~io0 =
   let ledger_bytes =
     Console.committed_since t.mobile.Host.console snap.sn_console
   in
-  let io_cursor = t.ov.remote_io_count - io0 in
+  let io_cursor = t.ledger.Trace.Metrics.remote_io_count - io0 in
   Selfprof.leave Checkpoint;
   let image_bytes = image_bytes ~dirty_pages:pages ~ledger_bytes in
-  t.ov.checkpoints <- t.ov.checkpoints + 1;
   Trace.Row.set_checkpoint t.row ~target:tname ~pages ~image_bytes ~io_cursor
     ~ledger_bytes;
   emit_row t;
@@ -1063,8 +1017,6 @@ let migrate t sh tname snap ~from_server ~reason ~io0 =
     Trace.Row.set_migrate_start t.row ~target:tname ~from_server ~to_server
       ~reason ~transfer_s;
     emit_row t;
-    t.ov.migrations <- t.ov.migrations + 1;
-    t.ov.migrate_transfer_s <- t.ov.migrate_transfer_s +. transfer_s;
     with_state t Power_model.Transmitting (fun () -> advance t transfer_s);
     ignore (restore_base t snap ~console:Console.resume_at : int);
     if t.server_dead then begin
@@ -1086,8 +1038,6 @@ let fall_back t tname args snap ~t0 ~reason =
     ~bytes_discarded;
   emit_row t;
   let recovery_s = t.clock.Host.now -. t0 in
-  t.ov.fallbacks <- t.ov.fallbacks + 1;
-  t.ov.recovery_s <- t.ov.recovery_s +. recovery_s;
   Trace.Row.set_fallback_local t.row ~target:tname ~reason ~recovery_s;
   emit_row t;
   end_span t tname ~t0 ~dirty_pages:0;
@@ -1107,7 +1057,6 @@ let offload_invoke t (target : Partition.target) (args : Value.t list) :
   in
   match admission with
   | Some (_, Rejected { server; queue_depth }) ->
-    t.ov.rejects <- t.ov.rejects + 1;
     Trace.Row.set_reject t.row ~target:tname ~server ~queue_depth;
     emit_row t;
     local_replay t tname args
@@ -1123,10 +1072,9 @@ let offload_invoke t (target : Partition.target) (args : Value.t list) :
     let snap =
       if t.injector <> None || volatile then Some (take_snapshot t) else None
     in
-    t.ov.offloads <- t.ov.offloads + 1;
     t.in_offload <- true;
     let t0 = t.clock.Host.now in
-    let io0 = t.ov.remote_io_count in
+    let io0 = t.ledger.Trace.Metrics.remote_io_count in
     Trace.Row.set_offload_begin t.row ~target:tname;
     emit_row_at t ~ts:t0;
     (* The attempt loop.  A migrated task goes back through the same
@@ -1143,8 +1091,6 @@ let offload_invoke t (target : Partition.target) (args : Value.t list) :
         Option.iter
           (fun (server, resume_t0, _) ->
             let resumed_span_s = t.clock.Host.now -. resume_t0 in
-            t.ov.migrations_done <- t.ov.migrations_done + 1;
-            t.ov.migrate_resume_s <- t.ov.migrate_resume_s +. resumed_span_s;
             Trace.Row.set_migrate_done t.row ~target:tname ~server
               ~resumed_span_s;
             emit_row t)
@@ -1214,12 +1160,10 @@ let estimate t target =
     Dynamic_estimate.estimate ~r_factor ~bw_factor t.estimator ~name:target
       ~mem_bytes
   in
-  if not (Trace.is_null t.config.trace) then begin
-    Trace.Row.set_estimate t.row ~target
-      ~predicted_gain_s:e.Dynamic_estimate.gain_s ~local_s:e.local_s
-      ~decision:e.offload;
-    emit_row t
-  end;
+  Trace.Row.set_estimate t.row ~target
+    ~predicted_gain_s:e.Dynamic_estimate.gain_s ~local_s:e.local_s
+    ~decision:e.offload;
+  emit_row t;
   e.offload
 
 (* Once the server's crash was observed it is gone: refuse without
@@ -1229,7 +1173,6 @@ let estimate t target =
 let should_offload t target =
   let offload = (not t.server_dead) && estimate t target in
   if not offload then begin
-    t.ov.refusals <- t.ov.refusals + 1;
     Trace.Row.set_refusal t.row ~target;
     emit_row t
   end;
@@ -1316,38 +1259,42 @@ let run t : report =
   let result = Interp.run_main t.mobile in
   mark t Power_model.Computing;
   t.finished <- true;
+  let m = t.ledger in
+  let now = t.clock.Host.now in
   {
     rep_result = result;
     rep_console = Console.contents t.mobile.Host.console;
-    rep_total_s = t.clock.Host.now;
-    rep_energy_mj = Battery.energy_mj t.battery;
-    rep_mobile_compute_s = t.clock.Host.now -. t.server_exec_s;
-    rep_server_span_s = t.server_exec_s;
-    rep_comm_s = t.ov.comm_s;
-    rep_fnptr_s = t.ov.fnptr_s;
-    rep_remote_io_s = t.ov.remote_io_s;
-    rep_offloads = t.ov.offloads;
-    rep_refusals = t.ov.refusals;
-    rep_faults = t.ov.fault_count;
-    rep_prefetched_pages = t.ov.prefetched_pages;
-    rep_fnptr_translations = t.ov.fnptr_count;
-    rep_remote_io_ops = t.ov.remote_io_count;
-    rep_bytes_to_server = (Channel.stats t.to_server).Channel.raw_bytes;
-    rep_bytes_to_mobile = (Channel.stats t.to_mobile).Channel.raw_bytes;
-    rep_wire_bytes_to_mobile = (Channel.stats t.to_mobile).Channel.wire_bytes;
-    rep_rpc_timeouts = t.ov.rpc_timeouts;
-    rep_retries = t.ov.retries;
-    rep_fallbacks = t.ov.fallbacks;
-    rep_recovery_s = t.ov.recovery_s;
-    rep_queued = t.ov.queued;
-    rep_queue_wait_s = t.ov.queue_wait_s;
-    rep_rejects = t.ov.rejects;
-    rep_checkpoints = t.ov.checkpoints;
-    rep_migrations = t.ov.migrations;
-    rep_migrations_done = t.ov.migrations_done;
-    rep_migrate_transfer_s = t.ov.migrate_transfer_s;
-    rep_migrate_resume_s = t.ov.migrate_resume_s;
+    (* The clock, not [Metrics.total_s]: summing the power segments
+       rounds differently in the last bits. *)
+    rep_total_s = now;
+    rep_energy_mj = m.energy_mj;
+    rep_mobile_compute_s = now -. m.offload_span_s;
+    rep_server_span_s = m.offload_span_s;
+    rep_comm_s = m.comm_s;
+    rep_fnptr_s = m.fnptr_s;
+    rep_remote_io_s = m.remote_io_s;
+    rep_offloads = m.offloads;
+    rep_refusals = m.refusals;
+    rep_faults = m.fault_count;
+    rep_prefetched_pages = m.prefetched_pages;
+    rep_fnptr_translations = m.fnptr_count;
+    rep_remote_io_ops = m.remote_io_count;
+    rep_bytes_to_server = m.raw_to_server;
+    rep_bytes_to_mobile = m.raw_to_mobile;
+    rep_wire_bytes_to_mobile = m.wire_to_mobile;
+    rep_rpc_timeouts = m.rpc_timeouts;
+    rep_retries = m.retries;
+    rep_fallbacks = m.fallbacks;
+    rep_recovery_s = m.recovery_s;
+    rep_queued = m.queued;
+    rep_queue_wait_s = m.queue_wait_s;
+    rep_rejects = m.rejects;
+    rep_checkpoints = m.checkpoints;
+    rep_migrations = m.migrations;
+    rep_migrations_done = m.migrations_done;
+    rep_migrate_transfer_s = m.migrate_transfer_s;
+    rep_migrate_resume_s = m.migrate_resume_s;
   }
 
-let battery t = t.battery
-let overheads t = t.ov
+(* The session's one book: every row it emitted, folded. *)
+let ledger t = t.ledger

@@ -278,7 +278,7 @@ val is_null : sink -> bool
     a row. *)
 
 val fan_out : sink list -> sink
-(** Emit to every sink in order. *)
+(** Emit to every sink in order; {!null} sinks are left out. *)
 
 val replay : sink -> (float * event) list -> unit
 (** Feed a captured stream to [sink] through one scratch row
@@ -291,9 +291,9 @@ val zero_cost_row : Row.t -> unit
 val event_name : event -> string
 (** Short display name, e.g. ["flush:to-server"]. *)
 
-(** Aggregates exactly what the session's pre-refactor overhead
-    counters and the channel stats tracked, so derived reports can be
-    verified against the mutable-counter originals. *)
+(** The fold of a run's rows into its totals.  A session folds every
+    row it emits into one of these, its ledger ([Session.ledger]), and
+    fills its report from it. *)
 module Metrics : sig
   type t = {
     mutable flushes_to_server : int;
@@ -304,6 +304,9 @@ module Metrics : sig
     mutable wire_to_mobile : int;
     mutable transfer_s : float;
     mutable codec_s : float;
+    mutable comm_s : float;
+        (** charged communication time, in row order: transfer + codec
+            per flush, service per page fault *)
     mutable fault_count : int;
     mutable fault_s : float;
     mutable prefetched_pages : int;
@@ -352,12 +355,9 @@ module Metrics : sig
       summing windowed metrics in chronological order reconstitutes
       what a single sink over the whole run would have aggregated. *)
 
-  val comm_s : t -> float
-  (** Total charged communication time: transfers + codec CPU +
-      copy-on-demand fault service. *)
-
   val total_s : t -> float
-  (** Wall clock of the run (power segments partition the timeline). *)
+  (** Sum of the power segments, which partition the timeline: the
+      run's wall clock up to float rounding. *)
 
   val time_in_state : t -> string -> float
 
@@ -366,7 +366,9 @@ module Metrics : sig
 
   val resample_power :
     t -> period_s:float -> idle_mw:float -> (float * float) list
-  (** Mirror of [Battery.resample] derived from the event stream. *)
+  (** (time, mW) at a fixed period from 0 to the last segment's end;
+      [idle_mw] where no segment covers a sample point (the Figure 8
+      timeline). *)
 
   val to_rows : t -> (string * string) list
   (** Label/value pairs for a per-run metrics table. *)

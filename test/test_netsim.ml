@@ -4,6 +4,7 @@
 module Link = No_netsim.Link
 module Compress = No_netsim.Compress
 module Channel = No_netsim.Channel
+module Trace = No_trace.Trace
 
 let test_link_math () =
   let slow = Link.slow_wifi and fast = Link.fast_wifi in
@@ -163,59 +164,69 @@ let prop_match_bounds =
         (matches packed)
       && Bytes.equal data (Compress.decompress packed))
 
+(* A channel whose Flush rows fold into a fresh [Metrics], fanned out
+   with [sink]. *)
+let metered ?compress ?(sink = Trace.null) link direction =
+  let m = Trace.Metrics.create () in
+  ( Channel.create ?compress
+      ~sink:(Trace.fan_out [ Trace.Metrics.sink m; sink ])
+      link direction,
+    m )
+
 let test_channel_batching () =
-  let ch = Channel.create Link.fast_wifi Channel.To_server in
+  let ch, m = metered Link.fast_wifi Channel.To_server in
   Channel.send ch (Bytes.create 100);
   Channel.send ch (Bytes.create 200);
   Alcotest.(check int) "pending" 300 (Channel.pending_bytes ch);
   let t = Channel.flush ch in
   Alcotest.(check bool) "flush costs time" true (t > 0.0);
-  let stats = Channel.stats ch in
-  Alcotest.(check int) "two messages" 2 stats.Channel.messages;
-  Alcotest.(check int) "one physical flush" 1 stats.Channel.flushes;
-  Alcotest.(check int) "raw bytes" 300 stats.Channel.raw_bytes;
+  Alcotest.(check int) "one physical flush" 1
+    m.Trace.Metrics.flushes_to_server;
+  Alcotest.(check int) "raw bytes" 300 m.Trace.Metrics.raw_to_server;
   (* batching amortizes latency: two separate flushes cost more *)
   let ch2 = Channel.create Link.fast_wifi Channel.To_server in
-  let t2 =
-    Channel.send_now ch2 (Bytes.create 100)
-    +. Channel.send_now ch2 (Bytes.create 200)
-  in
+  Channel.send ch2 (Bytes.create 100);
+  let t1 = Channel.flush ch2 in
+  Channel.send ch2 (Bytes.create 200);
+  let t2 = t1 +. Channel.flush ch2 in
   Alcotest.(check bool) "batching wins" true (t < t2)
 
 let test_channel_compression () =
   let compressible = Bytes.make 8192 'x' in
-  let ch = Channel.create ~compress:true Link.slow_wifi Channel.To_mobile in
+  let ch, m = metered ~compress:true Link.slow_wifi Channel.To_mobile in
   Channel.send ch compressible;
   ignore (Channel.flush ch);
-  let stats = Channel.stats ch in
-  Alcotest.(check bool) "wire < raw" true
-    (stats.Channel.wire_bytes < stats.Channel.raw_bytes);
-  Alcotest.(check bool) "codec time charged" true (stats.Channel.codec_time > 0.0);
-  Alcotest.(check bool) "ratio < 0.1" true (Channel.compression_ratio ch < 0.1)
+  let raw = m.Trace.Metrics.raw_to_mobile
+  and wire = m.Trace.Metrics.wire_to_mobile in
+  Alcotest.(check bool) "wire < raw" true (wire < raw);
+  Alcotest.(check bool) "codec time charged" true
+    (m.Trace.Metrics.codec_s > 0.0);
+  Alcotest.(check bool) "ratio < 0.1" true
+    (float_of_int wire /. float_of_int raw < 0.1)
 
 let test_empty_flush_noop () =
-  (* Flushing an empty buffer is a strict no-op: no time, no stats,
-     no trace event. *)
-  let ring = No_trace.Trace.Ring.create ~capacity:16 () in
-  let ch =
-    Channel.create ~sink:(No_trace.Trace.Ring.sink ring) Link.fast_wifi
-      Channel.To_server
+  (* Flushing an empty buffer is a strict no-op: no time, no trace
+     event. *)
+  let ring = Trace.Ring.create ~capacity:16 () in
+  let ch, m =
+    metered ~sink:(Trace.Ring.sink ring) Link.fast_wifi Channel.To_server
   in
   Alcotest.(check (float 0.0)) "no time" 0.0 (Channel.flush ch);
-  let stats = Channel.stats ch in
-  Alcotest.(check int) "no physical flush" 0 stats.Channel.flushes;
-  Alcotest.(check int) "no raw bytes" 0 stats.Channel.raw_bytes;
-  Alcotest.(check int) "no event" 0 (No_trace.Trace.Ring.length ring);
+  Alcotest.(check int) "no physical flush" 0
+    m.Trace.Metrics.flushes_to_server;
+  Alcotest.(check int) "no raw bytes" 0 m.Trace.Metrics.raw_to_server;
+  Alcotest.(check int) "no event" 0 (Trace.Ring.length ring);
   (* ... and a real flush afterwards behaves normally. *)
   Channel.send ch (Bytes.create 64);
   ignore (Channel.flush ch);
-  Alcotest.(check int) "one flush after send" 1 (Channel.stats ch).Channel.flushes;
-  Alcotest.(check int) "one event after send" 1 (No_trace.Trace.Ring.length ring)
+  Alcotest.(check int) "one flush after send" 1
+    m.Trace.Metrics.flushes_to_server;
+  Alcotest.(check int) "one event after send" 1 (Trace.Ring.length ring)
 
 let test_wire_never_exceeds_raw_event () =
   (* Compression can only shrink what goes on the wire; both the
-     stats and the emitted Flush event must agree. *)
-  let ring = No_trace.Trace.Ring.create ~capacity:16 () in
+     folded totals and the emitted Flush event must agree. *)
+  let ring = Trace.Ring.create ~capacity:16 () in
   let payloads =
     [ Bytes.make 8192 'x';  (* highly compressible *)
       Bytes.init 4096 (fun i -> Char.chr ((i * 131 + (i * i mod 253)) land 0xff));
@@ -223,23 +234,22 @@ let test_wire_never_exceeds_raw_event () =
   in
   List.iter
     (fun payload ->
-      let ch =
-        Channel.create ~compress:true ~sink:(No_trace.Trace.Ring.sink ring)
-          Link.slow_wifi Channel.To_mobile
+      let ch, m =
+        metered ~compress:true ~sink:(Trace.Ring.sink ring) Link.slow_wifi
+          Channel.To_mobile
       in
       Channel.send ch payload;
       ignore (Channel.flush ch);
-      let stats = Channel.stats ch in
-      Alcotest.(check bool) "stats: wire <= raw" true
-        (stats.Channel.wire_bytes <= stats.Channel.raw_bytes))
+      Alcotest.(check bool) "totals: wire <= raw" true
+        (m.Trace.Metrics.wire_to_mobile <= m.Trace.Metrics.raw_to_mobile))
     payloads;
-  let events = No_trace.Trace.Ring.events ring in
+  let events = Trace.Ring.events ring in
   Alcotest.(check int) "one event per flush" (List.length payloads)
     (List.length events);
   List.iter
     (fun (_, ev) ->
       match ev with
-      | No_trace.Trace.Flush { raw_bytes; wire_bytes; _ } ->
+      | Trace.Flush { raw_bytes; wire_bytes; _ } ->
         Alcotest.(check bool) "event: wire <= raw" true
           (wire_bytes <= raw_bytes)
       | _ -> Alcotest.fail "expected Flush event")
@@ -251,12 +261,11 @@ let test_channel_compression_fallback () =
   let noise =
     Bytes.init 4096 (fun i -> Char.chr ((i * 131 + (i * i mod 253)) land 0xff))
   in
-  let ch = Channel.create ~compress:true Link.slow_wifi Channel.To_mobile in
+  let ch, m = metered ~compress:true Link.slow_wifi Channel.To_mobile in
   Channel.send ch noise;
   ignore (Channel.flush ch);
-  let stats = Channel.stats ch in
   Alcotest.(check bool) "no expansion on wire" true
-    (stats.Channel.wire_bytes <= stats.Channel.raw_bytes)
+    (m.Trace.Metrics.wire_to_mobile <= m.Trace.Metrics.raw_to_mobile)
 
 let tests =
   [

@@ -2,8 +2,14 @@
 
 module Power_model = No_power.Power_model
 module Battery = No_power.Battery
+module Metrics = No_trace.Trace.Metrics
 
 let model = Power_model.galaxy_s5 ~fast_radio:true
+
+(* A battery whose Power_state rows fold into a fresh [Metrics]. *)
+let metered () =
+  let m = Metrics.create () in
+  (Battery.create ~sink:(Metrics.sink m) model, m)
 
 let test_power_levels () =
   (* The levels Section 5.2 reports. *)
@@ -24,26 +30,31 @@ let test_power_levels () =
     (Power_model.draw_mw slow Power_model.Remote_io_service)
 
 let test_battery_integration () =
-  let b = Battery.create model in
+  let b, m = metered () in
   Battery.spend b ~from_s:0.0 ~to_s:2.0 Power_model.Computing;
   Battery.spend b ~from_s:2.0 ~to_s:3.0 Power_model.Waiting;
   let expected =
     (2.0 *. Power_model.draw_mw model Power_model.Computing) +. 1350.0
   in
   Alcotest.(check (float 0.01)) "energy mJ" expected (Battery.energy_mj b);
-  Alcotest.(check int) "two segments" 2 (List.length (Battery.segments b));
+  Alcotest.(check int) "two segments" 2
+    (List.length (Metrics.power_segments m));
   (* zero-length segments are dropped *)
   Battery.spend b ~from_s:3.0 ~to_s:3.0 Power_model.Idle;
-  Alcotest.(check int) "still two" 2 (List.length (Battery.segments b));
+  Alcotest.(check int) "still two" 2
+    (List.length (Metrics.power_segments m));
   (match Battery.spend b ~from_s:5.0 ~to_s:4.0 Power_model.Idle with
   | () -> Alcotest.fail "expected negative duration error"
   | exception Invalid_argument _ -> ())
 
 let test_battery_resample () =
-  let b = Battery.create model in
+  let b, m = metered () in
   Battery.spend b ~from_s:0.0 ~to_s:1.0 Power_model.Computing;
   Battery.spend b ~from_s:1.0 ~to_s:2.0 Power_model.Transmitting;
-  let samples = Battery.resample b ~period_s:0.5 in
+  let samples =
+    Metrics.resample_power m ~period_s:0.5
+      ~idle_mw:(Power_model.draw_mw model Power_model.Idle)
+  in
   Alcotest.(check int) "5 samples over 2s" 5 (List.length samples);
   let mw_at t =
     match List.find_opt (fun (time, _) -> abs_float (time -. t) < 1e-9) samples with
@@ -56,13 +67,12 @@ let test_battery_resample () =
     (Power_model.draw_mw model Power_model.Transmitting) (mw_at 1.5)
 
 let test_time_by_state () =
-  let b = Battery.create model in
+  let b, m = metered () in
   Battery.spend b ~from_s:0.0 ~to_s:1.0 Power_model.Computing;
   Battery.spend b ~from_s:1.0 ~to_s:4.0 Power_model.Waiting;
   Battery.spend b ~from_s:4.0 ~to_s:5.0 Power_model.Computing;
-  let by_state = Battery.time_by_state b in
   let time state =
-    Option.value ~default:0.0 (List.assoc_opt state by_state)
+    Metrics.time_in_state m (Power_model.state_to_string state)
   in
   Alcotest.(check (float 1e-9)) "computing 2s" 2.0
     (time Power_model.Computing);

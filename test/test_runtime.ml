@@ -215,9 +215,9 @@ let test_power_trace_has_phases () =
       compiled.Compiler.c_output ~seeds:compiled.Compiler.c_seeds
   in
   ignore (Session.run session);
-  let by_state = No_power.Battery.time_by_state (Session.battery session) in
   let time state =
-    Option.value ~default:0.0 (List.assoc_opt state by_state)
+    No_trace.Trace.Metrics.time_in_state (Session.ledger session)
+      (No_power.Power_model.state_to_string state)
   in
   Alcotest.(check bool) "computing time" true
     (time No_power.Power_model.Computing > 0.0);
