@@ -332,90 +332,3 @@ let tests =
     Alcotest.test_case "pipeline validates" `Quick
       test_pipeline_end_to_end_validates;
   ]
-
-(* {1 Optimizer} *)
-
-module Optimize = No_transform.Optimize
-
-let test_constant_folding () =
-  let t = B.create "fold" in
-  let _ =
-    B.func t "main" ~params:[] ~ret:Ty.I64 (fun fb _ ->
-        let a = B.iadd fb (B.i64 40) (B.i64 2) in       (* folds to 42 *)
-        let b = B.imul fb a (B.i64 1) in                (* identity *)
-        let c = B.iadd fb b (B.i64 0) in                (* identity *)
-        let dead = B.imul fb (B.i64 9) (B.i64 9) in     (* dead *)
-        ignore dead;
-        B.ret fb (Some c))
-  in
-  let m = B.finish t in
-  let m', stats = Optimize.run m in
-  Validate.check_module m';
-  Alcotest.(check bool) "folded some" true (stats.Optimize.folded >= 3);
-  let f = Ir.find_func_exn m' "main" in
-  let instr_count = Ir.fold_instrs (fun n _ -> n + 1) 0 f in
-  Alcotest.(check int) "everything folded away" 0 instr_count;
-  (* behaviour unchanged *)
-  let _, v = run_main m' in
-  Alcotest.(check int64) "result" 42L (Value.to_int v)
-
-let test_dce_keeps_effects () =
-  let t = B.create "dce" in
-  let _ =
-    B.func t "main" ~params:[] ~ret:Ty.I64 (fun fb _ ->
-        let p = B.call fb "malloc" [ B.i64 8 ] in      (* unused but a call *)
-        ignore p;
-        let unused_pure = B.ixor fb (B.i64 1) (B.i64 2) in
-        ignore unused_pure;
-        B.ret fb (Some (B.i64 5)))
-  in
-  let m = B.finish t in
-  let m', stats = Optimize.run m in
-  Validate.check_module m';
-  Alcotest.(check bool) "deleted or folded the pure value" true
-    (stats.Optimize.deleted + stats.Optimize.folded >= 1);
-  let f = Ir.find_func_exn m' "main" in
-  let calls = Ir.fold_instrs (fun n i ->
-      match i with
-      | Ir.Assign (_, Ir.Call _) | Ir.Effect (Ir.Call _) -> n + 1
-      | _ -> n) 0 f in
-  Alcotest.(check int) "call preserved" 1 calls;
-  let _, v = run_main m' in
-  Alcotest.(check int64) "result" 5L (Value.to_int v)
-
-(* Property: optimizing any workload module preserves its console
-   behaviour on the profiling input. *)
-let test_optimize_preserves_workloads () =
-  List.iter
-    (fun (e : No_workloads.Registry.entry) ->
-      let m = e.No_workloads.Registry.e_build () in
-      let m', _ = Optimize.run m in
-      Validate.check_module m';
-      let before =
-        No_runtime.Local_run.run ~script:e.No_workloads.Registry.e_profile_script
-          ~files:e.No_workloads.Registry.e_files m
-      in
-      let after =
-        No_runtime.Local_run.run ~script:e.No_workloads.Registry.e_profile_script
-          ~files:e.No_workloads.Registry.e_files m'
-      in
-      Alcotest.(check string)
-        (e.No_workloads.Registry.e_name ^ " unchanged")
-        before.No_runtime.Local_run.lr_console
-        after.No_runtime.Local_run.lr_console;
-      Alcotest.(check bool)
-        (e.No_workloads.Registry.e_name ^ " not slower")
-        true
-        (after.No_runtime.Local_run.lr_total_s
-         <= before.No_runtime.Local_run.lr_total_s *. 1.001))
-    No_workloads.Registry.spec
-
-let optimizer_tests =
-  [
-    Alcotest.test_case "constant folding" `Quick test_constant_folding;
-    Alcotest.test_case "dce keeps effects" `Quick test_dce_keeps_effects;
-    Alcotest.test_case "optimize preserves workloads" `Quick
-      test_optimize_preserves_workloads;
-  ]
-
-let tests = tests @ optimizer_tests
