@@ -1039,17 +1039,8 @@ let serve_cmd =
       | None -> None
       | Some budget ->
         let live = Series.create () in
-        let slo_limit_s =
-          List.fold_left
-            (fun acc o ->
-              match o with
-              | Slo.Quantile { kind = "offload-span"; limit_s; _ } ->
-                Float.min acc limit_s
-              | _ -> acc)
-            infinity objectives
-        in
         let sampler =
-          Trace.Sampler.create ~slo_limit_s
+          Trace.Sampler.create ~slo_limit_s:(Slo.span_limit_s objectives)
             ~exemplar:(fun ~ts ~kind ~value ~trace_id ->
               Series.add_exemplar live ~ts ~kind ~value ~trace_id)
             ~keep:(fun ~client ~task ->

@@ -8,10 +8,10 @@
    — or still firing if the violation reaches the end of the series.
 
    The per-window violation tests deliberately reuse the Slo module's
-   own definitions (avail_of, counter table, burn fast/slow trailing
-   means), so an incident is exactly "this clause, scoped to a
-   window".  Empty windows never violate — no attempts means no
-   evidence, not an outage.
+   own definitions (avail_of, the counter table, burn_rate and its
+   fast/slow trailing means), so an incident is exactly "this clause,
+   scoped to a window".  Empty windows never violate — no attempts
+   means no evidence, not an outage.
 
    Each incident carries up to four exemplar trace ids harvested from
    the violating windows' latency histograms (attached there by the
@@ -76,15 +76,7 @@ let signal objective (windows : Series.window list) window_s =
        applies once at end of run, here applied at every window. *)
     let burns =
       List.map
-        (fun (w : Series.window) ->
-          let m = w.Series.w_metrics in
-          let attempts = m.Trace.Metrics.offloads + m.Trace.Metrics.rejects in
-          if attempts = 0 then 0.0
-          else
-            let failures =
-              m.Trace.Metrics.fallbacks + m.Trace.Metrics.rejects
-            in
-            float_of_int failures /. float_of_int attempts /. (1.0 -. target))
+        (fun (w : Series.window) -> Slo.burn_rate ~target w.Series.w_metrics)
         windows
       |> Array.of_list
     in
@@ -101,6 +93,12 @@ let signal objective (windows : Series.window list) window_s =
         let f = trailing_mean i fast and s = trailing_mean i slow in
         (f > max_rate && s > max_rate, Float.max f s))
       windows
+
+(* The worse of two measured values: the lower for an availability
+   floor, the higher for every other clause. *)
+let worse = function
+  | Slo.Avail _ -> Float.min
+  | Slo.Quantile _ | Slo.Rate _ | Slo.Burn _ -> Float.max
 
 (* First [max_exemplars] distinct trace ids from the violating
    windows' [kind] histograms, chronological. *)
@@ -159,7 +157,7 @@ let detect objectives series =
         | None, false -> ()
         | None, true -> run := Some (i, 1, value)
         | Some (first, count, peak), true ->
-          run := Some (first, count + 1, Float.max peak value)
+          run := Some (first, count + 1, worse o peak value)
         | Some state, false ->
           close state (i - 1);
           run := None)

@@ -22,7 +22,9 @@ type incident = {
       (** end of the last violating window; [None] = still firing at
           the end of the series *)
   i_windows : int;  (** violating windows in the run *)
-  i_peak : float;  (** worst measured value inside the incident *)
+  i_peak : float;
+      (** worst measured value inside the incident: the lowest for an
+          [avail>=] clause, the highest for every other *)
   i_exemplars : string list;
       (** at most 4 kept-trace ids, chronological first-seen order *)
 }

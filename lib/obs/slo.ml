@@ -48,12 +48,12 @@ let grammar =
 let default_spec = "avail>=0.99,p99(page-fault)<=50ms,burn(0.99)<=14"
 
 (* The fleet bench saturates on purpose — 10^3 clients against 4x2
-   slots is the policy-flip demonstration — so a serving availability
-   target like 0.99 can never pass there and a perpetual FAIL guards
-   nothing.  This spec is a *floor under deliberate saturation*:
-   baseline availability is ~0.018-0.024 across policies, so 0.015
-   passes at baseline and flips to FAIL if routing or admission
-   regresses (and the page-fault tail bound still applies). *)
+   slots — so a serving availability target like 0.99 can never pass
+   there and a perpetual FAIL guards nothing.  This spec is a *floor
+   under deliberate saturation*: baseline availability is
+   ~0.018-0.024 across policies, so 0.015 passes at baseline and flips
+   to FAIL if routing or admission regresses (and the page-fault tail
+   bound still applies). *)
 let fleet_default_spec = "avail>=0.015,p99(page-fault)<=50ms"
 
 (* {1 Parsing} *)
@@ -274,6 +274,28 @@ let avail_of (m : Trace.Metrics.t) =
     let failures = m.Trace.Metrics.fallbacks + m.Trace.Metrics.rejects in
     1.0 -. (float_of_int failures /. float_of_int attempts)
 
+(* Error-budget burn rate of one metrics aggregate: its error ratio,
+   with the [avail_of] definitions of attempts and failures, over the
+   budget (1 - target); 0 when there were no attempts. *)
+let burn_rate ~target (m : Trace.Metrics.t) =
+  let attempts = m.Trace.Metrics.offloads + m.Trace.Metrics.rejects in
+  if attempts = 0 then 0.0
+  else
+    let failures = m.Trace.Metrics.fallbacks + m.Trace.Metrics.rejects in
+    float_of_int failures /. float_of_int attempts /. (1.0 -. target)
+
+(* A sampler keeps whole tasks, and a task's latency is its offload
+   span: its SLO keep-leg threshold is the tightest offload-span
+   quantile limit in the spec. *)
+let span_limit_s objectives =
+  List.fold_left
+    (fun acc o ->
+      match o with
+      | Quantile { kind = "offload-span"; limit_s; _ } ->
+        Float.min acc limit_s
+      | _ -> acc)
+    infinity objectives
+
 let label_of = function
   | Avail { min } -> Printf.sprintf "avail>=%g" min
   | Quantile { q; kind; limit_s } ->
@@ -312,21 +334,11 @@ let evaluate_objective series totals o =
       let v = if dur > 0.0 then float_of_int count /. dur else 0.0 in
       (v, v <= max_per_s)
     | Burn { target; max_rate; fast; slow } ->
-      (* Per-window burn rate: the window's error ratio over the error
-         budget (1 - target).  Alert — fail — only when both the fast
-         and the slow trailing means exceed the limit. *)
+      (* Alert — fail — only when both the fast and the slow trailing
+         means of the per-window burn rates exceed the limit. *)
       let burns =
         List.map
-          (fun (w : Series.window) ->
-            let m = w.Series.w_metrics in
-            let attempts = m.Trace.Metrics.offloads + m.Trace.Metrics.rejects in
-            if attempts = 0 then 0.0
-            else
-              let failures =
-                m.Trace.Metrics.fallbacks + m.Trace.Metrics.rejects
-              in
-              float_of_int failures /. float_of_int attempts
-              /. (1.0 -. target))
+          (fun (w : Series.window) -> burn_rate ~target w.Series.w_metrics)
           (Series.windows series)
       in
       let fast_burn = mean (last_n fast burns) in

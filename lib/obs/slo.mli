@@ -53,6 +53,18 @@ val avail_of : No_trace.Trace.Metrics.t -> float
     were no attempts.  Exposed for the per-window incident engine,
     which needs the same definition the [avail] clause uses. *)
 
+val burn_rate : target:float -> No_trace.Trace.Metrics.t -> float
+(** Error-budget burn rate of one metrics aggregate: its failure ratio
+    (as in {!avail_of}) over the budget [1 - target]; 0.0 when there
+    were no attempts.  [burn] clauses apply it per window, in
+    {!evaluate} and in the incident engine alike. *)
+
+val span_limit_s : objective list -> float
+(** The tightest [offload-span] quantile limit in the spec, or
+    [infinity] when there is none: a trace sampler's SLO keep-leg
+    threshold, since it keeps whole tasks and a task's latency is its
+    offload span. *)
+
 val counter_value : string -> No_trace.Trace.Metrics.t -> int
 (** Value of a [rate(...)] counter by its grammar name; 0 for unknown
     names. *)

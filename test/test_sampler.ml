@@ -359,6 +359,30 @@ let test_incident_exemplars_and_jsonl () =
   Alcotest.(check bool) "jsonl names the clause" true
     (contains jsonl "p99(page-fault)<=0.05s")
 
+(* Availability incidents: lower is worse, so an incident over a
+   window at 0.5 and then one at 0.0 peaks at 0.0. *)
+let test_incident_avail_peak () =
+  let series = Series.create ~window_s:1.0 () in
+  let attempt ts ~fails =
+    Trace.replay (Series.sink series)
+      ((ts, Trace.Offload_begin { target = "w" })
+      ::
+      (if fails then
+         [ ( ts +. 0.1,
+             Trace.Fallback_local
+               { target = "w"; reason = "outage"; recovery_s = 0.1 } ) ]
+       else []))
+  in
+  attempt 0.1 ~fails:true;
+  attempt 0.5 ~fails:false;
+  attempt 1.1 ~fails:true;
+  match Incident.detect (slo_exn "avail>=0.99") series with
+  | [ i ] ->
+    Alcotest.(check int) "windows" 2 i.Incident.i_windows;
+    Alcotest.(check (float 0.0)) "peak is the lowest availability" 0.0
+      i.Incident.i_peak
+  | l -> Alcotest.failf "expected one incident, got %d" (List.length l)
+
 (* {1 Sampled trace files} *)
 
 let sample_events =
@@ -465,6 +489,8 @@ let tests =
       test_incident_fire_resolve;
     Alcotest.test_case "incident: still firing at end of run" `Quick
       test_incident_still_firing;
+    Alcotest.test_case "incident: availability peak is the lowest" `Quick
+      test_incident_avail_peak;
     Alcotest.test_case "incident: exemplars and jsonl" `Quick
       test_incident_exemplars_and_jsonl;
     Alcotest.test_case "trace-file: sampled round trip" `Quick

@@ -18,6 +18,7 @@ module Hist = No_obs.Hist
 module Series = No_obs.Series
 module Openmetrics = No_obs.Openmetrics
 module Slo = No_obs.Slo
+module Incident = No_obs.Incident
 module Diff = No_obs.Diff
 
 let close ?(tol = 1e-9) label a b =
@@ -366,6 +367,28 @@ let test_slo_evaluate () =
     (String.length rendered > 0
     && String.equal rendered (Slo.render verdicts))
 
+(* The incident engine applies the same fast/slow burn pair at every
+   window: on [slo_series] both trailing means first exceed 10 in
+   window 8 and stay above it to the end, and the incident's peak is
+   the end-of-run verdict's value, bit for bit. *)
+let test_slo_burn_incident () =
+  let series = slo_series () in
+  let objectives =
+    match Slo.parse "burn(0.99,fast=2,slow=10)<=10" with
+    | Ok objectives -> objectives
+    | Error msg -> Alcotest.fail msg
+  in
+  match (Incident.detect objectives series, Slo.evaluate objectives series) with
+  | [ i ], [ v ] ->
+    Alcotest.(check (float 0.0)) "fired" 8.0 i.Incident.i_start_s;
+    Alcotest.(check bool) "still firing" true (i.Incident.i_end_s = None);
+    Alcotest.(check int) "windows" 2 i.Incident.i_windows;
+    Alcotest.(check int64) "peak = verdict value, bit for bit"
+      (Int64.bits_of_float v.Slo.v_value)
+      (Int64.bits_of_float i.Incident.i_peak)
+  | incidents, _ ->
+    Alcotest.failf "expected one incident, got %d" (List.length incidents)
+
 (* {1 Trace diff} *)
 
 let traced_events ?faults entry compiled =
@@ -472,6 +495,7 @@ let tests =
     Alcotest.test_case "openmetrics format" `Quick test_openmetrics_format;
     Alcotest.test_case "slo parse" `Quick test_slo_parse;
     Alcotest.test_case "slo evaluate" `Quick test_slo_evaluate;
+    Alcotest.test_case "slo burn incident" `Quick test_slo_burn_incident;
     Alcotest.test_case "diff self is zero" `Quick test_diff_self_zero;
     Alcotest.test_case "diff attributes the lossy link" `Quick
       test_diff_attribution;
