@@ -121,7 +121,6 @@ type config = {
   prefetch : bool;
   decision : decision_mode;
   ideal : bool;                  (* zero communication/translation cost *)
-  fnptr_translation_s : float;   (* per-translation bookkeeping cost *)
   fast_radio : bool;             (* selects the remote-I/O power level *)
   initial_bw_bps : float option; (* stale bandwidth belief; None = the
                                     configured link's effective rate *)
@@ -149,7 +148,6 @@ let default_config ?(link = Link.fast_wifi) () = {
   prefetch = true;
   decision = Dynamic;
   ideal = false;
-  fnptr_translation_s = 2.0e-4;   (* ~100ns real, on the CPU time scale *)
   fast_radio = true;
   initial_bw_bps = None;
   trace = Trace.null;
@@ -718,6 +716,10 @@ let finalization t : int =
 
 (* {1 Server-side externs and intercepts} *)
 
+(* Bookkeeping cost of one function-pointer translation: ~100 ns real,
+   on the CPU time scale. *)
+let fnptr_translation_s = 2.0e-4
+
 let target_by_id t id =
   List.find_opt (fun tg -> tg.Partition.t_id = id) t.targets
 
@@ -811,9 +813,8 @@ let install_server_hooks t =
       (fun dir v ->
         if not t.config.ideal then begin
           let ts = t.clock.Host.now in
-          advance t t.config.fnptr_translation_s;
-          Trace.Row.set_fnptr_translate t.row
-            ~cost_s:t.config.fnptr_translation_s;
+          advance t fnptr_translation_s;
+          Trace.Row.set_fnptr_translate t.row ~cost_s:fnptr_translation_s;
           emit_row_at t ~ts
         end;
         let addr = Value.to_addr v in
