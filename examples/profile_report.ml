@@ -29,13 +29,13 @@ let compile name =
   in
   (entry, compiled)
 
+(* One run with a ring sink: its events, and the session's ledger of
+   every row it emitted. *)
 let traced_run ?faults (entry : Registry.entry) compiled =
   let ring = Trace.Ring.create ~capacity:(1 lsl 20) () in
-  let metrics = Trace.Metrics.create () in
   let config =
     { (Session.default_config ()) with
-      Session.trace =
-        Trace.fan_out [ Trace.Ring.sink ring; Trace.Metrics.sink metrics ];
+      Session.trace = Trace.Ring.sink ring;
       Session.faults }
   in
   let session =
@@ -43,8 +43,8 @@ let traced_run ?faults (entry : Registry.entry) compiled =
       ~files:entry.Registry.e_files compiled.Compiler.c_output
       ~seeds:compiled.Compiler.c_seeds
   in
-  let report = Session.run session in
-  (report, Trace.Ring.events ring, metrics)
+  ignore (Session.run session : Session.report);
+  (Trace.Ring.events ring, Session.ledger session)
 
 let print_audit rows =
   let table =
@@ -80,7 +80,7 @@ let print_audit rows =
 let () =
   (* 1. Capture one run and persist the raw stream. *)
   let entry, compiled = compile "458.sjeng" in
-  let report, events, metrics = traced_run entry compiled in
+  let events, ledger = traced_run entry compiled in
   let trace_path = Filename.temp_file "profile_report" ".jsonl" in
   Trace_file.save trace_path events;
   let reloaded =
@@ -90,7 +90,7 @@ let () =
   in
   assert (reloaded = events);
   Fmt.pr "captured %d events over %.3f simulated seconds -> %s@."
-    (List.length events) (Trace.Metrics.total_s metrics) trace_path;
+    (List.length events) (Trace.Metrics.total_s ledger) trace_path;
   Fmt.pr "(reloading the file reproduces the event list bit-exactly)@.@.";
 
   (* 2. Fold the stream into a span tree.  Self times make the tree an
@@ -138,7 +138,6 @@ let () =
   output_string oc (Flame.to_collapsed root);
   close_out oc;
   Fmt.pr "@.collapsed flamegraph -> %s (open in speedscope.app)@." flame_path;
-  ignore report;
 
   (* 5. Same audit, hostile conditions: 164.gzip moves real data, and a
      bandwidth collapse active from t=0 means the first decision is
@@ -152,7 +151,7 @@ let () =
     | Ok p -> Some p
     | Error msg -> failwith msg
   in
-  let _report, events, _metrics = traced_run ?faults entry compiled in
+  let events, _ = traced_run ?faults entry compiled in
   print_audit (Audit.of_events events);
   Fmt.pr
     "@.The estimator believed the nominal link; the wire did not \
