@@ -1,89 +1,18 @@
-(* Benchmark harness.
+(* Benchmark harness: the five lanes the bench guard
+   (scripts/bench_guard.py) reads, and the design-choice ablations.
 
-     dune exec bench/main.exe              regenerate every table and
-                                           figure of the paper and print
-                                           the headline numbers
-     dune exec bench/main.exe -- micro     self-profiled micro-bench lane:
-                                           events/sec, bytes-compressed/sec
-                                           and allocs/event headline numbers
-                                           plus the per-zone self-profile
-                                           (--trials, --json,
-                                           --selfprof-out)
-     dune exec bench/main.exe -- ablations design-choice ablations
-                                           (copy-on-demand, compression
-                                           direction, dynamic decisions,
-                                           explicit GEP lowering)
-     dune exec bench/main.exe -- trace     event-derived run summaries: the
-                                           aggregating trace sink's metrics
-                                           and event counts for a sample of
-                                           workloads
-     dune exec bench/main.exe -- faults    fault-injection sweep: survival
-                                           rate and recovery overhead under
-                                           link outage, server crash and
-                                           message loss, per workload
-     dune exec bench/main.exe -- percentiles
-                                           fleet latency distributions: run
-                                           the whole registry, merge each
-                                           run's histograms, report
-                                           p50/p95/p99 for speedup, comm
-                                           time, page-fault service and
-                                           wire bytes
-     dune exec bench/main.exe -- multiclient
-                                           throughput/latency vs client
-                                           count, with SLO verdicts per
-                                           sweep point (--slo SPEC)
-     dune exec bench/main.exe -- fleet     fleet-scale scheduler sweep:
-                                           1000+ synthetic clients against
-                                           a K-server pool, one row per
-                                           routing policy, plus the
-                                           below/past-saturation policy
-                                           flip (--clients, --servers,
-                                           --slots, --queue, --json)
-     dune exec bench/main.exe -- timeseries
-                                           windowed telemetry of one traced
-                                           run: per-interval rates, gauges,
-                                           SLO verdicts, OpenMetrics export
-                                           (--workload, --window, --slo,
-                                           --metrics-out, --json)
+     dune exec bench/main.exe -- percentiles  fleet latency percentiles
+     dune exec bench/main.exe -- faults       fault-injection survival
+     dune exec bench/main.exe -- fleet        fleet-scale policy sweep
+     dune exec bench/main.exe -- migrate      migration vs local replay
+     dune exec bench/main.exe -- micro        self-profiled micro lane
+     dune exec bench/main.exe -- ablations    design-choice ablations
 
-   Full-scale table regeneration takes minutes (it sweeps 17 workloads
-   x 4 configurations); the micro lane measures the per-event and
-   compressor costs at reduced scale. *)
+   Each mode's section says what it measures, and [modes] at the end
+   lists its flags.  The paper's tables and figures regenerate with
+   `offload-cli report` and `offload-cli headline`, not here. *)
 
 open No_prelude.Prelude
-
-(* {1 Full regeneration (default mode)} *)
-
-let regenerate_all () =
-  let sections =
-    [
-      ("Table 1", fun () -> Table.print (Evaluation.table1 ()));
-      ("Table 2", fun () -> Table.print (Evaluation.table2 ()));
-      ("Table 3", fun () -> Table.print (Evaluation.table3 ()));
-      ("Table 4", fun () -> Table.print (Evaluation.table4 ()));
-      ("Table 5", fun () -> Table.print (Evaluation.table5 ()));
-      ("Figure 6(a)", fun () -> Table.print (Evaluation.fig6a ()));
-      ("Figure 6(b)", fun () -> Table.print (Evaluation.fig6b ()));
-      ("Figure 7", fun () -> Table.print (Evaluation.fig7 ()));
-      ("Figure 8", fun () -> Table.print (Evaluation.fig8 ()));
-    ]
-  in
-  List.iter
-    (fun (name, emit) ->
-      Fmt.pr "=== %s ===@." name;
-      emit ();
-      Fmt.pr "@.")
-    sections;
-  let h = Evaluation.headline () in
-  Fmt.pr "=== Headline ===@.";
-  Fmt.pr "geomean speedup (fast network): %.2fx (paper: 6.42x)@."
-    h.Evaluation.h_geomean_speedup_fast;
-  Fmt.pr "geomean speedup (slow network): %.2fx@."
-    h.Evaluation.h_geomean_speedup_slow;
-  Fmt.pr "geomean battery saving (fast):  %.1f%% (paper: 82.0%%)@."
-    h.Evaluation.h_battery_saving_fast_pct;
-  Fmt.pr "geomean battery saving (slow):  %.1f%% (paper: 77.2%%)@."
-    h.Evaluation.h_battery_saving_slow_pct
 
 (* 64 KiB of slowly varying bytes: the micro lane's compressor input. *)
 let compressible_page =
@@ -102,16 +31,9 @@ let compressible_page =
    scripts/bench_guard.py merges them into BENCH_pr.json and compares
    against the committed BENCH_baseline.json. *)
 
-let take n list =
-  let rec go n = function
-    | hd :: tl when n > 0 -> hd :: go (n - 1) tl
-    | _ -> []
-  in
-  go n list
-
 let sampled_registry = function
   | None -> Registry.spec
-  | Some n -> take n Registry.spec
+  | Some n -> List.filteri (fun i _ -> i < n) Registry.spec
 
 let write_json path (fields : (string * string) list) =
   let oc = open_out path in
@@ -128,104 +50,9 @@ let write_json path (fields : (string * string) list) =
 let json_f v = Printf.sprintf "%.6f" v
 let json_i v = string_of_int v
 
-(* {1 Event-derived run summaries}
-
-   The runtime event spine in action: run a few workloads at
-   profile-script scale with a ring + metrics sink attached and report
-   what the stream says — per-event-kind counts and the aggregated
-   metrics table. *)
-
-(* One traced run; returns (event count, offloads, wall seconds) so
-   the mode's --json headline can sum across workloads. *)
-let run_traced_summary name =
-  let entry = Option.get (Registry.by_name name) in
-  let compiled =
-    Compiler.compile ~profile_script:entry.Registry.e_profile_script
-      ~profile_files:entry.Registry.e_files
-      ~eval_scale:entry.Registry.e_eval_scale
-      (entry.Registry.e_build ())
-  in
-  let ring = Trace.Ring.create ~capacity:(1 lsl 20) () in
-  let metrics = Trace.Metrics.create () in
-  let config =
-    { (Session.default_config ()) with
-      Session.trace =
-        Trace.fan_out [ Trace.Ring.sink ring; Trace.Metrics.sink metrics ] }
-  in
-  let session =
-    Session.create ~config ~script:entry.Registry.e_profile_script
-      ~files:entry.Registry.e_files compiled.Compiler.c_output
-      ~seeds:compiled.Compiler.c_seeds
-  in
-  let report = Session.run session in
-  let counts = Hashtbl.create 16 in
-  List.iter
-    (fun (_, ev) ->
-      let key =
-        match ev with
-        | Trace.Flush { direction; _ } ->
-          "flush:" ^ Trace.direction_to_string direction
-        | Trace.Page_fault _ -> "page-fault"
-        | Trace.Prefetch _ -> "prefetch"
-        | Trace.Fnptr_translate _ -> "fnptr-translate"
-        | Trace.Remote_io _ -> "remote-io"
-        | Trace.Offload_begin _ -> "offload-begin"
-        | Trace.Offload_end _ -> "offload-end"
-        | Trace.Refusal _ -> "refusal"
-        | Trace.Power_state _ -> "power-state"
-        | Trace.Estimate _ -> "estimate"
-        | Trace.Module_load _ -> "module-load"
-        | Trace.Fault_injected { kind; _ } -> "fault:" ^ kind
-        | Trace.Rpc_timeout _ -> "rpc-timeout"
-        | Trace.Retry _ -> "retry"
-        | Trace.Fallback_local _ -> "fallback-local"
-        | Trace.Rollback _ -> "rollback"
-        | Trace.Replay _ -> "replay"
-        | Trace.Queue _ -> "queue"
-        | Trace.Admit _ -> "admit"
-        | Trace.Reject _ -> "reject"
-        | Trace.Bw_sample _ -> "bw-sample"
-        | Trace.Checkpoint _ -> "checkpoint"
-        | Trace.Migrate_start _ -> "migrate-start"
-        | Trace.Migrate_done _ -> "migrate-done"
-      in
-      Hashtbl.replace counts key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)))
-    (Trace.Ring.events ring);
-  let count_table =
-    Table.create ~title:(name ^ ": event stream (" ^
-                         string_of_int (Trace.Ring.length ring) ^ " events)")
-      [ "event"; "count" ]
-  in
-  List.iter
-    (fun (k, n) -> Table.add_row count_table [ k; string_of_int n ])
-    (List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts []));
-  Table.print count_table;
-  print_newline ();
-  Table.print
-    (Metrics_report.table ~title:(name ^ ": event-derived metrics") metrics);
-  print_newline ();
-  (Trace.Ring.length ring, metrics.Trace.Metrics.offloads,
-   report.Session.rep_total_s)
-
-let run_trace_summaries ?json () =
-  let per_run =
-    List.map run_traced_summary [ "164.gzip"; "456.hmmer"; "458.sjeng" ]
-  in
-  Option.iter
-    (fun path ->
-      let sum f = List.fold_left (fun acc r -> acc + f r) 0 per_run in
-      write_json path
-        [
-          ("mode", "\"trace\"");
-          ("workloads", json_i (List.length per_run));
-          ("events", json_i (sum (fun (e, _, _) -> e)));
-          ("offloads", json_i (sum (fun (_, o, _) -> o)));
-          ( "wall_total_s",
-            json_f
-              (List.fold_left (fun acc (_, _, s) -> acc +. s) 0.0 per_run) );
-        ])
-    json
+(* Host wall-clock seconds since [t0]. *)
+let wall_since t0 =
+  Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9
 
 (* {1 Fault-injection sweep}
 
@@ -437,92 +264,6 @@ let run_percentiles ?sample ?json () =
         ])
     json
 
-(* {1 Multi-client scheduling}
-
-   Throughput and latency versus client count on one shared server:
-   the same workload fans out over 1..8 staggered clients at fixed
-   worker slots, so contention (queueing, admission rejections,
-   load-aware refusals) is the only thing that changes between rows.
-   Per-client speedup degrades monotonically as clients pile on, and
-   under saturation at least one client's tasks flip back to local
-   execution — the scheduler tests lock both properties. *)
-
-let slo_objectives_exn spec =
-  match Slo.parse spec with
-  | Ok objectives -> objectives
-  | Error msg ->
-    Printf.eprintf "bad SLO spec %S: %s\nexpected: %s\n" spec msg Slo.grammar;
-    exit 1
-
-let run_multiclient ?(slots = 2) ?(queue = 1) ?(workload = "164.gzip")
-    ?(slo = Slo.default_spec) ?json () =
-  let config =
-    { Sim.default_config with
-      Sim.s_load = { Server_load.default with Server_load.slots;
-                     Server_load.queue_cap = queue } }
-  in
-  let objectives = slo_objectives_exn slo in
-  let summary =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Multi-client scaling (%s, %d worker slots, queue %d, \
-            profile-script scale; SLO %s)"
-           workload slots queue slo)
-      [ "clients"; "geomean speedup"; "local flips"; "queued"; "rejects";
-        "throughput (c/s)"; "p50 (s)"; "p95 (s)"; "p99 (s)"; "SLO" ]
-  in
-  let json_fields = ref [] in
-  List.iter
-    (fun count ->
-      let clients =
-        Sim.make_clients ~stagger_s:0.02 ~workloads:[ workload ] ~count ()
-      in
-      let result = Sim.run ~config clients in
-      print_endline
-        (Sim.render
-           ~title:(Printf.sprintf "%d client(s), %d slots" count slots)
-           result);
-      (* SLO verdicts over the fleet-wide windowed series: every
-         client's trace merged onto the global clock. *)
-      let series = Series.of_events (Sim.global_events result) in
-      let verdicts = Slo.evaluate objectives series in
-      Printf.printf "SLO (%d clients): %s\n\n" count (Slo.render verdicts);
-      let st = result.Sim.r_stats in
-      Table.add_row summary
-        [
-          Table.cell_i count;
-          Table.cell_f ~digits:3 (Sim.geomean_speedup result);
-          Table.cell_i (Sim.flipped_local result);
-          Table.cell_i st.Server_load.st_queued;
-          Table.cell_i st.Server_load.st_rejects;
-          Table.cell_f ~digits:3 result.Sim.r_throughput;
-          Table.cell_f ~digits:4 (Sim.latency_percentile result ~p:50.0);
-          Table.cell_f ~digits:4 (Sim.latency_percentile result ~p:95.0);
-          Table.cell_f ~digits:4 (Sim.latency_percentile result ~p:99.0);
-          (if Slo.pass verdicts then "pass" else "FAIL");
-        ];
-      json_fields :=
-        !json_fields
-        @ [
-            ( Printf.sprintf "c%d_geomean" count,
-              json_f (Sim.geomean_speedup result) );
-            ( Printf.sprintf "c%d_throughput" count,
-              json_f result.Sim.r_throughput );
-            ( Printf.sprintf "c%d_slo_pass" count,
-              if Slo.pass verdicts then "true" else "false" );
-          ])
-    [ 1; 2; 4; 8 ];
-  Table.print summary;
-  Option.iter
-    (fun path ->
-      write_json path
-        ([ ("mode", "\"multiclient\"");
-           ("workload", Printf.sprintf "\"%s\"" workload);
-           ("slots", json_i slots); ("queue", json_i queue) ]
-        @ !json_fields))
-    json
-
 (* {1 Fleet-scale sweep}
 
    The discrete-event core at fleet scale: 10^3+ tiny synthetic
@@ -532,36 +273,23 @@ let run_multiclient ?(slots = 2) ?(queue = 1) ?(workload = "164.gzip")
    histogram — so the sweep measures the scheduler, not trace
    bookkeeping.  The simulated numbers (geomean, makespan, per-policy
    throughput) are deterministic; the host-side clients/sec and
-   events/sec are the wall-clock headline the bench guard soft-floors.
-
-   A second table demonstrates the policy flip: below saturation
-   (count = servers, every client gets an idle server) least-loaded
-   and round-robin price identically; past saturation the light/heavy
-   mix drains servers unevenly and blind round-robin keeps feeding
-   busy ones, so least-loaded pulls ahead. *)
+   events/sec are the wall-clock headline the bench guard soft-floors. *)
 
 let fleet_mix = [ "fleet.micro"; "fleet.micro"; "fleet.micro.heavy" ]
 
-let fleet_config ~servers ~slots ~queue ~policy ~record =
+(* Recording off; every row streams into [series] through the
+   simulator's global sink, and [sampler], if any, keeps whole
+   tasks. *)
+let fleet_config ?sampler ~servers ~slots ~queue ~policy series =
   { Sim.default_config with
     Sim.s_load =
       { Server_load.default with Server_load.slots;
         Server_load.queue_cap = queue };
     Sim.s_servers = servers;
     Sim.s_policy = policy;
-    Sim.s_record_events = record }
-
-(* The sampler's SLO keep-leg threshold: the tightest offload-span
-   quantile limit in the spec, or none — a sampler keeps whole tasks,
-   and a task's latency is its offload span. *)
-let slo_span_limit objectives =
-  List.fold_left
-    (fun acc o ->
-      match o with
-      | Slo.Quantile { kind = "offload-span"; limit_s; _ } ->
-        Float.min acc limit_s
-      | _ -> acc)
-    infinity objectives
+    Sim.s_record_events = false;
+    Sim.s_global_sink = Some (Series.sink series);
+    Sim.s_sampler = sampler }
 
 (* FNV-1a over the kept-trace id list — the determinism fingerprint
    the bench guard compares exactly: any change to the kept set (one
@@ -580,52 +308,35 @@ let kept_hash sampler =
    [Slo.fleet_default_spec] (an availability floor), not the serving
    target — see the note on that spec. *)
 let run_fleet ?(clients = 1000) ?(servers = 4) ?(slots = 2) ?(queue = 2)
-    ?(slo = Slo.fleet_default_spec) ?sample ?(sample_seed = 42) ?json
-    ?incidents_out ?metrics_out () =
-  let stagger_s = 0.0005 in
-  let objectives = slo_objectives_exn slo in
-  (* Per-policy SLO verdicts come from a fleet-wide windowed series
-     fed by the simulator's streaming global sink — no per-client
-     rings, so the sweep still measures the scheduler. *)
-  let run_policy policy count =
-    let cs = Sim.make_clients ~stagger_s ~workloads:fleet_mix ~count () in
-    let series = Series.create () in
-    let config =
-      { (fleet_config ~servers ~slots ~queue ~policy ~record:false) with
-        Sim.s_global_sink = Some (Series.sink series) }
-    in
-    let t0 = Monotonic_clock.now () in
-    let result = Sim.run ~config cs in
-    let wall_s =
-      Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9
-    in
-    (result, wall_s, Slo.evaluate objectives series, series)
-  in
-  (* One sampled rerun of the same policy/fleet: a fresh series
-     receives the stream plus the sampler's exemplars, and the
-     sampler's keep decisions come from the seeded stateless RNG. *)
-  let run_sampled policy count budget =
+    ?sample ?(sample_seed = 42) ?json ?incidents_out ?metrics_out () =
+  let slo = Slo.fleet_default_spec in
+  let objectives = Result.get_ok (Slo.parse slo) in
+  (* One run of the sweep under [policy].  Its SLO verdicts come from
+     a fresh windowed series on the streaming global sink — no
+     per-client rings, so the sweep still measures the scheduler.
+     With [budget], a sampler keeps tasks by the seeded stateless RNG
+     and attaches their exemplars to the same series. *)
+  let run_policy ?budget policy =
     let series = Series.create () in
     let sampler =
-      Trace.Sampler.create ~slo_limit_s:(slo_span_limit objectives)
-        ~exemplar:(fun ~ts ~kind ~value ~trace_id ->
-          Series.add_exemplar series ~ts ~kind ~value ~trace_id)
-        ~keep:(fun ~client ~task ->
-          Rng.task_keep ~seed:(Int64.of_int sample_seed) ~client ~task ~budget)
-        ()
+      Option.map
+        (fun budget ->
+          Trace.Sampler.create ~slo_limit_s:(Slo.span_limit_s objectives)
+            ~exemplar:(fun ~ts ~kind ~value ~trace_id ->
+              Series.add_exemplar series ~ts ~kind ~value ~trace_id)
+            ~keep:(fun ~client ~task ->
+              Rng.task_keep ~seed:(Int64.of_int sample_seed) ~client ~task
+                ~budget)
+            ())
+        budget
     in
-    let cs = Sim.make_clients ~stagger_s ~workloads:fleet_mix ~count () in
-    let config =
-      { (fleet_config ~servers ~slots ~queue ~policy ~record:false) with
-        Sim.s_global_sink = Some (Series.sink series);
-        Sim.s_sampler = Some sampler }
+    let cs =
+      Sim.make_clients ~stagger_s:0.0005 ~workloads:fleet_mix ~count:clients ()
     in
+    let config = fleet_config ?sampler ~servers ~slots ~queue ~policy series in
     let t0 = Monotonic_clock.now () in
     let result = Sim.run ~config cs in
-    let wall_s =
-      Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9
-    in
-    (result, wall_s, sampler, series)
+    (result, wall_since t0, series, sampler)
   in
   let table =
     Table.create
@@ -646,7 +357,8 @@ let run_fleet ?(clients = 1000) ?(servers = 4) ?(slots = 2) ?(queue = 2)
   let samp_ev = ref 0.0 and samp_wall = ref 0.0 in
   List.iter
     (fun policy ->
-      let result, wall_s, verdicts, _series = run_policy policy clients in
+      let result, wall_s, series, _ = run_policy policy in
+      let verdicts = Slo.evaluate objectives series in
       let st = result.Sim.r_stats in
       let short =
         match policy with
@@ -689,9 +401,10 @@ let run_fleet ?(clients = 1000) ?(servers = 4) ?(slots = 2) ?(queue = 2)
         (* Sampled leg of the same policy: overhead headline (events/s
            vs. the full-capture run above), kept-set count + hash for
            the determinism guard, incident timeline and exemplars. *)
-        let sresult, swall_s, sampler, sseries =
-          run_sampled policy clients budget
+        let sresult, swall_s, sseries, sampler =
+          run_policy ~budget policy
         in
+        let sampler = Option.get sampler in
         full_ev := !full_ev +. float_of_int result.Sim.r_events;
         full_wall := !full_wall +. wall_s;
         samp_ev := !samp_ev +. float_of_int sresult.Sim.r_events;
@@ -726,32 +439,6 @@ let run_fleet ?(clients = 1000) ?(servers = 4) ?(slots = 2) ?(queue = 2)
             ])
     Pool.all_policies;
   Table.print table;
-  print_newline ();
-  let flip =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Policy flip (%d servers x %d slots): least-loaded wins only \
-            past saturation" servers slots)
-      [ "clients"; "round-robin geomean"; "least-loaded geomean"; "winner" ]
-  in
-  List.iter
-    (fun count ->
-      let rr, _, _, _ = run_policy Pool.Round_robin count in
-      let ll, _, _, _ = run_policy Pool.Least_loaded count in
-      let g_rr = Sim.geomean_speedup rr
-      and g_ll = Sim.geomean_speedup ll in
-      Table.add_row flip
-        [
-          Table.cell_i count;
-          Table.cell_f ~digits:4 g_rr;
-          Table.cell_f ~digits:4 g_ll;
-          (if Float.abs (g_ll -. g_rr) <= 1e-9 then "tie"
-           else if g_ll > g_rr then "least-loaded"
-           else "round-robin");
-        ])
-    [ servers; clients ];
-  Table.print flip;
   (match sample with
   | None -> ()
   | Some budget ->
@@ -828,11 +515,6 @@ let median xs =
   a.(Array.length a / 2)
 
 let run_micro ?(trials = 3) ?json ?selfprof_out () =
-  if trials < 1 then begin
-    prerr_endline "bench micro: --trials must be >= 1";
-    exit 1
-  end;
-  let wall_of t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9 in
   (* Fleet leg. *)
   let fleet_clients = 300 in
   let fleet_trial () =
@@ -843,16 +525,14 @@ let run_micro ?(trials = 3) ?json ?selfprof_out () =
     (* Global series sink on, like run_fleet: the per-event path then
        exercises the sink-emit and hist zones, not just the
        scheduler. *)
-    let series = Series.create () in
     let config =
-      { (fleet_config ~servers:4 ~slots:2 ~queue:2 ~policy:Pool.Round_robin
-           ~record:false)
-        with Sim.s_global_sink = Some (Series.sink series) }
+      fleet_config ~servers:4 ~slots:2 ~queue:2 ~policy:Pool.Round_robin
+        (Series.create ())
     in
     let w0 = Selfprof.allocated_words () in
     let t0 = Monotonic_clock.now () in
     let result = Sim.run ~config cs in
-    let wall_s = wall_of t0 in
+    let wall_s = wall_since t0 in
     let words = Selfprof.allocated_words () -. w0 in
     (result.Sim.r_events, wall_s, words)
   in
@@ -882,7 +562,7 @@ let run_micro ?(trials = 3) ?json ?selfprof_out () =
     for _ = 1 to reps do
       ignore (Compress.compress page)
     done;
-    wall_of t0
+    wall_since t0
   in
   ignore (compress_trial ());
   let compress_wall_s = median (List.init trials (fun _ -> compress_trial ())) in
@@ -982,8 +662,7 @@ let run_migrate ?(policy = Pool.Round_robin) ?json () =
            on);
       print_newline ();
       let ck_on, mig_on, done_on, fb_on = Sim.migration_totals on in
-      let ck_off, mig_off, done_off, fb_off = Sim.migration_totals off in
-      ignore ck_off;
+      let _, mig_off, done_off, fb_off = Sim.migration_totals off in
       let row mode (ck, mig, done_, fb) (r : Sim.result) =
         Table.add_row table
           [
@@ -1015,12 +694,7 @@ let run_migrate ?(policy = Pool.Round_robin) ?json () =
           ])
     Sim.scenario_names;
   Table.print table;
-  let geomean xs =
-    exp
-      (List.fold_left (fun acc x -> acc +. log x) 0.0 xs
-      /. float_of_int (List.length xs))
-  in
-  let recovery_ratio = geomean !ratios in
+  let recovery_ratio = Experiment.geomean !ratios in
   Printf.printf
     "\n%d migration(s) completed; replay/migrate recovered-task wall-clock \
      ratio (geomean) %.4f\n"
@@ -1035,92 +709,6 @@ let run_migrate ?(policy = Pool.Round_robin) ?json () =
            ("recovery_ratio", json_f recovery_ratio);
          ]
         @ !json_fields))
-    json
-
-(* {1 Windowed time series}
-
-   The telemetry layer end to end on one traced run: cut the virtual
-   timeline into fixed windows, print per-interval rates and gauges,
-   evaluate the SLO spec over the series, and optionally export the
-   whole thing as OpenMetrics text.  Driven by the simulated clock, so
-   the table is byte-identical across reruns. *)
-
-let run_timeseries ?(workload = "164.gzip") ?(window = Series.default_window_s)
-    ?(slo = Slo.default_spec) ?json ?metrics_out () =
-  let entry =
-    match Registry.by_name workload with
-    | Some e -> e
-    | None ->
-      Printf.eprintf "unknown workload %s\n" workload;
-      exit 1
-  in
-  let objectives = slo_objectives_exn slo in
-  let compiled =
-    Compiler.compile ~profile_script:entry.Registry.e_profile_script
-      ~profile_files:entry.Registry.e_files
-      ~eval_scale:entry.Registry.e_eval_scale
-      (entry.Registry.e_build ())
-  in
-  let metrics = Trace.Metrics.create () in
-  let series = Series.create ~window_s:window () in
-  let config =
-    { (Session.default_config ()) with
-      Session.trace =
-        Trace.fan_out [ Trace.Metrics.sink metrics; Series.sink series ] }
-  in
-  let session =
-    Session.create ~config ~script:entry.Registry.e_profile_script
-      ~files:entry.Registry.e_files compiled.Compiler.c_output
-      ~seeds:compiled.Compiler.c_seeds
-  in
-  ignore (Session.run session);
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "%s: windowed time series (%gs windows, profile-script scale)"
-           workload window)
-      [ "window"; "start (s)"; "offloads"; "faults"; "wire (B)"; "retries";
-        "rejects"; "queue peak"; "occ peak"; "bw belief (Mbps)" ]
-  in
-  List.iter
-    (fun (w : Series.window) ->
-      let m = w.Series.w_metrics in
-      Table.add_row table
-        [
-          Table.cell_i w.Series.w_index;
-          Table.cell_f ~digits:2 w.Series.w_start_s;
-          Table.cell_i m.Trace.Metrics.offloads;
-          Table.cell_i m.Trace.Metrics.fault_count;
-          Table.cell_i
-            (m.Trace.Metrics.wire_to_server + m.Trace.Metrics.wire_to_mobile);
-          Table.cell_i m.Trace.Metrics.retries;
-          Table.cell_i m.Trace.Metrics.rejects;
-          Table.cell_i w.Series.w_peak_queue_depth;
-          Table.cell_i w.Series.w_peak_occupancy;
-          (if Float.is_nan w.Series.w_bw_bps then "-"
-           else Table.cell_f ~digits:2 (w.Series.w_bw_bps /. 1e6));
-        ])
-    (Series.windows series);
-  Table.print table;
-  let verdicts = Slo.evaluate objectives series in
-  Printf.printf "\nSLO: %s\n" (Slo.render verdicts);
-  Option.iter
-    (fun path ->
-      Openmetrics.write path ~series metrics;
-      Printf.printf "wrote %s (OpenMetrics text exposition)\n" path)
-    metrics_out;
-  Option.iter
-    (fun path ->
-      write_json path
-        [
-          ("mode", "\"timeseries\"");
-          ("workload", Printf.sprintf "\"%s\"" workload);
-          ("window_s", json_f window);
-          ("windows", json_i (List.length (Series.windows series)));
-          ("offloads", json_i metrics.Trace.Metrics.offloads);
-          ("slo_pass", if Slo.pass verdicts then "true" else "false");
-        ])
     json
 
 (* {1 Ablations} *)
@@ -1260,45 +848,104 @@ let run_ablations () =
       ("explicit byte arithmetic", true) ];
   Table.print table3
 
+(* {1 Command line}
+
+   [main.exe MODE [--flag VALUE]...]: each mode takes only the flags
+   listed beside it.  An unknown mode or flag, a flag without a value
+   and a value that does not parse each exit 1 with a message that
+   names it. *)
+
+let modes =
+  [
+    ("percentiles", [ "--sample"; "--json" ]);
+    ("faults", [ "--sample"; "--json" ]);
+    ( "fleet",
+      [ "--clients"; "--servers"; "--slots"; "--queue"; "--sample";
+        "--sample-seed"; "--json"; "--incidents-out"; "--metrics-out" ] );
+    ("migrate", [ "--policy"; "--json" ]);
+    ("micro", [ "--trials"; "--json"; "--selfprof-out" ]);
+    ("ablations", []);
+  ]
+
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 1)
+    fmt
+
+let flag_list = function
+  | [] -> "no flags"
+  | flags -> String.concat " " flags
+
+let usage () =
+  prerr_endline "usage: main.exe MODE [--flag VALUE]...\nmodes:";
+  List.iter
+    (fun (mode, flags) -> Printf.eprintf "  %-12s %s\n" mode (flag_list flags))
+    modes;
+  exit 1
+
 let () =
-  let argv = Array.to_list Sys.argv in
-  let opt name =
-    let rec go = function
-      | flag :: v :: _ when String.equal flag name -> Some v
-      | _ :: tl -> go tl
-      | [] -> None
-    in
-    go argv
+  let mode, args =
+    match Array.to_list Sys.argv with
+    | _ :: mode :: args when List.mem_assoc mode modes -> (mode, args)
+    | _ :: mode :: _ ->
+      prerr_endline ("bench: unknown mode " ^ mode);
+      usage ()
+    | _ -> usage ()
   in
-  let opt_int name = Option.map int_of_string (opt name) in
-  match argv with
-  | _ :: "micro" :: _ ->
-    run_micro ?trials:(opt_int "--trials") ?json:(opt "--json")
-      ?selfprof_out:(opt "--selfprof-out") ()
-  | _ :: "ablations" :: _ -> run_ablations ()
-  | _ :: "trace" :: _ -> run_trace_summaries ?json:(opt "--json") ()
-  | _ :: "faults" :: _ ->
-    run_fault_sweep ?sample:(opt_int "--sample") ?json:(opt "--json") ()
-  | _ :: "percentiles" :: _ ->
-    run_percentiles ?sample:(opt_int "--sample") ?json:(opt "--json") ()
-  | _ :: "multiclient" :: _ ->
-    run_multiclient ?slots:(opt_int "--slots") ?queue:(opt_int "--queue")
-      ?workload:(opt "--workload") ?slo:(opt "--slo") ?json:(opt "--json") ()
-  | _ :: "fleet" :: _ ->
-    run_fleet ?clients:(opt_int "--clients") ?servers:(opt_int "--servers")
-      ?slots:(opt_int "--slots") ?queue:(opt_int "--queue")
-      ?sample:(Option.map float_of_string (opt "--sample"))
-      ?sample_seed:(opt_int "--sample-seed") ?json:(opt "--json")
-      ?incidents_out:(opt "--incidents-out") ?metrics_out:(opt "--metrics-out")
-      ()
-  | _ :: "migrate" :: _ ->
-    let policy =
-      Option.bind (opt "--policy") Pool.policy_of_string
-    in
-    run_migrate ?policy ?json:(opt "--json") ()
-  | _ :: "timeseries" :: _ ->
-    run_timeseries ?workload:(opt "--workload")
-      ?window:(Option.map float_of_string (opt "--window"))
-      ?slo:(opt "--slo") ?json:(opt "--json")
-      ?metrics_out:(opt "--metrics-out") ()
-  | _ -> regenerate_all ()
+  let accepted = List.assoc mode modes in
+  let rec pairs = function
+    | [] -> []
+    | flag :: _ when not (List.mem flag accepted) ->
+      die "%s: unknown flag %s (accepted: %s)" mode flag (flag_list accepted)
+    | [ flag ] -> die "%s: %s needs a value" mode flag
+    | flag :: value :: rest -> (flag, value) :: pairs rest
+  in
+  let pairs = pairs args in
+  let str flag = List.assoc_opt flag pairs in
+  let parsed what of_string flag =
+    Option.map
+      (fun value ->
+        match of_string value with
+        | Some v -> v
+        | None -> die "%s: %s expects %s, got %S" mode flag what value)
+      (str flag)
+  in
+  let int = parsed "an integer" int_of_string_opt in
+  let count =
+    parsed "a positive integer" (fun s ->
+        Option.bind (int_of_string_opt s) (fun n ->
+            if n >= 1 then Some n else None))
+  in
+  match mode with
+  | "percentiles" ->
+    run_percentiles ?sample:(count "--sample") ?json:(str "--json") ()
+  | "faults" ->
+    run_fault_sweep ?sample:(count "--sample") ?json:(str "--json") ()
+  | "fleet" ->
+    run_fleet ?clients:(count "--clients") ?servers:(count "--servers")
+      ?slots:(count "--slots") ?queue:(int "--queue")
+      ?sample:
+        (parsed "a budget in [0,1]"
+           (fun s ->
+             Option.bind (float_of_string_opt s) (fun b ->
+                 if b >= 0.0 && b <= 1.0 then Some b else None))
+           "--sample")
+      ?sample_seed:(int "--sample-seed") ?json:(str "--json")
+      ?incidents_out:(str "--incidents-out")
+      ?metrics_out:(str "--metrics-out") ()
+  | "migrate" ->
+    run_migrate
+      ?policy:
+        (parsed
+           ("one of "
+           ^ String.concat ", "
+               (List.map Pool.policy_to_string Pool.all_policies))
+           Pool.policy_of_string "--policy")
+      ?json:(str "--json") ()
+  | "micro" ->
+    run_micro ?trials:(count "--trials") ?json:(str "--json")
+      ?selfprof_out:(str "--selfprof-out") ()
+  | "ablations" -> run_ablations ()
+  | _ -> usage ()
