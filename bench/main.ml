@@ -1,16 +1,15 @@
-(* Benchmark harness: the five lanes the bench guard
+(* Benchmark harness: the two lanes the bench guard
    (scripts/bench_guard.py) reads, and the design-choice ablations.
 
-     dune exec bench/main.exe -- percentiles  fleet latency percentiles
-     dune exec bench/main.exe -- faults       fault-injection survival
      dune exec bench/main.exe -- fleet        fleet-scale policy sweep
-     dune exec bench/main.exe -- migrate      migration vs local replay
      dune exec bench/main.exe -- micro        self-profiled micro lane
      dune exec bench/main.exe -- ablations    design-choice ablations
 
    Each mode's section says what it measures, and [modes] at the end
    lists its flags.  The paper's tables and figures regenerate with
-   `offload-cli report` and `offload-cli headline`, not here. *)
+   `offload-cli report` and `offload-cli headline`, not here.  The
+   registry's simulated runs need no lane: test/test_golden.ml and
+   test/test_fault.ml pin them bit for bit. *)
 
 open No_prelude.Prelude
 
@@ -25,15 +24,10 @@ let compressible_page =
 
 (* {1 Headline JSON}
 
-   The CI bench lane runs the sweep modes at reduced scale ([--sample
-   N] keeps only the first N registry entries) and writes each mode's
-   headline numbers as a flat JSON object ([--json FILE]);
+   The CI bench job runs both lanes at reduced scale and writes each
+   lane's headline numbers as a flat JSON object ([--json FILE]);
    scripts/bench_guard.py merges them into BENCH_pr.json and compares
    against the committed BENCH_baseline.json. *)
-
-let sampled_registry = function
-  | None -> Registry.spec
-  | Some n -> List.filteri (fun i _ -> i < n) Registry.spec
 
 let write_json path (fields : (string * string) list) =
   let oc = open_out path in
@@ -53,216 +47,6 @@ let json_i v = string_of_int v
 (* Host wall-clock seconds since [t0]. *)
 let wall_since t0 =
   Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9
-
-(* {1 Fault-injection sweep}
-
-   Survival under deterministic injected faults, across the whole
-   workload registry at profile-script scale.  Each workload first
-   runs clean to measure its fault-free offloaded duration T, then
-   re-runs under plans whose timing derives from T — a link outage
-   covering [0.25T, 0.45T], a server crash at 0.4T, and a 3% message
-   drop rate — so the faults land mid-offload regardless of how long
-   the workload runs.  "Survived" means the console transcript matches
-   the pure-local run byte for byte: every fault was absorbed by
-   retries or by rollback + local replay. *)
-
-let fault_plan_exn s =
-  match Fault_plan.parse s with
-  | Ok p -> p
-  | Error msg -> failwith ("fault_sweep: bad plan " ^ s ^ ": " ^ msg)
-
-let run_fault_sweep ?sample ?json () =
-  let table =
-    Table.create
-      ~title:
-        "Fault sweep: survival and recovery cost under injected faults \
-         (profile-script scale)"
-      [ "workload"; "plan"; "survived"; "fallbacks"; "timeouts"; "retries";
-        "recovery (s)"; "vs clean" ]
-  in
-  let survived = ref 0 and injected_runs = ref 0 in
-  let recovery_total = ref 0.0 in
-  let slowdowns = ref [] in
-  List.iter
-    (fun entry ->
-      let compiled =
-        Compiler.compile ~profile_script:entry.Registry.e_profile_script
-          ~profile_files:entry.Registry.e_files
-          ~eval_scale:entry.Registry.e_eval_scale
-          (entry.Registry.e_build ())
-      in
-      let local =
-        Local_run.run ~script:entry.Registry.e_profile_script
-          ~files:entry.Registry.e_files compiled.Compiler.c_original
-      in
-      let offloaded plan =
-        let config =
-          { (Session.default_config ()) with Session.faults = plan }
-        in
-        let session =
-          Session.create ~config ~script:entry.Registry.e_profile_script
-            ~files:entry.Registry.e_files compiled.Compiler.c_output
-            ~seeds:compiled.Compiler.c_seeds
-        in
-        Session.run session
-      in
-      let clean = offloaded None in
-      let t = clean.Session.rep_total_s in
-      let plans =
-        [
-          ( "outage mid-offload",
-            fault_plan_exn
-              (Printf.sprintf "outage=%.4f:%.4f" (0.25 *. t) (0.45 *. t)) );
-          ( "server crash",
-            fault_plan_exn (Printf.sprintf "crash=%.4f" (0.4 *. t)) );
-          ("3% drop", fault_plan_exn "drop=0.03,seed=7");
-        ]
-      in
-      List.iter
-        (fun (label, plan) ->
-          let r = offloaded (Some plan) in
-          let ok = String.equal r.Session.rep_console local.Local_run.lr_console in
-          incr injected_runs;
-          if ok then incr survived;
-          recovery_total := !recovery_total +. r.Session.rep_recovery_s;
-          slowdowns := (r.Session.rep_total_s /. t) :: !slowdowns;
-          Table.add_row table
-            [
-              entry.Registry.e_name;
-              label;
-              (if ok then "yes" else "NO");
-              Table.cell_i r.Session.rep_fallbacks;
-              Table.cell_i r.Session.rep_rpc_timeouts;
-              Table.cell_i r.Session.rep_retries;
-              Table.cell_f r.Session.rep_recovery_s;
-              Table.cell_f (r.Session.rep_total_s /. t);
-            ])
-        plans)
-    (sampled_registry sample);
-  Table.print table;
-  Printf.printf
-    "\nsurvival: %d/%d runs reproduced the local console transcript\n\
-     total recovery time across the sweep: %.2f s\n"
-    !survived !injected_runs !recovery_total;
-  Option.iter
-    (fun path ->
-      write_json path
-        [
-          ("mode", "\"faults\"");
-          ("runs", json_i !injected_runs);
-          ("survived", json_i !survived);
-          ( "survival_rate",
-            json_f (float_of_int !survived /. float_of_int !injected_runs) );
-          ("recovery_total_s", json_f !recovery_total);
-          ("slowdown_geomean", json_f (Experiment.geomean !slowdowns));
-        ])
-    json
-
-(* {1 Fleet percentiles}
-
-   Distribution view of the registry: run every workload at
-   profile-script scale (local + offloaded over the fast network),
-   fill one histogram per metric per run, then merge the per-run
-   histograms into fleet-wide distributions — the aggregation shape of
-   a monitoring pipeline, where each host ships a mergeable sketch
-   rather than raw samples.  Speedup is one sample per workload;
-   comm / page-fault / wire-bytes histograms pool every event in the
-   fleet. *)
-
-let run_percentiles ?sample ?json () =
-  let module Hist = No_obs.Hist in
-  (* Per-run sketches, merged at the end. *)
-  let speedups = ref [] in
-  let comms = ref [] in
-  let faults = ref [] in
-  let wires = ref [] in
-  let speedup_values = ref [] in
-  List.iter
-    (fun entry ->
-      let compiled =
-        Compiler.compile ~profile_script:entry.Registry.e_profile_script
-          ~profile_files:entry.Registry.e_files
-          ~eval_scale:entry.Registry.e_eval_scale
-          (entry.Registry.e_build ())
-      in
-      let local =
-        Local_run.run ~script:entry.Registry.e_profile_script
-          ~files:entry.Registry.e_files compiled.Compiler.c_original
-      in
-      let ring = Trace.Ring.create ~capacity:(1 lsl 20) () in
-      let config =
-        { (Session.default_config ()) with
-          Session.trace = Trace.Ring.sink ring }
-      in
-      let session =
-        Session.create ~config ~script:entry.Registry.e_profile_script
-          ~files:entry.Registry.e_files compiled.Compiler.c_output
-          ~seeds:compiled.Compiler.c_seeds
-      in
-      let r = Session.run session in
-      let speedup = Hist.create () in
-      let comm = Hist.create () in
-      let fault = Hist.create () in
-      let wire = Hist.create () in
-      let speedup_x = local.Local_run.lr_total_s /. r.Session.rep_total_s in
-      Hist.add speedup speedup_x;
-      speedup_values := speedup_x :: !speedup_values;
-      List.iter
-        (fun (_ts, ev) ->
-          match ev with
-          | Trace.Flush { wire_bytes; transfer_s; codec_s; _ } ->
-            Hist.add comm (transfer_s +. codec_s);
-            Hist.add wire (float_of_int wire_bytes)
-          | Trace.Page_fault { service_s; _ } -> Hist.add fault service_s
-          | _ -> ())
-        (Trace.Ring.events ring);
-      speedups := speedup :: !speedups;
-      comms := comm :: !comms;
-      faults := fault :: !faults;
-      wires := wire :: !wires)
-    (sampled_registry sample);
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Fleet percentiles (%d workloads, profile-script scale, fast \
-            network; per-run histograms merged)"
-           (List.length !speedups))
-      [ "metric"; "samples"; "p50"; "p95"; "p99"; "max" ]
-  in
-  let row name digits hists =
-    let h = Hist.merge hists in
-    Table.add_row table
-      [
-        name;
-        Table.cell_i (Hist.count h);
-        Table.cell_f ~digits (Hist.quantile h 0.50);
-        Table.cell_f ~digits (Hist.quantile h 0.95);
-        Table.cell_f ~digits (Hist.quantile h 0.99);
-        Table.cell_f ~digits (Hist.max h);
-      ]
-  in
-  row "speedup (x)" 2 !speedups;
-  row "flush comm time (s)" 6 !comms;
-  row "page-fault service (s)" 6 !faults;
-  row "flush wire (bytes)" 0 !wires;
-  Table.print table;
-  Option.iter
-    (fun path ->
-      let speedup_h = Hist.merge !speedups in
-      let comm_h = Hist.merge !comms in
-      let wire_h = Hist.merge !wires in
-      write_json path
-        [
-          ("mode", "\"percentiles\"");
-          ("workloads", json_i (List.length !speedups));
-          ("geomean_speedup", json_f (Experiment.geomean !speedup_values));
-          ("speedup_p50", json_f (Hist.quantile speedup_h 0.50));
-          ("speedup_p95", json_f (Hist.quantile speedup_h 0.95));
-          ("comm_p95_s", json_f (Hist.quantile comm_h 0.95));
-          ("wire_p95_bytes", json_f (Hist.quantile wire_h 0.95));
-        ])
-    json
 
 (* {1 Fleet-scale sweep}
 
@@ -610,107 +394,6 @@ let run_micro ?(trials = 3) ?json ?selfprof_out () =
           ("micro_compress_ratio", json_f compress_ratio) ])
     json
 
-(* {1 Migration recovery}
-
-   The checkpoint/migration machinery against its fallback: every
-   canonical loss scenario (mid-offload crash with healthy siblings,
-   rolling maintenance, cost-driven rebalance of a heterogeneous
-   pool) runs twice — migration on, then off, where every lost
-   offload rolls back and replays locally.  Both runs are fully
-   simulated and deterministic; the headline is how many tasks
-   finished by migration and the recovered-task wall-clock ratio
-   replay/migrate (> 1 means shipping the checkpoint to a healthy
-   member beat re-running on the slow mobile core).  The ratio is
-   measured on the clients that actually lost a server — the fleet
-   makespan can be pinned by an unaffected straggler. *)
-
-(* Wall clock summed over the clients a scenario actually disturbed:
-   checkpoint takers in migrate mode, local replayers in replay mode.
-   Determinism makes the two sets the same clients. *)
-let recovered_wall (r : Sim.result) =
-  List.fold_left
-    (fun acc cr ->
-      let rep = cr.Sim.cr_report in
-      if rep.Session.rep_checkpoints > 0 || rep.Session.rep_fallbacks > 0
-      then acc +. rep.Session.rep_total_s
-      else acc)
-    0.0 r.Sim.r_clients
-
-let run_migrate ?(policy = Pool.Round_robin) ?json () =
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Migration recovery vs rollback + local replay (%s, \
-            profile-script scale)"
-           (Pool.policy_to_string policy))
-      [ "scenario"; "mode"; "checkpoints"; "migrations"; "completed";
-        "replays"; "recovered wall (s)"; "makespan (s)"; "geomean speedup" ]
-  in
-  let json_fields = ref [] in
-  let ratios = ref [] in
-  let migrations_total = ref 0 in
-  List.iter
-    (fun name ->
-      let sc_on = Sim.scenario ~policy ~migrate:true name in
-      let sc_off = Sim.scenario ~policy ~migrate:false name in
-      let on = Sim.run ~config:sc_on.Sim.sc_config sc_on.Sim.sc_clients in
-      let off = Sim.run ~config:sc_off.Sim.sc_config sc_off.Sim.sc_clients in
-      print_endline
-        (Sim.render
-           ~title:(Printf.sprintf "%s (migrate on): %s" name sc_on.Sim.sc_title)
-           on);
-      print_newline ();
-      let ck_on, mig_on, done_on, fb_on = Sim.migration_totals on in
-      let _, mig_off, done_off, fb_off = Sim.migration_totals off in
-      let row mode (ck, mig, done_, fb) (r : Sim.result) =
-        Table.add_row table
-          [
-            name; mode; Table.cell_i ck; Table.cell_i mig;
-            Table.cell_i done_; Table.cell_i fb;
-            Table.cell_f ~digits:4 (recovered_wall r);
-            Table.cell_f ~digits:4 r.Sim.r_makespan_s;
-            Table.cell_f ~digits:3 (Sim.geomean_speedup r);
-          ]
-      in
-      row "migrate" (ck_on, mig_on, done_on, fb_on) on;
-      row "replay" (0, mig_off, done_off, fb_off) off;
-      let ratio = recovered_wall off /. recovered_wall on in
-      migrations_total := !migrations_total + done_on;
-      ratios := ratio :: !ratios;
-      json_fields :=
-        !json_fields
-        @ [
-            (Printf.sprintf "%s_migrations" name, json_i done_on);
-            (Printf.sprintf "%s_replays" name, json_i fb_off);
-            ( Printf.sprintf "%s_recovered_wall_on" name,
-              json_f (recovered_wall on) );
-            ( Printf.sprintf "%s_recovered_wall_off" name,
-              json_f (recovered_wall off) );
-            (Printf.sprintf "%s_makespan_on" name, json_f on.Sim.r_makespan_s);
-            ( Printf.sprintf "%s_makespan_off" name,
-              json_f off.Sim.r_makespan_s );
-            (Printf.sprintf "%s_ratio" name, json_f ratio);
-          ])
-    Sim.scenario_names;
-  Table.print table;
-  let recovery_ratio = Experiment.geomean !ratios in
-  Printf.printf
-    "\n%d migration(s) completed; replay/migrate recovered-task wall-clock \
-     ratio (geomean) %.4f\n"
-    !migrations_total recovery_ratio;
-  Option.iter
-    (fun path ->
-      write_json path
-        ([
-           ("mode", "\"migrate\"");
-           ("policy", Printf.sprintf "\"%s\"" (Pool.policy_to_string policy));
-           ("migrations_done", json_i !migrations_total);
-           ("recovery_ratio", json_f recovery_ratio);
-         ]
-        @ !json_fields))
-    json
-
 (* {1 Ablations} *)
 
 let ablation_configs () =
@@ -857,12 +540,9 @@ let run_ablations () =
 
 let modes =
   [
-    ("percentiles", [ "--sample"; "--json" ]);
-    ("faults", [ "--sample"; "--json" ]);
     ( "fleet",
       [ "--clients"; "--servers"; "--slots"; "--queue"; "--sample";
         "--sample-seed"; "--json"; "--incidents-out"; "--metrics-out" ] );
-    ("migrate", [ "--policy"; "--json" ]);
     ("micro", [ "--trials"; "--json"; "--selfprof-out" ]);
     ("ablations", []);
   ]
@@ -919,10 +599,6 @@ let () =
             if n >= 1 then Some n else None))
   in
   match mode with
-  | "percentiles" ->
-    run_percentiles ?sample:(count "--sample") ?json:(str "--json") ()
-  | "faults" ->
-    run_fault_sweep ?sample:(count "--sample") ?json:(str "--json") ()
   | "fleet" ->
     run_fleet ?clients:(count "--clients") ?servers:(count "--servers")
       ?slots:(count "--slots") ?queue:(int "--queue")
@@ -935,15 +611,6 @@ let () =
       ?sample_seed:(int "--sample-seed") ?json:(str "--json")
       ?incidents_out:(str "--incidents-out")
       ?metrics_out:(str "--metrics-out") ()
-  | "migrate" ->
-    run_migrate
-      ?policy:
-        (parsed
-           ("one of "
-           ^ String.concat ", "
-               (List.map Pool.policy_to_string Pool.all_policies))
-           Pool.policy_of_string "--policy")
-      ?json:(str "--json") ()
   | "micro" ->
     run_micro ?trials:(count "--trials") ?json:(str "--json")
       ?selfprof_out:(str "--selfprof-out") ()

@@ -551,39 +551,39 @@ let analyze_cmd =
         function Trace.Retry { backoff_s; _ } -> Some backoff_s | _ -> None );
       ( "local replay (s)", 6,
         function Trace.Replay { replay_s; _ } -> Some replay_s | _ -> None );
+      ( "queue wait (s)", 6,
+        function Trace.Queue { wait_s; _ } -> Some wait_s | _ -> None );
+      ( "migrate transfer (s)", 6,
+        function
+        | Trace.Migrate_start { transfer_s; _ } -> Some transfer_s
+        | _ -> None );
     ]
   in
   (* Machine-readable twin of the printed tables: per-kind histogram
      quantiles plus the estimator audit, one JSON document.  Pure
      function of the trace, so re-analyzing is byte-identical. *)
-  let analysis_json ~hist_specs ~sampled ~exemplars events =
+  let analysis_json ~hists ~sampled ~exemplars ~rows events =
     let b = Buffer.create 2048 in
     let jf = Printf.sprintf "%.9g" in
     Buffer.add_string b
       (Printf.sprintf "{\n  \"events\": %d,\n  \"histograms\": ["
          (List.length events));
-    let first = ref true in
-    List.iter
-      (fun (name, _digits, select) ->
-        let h = Hist.create () in
-        List.iter (fun (_ts, ev) -> Option.iter (Hist.add h) (select ev)) events;
-        if Hist.count h > 0 then begin
-          if not !first then Buffer.add_char b ',';
-          first := false;
-          Buffer.add_string b
-            (Printf.sprintf
-               "\n    {\"kind\": %s, \"count\": %d, \"sum\": %s, \
-                \"min\": %s, \"p50\": %s, \"p90\": %s, \"p95\": %s, \
-                \"p99\": %s, \"max\": %s}"
-               (Trace.json_string name) (Hist.count h) (jf (Hist.sum h))
-               (jf (Hist.min h))
-               (jf (Hist.quantile h 0.50))
-               (jf (Hist.quantile h 0.90))
-               (jf (Hist.quantile h 0.95))
-               (jf (Hist.quantile h 0.99))
-               (jf (Hist.max h)))
-        end)
-      hist_specs;
+    List.iteri
+      (fun i (name, _digits, h) ->
+        if i > 0 then Buffer.add_char b ',';
+        Buffer.add_string b
+          (Printf.sprintf
+             "\n    {\"kind\": %s, \"count\": %d, \"sum\": %s, \
+              \"min\": %s, \"p50\": %s, \"p90\": %s, \"p95\": %s, \
+              \"p99\": %s, \"max\": %s}"
+             (Trace.json_string name) (Hist.count h) (jf (Hist.sum h))
+             (jf (Hist.min h))
+             (jf (Hist.quantile h 0.50))
+             (jf (Hist.quantile h 0.90))
+             (jf (Hist.quantile h 0.95))
+             (jf (Hist.quantile h 0.99))
+             (jf (Hist.max h))))
+      hists;
     Buffer.add_string b "\n  ],";
     Buffer.add_string b
       (Printf.sprintf "\n  \"sampled\": %b,\n  \"exemplars\": [" sampled);
@@ -596,7 +596,6 @@ let analyze_cmd =
              (Trace.json_string name) (Trace.json_string id) (jf v)))
       exemplars;
     Buffer.add_string b "\n  ],\n  \"audit\": [";
-    let rows = Audit.of_events events in
     List.iteri
       (fun i (r : Audit.row) ->
         if i > 0 then Buffer.add_char b ',';
@@ -667,30 +666,38 @@ let analyze_cmd =
              (List.length kept_ids)
          else "")
         (Flame.to_text root);
+      (* Each non-empty histogram and the audit, built once: the
+         tables below and the JSON both read them. *)
+      let hists =
+        List.filter_map
+          (fun (name, digits, select) ->
+            let h = Hist.create () in
+            List.iter
+              (fun (_ts, ev) -> Option.iter (Hist.add h) (select ev))
+              events;
+            if Hist.count h > 0 then Some (name, digits, h) else None)
+          hist_specs
+      in
+      let rows = Audit.of_events events in
       let table =
         Table.create ~title:"Cost distributions (log-bucketed histograms)"
           [ "kind"; "count"; "sum"; "min"; "p50"; "p90"; "p95"; "p99"; "max" ]
       in
       List.iter
-        (fun (name, digits, select) ->
-          let h = Hist.create () in
-          List.iter
-            (fun (_ts, ev) -> Option.iter (Hist.add h) (select ev))
-            events;
-          if Hist.count h > 0 then
-            Table.add_row table
-              [
-                name;
-                Table.cell_i (Hist.count h);
-                Table.cell_f ~digits (Hist.sum h);
-                Table.cell_f ~digits (Hist.min h);
-                Table.cell_f ~digits (Hist.quantile h 0.50);
-                Table.cell_f ~digits (Hist.quantile h 0.90);
-                Table.cell_f ~digits (Hist.quantile h 0.95);
-                Table.cell_f ~digits (Hist.quantile h 0.99);
-                Table.cell_f ~digits (Hist.max h);
-              ])
-        hist_specs;
+        (fun (name, digits, h) ->
+          Table.add_row table
+            [
+              name;
+              Table.cell_i (Hist.count h);
+              Table.cell_f ~digits (Hist.sum h);
+              Table.cell_f ~digits (Hist.min h);
+              Table.cell_f ~digits (Hist.quantile h 0.50);
+              Table.cell_f ~digits (Hist.quantile h 0.90);
+              Table.cell_f ~digits (Hist.quantile h 0.95);
+              Table.cell_f ~digits (Hist.quantile h 0.99);
+              Table.cell_f ~digits (Hist.max h);
+            ])
+        hists;
       Table.print table;
       if exemplars <> [] then begin
         print_newline ();
@@ -704,7 +711,6 @@ let analyze_cmd =
           exemplars;
         Table.print table
       end;
-      let rows = Audit.of_events events in
       if rows <> [] then begin
         let table =
           Table.create ~title:"Estimator audit (predicted vs measured gain)"
@@ -764,7 +770,8 @@ let analyze_cmd =
           Fmt.epr "cannot write analysis JSON: %s@." msg;
           exit 1
         | oc ->
-          output_string oc (analysis_json ~hist_specs ~sampled ~exemplars events);
+          output_string oc
+            (analysis_json ~hists ~sampled ~exemplars ~rows events);
           close_out oc;
           Fmt.pr "@.wrote %s (histogram quantiles + estimator audit)@." out))
   in

@@ -39,7 +39,6 @@ type verdict =
 
 type t = {
   plan : Plan.t;
-  policy : policy;
   rng : Rng.t;
   mutable injected : int;
   (* A planned crash kills one specific machine.  When the session
@@ -49,17 +48,15 @@ type t = {
   mutable crash_cleared : bool;
 }
 
-let create ?(policy = default_policy) plan =
+let create plan =
   {
     plan;
-    policy;
     rng = Rng.create plan.Plan.seed;
     injected = 0;
     crash_cleared = false;
   }
 
 let plan t = t.plan
-let policy t = t.policy
 let injected t = t.injected
 
 let outage_until t ~now =

@@ -33,9 +33,8 @@ type verdict =
 
 type t
 
-val create : ?policy:policy -> Plan.t -> t
+val create : Plan.t -> t
 val plan : t -> Plan.t
-val policy : t -> policy
 
 val injected : t -> int
 (** Number of non-[Deliver] verdicts issued so far. *)

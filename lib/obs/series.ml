@@ -106,27 +106,6 @@ let slot_at t index =
 
 let window_at t index = (slot_at t index).sw
 
-(* The instant an event's span closes — mirrors Span.run_end_s, so a
-   series over a session trace covers exactly the run's wall clock.
-   Every spanning kind keeps its span in f.(0) (plus f.(1) for a
-   flush's codec leg; a power segment's duration is f.(1)). *)
-let close_of_row ts (r : Trace.Row.t) =
-  let k = r.Trace.Row.kind in
-  if k = Trace.Row.k_power_state then ts +. r.Trace.Row.f.(1)
-  else if k = Trace.Row.k_flush then
-    ts +. r.Trace.Row.f.(0) +. r.Trace.Row.f.(1)
-  else if
-    k = Trace.Row.k_page_fault
-    || k = Trace.Row.k_fnptr_translate
-    || k = Trace.Row.k_remote_io
-    || k = Trace.Row.k_rpc_timeout
-    || k = Trace.Row.k_retry
-    || k = Trace.Row.k_replay
-    || k = Trace.Row.k_queue
-    || k = Trace.Row.k_migrate_start
-  then ts +. r.Trace.Row.f.(0)
-  else ts
-
 (* Metrics fold into the window's record, the (at most one) latency
    sample goes to the window's histogram, and the gauges read the row
    in place — nothing here boxes an event. *)
@@ -158,7 +137,9 @@ let sink t : Trace.sink =
      w.w_server_peaks <- bump w.w_server_peaks
    end
    else if k = Trace.Row.k_bw_sample then w.w_bw_bps <- r.Trace.Row.f.(0));
-  let close = close_of_row ts r in
+  (* Span.run_end_s ends a run at the same close, so a series over a
+     session trace covers exactly the run's wall clock. *)
+  let close = Trace.Row.close_s ~ts r in
   if close > t.end_s then t.end_s <- close
 
 (* Exemplar attachment: route a kept trace's latency sample to the

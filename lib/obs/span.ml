@@ -91,26 +91,16 @@ let item_of_event : Trace.event -> item option = function
   | Trace.Refusal _ | Trace.Estimate _ | Trace.Power_state _
   | Trace.Bw_sample _ -> None
 
-(* The run's wall clock: the latest instant any event reaches.  Power
+(* The run's wall clock: the latest instant any event reaches
+   (Trace.Row.close_s, which Series.duration_s reads too).  Power
    segments partition the timeline, so on a session trace this equals
    Trace.Metrics.total_s (the span-tree invariant tests lock this). *)
 let run_end_s events =
+  let row = Trace.Row.create () in
   List.fold_left
     (fun acc (ts, ev) ->
-      let close =
-        match ev with
-        | Trace.Power_state { duration_s; _ } -> ts +. duration_s
-        | Trace.Flush { transfer_s; codec_s; _ } -> ts +. transfer_s +. codec_s
-        | Trace.Page_fault { service_s; _ } -> ts +. service_s
-        | Trace.Fnptr_translate { cost_s } -> ts +. cost_s
-        | Trace.Remote_io { cost_s; _ } -> ts +. cost_s
-        | Trace.Rpc_timeout { waited_s; _ } -> ts +. waited_s
-        | Trace.Retry { backoff_s; _ } -> ts +. backoff_s
-        | Trace.Replay { replay_s; _ } -> ts +. replay_s
-        | Trace.Queue { wait_s; _ } -> ts +. wait_s
-        | _ -> ts
-      in
-      Float.max acc close)
+      Trace.Row.of_event row ev;
+      Float.max acc (Trace.Row.close_s ~ts row))
     0.0 events
 
 (* {1 Merging} *)

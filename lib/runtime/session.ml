@@ -128,7 +128,6 @@ type config = {
                                     row the session's ledger folds *)
   faults : Fault_plan.t option;  (* deterministic fault schedule; None
                                     (and the empty plan) = no faults *)
-  retry : Injector.policy;       (* per-RPC deadline + backoff bounds *)
   server_handle : server_handle option;
                                  (* shared-server admission; None = the
                                     session owns the server outright *)
@@ -152,7 +151,6 @@ let default_config ?(link = Link.fast_wifi) () = {
   initial_bw_bps = None;
   trace = Trace.null;
   faults = None;
-  retry = Injector.default_policy;
   server_handle = None;
   migrate = true;
 }
@@ -279,6 +277,19 @@ let session_code ~(output : Pipeline.output) ~mobile_arch ~server_arch ~layout
           else !code_memo);
     codes
 
+(* Usable-bandwidth scale at the clock's instant: fault injection's
+   bandwidth collapse composed multiplicatively with shared-server
+   link contention.  Both are 1.0 (the IEEE multiplicative identity)
+   on an uncontended clean run.  The channels and the session's own
+   exchanges read this one product. *)
+let usable_bw_factor injector (clock : Host.clock) contention =
+  let inj_factor =
+    match injector with
+    | None -> 1.0
+    | Some inj -> Injector.bw_factor inj ~now:clock.Host.now
+  in
+  inj_factor *. !contention
+
 let create ?(config = default_config ()) ?(script = []) ?(files = [])
     (output : Pipeline.output) ~(seeds : target_seed list) : t =
   let clock = { Host.now = 0.0 } in
@@ -356,22 +367,9 @@ let create ?(config = default_config ()) ?(script = []) ?(files = [])
      plan is indistinguishable from no plan: the bandwidth factor is
      then constantly 1.0 (the IEEE multiplicative identity) and no
      verdict ever differs from Deliver. *)
-  let injector =
-    Option.map (fun plan -> Injector.create ~policy:config.retry plan)
-      config.faults
-  in
-  (* Link contention from the shared server composes multiplicatively
-     with the injector's bandwidth collapse; both are 1.0 (the IEEE
-     multiplicative identity) on an uncontended clean run. *)
+  let injector = Option.map Injector.create config.faults in
   let contention = ref 1.0 in
-  let channel_bw_factor () =
-    let inj_factor =
-      match injector with
-      | None -> 1.0
-      | Some inj -> Injector.bw_factor inj ~now:clock.Host.now
-    in
-    inj_factor *. !contention
-  in
+  let channel_bw_factor () = usable_bw_factor injector clock contention in
   let t =
     {
       config;
@@ -450,16 +448,7 @@ let flush_to_mobile t =
   observe_transfer t ~bytes ~seconds;
   charge_comm t seconds
 
-(* Usable-bandwidth scale at the current instant: fault injection's
-   bandwidth collapse composed with shared-server link contention;
-   1.0 on an uncontended clean run. *)
-let bw_factor t =
-  let inj_factor =
-    match t.injector with
-    | None -> 1.0
-    | Some inj -> Injector.bw_factor inj ~now:t.clock.Host.now
-  in
-  inj_factor *. !(t.contention)
+let bw_factor t = usable_bw_factor t.injector t.clock t.contention
 
 (* {1 Fault-aware exchanges}
 
@@ -497,7 +486,7 @@ let exchange t ~op ~state (deliver : unit -> 'a) : 'a =
   match t.injector with
   | None -> with_state t state deliver
   | Some inj ->
-    let policy = Injector.policy inj in
+    let policy = Injector.default_policy in
     let wait seconds =
       with_state t Power_model.Waiting (fun () -> advance t seconds)
     in

@@ -12,7 +12,7 @@
 
        scale(m) = 1 / (1 + coeff * (m - 1))
 
-   (alpha for compute, beta for the link) — 1.0 for an exclusive
+   ([alpha] for compute, [beta] for the link) — 1.0 for an exclusive
    server, a harmonic-style decay as neighbours pile on.  Both scales
    are priced at the occupancy observed when the offload starts and
    held for its duration; a neighbour admitted later does not
@@ -32,15 +32,14 @@ module Session = No_runtime.Session
 type config = {
   slots : int;          (* concurrent worker slots on the server *)
   queue_cap : int;      (* waiting requests tolerated beyond the slots *)
-  alpha : float;        (* compute-contention coefficient *)
-  beta : float;         (* link-contention coefficient *)
   r_factor : float;     (* member speed relative to the baseline server
                            machine: 1.0 = the architecture's R, 2.0 =
                            twice that.  Heterogeneous pools mix values *)
 }
 
-let default =
-  { slots = 2; queue_cap = 2; alpha = 0.8; beta = 0.5; r_factor = 1.0 }
+let default = { slots = 2; queue_cap = 2; r_factor = 1.0 }
+let alpha = 0.8
+let beta = 0.5
 
 let scale coeff ~occupancy =
   if occupancy <= 1 then 1.0
@@ -49,8 +48,8 @@ let scale coeff ~occupancy =
 (* The member's speed grade composes with contention: a 2x machine at
    occupancy 1 prices r_scale = 2.0, which the session turns into a
    halved server slowdown. *)
-let r_scale cfg ~occupancy = cfg.r_factor *. scale cfg.alpha ~occupancy
-let bw_scale cfg ~occupancy = scale cfg.beta ~occupancy
+let r_scale cfg ~occupancy = cfg.r_factor *. scale alpha ~occupancy
+let bw_scale ~occupancy = scale beta ~occupancy
 
 type t = {
   cfg : config;
@@ -94,7 +93,7 @@ let occupancy t ~now = running t ~at:now
    so this is the optimistic bound the decision is based on. *)
 let load t ~now =
   let m = running t ~at:now + 1 in
-  (r_scale t.cfg ~occupancy:m, bw_scale t.cfg ~occupancy:m)
+  (r_scale t.cfg ~occupancy:m, bw_scale ~occupancy:m)
 
 let request t ~now ~target:_ : Session.admission =
   t.pending_starts <- List.filter (fun s -> s > now) t.pending_starts;
@@ -129,7 +128,7 @@ let request t ~now ~target:_ : Session.admission =
         slot;
         queue_depth;
         r_scale = r_scale t.cfg ~occupancy;
-        bw_scale = bw_scale t.cfg ~occupancy;
+        bw_scale = bw_scale ~occupancy;
       }
   end
 

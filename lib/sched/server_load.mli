@@ -14,8 +14,6 @@
 type config = {
   slots : int;          (** concurrent worker slots on the server *)
   queue_cap : int;      (** waiting requests tolerated; more → reject *)
-  alpha : float;        (** compute-contention coefficient *)
-  beta : float;         (** link-contention coefficient *)
   r_factor : float;
       (** member speed relative to the baseline server machine (1.0 =
           the architecture's R); composes multiplicatively with the
@@ -23,14 +21,21 @@ type config = {
 }
 
 val default : config
-(** 2 slots, queue of 2, alpha 0.8, beta 0.5, r_factor 1.0. *)
+(** 2 slots, queue of 2, r_factor 1.0. *)
+
+val alpha : float
+(** Compute-contention coefficient, 0.8. *)
+
+val beta : float
+(** Link-contention coefficient, 0.5. *)
 
 val r_scale : config -> occupancy:int -> float
 (** Effective-speedup scale at an occupancy; [r_factor] at occupancy
-    1, strictly decreasing beyond (for positive [alpha]). *)
+    1, strictly decreasing beyond. *)
 
-val bw_scale : config -> occupancy:int -> float
-(** Link-bandwidth scale, as {!r_scale} with [beta]. *)
+val bw_scale : occupancy:int -> float
+(** Link-bandwidth scale, as {!r_scale} with {!beta} and no
+    [r_factor]. *)
 
 type t
 

@@ -526,6 +526,19 @@ module Row = struct
     if latency_slot r.kind < 0 then Float.nan
     else if r.kind = k_flush then r.f.(0) +. r.f.(1)
     else r.f.(0)
+
+  (* An offload-end row is stamped at its span's close, so it adds
+     nothing here; a power segment's duration is f.(1). *)
+  let close_s ~ts (r : t) =
+    let k = r.kind in
+    if k = k_power_state then ts +. r.f.(1)
+    else if k = k_flush then ts +. r.f.(0) +. r.f.(1)
+    else if
+      k = k_page_fault || k = k_fnptr_translate || k = k_remote_io
+      || k = k_rpc_timeout || k = k_retry || k = k_replay || k = k_queue
+      || k = k_migrate_start
+    then ts +. r.f.(0)
+    else ts
 end
 
 (* Events that carry a time-span are stamped with the *start* of the

@@ -263,6 +263,14 @@ module Row : sig
   val latency : t -> float
   (** The row's latency sample (a flush's transfer plus codec legs,
       otherwise the span in [f.(0)]); NaN for kinds without one. *)
+
+  val close_s : ts:float -> t -> float
+  (** The instant the span of a row stamped [ts] closes: [ts] plus a
+      power segment's duration, a flush's transfer and codec legs, or
+      the span of a page fault, fn-ptr translation, remote I/O, RPC
+      timeout, retry backoff, replay, queue wait or migration
+      transfer; [ts] for every other kind.  A run ends at the latest
+      close of its rows. *)
 end
 
 type sink = ts:float -> Row.t -> unit

@@ -2,8 +2,8 @@
 """Bench-lane helper: merge the lanes' headline JSON files into one and
 hold it against the committed baseline with one table of rules.
 
-  merge P F FL M MI -o OUT  merge the `--json` outputs of the lanes
-                            percentiles, faults, fleet, migrate, micro
+  merge FL MI -o OUT        merge the `--json` outputs of the lanes
+                            fleet and micro
   check PR BASELINE         one Markdown row per rule in RULES; exit 1
                             if any fails.  --explain DIFF.json (from
                             `offload-cli diff OLD NEW --json`) names the
@@ -29,13 +29,10 @@ Re-baselining: when a change moves a number past its rule on purpose,
 regenerate the baseline at the same reduced scale and commit it with
 the change:
 
-    dune exec bench/main.exe -- percentiles --sample 4 --json /tmp/p.json
-    dune exec bench/main.exe -- faults      --sample 4 --json /tmp/f.json
     dune exec bench/main.exe -- fleet --sample 0.01 --json /tmp/fl.json
-    dune exec bench/main.exe -- migrate     --json /tmp/m.json
     dune exec bench/main.exe -- micro --trials 3 --json /tmp/mi.json
-    python3 scripts/bench_guard.py merge /tmp/p.json /tmp/f.json \\
-        /tmp/fl.json /tmp/m.json /tmp/mi.json -o BENCH_baseline.json
+    python3 scripts/bench_guard.py merge /tmp/fl.json /tmp/mi.json \\
+        -o BENCH_baseline.json
 """
 
 import argparse
@@ -45,23 +42,14 @@ import os
 import sys
 import tempfile
 
-SCHEMA = 5
-LANES = ("percentiles", "faults", "fleet", "migrate", "micro")
+SCHEMA = 6
+LANES = ("fleet", "micro")
 
 EXACT = ("exact",)
 REL = ("rel", 0.10)
 
 RULES = [
     ("schema", EXACT),
-    ("percentiles.geomean_speedup", REL),
-    # A fault scenario the baseline survives must still be survived.
-    ("faults.survival_rate", ("floor", 1.0, 0.0)),
-    # The loss scenarios are simulated: a lost migration means a task
-    # silently fell back to local replay.
-    ("migrate.migrations_done", EXACT),
-    ("migrate.recovery_ratio", REL),
-    # Migration must stay cheaper than replay: its reason to exist.
-    ("migrate.recovery_ratio", ("above", 1.0)),
     ("micro.micro_sim_events", EXACT),
     ("micro.micro_allocs_per_event_w", REL),
     ("micro.micro_compress_ratio", REL),
@@ -237,7 +225,7 @@ def selftest_loader():
             ("empty.json", "", "is empty"),
             (
                 "truncated.json",
-                '{"percentiles": {"geomean_speedup": 1.',
+                '{"micro": {"micro_compress_ratio": 0.',
                 "is not valid JSON",
             ),
         ):

@@ -278,6 +278,34 @@ let test_seeded_drop_reproducible () =
   Alcotest.(check string) "seed 12 console matches local"
     local.Local_run.lr_console c.Session.rep_console
 
+(* The registry's first four programs, each under three plans timed
+   off its clean offloaded duration T (an outage over [0.25T, 0.45T], a
+   server crash at 0.4T, 3% seeded message loss), print exactly what
+   the local run prints: every fault is absorbed by retries or by
+   rollback + local replay. *)
+
+let test_registry_fault_sweep () =
+  let fallbacks = ref 0 in
+  List.iter
+    (fun entry ->
+      let compiled = compile_entry entry in
+      let local = local_entry entry compiled in
+      let t = (run_entry entry compiled None).Session.rep_total_s in
+      List.iter
+        (fun plan ->
+          let r = run_entry entry compiled (Some (plan_exn plan)) in
+          fallbacks := !fallbacks + r.Session.rep_fallbacks;
+          Alcotest.(check string)
+            (Printf.sprintf "%s under %s: console matches local"
+               entry.Registry.e_name plan)
+            local.Local_run.lr_console r.Session.rep_console)
+        [ Printf.sprintf "outage=%.4f:%.4f" (0.25 *. t) (0.45 *. t);
+          Printf.sprintf "crash=%.4f" (0.4 *. t);
+          "drop=0.03,seed=7" ])
+    (List.filteri (fun i _ -> i < 4) Registry.spec);
+  Alcotest.(check bool) "the sweep exercised rollback + local replay" true
+    (!fallbacks > 0)
+
 let tests =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
@@ -292,4 +320,6 @@ let tests =
       test_server_crash_fallback;
     Alcotest.test_case "seeded drops reproduce" `Quick
       test_seeded_drop_reproducible;
+    Alcotest.test_case "registry sweep: every fault absorbed" `Quick
+      test_registry_fault_sweep;
   ]

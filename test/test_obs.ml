@@ -17,6 +17,7 @@ module Hist = No_obs.Hist
 module Flame = No_obs.Flame
 module Audit = No_obs.Audit
 module Trace_file = No_obs.Trace_file
+module Series = No_obs.Series
 
 let close ?(tol = 1e-9) label a b =
   let tol = tol *. (1.0 +. abs_float a) in
@@ -134,6 +135,30 @@ let test_flame_golden () =
       ]
   in
   Alcotest.(check string) "collapsed stacks" expected (Flame.to_collapsed root)
+
+(* A run ends where its latest span closes, and the span tree and the
+   windowed series agree on that instant: here the migration's 0.5 s
+   checkpoint transfer, which starts at 0.1 s. *)
+let test_span_series_close () =
+  let events =
+    [
+      (0.0, Trace.Offload_begin { target = "work" });
+      ( 0.1,
+        Trace.Checkpoint
+          { target = "work"; pages = 1; image_bytes = 4096; io_cursor = 0;
+            ledger_bytes = 0 } );
+      ( 0.1,
+        Trace.Migrate_start
+          { target = "work"; from_server = 0; to_server = 1;
+            reason = "crash"; transfer_s = 0.5 } );
+    ]
+  in
+  let root = Span.of_events events in
+  Alcotest.(check (float 0.0)) "root total is the transfer's close"
+    (0.1 +. 0.5) root.Span.total_s;
+  Alcotest.(check (float 0.0)) "series duration equals the root total"
+    root.Span.total_s
+    (Series.duration_s (Series.of_events events))
 
 (* A failure shape: the attempt dies, rolls back, replays locally; the
    whole episode must read as one [failed] subtree whose total covers
@@ -479,6 +504,8 @@ let tests =
     Alcotest.test_case "span: golden tree" `Quick test_span_golden;
     Alcotest.test_case "span: collapsed flamegraph" `Quick test_flame_golden;
     Alcotest.test_case "span: failure shape" `Quick test_span_failure_shape;
+    Alcotest.test_case "span: run ends where the series does" `Quick
+      test_span_series_close;
     Alcotest.test_case "span: registry invariants" `Quick
       test_span_properties_registry;
     Alcotest.test_case "span: faulty-run invariants" `Quick

@@ -24,17 +24,17 @@ let close ?(eps = 1e-9) msg expected actual =
 let test_scale_curves () =
   let cfg = Server_load.default in
   close "r_scale exclusive" 1.0 (Server_load.r_scale cfg ~occupancy:1);
-  close "bw_scale exclusive" 1.0 (Server_load.bw_scale cfg ~occupancy:1);
+  close "bw_scale exclusive" 1.0 (Server_load.bw_scale ~occupancy:1);
   close "r_scale closed form at occupancy 3"
-    (1.0 /. (1.0 +. (cfg.Server_load.alpha *. 2.0)))
+    (1.0 /. (1.0 +. (Server_load.alpha *. 2.0)))
     (Server_load.r_scale cfg ~occupancy:3);
   for m = 1 to 7 do
     Alcotest.(check bool) "r_scale strictly decreasing" true
       (Server_load.r_scale cfg ~occupancy:(m + 1)
       < Server_load.r_scale cfg ~occupancy:m);
     Alcotest.(check bool) "bw_scale strictly decreasing" true
-      (Server_load.bw_scale cfg ~occupancy:(m + 1)
-      < Server_load.bw_scale cfg ~occupancy:m)
+      (Server_load.bw_scale ~occupancy:(m + 1)
+      < Server_load.bw_scale ~occupancy:m)
   done
 
 (* One slot, queue of one: the driver protocol (request, run to
@@ -89,9 +89,9 @@ let test_contention_pricing () =
     close "free slot admits with no wait" 0.0 wait_s;
     Alcotest.(check int) "priced at occupancy 2" 2 occupancy;
     close "compute contention"
-      (1.0 /. (1.0 +. cfg.Server_load.alpha))
+      (1.0 /. (1.0 +. Server_load.alpha))
       r_scale;
-    close "link contention" (1.0 /. (1.0 +. cfg.Server_load.beta)) bw_scale;
+    close "link contention" (1.0 /. (1.0 +. Server_load.beta)) bw_scale;
     Server_load.release t ~now:1.5 ~slot
   | Session.Rejected _ -> Alcotest.fail "second slot rejected"
 
