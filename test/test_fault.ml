@@ -306,6 +306,57 @@ let test_registry_fault_sweep () =
   Alcotest.(check bool) "the sweep exercised rollback + local replay" true
     (!fallbacks > 0)
 
+(* A kernel that prints while it runs ([examples/programs/progress.ir]:
+   each print is a remote I/O call).  The server dies at 0.4T, after
+   the lost attempt has delivered output: the rollback must discard
+   those bytes, because the local replay prints them again. *)
+
+let progress_program () =
+  let ic = open_in_bin "../examples/programs/progress.ir" in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      No_ir.Parser.parse (really_input_string ic (in_channel_length ic)))
+
+let test_crash_discards_printed_output () =
+  let script n = [ No_exec.Console.In_int (Int64.of_int n) ] in
+  let compiled =
+    Compiler.compile ~profile_script:(script 2000) ~eval_scale:10.0
+      (progress_program ())
+  in
+  let local =
+    Local_run.run ~script:(script 20000) compiled.Compiler.c_original
+  in
+  let run ?(trace = Trace.null) faults =
+    let config =
+      { (Session.default_config ()) with Session.faults; Session.trace }
+    in
+    Session.run
+      (Session.create ~config ~script:(script 20000)
+         compiled.Compiler.c_output ~seeds:compiled.Compiler.c_seeds)
+  in
+  let t = (run None).Session.rep_total_s in
+  let ring = Trace.Ring.create ~capacity:(1 lsl 20) () in
+  let r =
+    run ~trace:(Trace.Ring.sink ring)
+      (Some (plan_exn (Printf.sprintf "crash=%.4f" (0.4 *. t))))
+  in
+  Alcotest.(check string) "console matches local"
+    local.Local_run.lr_console r.Session.rep_console;
+  Alcotest.(check int) "exactly one fallback" 1 r.Session.rep_fallbacks;
+  match
+    List.filter_map
+      (function
+        | _, Trace.Rollback { bytes_discarded; _ } -> Some bytes_discarded
+        | _ -> None)
+      (Trace.Ring.events ring)
+  with
+  | [ discarded ] ->
+    Alcotest.(check bool) "the rollback discarded printed bytes" true
+      (discarded > 0)
+  | rows ->
+    Alcotest.failf "expected one rollback row, got %d" (List.length rows)
+
 let tests =
   [
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
@@ -322,4 +373,6 @@ let tests =
       test_seeded_drop_reproducible;
     Alcotest.test_case "registry sweep: every fault absorbed" `Quick
       test_registry_fault_sweep;
+    Alcotest.test_case "crash: printed output rolled back" `Quick
+      test_crash_discards_printed_output;
   ]

@@ -222,6 +222,14 @@ let cases =
       };
     ]
 
+(* The golden check and the round trip below read one run per case. *)
+let cases =
+  List.map
+    (fun case ->
+      let events = lazy (case.events ()) in
+      { case with events = (fun () -> Lazy.force events) })
+    cases
+
 let check case () =
   let events = case.events () in
   let labels = List.map (fun (_, ev) -> label ev) events in
@@ -246,7 +254,30 @@ let check case () =
     case.md5
     (Digest.to_hex (Digest.string (Trace_file.to_string events)))
 
+(* Each pinned stream also loads back bit for bit and re-encodes to
+   the same bytes: the decoder's half of the codec, on every exit. *)
+let round_trip case () =
+  let events = case.events () in
+  let text = Trace_file.to_string events in
+  match Trace_file.of_string text with
+  | Error msg -> Alcotest.failf "%s: %s" case.name msg
+  | Ok decoded ->
+    let bits v = Marshal.to_string v [ Marshal.No_sharing ] in
+    Alcotest.(check bool)
+      (case.name ^ ": decodes bit for bit")
+      true
+      (bits decoded = bits events);
+    Alcotest.(check string)
+      (case.name ^ ": re-encodes byte for byte")
+      text
+      (Trace_file.to_string decoded)
+
 let tests =
   List.map
     (fun case -> Alcotest.test_case ("golden: " ^ case.name) `Quick (check case))
     cases
+  @ List.map
+      (fun case ->
+        Alcotest.test_case ("round trip: " ^ case.name) `Quick
+          (round_trip case))
+      cases

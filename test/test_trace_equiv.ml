@@ -1,10 +1,11 @@
 (* What can still diverge on the one-door event spine (QCheck): a row
    of every event kind, with any values in its fields, must come back
    bit for bit through the boxed event and through a jsonl line, the
-   jsonl form of a hand-built stream is pinned verbatim, and a captured
-   stream replayed through fresh sinks must rebuild the Metrics and
-   windowed Series the live run folded, bitwise — checked on real
-   workload runs under a fault plan. *)
+   jsonl form of a hand-built stream is pinned verbatim, the loader
+   answers mutants of that file with [Ok] or [Error] only, and a
+   captured stream replayed through fresh sinks must rebuild the
+   Metrics and windowed Series the live run folded, bitwise — checked
+   on real workload runs under a fault plan. *)
 
 module Trace = No_trace.Trace
 module Row = Trace.Row
@@ -211,6 +212,164 @@ let test_golden () =
     Alcotest.(check string) "re-encodes byte for byte" golden_text
       (Trace_file.to_string decoded)
 
+(* {1 The encoder's float memo}
+
+   One float field receives, in consecutive rows, values that are equal
+   but print differently (0.0 and -0.0), values that equal nothing
+   (nan and -nan), a repeat (2e-4) and the smallest subnormal; the
+   same value then goes into two other kinds.  The literal was recorded
+   with the encoder that formatted every float afresh. *)
+
+let memo_stream : (float * Trace.event) list =
+  List.map
+    (fun v -> (v, Trace.Fnptr_translate { cost_s = v }))
+    [ 0.0; -0.0; 0.0; nan; -.nan; nan; 2e-4; 2e-4; 5e-324 ]
+  @ [
+      ( 2e-4,
+        Trace.Remote_io
+          { io_name = "rf_read"; request_bytes = 8; response_bytes = 16;
+            cost_s = 5e-324 } );
+      (2e-4, Trace.Page_fault { page = 1; service_s = 5e-324 });
+      (5e-324, Trace.Fnptr_translate { cost_s = -0.0 });
+    ]
+
+let memo_text =
+  {|{"format":"no-trace-raw","version":4,"events":12}
+{"ts":0,"kind":"fnptr-translate","cost_s":0}
+{"ts":-0,"kind":"fnptr-translate","cost_s":-0}
+{"ts":0,"kind":"fnptr-translate","cost_s":0}
+{"ts":nan,"kind":"fnptr-translate","cost_s":nan}
+{"ts":-nan,"kind":"fnptr-translate","cost_s":-nan}
+{"ts":nan,"kind":"fnptr-translate","cost_s":nan}
+{"ts":0.00020000000000000001,"kind":"fnptr-translate","cost_s":0.00020000000000000001}
+{"ts":0.00020000000000000001,"kind":"fnptr-translate","cost_s":0.00020000000000000001}
+{"ts":4.9406564584124654e-324,"kind":"fnptr-translate","cost_s":4.9406564584124654e-324}
+{"ts":0.00020000000000000001,"kind":"remote-io","io_name":"rf_read","request_bytes":8,"response_bytes":16,"cost_s":4.9406564584124654e-324}
+{"ts":0.00020000000000000001,"kind":"page-fault","page":1,"service_s":4.9406564584124654e-324}
+{"ts":4.9406564584124654e-324,"kind":"fnptr-translate","cost_s":-0}
+|}
+
+let test_memo () =
+  let body events =
+    let text = Trace_file.to_string events in
+    let i = String.index text '\n' + 1 in
+    String.sub text i (String.length text - i)
+  in
+  Alcotest.(check string) "encodes as recorded" memo_text
+    (Trace_file.to_string memo_stream);
+  Alcotest.(check string) "encodes as one call per event" (body memo_stream)
+    (String.concat "" (List.map (fun e -> body [ e ]) memo_stream))
+
+(* {1 Loader fuzz}
+
+   Mutants of the golden file: bytes replaced, inserted and deleted,
+   truncation, two lines swapped, members of a line swapped or
+   duplicated.  The loader must answer every one with [Ok] or [Error],
+   never an exception, and a stream it loads must survive a second
+   round trip unchanged. *)
+
+(* One edit, its positions drawn as raw ints and reduced modulo the
+   text at hand. *)
+type edit = { op : int; a : int; b : int; c : int }
+
+let edit_chars = "\"{}:,\\-+.0123456789eEinfatrueu_ \t\r\n"
+
+let apply_edit s { op; a; b; c } =
+  let n = String.length s in
+  let ch =
+    if c mod 5 = 0 then Char.chr (c mod 256)
+    else edit_chars.[c mod String.length edit_chars]
+  in
+  let lines = Array.of_list (String.split_on_char '\n' s) in
+  let nl = Array.length lines in
+  let join () = String.concat "\n" (Array.to_list lines) in
+  match op with
+  | 0 when n > 0 -> String.mapi (fun i x -> if i = a mod n then ch else x) s
+  | 1 ->
+    let i = a mod (n + 1) in
+    String.sub s 0 i ^ String.make 1 ch ^ String.sub s i (n - i)
+  | 2 when n > 0 ->
+    let i = a mod n in
+    String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+  | 3 -> String.sub s 0 (a mod (n + 1))
+  | 4 ->
+    let i = a mod nl and j = b mod nl in
+    let l = lines.(i) in
+    lines.(i) <- lines.(j);
+    lines.(j) <- l;
+    join ()
+  | 5 | 6 ->
+    let i = a mod nl in
+    let l = lines.(i) in
+    let len = String.length l in
+    if len < 2 || l.[0] <> '{' || l.[len - 1] <> '}' then s
+    else
+      let inner = String.sub l 1 (len - 2) in
+      let ms = Array.of_list (String.split_on_char ',' inner) in
+      let k = Array.length ms in
+      let ms =
+        if op = 5 then (
+          let x = ms.(b mod k) in
+          ms.(b mod k) <- ms.(c mod k);
+          ms.(c mod k) <- x;
+          Array.to_list ms)
+        else
+          List.concat
+            (List.mapi
+               (fun j m -> if j = b mod k then [ m; ms.(c mod k) ] else [ m ])
+               (Array.to_list ms))
+      in
+      lines.(i) <- "{" ^ String.concat "," ms ^ "}";
+      join ()
+  | _ -> s
+
+let mutant edits = List.fold_left apply_edit golden_text edits
+
+(* Uniform draws: [nat] favours small numbers, which would leave the
+   golden's later lines almost untouched. *)
+let gen_edits =
+  QCheck.Gen.(
+    let any = int_bound 1_000_000 in
+    list_size (int_range 1 3)
+      (map
+         (fun (op, a, b, c) -> { op; a; b; c })
+         (quad (int_bound 6) any any any)))
+
+let prop_loader_fuzz =
+  QCheck.Test.make ~name:"loader fuzz (golden mutants)" ~count:10_000
+    (QCheck.make ~print:(fun edits -> String.escaped (mutant edits)) gen_edits)
+    (fun edits ->
+      let text = mutant edits in
+      ignore (Trace_file.of_string_traces text);
+      match Trace_file.of_string text with
+      | Error _ -> true
+      | Ok events -> (
+        let again = Trace_file.to_string events in
+        let canon_all = List.map (fun (ts, ev) -> canon_bits (ts, row_of ev)) in
+        match Trace_file.of_string again with
+        | Ok events' ->
+          canon_all events' = canon_all events
+          && Trace_file.to_string events' = again
+        | Error msg -> QCheck.Test.fail_report msg))
+
+(* No limit on members per line: a line whose known fields follow a
+   thousand unknown ones still loads. *)
+let test_many_unknown_members () =
+  let unknown =
+    String.concat ""
+      (List.init 1000 (fun i ->
+           Printf.sprintf "\"u%d\":%s," i
+             (match i mod 3 with 0 -> "1.5" | 1 -> "\"x\"" | _ -> "true")))
+  in
+  let text =
+    "{\"format\":\"no-trace-raw\",\"version\":4,\"events\":1}\n{" ^ unknown
+    ^ "\"ts\":0.5,\"kind\":\"refusal\",\"target\":\"t\"}\n"
+  in
+  match Trace_file.of_string text with
+  | Ok [ (0.5, Trace.Refusal { target = "t" }) ] -> ()
+  | Ok _ -> Alcotest.fail "loaded a different stream"
+  | Error msg -> Alcotest.fail msg
+
 (* {1 Replay = live, on real workloads under a fault plan}
 
    The live run folds rows straight from the emitters; the capture is
@@ -271,5 +430,9 @@ let tests =
   [
     QCheck_alcotest.to_alcotest prop_round_trip;
     Alcotest.test_case "jsonl golden (every kind)" `Quick test_golden;
+    Alcotest.test_case "jsonl float memo edges" `Quick test_memo;
+    QCheck_alcotest.to_alcotest prop_loader_fuzz;
+    Alcotest.test_case "jsonl 1,000 unknown members" `Quick
+      test_many_unknown_members;
     QCheck_alcotest.to_alcotest prop_replay;
   ]
