@@ -1,13 +1,13 @@
 (* Benchmark harness: the two lanes the bench guard
-   (scripts/bench_guard.py) reads, and the design-choice ablations.
+   (scripts/bench_guard.py) reads.
 
      dune exec bench/main.exe -- fleet        fleet-scale policy sweep
      dune exec bench/main.exe -- micro        self-profiled micro lane
-     dune exec bench/main.exe -- ablations    design-choice ablations
 
    Each mode's section says what it measures, and [modes] at the end
-   lists its flags.  The paper's tables and figures regenerate with
-   `offload-cli report` and `offload-cli headline`, not here.  The
+   lists its flags.  The paper's tables and figures, and the
+   design-choice ablations, regenerate with `offload-cli report` and
+   `offload-cli headline`, not here.  The
    registry's simulated runs need no lane: test/test_golden.ml and
    test/test_fault.ml pin them bit for bit. *)
 
@@ -394,143 +394,6 @@ let run_micro ?(trials = 3) ?json ?selfprof_out () =
           ("micro_compress_ratio", json_f compress_ratio) ])
     json
 
-(* {1 Ablations} *)
-
-let ablation_configs () =
-  let base = Session.default_config () in
-  [
-    ("copy-on-demand + prefetch (default)", base);
-    ("no prefetch (pure copy-on-demand)", { base with Session.prefetch = false });
-    ("copy-all (static partitioning style)", { base with Session.copy_all = true });
-    ("no write-back compression",
-     { base with Session.compress_writeback = false });
-    ("compress both directions", { base with Session.compress_upload = true });
-  ]
-
-let run_ablations () =
-  (* Memory-movement ablations on mcf: a large, partially-dirty
-     working set where the policies differ visibly. *)
-  let entry = Option.get (Registry.by_name "429.mcf") in
-  let compiled =
-    Compiler.compile ~profile_script:entry.Registry.e_profile_script
-      ~profile_files:entry.Registry.e_files
-      ~eval_scale:entry.Registry.e_eval_scale
-      (entry.Registry.e_build ())
-  in
-  let table =
-    Table.create
-      ~title:"Ablation: data movement policy (429.mcf, fast network)"
-      [ "policy"; "exec (s)"; "faults"; "to server (KB)";
-        "to mobile wire (KB)" ]
-  in
-  List.iter
-    (fun (label, config) ->
-      let session =
-        Session.create ~config ~script:entry.Registry.e_eval_script
-          ~files:entry.Registry.e_files compiled.Compiler.c_output
-          ~seeds:compiled.Compiler.c_seeds
-      in
-      let r = Session.run session in
-      Table.add_row table
-        [
-          label;
-          Table.cell_f r.Session.rep_total_s;
-          Table.cell_i r.Session.rep_faults;
-          Table.cell_i (r.Session.rep_bytes_to_server / 1024);
-          Table.cell_i (r.Session.rep_wire_bytes_to_mobile / 1024);
-        ])
-    (ablation_configs ());
-  Table.print table;
-  print_newline ();
-  (* Decision-mode ablation on gzip over the slow network: the
-     dynamic estimator is what saves gzip from a slowdown. *)
-  let gzip = Option.get (Registry.by_name "164.gzip") in
-  let gzip_compiled =
-    Compiler.compile ~profile_script:gzip.Registry.e_profile_script
-      ~profile_files:gzip.Registry.e_files
-      ~eval_scale:gzip.Registry.e_eval_scale
-      (gzip.Registry.e_build ())
-  in
-  let local =
-    Local_run.run ~script:gzip.Registry.e_eval_script
-      ~files:gzip.Registry.e_files gzip_compiled.Compiler.c_original
-  in
-  let table2 =
-    Table.create
-      ~title:
-        "Ablation: offload decision mode (164.gzip; the dynamic \
-         estimator's refusals protect the degrading networks)"
-      [ "network"; "decision"; "exec (s)"; "vs local"; "offloads" ]
-  in
-  Table.add_row table2
-    [ "-"; "local baseline"; Table.cell_f local.Local_run.lr_total_s; "1.00";
-      "0" ];
-  List.iter
-    (fun (net_label, link) ->
-      List.iter
-        (fun (label, decision) ->
-          let config =
-            { (Session.default_config ~link ()) with
-              Session.decision; Session.fast_radio = false }
-          in
-          let session =
-            Session.create ~config ~script:gzip.Registry.e_eval_script
-              ~files:gzip.Registry.e_files gzip_compiled.Compiler.c_output
-              ~seeds:gzip_compiled.Compiler.c_seeds
-          in
-          let r = Session.run session in
-          Table.add_row table2
-            [
-              net_label;
-              label;
-              Table.cell_f r.Session.rep_total_s;
-              Table.cell_f
-                (r.Session.rep_total_s /. local.Local_run.lr_total_s);
-              Table.cell_i r.Session.rep_offloads;
-            ])
-        [ ("dynamic (paper)", Session.Dynamic);
-          ("always offload", Session.Always_offload);
-          ("never offload", Session.Never_offload) ])
-    [ ("802.11n", Link.slow_wifi); ("congested", Link.congested) ];
-  Table.print table2;
-  print_newline ();
-  (* Explicit GEP lowering (the literal Section 3.2 codegen) vs the
-     layout-environment realignment the pipeline uses by default. *)
-  let chess = Chess.build () in
-  let samples =
-    Compiler.profile ~script:(Chess.script ~depth:3 ~turns:1) ~files:[] chess
-  in
-  ignore samples;
-  let table3 =
-    Table.create
-      ~title:
-        "Ablation: explicit GEP lowering vs layout-environment realignment \
-         (chess, fast network)"
-      [ "realignment"; "exec (s)"; "offloads" ]
-  in
-  List.iter
-    (fun (label, lower_geps) ->
-      let out =
-        Pipeline.run ~lower_geps ~mobile:Arch.arm32 ~server:Arch.x86_64
-          ~targets:[ Chess.target ] chess
-      in
-      let session =
-        Session.create
-          ~config:(Session.default_config ())
-          ~script:(Chess.script ~depth:6 ~turns:2)
-          out
-          ~seeds:
-            [ { Session.seed_name = Chess.target; Session.seed_time_s = 1.0;
-                Session.seed_mem_bytes = 32768 } ]
-      in
-      let r = Session.run session in
-      Table.add_row table3
-        [ label; Table.cell_f r.Session.rep_total_s;
-          Table.cell_i r.Session.rep_offloads ])
-    [ ("layout environment (default)", false);
-      ("explicit byte arithmetic", true) ];
-  Table.print table3
-
 (* {1 Command line}
 
    [main.exe MODE [--flag VALUE]...]: each mode takes only the flags
@@ -544,7 +407,6 @@ let modes =
       [ "--clients"; "--servers"; "--slots"; "--queue"; "--sample";
         "--sample-seed"; "--json"; "--incidents-out"; "--metrics-out" ] );
     ("micro", [ "--trials"; "--json"; "--selfprof-out" ]);
-    ("ablations", []);
   ]
 
 let die fmt =
@@ -614,5 +476,4 @@ let () =
   | "micro" ->
     run_micro ?trials:(count "--trials") ?json:(str "--json")
       ?selfprof_out:(str "--selfprof-out") ()
-  | "ablations" -> run_ablations ()
   | _ -> usage ()

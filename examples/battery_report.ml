@@ -16,12 +16,7 @@ let bar mw =
 
 let () =
   let entry = Option.get (Registry.by_name "458.sjeng") in
-  let compiled =
-    Compiler.compile ~profile_script:entry.Registry.e_profile_script
-      ~profile_files:entry.Registry.e_files
-      ~eval_scale:entry.Registry.e_eval_scale
-      (entry.Registry.e_build ())
-  in
+  let compiled = Compiler.compile_entry entry in
   let session =
     Session.create
       ~config:(Session.default_config ())

@@ -21,12 +21,7 @@ open No_prelude.Prelude
 
 let compile name =
   let entry = Option.get (Registry.by_name name) in
-  let compiled =
-    Compiler.compile ~profile_script:entry.Registry.e_profile_script
-      ~profile_files:entry.Registry.e_files
-      ~eval_scale:entry.Registry.e_eval_scale
-      (entry.Registry.e_build ())
-  in
+  let compiled = Compiler.compile_entry entry in
   (entry, compiled)
 
 (* One run with a ring sink: its events, and the session's ledger of

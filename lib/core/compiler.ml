@@ -63,16 +63,16 @@ let default_selection_bw =
   No_netsim.Link.effective_bps No_netsim.Link.fast_wifi
 
 let compile ?(mobile = Arch.arm32) ?(server = Arch.x86_64)
-    ?(selection_bw_bps = default_selection_bw) ?(eval_scale = 1.0)
-    ~profile_script
-    ?(profile_files = []) (m : Ir.modul) : compiled =
+    ?(eval_scale = 1.0) ~profile_script ?(profile_files = [])
+    (m : Ir.modul) : compiled =
   Validate.check_module m;
   let samples = profile ~arch:mobile ~script:profile_script
       ~files:profile_files m in
   let verdicts = Filter.analyze m in
   let ratio = Arch.performance_ratio ~mobile ~server in
   let selection =
-    Static_estimate.run m ~r:ratio ~bw_bps:selection_bw_bps verdicts samples
+    Static_estimate.run m ~r:ratio ~bw_bps:default_selection_bw verdicts
+      samples
   in
   if selection.Static_estimate.targets = [] then
     raise (No_profitable_target m.Ir.m_name);
@@ -105,3 +105,10 @@ let compile ?(mobile = Arch.arm32) ?(server = Arch.x86_64)
     c_seeds = seeds;
     c_ratio = ratio;
   }
+
+(* A registry program, profiled on its own profiling input and files,
+   with its eval scale seeding the dynamic estimator: the paper's
+   profile-on-one-input, evaluate-on-another setup (§5). *)
+let compile_entry (e : No_workloads.Registry.entry) : compiled =
+  compile ~profile_script:e.e_profile_script ~profile_files:e.e_files
+    ~eval_scale:e.e_eval_scale (e.e_build ())

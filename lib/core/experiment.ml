@@ -93,12 +93,7 @@ let ideal_config () =
     Session.ideal = true }
 
 let run_entry (entry : Registry.entry) : program_result =
-  let m = entry.Registry.e_build () in
-  let compiled =
-    Compiler.compile ~profile_script:entry.Registry.e_profile_script
-      ~profile_files:entry.Registry.e_files
-      ~eval_scale:entry.Registry.e_eval_scale m
-  in
+  let compiled = Compiler.compile_entry entry in
   let local =
     run_of_local "local"
       (Local_run.run ~script:entry.Registry.e_eval_script

@@ -21,10 +21,8 @@ module Ty = No_ir.Ty
 module W = Support
 
 let name = "fleet.micro"
-let heavy_name = "fleet.micro.heavy"
 let description = "Synthetic fleet scheduling micro-task"
-let heavy_description = "Synthetic fleet micro-task, long-running variant"
-let target = "micro_kernel"
+let targets = [ "micro_kernel" ]
 
 let build () =
   let t = B.create name in
@@ -68,12 +66,15 @@ let build () =
    the buffer size so the footprint estimate transfers. *)
 let profile_script = W.script_of_ints [ 128; 4 ]
 let eval_script = W.script_of_ints [ 128; 16 ]
+let eval_scale = 4.0
+let files = []
 
 (* The heavy variant replays the same program with 8x the sweeps —
-   long tasks for saturation scenarios. *)
-let heavy_profile_script = W.script_of_ints [ 128; 32 ]
-let heavy_eval_script = W.script_of_ints [ 128; 128 ]
-
-let eval_scale = 4.0
-let heavy_eval_scale = 4.0
-let files = []
+   long tasks for saturation scenarios.  It names only what differs;
+   the registry includes it over this module. *)
+module Heavy = struct
+  let name = "fleet.micro.heavy"
+  let description = "Synthetic fleet micro-task, long-running variant"
+  let profile_script = W.script_of_ints [ 128; 32 ]
+  let eval_script = W.script_of_ints [ 128; 128 ]
+end

@@ -16,7 +16,7 @@ module W = Support
 
 let name = "179.art"
 let description = "Neural-network image recognition"
-let target = "scan_recognize"
+let targets = [ "scan_recognize" ]
 
 let feature_dim = 256
 

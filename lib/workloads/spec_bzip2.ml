@@ -16,7 +16,7 @@ module W = Support
 
 let name = "401.bzip2"
 let description = "Compression"
-let target = "spec_compress"
+let targets = [ "spec_compress" ]
 
 let build () =
   let t = B.create name in

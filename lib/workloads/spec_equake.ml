@@ -16,7 +16,7 @@ module W = Support
 
 let name = "183.equake"
 let description = "Seismic wave propagation"
-let target = "main_for.cond548"
+let targets = [ "main_for.cond548" ]
 
 let dim = 96
 

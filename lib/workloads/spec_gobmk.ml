@@ -22,7 +22,7 @@ module W = Support
 
 let name = "445.gobmk"
 let description = "Go game engine"
-let target = "gtp_main_loop"
+let targets = [ "gtp_main_loop" ]
 
 let record_file = "gobmk.records"
 let board_points = 19 * 19

@@ -17,7 +17,7 @@ module W = Support
 
 let name = "164.gzip"
 let description = "Compression"
-let target = "spec_compress"
+let targets = [ "spec_compress" ]
 
 let build () =
   let t = B.create name in

@@ -17,7 +17,7 @@ module W = Support
 
 let name = "464.h264ref"
 let description = "H.264 video encoder"
-let target = "encode_sequence"
+let targets = [ "encode_sequence" ]
 
 let frame_file = "h264.frames"
 let frame_dim = 64                       (* 64x64 pixels, one byte each *)

@@ -16,7 +16,7 @@ module W = Support
 
 let name = "456.hmmer"
 let description = "Gene sequence search"
-let target = "main_loop_serial"
+let targets = [ "main_loop_serial" ]
 
 let build () =
   let t = B.create name in

@@ -17,7 +17,7 @@ module W = Support
 
 let name = "470.lbm"
 let description = "Fluid dynamics (lattice Boltzmann)"
-let target = "main_for.cond"
+let targets = [ "main_for.cond" ]
 
 let dim = 110          (* dim x dim sites, 5 planes, two grids *)
 let planes = 5

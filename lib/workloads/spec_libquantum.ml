@@ -15,7 +15,7 @@ module W = Support
 
 let name = "462.libquantum"
 let description = "Quantum computing (Shor)"
-let target = "quantum_exp_mod_n"
+let targets = [ "quantum_exp_mod_n" ]
 
 let build () =
   let t = B.create name in

@@ -16,7 +16,7 @@ module W = Support
 
 let name = "429.mcf"
 let description = "Vehicle scheduling (min-cost flow)"
-let target = "global_opt"
+let targets = [ "global_opt" ]
 
 let build () =
   let t = B.create name in

@@ -15,7 +15,7 @@ module W = Support
 
 let name = "177.mesa"
 let description = "3-D graphics rendering"
-let target = "Render"
+let targets = [ "Render" ]
 
 let fb_dim = 128
 

@@ -16,7 +16,7 @@ module W = Support
 
 let name = "433.milc"
 let description = "Lattice quantum chromodynamics"
-let target = "update"
+let targets = [ "update" ]
 
 (* Each site carries a 3x3 complex matrix: 18 doubles. *)
 let site_doubles = 18

@@ -21,7 +21,7 @@ module W = Support
 
 let name = "458.sjeng"
 let description = "Chess engine"
-let target = "think"
+let targets = [ "think" ]
 
 let eval_sig = Ty.signature [ Ty.I64 ] Ty.I64
 let eval_names =

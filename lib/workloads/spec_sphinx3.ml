@@ -17,7 +17,7 @@ module W = Support
 
 let name = "482.sphinx3"
 let description = "Speech recognition"
-let target = "main_for.cond"
+let targets = [ "main_for.cond" ]
 
 let feat_file = "sphinx.feats"
 let dim = 32                     (* feature dimensionality *)

@@ -17,7 +17,7 @@ module W = Support
 
 let name = "300.twolf"
 let description = "Standard-cell place and route"
-let target = "utemp"
+let targets = [ "utemp" ]
 
 let cell_file = "twolf.cells"
 let chunk = 1024

@@ -16,7 +16,7 @@ module W = Support
 
 let name = "175.vpr"
 let description = "FPGA circuit placement"
-let target = "try_place_while.cond"
+let targets = [ "try_place_while.cond" ]
 
 let grid = 32
 

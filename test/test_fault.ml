@@ -118,12 +118,6 @@ let test_injector_verdicts () =
 
 let sjeng () = Option.get (Registry.by_name "458.sjeng")
 
-let compile_entry entry =
-  Compiler.compile ~profile_script:entry.Registry.e_profile_script
-    ~profile_files:entry.Registry.e_files
-    ~eval_scale:entry.Registry.e_eval_scale
-    (entry.Registry.e_build ())
-
 let run_entry ?ring entry compiled faults =
   let trace =
     match ring with None -> Trace.null | Some r -> Trace.Ring.sink r
@@ -182,7 +176,7 @@ let test_empty_plan_noop () =
     ~script:(Chess.script ~depth:4 ~turns:2)
     ~files:[] chess;
   let entry = sjeng () in
-  let compiled = compile_entry entry in
+  let compiled = Compiler.compile_entry entry in
   check_noop "458.sjeng"
     (Session.default_config ())
     ~script:entry.Registry.e_profile_script ~files:entry.Registry.e_files
@@ -193,7 +187,7 @@ let test_empty_plan_noop () =
 
 let test_short_outage_retries () =
   let entry = sjeng () in
-  let compiled = compile_entry entry in
+  let compiled = Compiler.compile_entry entry in
   let local = local_entry entry compiled in
   let clean = run_entry entry compiled None in
   let t = clean.Session.rep_total_s in
@@ -215,7 +209,7 @@ let test_short_outage_retries () =
 
 let test_long_outage_fallback () =
   let entry = sjeng () in
-  let compiled = compile_entry entry in
+  let compiled = Compiler.compile_entry entry in
   let local = local_entry entry compiled in
   let clean = run_entry entry compiled None in
   let t = clean.Session.rep_total_s in
@@ -242,7 +236,7 @@ let test_long_outage_fallback () =
 
 let test_server_crash_fallback () =
   let entry = sjeng () in
-  let compiled = compile_entry entry in
+  let compiled = Compiler.compile_entry entry in
   let local = local_entry entry compiled in
   let clean = run_entry entry compiled None in
   let t = clean.Session.rep_total_s in
@@ -263,7 +257,7 @@ let test_server_crash_fallback () =
 
 let test_seeded_drop_reproducible () =
   let entry = sjeng () in
-  let compiled = compile_entry entry in
+  let compiled = Compiler.compile_entry entry in
   let local = local_entry entry compiled in
   let run seed =
     run_entry entry compiled
@@ -288,7 +282,7 @@ let test_registry_fault_sweep () =
   let fallbacks = ref 0 in
   List.iter
     (fun entry ->
-      let compiled = compile_entry entry in
+      let compiled = Compiler.compile_entry entry in
       let local = local_entry entry compiled in
       let t = (run_entry entry compiled None).Session.rep_total_s in
       List.iter

@@ -21,7 +21,11 @@
    [Session.report] field of 101 runs covering the configurations,
    fault plans, migration scenarios and a filling admission queue.  It
    was recorded while the session still kept its own overhead counters
-   beside the trace fold. *)
+   beside the trace fold.
+
+   A fourth pins the rendered ablation tables, byte for byte what
+   [offload-cli report ablations] prints; it was recorded when they
+   moved there from the bench harness. *)
 
 module B = No_ir.Builder
 module Ir = No_ir.Ir
@@ -38,6 +42,8 @@ module Session = No_runtime.Session
 module Registry = No_workloads.Registry
 module Compiler = Native_offloader.Compiler
 module Experiment = Native_offloader.Experiment
+module Evaluation = Native_offloader.Evaluation
+module Table = No_report.Table
 module Fault_plan = No_fault.Plan
 module Server_load = No_sched.Server_load
 module Sim = No_sched.Sim
@@ -45,6 +51,7 @@ module Sim = No_sched.Sim
 let registry_md5 = "f4e757b4ae70b0b1fe46218fc0500dc8"
 let grid_md5 = "089225ab5e435a409144c47a3b96ab40"
 let sessions_md5 = "c95eeab7e4cbf6548a4b9e338b957b19"
+let ablations_md5 = "4215223a09fb1b0e067d0d9daa779b10"
 
 let value_bits (v : Value.t) =
   match v with
@@ -453,11 +460,7 @@ let compiled_entry =
     match Hashtbl.find_opt cache e.Registry.e_name with
     | Some c -> c
     | None ->
-      let c =
-        Compiler.compile ~profile_script:e.Registry.e_profile_script
-          ~profile_files:e.Registry.e_files ~eval_scale:e.Registry.e_eval_scale
-          (e.Registry.e_build ())
-      in
+      let c = Compiler.compile_entry e in
       Hashtbl.replace cache e.Registry.e_name c;
       c
 
@@ -547,9 +550,18 @@ let test_sessions () =
   in
   Alcotest.(check string) "session reports" sessions_md5 (md5 text)
 
+(* Tables one blank line apart, as the CLI prints them. *)
+let test_ablations () =
+  let text =
+    String.concat "\n"
+      (List.map (fun t -> Table.render t ^ "\n") (Evaluation.ablations ()))
+  in
+  Alcotest.(check string) "ablation tables" ablations_md5 (md5 text)
+
 let tests =
   [
     Alcotest.test_case "registry local runs" `Quick test_registry;
     Alcotest.test_case "opcode grid" `Quick test_grid;
     Alcotest.test_case "session reports" `Quick test_sessions;
+    Alcotest.test_case "ablation tables" `Quick test_ablations;
   ]

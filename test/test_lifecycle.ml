@@ -52,10 +52,7 @@ let compiled =
       let entry = Option.get (Registry.by_name name) in
       let c =
         ( entry,
-          Compiler.compile ~profile_script:entry.Registry.e_profile_script
-            ~profile_files:entry.Registry.e_files
-            ~eval_scale:entry.Registry.e_eval_scale
-            (entry.Registry.e_build ()) )
+          Compiler.compile_entry entry )
       in
       Hashtbl.replace cache name c;
       c

@@ -203,12 +203,6 @@ let test_span_failure_shape () =
 
 (* {1 Span invariants as properties over the registry} *)
 
-let compile_entry (entry : Registry.entry) =
-  Compiler.compile ~profile_script:entry.Registry.e_profile_script
-    ~profile_files:entry.Registry.e_files
-    ~eval_scale:entry.Registry.e_eval_scale
-    (entry.Registry.e_build ())
-
 let traced_session ?faults (entry : Registry.entry) compiled =
   let ring = Trace.Ring.create ~capacity:(1 lsl 20) () in
   let metrics = Trace.Metrics.create () in
@@ -251,7 +245,7 @@ let check_span_invariants name events metrics =
 let test_span_properties_registry () =
   List.iter
     (fun (entry : Registry.entry) ->
-      let compiled = compile_entry entry in
+      let compiled = Compiler.compile_entry entry in
       let _report, events, metrics = traced_session entry compiled in
       check_span_invariants entry.Registry.e_name events metrics)
     Registry.spec
@@ -260,7 +254,7 @@ let test_span_properties_registry () =
    server mid-run so the rollback + replay shape appears. *)
 let test_span_properties_faulty () =
   let entry = Option.get (Registry.by_name "458.sjeng") in
-  let compiled = compile_entry entry in
+  let compiled = Compiler.compile_entry entry in
   let clean, _, _ = traced_session entry compiled in
   let t = clean.Session.rep_total_s in
   let plan =
@@ -329,7 +323,7 @@ let test_audit_chess () =
 
 let test_audit_sjeng () =
   let entry = Option.get (Registry.by_name "458.sjeng") in
-  let compiled = compile_entry entry in
+  let compiled = Compiler.compile_entry entry in
   let report, events, _metrics = traced_session entry compiled in
   let rows = Audit.of_events events in
   let s = Audit.summarize rows in
@@ -348,7 +342,7 @@ let test_audit_sjeng () =
    collapsed transfer prices dominate. *)
 let test_audit_forced_false_positive () =
   let entry = Option.get (Registry.by_name "164.gzip") in
-  let compiled = compile_entry entry in
+  let compiled = Compiler.compile_entry entry in
   let plan =
     match Fault_plan.parse "collapse=0.0:0.01" with
     | Ok p -> p
@@ -415,7 +409,7 @@ let test_trace_file_round_trip () =
    therefore analyze — byte-identically. *)
 let test_trace_file_deterministic () =
   let entry = Option.get (Registry.by_name "164.gzip") in
-  let compiled = compile_entry entry in
+  let compiled = Compiler.compile_entry entry in
   let plan =
     match Fault_plan.parse "drop=0.03,seed=7" with
     | Ok p -> p

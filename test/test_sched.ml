@@ -100,12 +100,7 @@ let test_contention_pricing () =
 let gzip =
   lazy
     (let entry = Option.get (Registry.by_name "164.gzip") in
-     let compiled =
-       Compiler.compile ~profile_script:entry.Registry.e_profile_script
-         ~profile_files:entry.Registry.e_files
-         ~eval_scale:entry.Registry.e_eval_scale
-         (entry.Registry.e_build ())
-     in
+     let compiled = Compiler.compile_entry entry in
      (entry, compiled))
 
 let run_session ?server_handle () =

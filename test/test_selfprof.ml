@@ -22,12 +22,6 @@ module Sim = No_sched.Sim
 module Pool = No_sched.Pool
 module Server_load = No_sched.Server_load
 
-let compile_entry entry =
-  Compiler.compile ~profile_script:entry.Registry.e_profile_script
-    ~profile_files:entry.Registry.e_files
-    ~eval_scale:entry.Registry.e_eval_scale
-    (entry.Registry.e_build ())
-
 (* Run one offload session against a ring sink and fingerprint it:
    the full report record plus the raw event stream. *)
 let run_fingerprint entry compiled =
@@ -48,7 +42,7 @@ let run_fingerprint entry compiled =
 
 let check_session_transparent name =
   let entry = Option.get (Registry.by_name name) in
-  let compiled = compile_entry entry in
+  let compiled = Compiler.compile_entry entry in
   Selfprof.disable ();
   Selfprof.reset ();
   let r_off, ev_off = run_fingerprint entry compiled in

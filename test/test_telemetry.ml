@@ -131,12 +131,6 @@ let test_series_windowing () =
 
 (* {1 Conservation over the registry} *)
 
-let compile_entry (entry : Registry.entry) =
-  Compiler.compile ~profile_script:entry.Registry.e_profile_script
-    ~profile_files:entry.Registry.e_files
-    ~eval_scale:entry.Registry.e_eval_scale
-    (entry.Registry.e_build ())
-
 let series_session ?faults ?config (entry : Registry.entry) compiled =
   let metrics = Trace.Metrics.create () in
   let series = Series.create ~window_s:0.25 () in
@@ -161,7 +155,7 @@ let test_conservation_registry () =
   List.iter
     (fun (entry : Registry.entry) ->
       let _report, series, metrics =
-        series_session entry (compile_entry entry)
+        series_session entry (Compiler.compile_entry entry)
       in
       check_metrics_conserved entry.Registry.e_name (Series.totals series)
         metrics)
@@ -171,7 +165,7 @@ let test_conservation_registry () =
    run full of timeouts, retries, rollback and replay. *)
 let test_conservation_faulty () =
   let entry = Option.get (Registry.by_name "164.gzip") in
-  let compiled = compile_entry entry in
+  let compiled = Compiler.compile_entry entry in
   (* Default link + message drops, like the bench fault sweep: at
      profile scale a drop reliably produces the timeout/retry shape. *)
   let config = Session.default_config () in
@@ -222,7 +216,9 @@ let test_sim_series_deterministic () =
 
 let test_openmetrics_format () =
   let entry = Option.get (Registry.by_name "164.gzip") in
-  let _report, series, metrics = series_session entry (compile_entry entry) in
+  let _report, series, metrics =
+    series_session entry (Compiler.compile_entry entry)
+  in
   let text = Openmetrics.of_run ~series metrics in
   let has needle =
     let n = String.length needle and h = String.length text in
@@ -409,7 +405,7 @@ let traced_events ?faults entry compiled =
 
 let test_diff_self_zero () =
   let entry = Option.get (Registry.by_name "164.gzip") in
-  let compiled = compile_entry entry in
+  let compiled = Compiler.compile_entry entry in
   let events = traced_events entry compiled in
   let report = Diff.compare_events events events in
   Alcotest.(check bool) "self-diff is zero" true (Diff.is_zero report);
@@ -433,7 +429,7 @@ let test_diff_self_zero () =
    show rpc-timeout time appearing. *)
 let test_diff_attribution () =
   let entry = Option.get (Registry.by_name "164.gzip") in
-  let compiled = compile_entry entry in
+  let compiled = Compiler.compile_entry entry in
   let clean = traced_events entry compiled in
   let plan =
     match Fault_plan.parse "drop=0.03,seed=7" with

@@ -171,12 +171,7 @@ let test_parity_chess () =
 
 let spec_parity name =
   let entry = Option.get (Registry.by_name name) in
-  let compiled =
-    Compiler.compile ~profile_script:entry.Registry.e_profile_script
-      ~profile_files:entry.Registry.e_files
-      ~eval_scale:entry.Registry.e_eval_scale
-      (entry.Registry.e_build ())
-  in
+  let compiled = Compiler.compile_entry entry in
   (* Profile-script scale keeps the suite fast; the stream shape is
      identical to the full evaluation run. *)
   check_parity name
