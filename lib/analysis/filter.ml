@@ -143,9 +143,3 @@ let is_offloadable (t : t) name =
   match String_map.find_opt name t with
   | Some v -> v.v_machine_specific = None
   | None -> false
-
-let offloadable_functions (t : t) =
-  String_map.fold
-    (fun name v acc -> if v.v_machine_specific = None then name :: acc else acc)
-    t []
-  |> List.sort String.compare

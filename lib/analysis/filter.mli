@@ -38,4 +38,3 @@ val analyze : No_ir.Ir.modul -> t
 
 val verdict_of : t -> string -> verdict option
 val is_offloadable : t -> string -> bool
-val offloadable_functions : t -> string list

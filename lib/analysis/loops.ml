@@ -103,15 +103,3 @@ let loops_of_func (f : Ir.func) : loop list =
 
 let loops_of_module (m : Ir.modul) : loop list =
   List.concat_map loops_of_func m.Ir.m_funcs
-
-(* The innermost loop containing [label], if any — the profiler uses
-   this to attribute block entries to loops. *)
-let innermost_containing loops ~func ~label =
-  List.fold_left
-    (fun best l ->
-      if String.equal l.l_func func && String_set.mem label l.l_blocks then
-        match best with
-        | Some b when b.l_depth >= l.l_depth -> best
-        | Some _ | None -> Some l
-      else best)
-    None loops

@@ -19,8 +19,3 @@ val loops_of_func : No_ir.Ir.func -> loop list
 (** Sorted outermost-first; loops sharing a header are merged. *)
 
 val loops_of_module : No_ir.Ir.modul -> loop list
-
-val innermost_containing :
-  loop list -> func:string -> label:string -> loop option
-(** The deepest loop whose body contains [label] — how the profiler
-    attributes block entries. *)

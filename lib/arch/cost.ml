@@ -50,17 +50,6 @@ let class_of_terminator (term : Ir.terminator) : Arch.instr_class =
   | Ir.Br _ | Ir.Cbr _ | Ir.Switch _ -> Arch.Cls_branch
   | Ir.Ret _ | Ir.Unreachable -> Arch.Cls_branch
 
-(* Extra cycles charged for the body of a builtin call, on top of the
-   Cls_call dispatch cost. *)
-let builtin_body_class name : Arch.instr_class option =
-  match Builtins.kind_of name with
-  | Builtins.Alloc | Builtins.Dealloc | Builtins.Uva_alloc
-  | Builtins.Uva_dealloc -> Some Arch.Cls_alloc
-  | Builtins.Pure -> Some Arch.Cls_math
-  | Builtins.Memory -> None (* charged per byte by the interpreter *)
-  | Builtins.Output_io | Builtins.Input_io | Builtins.File_io
-  | Builtins.Remote_io | Builtins.Syscall | Builtins.Unknown -> None
-
 let cycles_of (arch : Arch.t) (cls : Arch.instr_class) : float =
   arch.Arch.cost.Arch.cpi cls
 

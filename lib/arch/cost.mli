@@ -11,10 +11,6 @@ val class_of_rvalue : No_ir.Ir.rvalue -> Arch.instr_class
 val class_of_instr : No_ir.Ir.instr -> Arch.instr_class
 val class_of_terminator : No_ir.Ir.terminator -> Arch.instr_class
 
-val builtin_body_class : string -> Arch.instr_class option
-(** Extra cycles for a builtin's body (allocator, math), beyond the
-    call dispatch. *)
-
 val cycles_of : Arch.t -> Arch.instr_class -> float
 val seconds_of : Arch.t -> Arch.instr_class -> float
 

@@ -12,26 +12,27 @@
    never changes. *)
 
 type t = {
-  alpha : float;                (* EWMA weight of the newest sample *)
-  min_sample_bytes : int;       (* ignore tiny control messages *)
   mutable estimate_bps : float; (* current belief *)
   mutable samples : int;
 }
 
-let create ?(alpha = 0.35) ?(min_sample_bytes = 2048) ~initial_bps () =
+let alpha = 0.35               (* EWMA weight per 64 KiB observed *)
+let min_sample_bytes = 2048    (* ignore tiny control messages *)
+
+let create ~initial_bps =
   if initial_bps <= 0.0 then
     invalid_arg "Bandwidth_predictor.create: non-positive initial";
-  { alpha; min_sample_bytes; estimate_bps = initial_bps; samples = 0 }
+  { estimate_bps = initial_bps; samples = 0 }
 
 (* Report one physical transfer.  The sample weight grows with the
    transfer size: a hundred-kilobyte batch measures the link far more
    reliably than one small message, so it should move the belief
    correspondingly further (one EWMA step per 64 KiB observed). *)
 let observe t ~bytes ~seconds =
-  if bytes >= t.min_sample_bytes && seconds > 0.0 then begin
+  if bytes >= min_sample_bytes && seconds > 0.0 then begin
     let observed_bps = float_of_int bytes *. 8.0 /. seconds in
     let steps = Float.max 1.0 (float_of_int bytes /. 65536.0) in
-    let keep = Float.pow (1.0 -. t.alpha) steps in
+    let keep = Float.pow (1.0 -. alpha) steps in
     t.estimate_bps <-
       ((1.0 -. keep) *. observed_bps) +. (keep *. t.estimate_bps);
     t.samples <- t.samples + 1

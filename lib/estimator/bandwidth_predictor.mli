@@ -8,17 +8,15 @@
 
 type t
 
-val create :
-  ?alpha:float -> ?min_sample_bytes:int -> initial_bps:float -> unit -> t
-(** [create ~initial_bps ()] starts believing [initial_bps].  [alpha]
-    (default 0.35) is the EWMA weight per 64 KiB observed;
-    [min_sample_bytes] (default 2048) discards control-message noise.
+val create : initial_bps:float -> t
+(** [create ~initial_bps] starts believing [initial_bps].
     @raise Invalid_argument if [initial_bps <= 0]. *)
 
 val observe : t -> bytes:int -> seconds:float -> unit
 (** Report one physical transfer of [bytes] that took [seconds].
-    Samples smaller than [min_sample_bytes] are ignored; larger
-    transfers move the belief proportionally further. *)
+    Transfers under 2 KiB are control messages and ignored; larger
+    ones move the belief further, one EWMA step of weight 0.35 per
+    64 KiB. *)
 
 val predict_bps : t -> float
 (** Current belief, bits per second. *)

@@ -24,8 +24,6 @@ exception Input_exhausted
 let create ?(script = []) () =
   { script; output = Buffer.create 256; reads = 0; writes = 0; suppress = 0 }
 
-let push_input t input = t.script <- t.script @ [ input ]
-
 let read_int t =
   t.reads <- t.reads + 1;
   match t.script with
@@ -67,8 +65,6 @@ let write_string t s =
   else Buffer.add_string t.output s
 
 let contents t = Buffer.contents t.output
-let output_bytes t = Buffer.length t.output
-let clear_output t = Buffer.clear t.output
 
 (* Transaction marks, for recovery: output written after a mark is
    provisional until the caller commits (does nothing — output was

@@ -12,7 +12,6 @@ type t
 exception Input_exhausted
 
 val create : ?script:input list -> unit -> t
-val push_input : t -> input -> unit
 
 val read_int : t -> int64
 (** Next scripted value (floats truncate).  @raise Input_exhausted. *)
@@ -21,8 +20,6 @@ val read_float : t -> float
 
 val write_string : t -> string -> unit
 val contents : t -> string
-val output_bytes : t -> int
-val clear_output : t -> unit
 
 type mark
 (** A transaction point: everything written or read after the mark is

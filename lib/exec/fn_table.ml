@@ -46,4 +46,3 @@ let name_of t addr =
   | Some name -> name
   | None -> raise (Not_a_function addr)
 
-let mem_addr t addr = Hashtbl.mem t.by_addr addr

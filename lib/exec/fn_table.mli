@@ -22,5 +22,3 @@ val addr_of : t -> string -> int
 val name_of : t -> int -> string
 (** @raise Not_a_function on a foreign or invalid address — exactly
     what an untranslated cross-device function pointer produces. *)
-
-val mem_addr : t -> int -> bool

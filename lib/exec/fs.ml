@@ -21,14 +21,13 @@ type t = {
   mutable files : file list;
   handles : (int, handle) Hashtbl.t;
   mutable next_fd : int;
-  mutable bytes_read : int;
 }
 
 exception No_such_file of string
 exception Bad_fd of int
 
 let create () =
-  { files = []; handles = Hashtbl.create 8; next_fd = 3; bytes_read = 0 }
+  { files = []; handles = Hashtbl.create 8; next_fd = 3 }
 
 let add_file t name data = t.files <- { name; data } :: t.files
 
@@ -54,12 +53,9 @@ let read t fd len =
   let n = min len (max available 0) in
   let chunk = Bytes.sub h.h_file.data h.h_pos n in
   h.h_pos <- h.h_pos + n;
-  t.bytes_read <- t.bytes_read + n;
   chunk
 
 let close t fd = (handle t fd).h_open <- false
-
-let total_bytes_read t = t.bytes_read
 
 (* Snapshots, for recovery: capture every handle's position and open
    flag plus the descriptor counter, so a rolled-back task re-reads
@@ -69,7 +65,6 @@ let total_bytes_read t = t.bytes_read
 type snapshot = {
   s_handles : (int * int * bool) list;  (* fd, pos, open *)
   s_next_fd : int;
-  s_bytes_read : int;
 }
 
 let snapshot t =
@@ -79,7 +74,6 @@ let snapshot t =
         (fun fd h acc -> (fd, h.h_pos, h.h_open) :: acc)
         t.handles [];
     s_next_fd = t.next_fd;
-    s_bytes_read = t.bytes_read;
   }
 
 let restore t s =
@@ -100,5 +94,4 @@ let restore t s =
         h.h_open <- opened
       | None -> ())
     s.s_handles;
-  t.next_fd <- s.s_next_fd;
-  t.bytes_read <- s.s_bytes_read
+  t.next_fd <- s.s_next_fd

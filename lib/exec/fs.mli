@@ -22,11 +22,10 @@ val read : t -> int -> int -> Bytes.t
     position; empty at EOF. *)
 
 val close : t -> int -> unit
-val total_bytes_read : t -> int
 
 type snapshot
-(** Cursor state: per-handle position/open flag, descriptor counter,
-    bytes-read counter.  File contents are immutable. *)
+(** Cursor state: per-handle position/open flag and the descriptor
+    counter.  File contents are immutable. *)
 
 val snapshot : t -> snapshot
 

@@ -111,14 +111,6 @@ let drop_page t page =
   t.tlb_page <- -1;
   t.dirty_cached <- -1
 
-let drop_all_pages t =
-  Hashtbl.reset t.table;
-  Hashtbl.reset t.dirty;
-  t.frames_used <- 0;
-  t.free_frames <- [];
-  t.tlb_page <- -1;
-  t.dirty_cached <- -1
-
 (* Byte offset in [slab] of [page]'s frame, materializing (Home) or
    faulting (Remote) exactly as the per-page store did.  Every TLB miss
    comes here, so a resident page is found without allocating an
@@ -355,7 +347,6 @@ let clear_dirty t =
   t.dirty_cached <- -1
 
 let resident_count t = Hashtbl.length t.table
-let resident_bytes t = Hashtbl.length t.table * Region.page_size
 
 (* Copy of a page's current contents (for transmission). *)
 let page_copy t page =

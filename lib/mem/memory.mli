@@ -47,7 +47,6 @@ val install_page : t -> int -> Bytes.t -> unit
 
 val has_page : t -> int -> bool
 val drop_page : t -> int -> unit
-val drop_all_pages : t -> unit
 
 val read_byte : t -> int -> int
 val write_byte : t -> int -> int -> unit
@@ -85,7 +84,6 @@ val resident_pages : t -> int list
 val dirty_pages : t -> int list
 val clear_dirty : t -> unit
 val resident_count : t -> int
-val resident_bytes : t -> int
 
 val page_copy : t -> int -> Bytes.t
 (** Copy of a page's current contents, for transmission. *)

@@ -31,7 +31,6 @@ let alloc t size align =
   if t.sp > t.high_water then t.high_water <- t.sp;
   aligned
 
-let used_bytes t = t.sp - t.base
 let high_water_bytes t = t.high_water - t.base
 
 let mobile () =

@@ -24,5 +24,4 @@ val alloc : t -> int -> int -> int
 (** [alloc t size align] bumps the stack pointer.
     @raise Stack_overflow_uva when the region is exhausted. *)
 
-val used_bytes : t -> int
 val high_water_bytes : t -> int

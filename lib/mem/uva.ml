@@ -19,7 +19,6 @@ type t = {
   mutable free_list : range list;       (* address-ordered, coalesced *)
   sizes : (int, int) Hashtbl.t;         (* live allocation sizes *)
   mutable live_bytes : int;
-  mutable total_allocs : int;
 }
 
 exception Out_of_memory of int         (* requested size *)
@@ -36,7 +35,6 @@ let create ?(base = Region.heap_base) ?(limit = Region.heap_limit) () =
     free_list = [];
     sizes = Hashtbl.create 256;
     live_bytes = 0;
-    total_allocs = 0;
   }
 
 let round_up size = (max size 1 + alignment - 1) / alignment * alignment
@@ -72,7 +70,6 @@ let alloc t size =
   in
   Hashtbl.replace t.sizes addr size;
   t.live_bytes <- t.live_bytes + size;
-  t.total_allocs <- t.total_allocs + 1;
   addr
 
 (* Insert a range into the address-ordered free list, coalescing with
@@ -106,10 +103,7 @@ let dealloc t addr =
     insert_free t { addr; size }
 
 let live_bytes t = t.live_bytes
-let total_allocations t = t.total_allocs
 let high_water_mark t = t.brk - t.base
-
-let size_of_allocation t addr = Hashtbl.find_opt t.sizes addr
 
 (* Snapshots, for offload recovery: allocator metadata is shared
    between the devices, so a rolled-back offload must also forget any
@@ -120,7 +114,6 @@ type snapshot = {
   s_free_list : range list;
   s_sizes : (int * int) list;
   s_live_bytes : int;
-  s_total_allocs : int;
 }
 
 let snapshot t =
@@ -129,7 +122,6 @@ let snapshot t =
     s_free_list = t.free_list;
     s_sizes = Hashtbl.fold (fun addr size acc -> (addr, size) :: acc) t.sizes [];
     s_live_bytes = t.live_bytes;
-    s_total_allocs = t.total_allocs;
   }
 
 let restore t s =
@@ -137,8 +129,7 @@ let restore t s =
   t.free_list <- s.s_free_list;
   Hashtbl.reset t.sizes;
   List.iter (fun (addr, size) -> Hashtbl.replace t.sizes addr size) s.s_sizes;
-  t.live_bytes <- s.s_live_bytes;
-  t.total_allocs <- s.s_total_allocs
+  t.live_bytes <- s.s_live_bytes
 
 (* Every page the heap has ever handed out, for prefetch decisions. *)
 let used_pages t =

@@ -33,9 +33,7 @@ val live_bytes : t -> int
 (** Currently allocated bytes (the dynamic estimator's "current memory
     usage"). *)
 
-val total_allocations : t -> int
 val high_water_mark : t -> int
-val size_of_allocation : t -> int -> int option
 
 val used_pages : t -> int list
 (** Every page the heap has ever handed out — the prefetch set on a

@@ -7,17 +7,12 @@
     returns the elapsed time (transfer plus codec CPU) and the caller
     advances its own clock. *)
 
-type direction = To_server | To_mobile
+type direction = No_trace.Trace.direction = To_server | To_mobile
 
 type t
 
-val default_compress_s_per_byte : float
-val default_decompress_s_per_byte : float
-
 val create :
   ?compress:bool ->
-  ?compress_s_per_byte:float ->
-  ?decompress_s_per_byte:float ->
   ?sink:No_trace.Trace.sink ->
   ?clock:(unit -> float) ->
   ?bw_factor:(unit -> float) ->

@@ -156,7 +156,7 @@ let unwound () = !unwound_frames
 let words_per_call r =
   if r.r_calls = 0 then 0. else r.r_self_words /. float_of_int r.r_calls
 
-let report ?(top = 3) () =
+let report () =
   let b = Buffer.create 1024 in
   let rs = rows () in
   Buffer.add_string b "self-profile (zone, self cost)\n";
@@ -184,7 +184,7 @@ let report ?(top = 3) () =
       | _ when n = 0 -> []
       | x :: tl -> x :: take (n - 1) tl
     in
-    let picks = take top sorted in
+    let picks = take 3 sorted in
     if picks <> [] then begin
       Buffer.add_string b (Printf.sprintf "  top by %s:" name);
       List.iter

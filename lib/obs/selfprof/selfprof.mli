@@ -72,10 +72,10 @@ val unwound : unit -> int
 (** Zone frames discarded by exceptional unwinds — nonzero means some
     self-time was attributed to an enclosing zone. *)
 
-val report : ?top:int -> unit -> string
+val report : unit -> string
 (** Deterministic text report: the full zone table in vocabulary
-    order, then the top-[top] zones by self-time and by words/call
-    (default 3).  Layout is fixed; only the measured numbers vary. *)
+    order, then the top 3 zones by self-time and by words/call.
+    Layout is fixed; only the measured numbers vary. *)
 
 val allocated_words : unit -> float
 (** Whole-process allocation odometer from [Gc.quick_stat]:

@@ -1,25 +1,20 @@
 (* Plain-text table rendering for the benches and the CLI.
 
-   Columns size themselves to their widest cell; numbers are
-   right-aligned, text left-aligned. *)
-
-type align = Left | Right
+   Columns size themselves to their widest cell; the first column,
+   the row labels, is left-aligned and the rest right-aligned. *)
 
 type t = {
   title : string;
   header : string list;
   mutable rows : string list list;   (* reversed *)
-  aligns : align list option;
 }
 
-let create ?aligns ~title header = { title; header; rows = []; aligns }
+let create ~title header = { title; header; rows = [] }
 
 let add_row t row =
   if List.length row <> List.length t.header then
     invalid_arg "Table.add_row: arity mismatch";
   t.rows <- row :: t.rows
-
-let add_rows t rows = List.iter (add_row t) rows
 
 let cell_f ?(digits = 2) v = Printf.sprintf "%.*f" digits v
 let cell_i v = string_of_int v
@@ -36,18 +31,9 @@ let render t : string =
         (fun i cell -> widths.(i) <- max widths.(i) (String.length cell))
         row)
     all;
-  let aligns =
-    match t.aligns with
-    | Some aligns when List.length aligns = ncols -> Array.of_list aligns
-    | Some _ | None ->
-      Array.init ncols (fun i -> if i = 0 then Left else Right)
-  in
   let pad i cell =
-    let w = widths.(i) in
-    let n = w - String.length cell in
-    match aligns.(i) with
-    | Left -> cell ^ String.make n ' '
-    | Right -> String.make n ' ' ^ cell
+    let fill = String.make (widths.(i) - String.length cell) ' ' in
+    if i = 0 then cell ^ fill else fill ^ cell
   in
   let line row =
     "| " ^ String.concat " | " (List.mapi pad row) ^ " |"
@@ -68,14 +54,3 @@ let render t : string =
   Buffer.contents buf
 
 let print t = print_endline (render t)
-
-(* A labelled data series rendered as rows — used for "figures"
-   (we print series instead of drawing plots). *)
-let series ~title ~(columns : string list)
-    (points : (string * float list) list) : string =
-  let t = create ~title ("point" :: columns) in
-  List.iter
-    (fun (label, values) ->
-      add_row t (label :: List.map (cell_f ~digits:3) values))
-    points;
-  render t

@@ -380,7 +380,7 @@ let create ?(config = default_config ()) ?(script = []) ?(files = [])
         Battery.create ~sink
           (Power_model.galaxy_s5 ~fast_radio:config.fast_radio);
       estimator;
-      predictor = Bandwidth_predictor.create ~initial_bps:initial_bw ();
+      predictor = Bandwidth_predictor.create ~initial_bps:initial_bw;
       to_server =
         Channel.create ~compress:config.compress_upload ~sink:channel_sink
           ~clock:channel_clock ~bw_factor:channel_bw_factor config.link

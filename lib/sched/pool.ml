@@ -65,7 +65,6 @@ type t = {
   mutable rr_next : int;               (* Round_robin cursor *)
   schedule : maintenance list;         (* static down windows *)
   quarantined : string option array;   (* Some reason = out for good *)
-  mutable quarantines : int;
 }
 
 let create_hetero ?(policy = Round_robin) ?(schedule = []) configs =
@@ -84,7 +83,6 @@ let create_hetero ?(policy = Round_robin) ?(schedule = []) configs =
     rr_next = 0;
     schedule;
     quarantined = Array.make k None;
-    quarantines = 0;
   }
 
 let create ?policy ?schedule ~servers cfg =
@@ -104,56 +102,54 @@ let volatile t = t.schedule <> []
 let quarantine t ~server ~reason =
   if server < 0 || server >= Array.length t.servers then
     invalid_arg "Pool.quarantine: bad server";
-  if t.quarantined.(server) = None then begin
-    t.quarantined.(server) <- Some reason;
-    t.quarantines <- t.quarantines + 1
-  end
+  if t.quarantined.(server) = None then t.quarantined.(server) <- Some reason
+
+let rec window_reason ~server ~now = function
+  | [] -> None
+  | w :: rest ->
+    if w.mw_server = server && now >= w.mw_from_s && now < w.mw_until_s then
+      Some w.mw_reason
+    else window_reason ~server ~now rest
 
 let down_reason t ~server ~now =
   match t.quarantined.(server) with
   | Some _ as r -> r
-  | None ->
-    List.find_map
-      (fun w ->
-        if w.mw_server = server && now >= w.mw_from_s && now < w.mw_until_s
-        then Some w.mw_reason
-        else None)
-      t.schedule
+  | None -> window_reason ~server ~now t.schedule
 
 let is_down t ~server ~now = down_reason t ~server ~now <> None
 
-(* Fast path: a pool with no schedule and no quarantines routes with
-   zero health bookkeeping — clean fleet runs pay nothing for the
-   machinery. *)
-let clean t = t.schedule == [] && t.quarantines = 0
-
 let eligible t ~now ~exclude i =
   i <> exclude && down_reason t ~server:i ~now = None
+
+(* The two scans below run on every admission request and load
+   preview, so they are loops that allocate only their answer. *)
 
 (* First in-service member at or after [from] (cyclic), or None when
    the whole pool is dark. *)
 let first_eligible t ~now ~exclude ~from =
   let k = Array.length t.servers in
-  let rec go n =
-    if n = k then None
-    else
-      let i = (from + n) mod k in
-      if eligible t ~now ~exclude i then Some i else go (n + 1)
-  in
-  go 0
+  let found = ref (-1) and n = ref 0 in
+  while !found < 0 && !n < k do
+    let i = (from + !n) mod k in
+    if eligible t ~now ~exclude i then found := i;
+    incr n
+  done;
+  if !found < 0 then None else Some !found
 
+(* The in-service member with the fewest offloads executing, ties to
+   the lowest id. *)
 let least_loaded_eligible t ~now ~exclude =
-  let best = ref None in
-  Array.iteri
-    (fun i srv ->
-      if eligible t ~now ~exclude i then begin
-        let occ = Server_load.occupancy srv ~now in
-        match !best with
-        | Some (_, best_occ) when best_occ <= occ -> ()
-        | _ -> best := Some (i, occ)
-      end)
-    t.servers;
-  Option.map fst !best
+  let best = ref (-1) and best_occ = ref 0 in
+  for i = 0 to Array.length t.servers - 1 do
+    if eligible t ~now ~exclude i then begin
+      let occ = Server_load.occupancy t.servers.(i) ~now in
+      if !best < 0 || occ < !best_occ then begin
+        best := i;
+        best_occ := occ
+      end
+    end
+  done;
+  if !best < 0 then None else Some !best
 
 (* Knuth's multiplicative hash over the client id: consecutive ids
    land on well-spread members instead of adjacent ones. *)
@@ -161,35 +157,16 @@ let sticky_index t ~client =
   let k = Array.length t.servers in
   (client * 2654435761) land max_int mod k
 
-let least_loaded_index t ~now =
-  let best = ref 0 in
-  let best_occ = ref (Server_load.occupancy t.servers.(0) ~now) in
-  for i = 1 to Array.length t.servers - 1 do
-    let occ = Server_load.occupancy t.servers.(i) ~now in
-    if occ < !best_occ then begin
-      best := i;
-      best_occ := occ
-    end
-  done;
-  !best
-
 (* The in-service member the policy would route [client] to at [now]:
    Round_robin and Sticky keep their natural anchor (cursor, hash) and
    step past dark members; Least_loaded restricts its scan.  [exclude]
    additionally bars one member — migration re-admission must not land
    back on the server that just died. *)
 let route t ~client ~now ~exclude =
-  if clean t && exclude < 0 then
-    Some
-      (match t.policy with
-      | Round_robin -> t.rr_next
-      | Least_loaded -> least_loaded_index t ~now
-      | Sticky -> sticky_index t ~client)
-  else
-    match t.policy with
-    | Round_robin -> first_eligible t ~now ~exclude ~from:t.rr_next
-    | Least_loaded -> least_loaded_eligible t ~now ~exclude
-    | Sticky -> first_eligible t ~now ~exclude ~from:(sticky_index t ~client)
+  match t.policy with
+  | Round_robin -> first_eligible t ~now ~exclude ~from:t.rr_next
+  | Least_loaded -> least_loaded_eligible t ~now ~exclude
+  | Sticky -> first_eligible t ~now ~exclude ~from:(sticky_index t ~client)
 
 (* The member the policy would grant the next request from [client] to
    at instant [now] — without advancing any policy state.  When the

@@ -41,7 +41,7 @@ type config = {
   s_record_events : bool;
       (** keep full per-client traces (Ring buffers).  On by default;
           turn off for 10^4-client sweeps — latencies still stream
-          into {!val-latency_hist}, but [cr_events], {!global_events}
+          into {!val-latency_percentile}, but [cr_events], {!global_events}
           and {!admitted_intervals} come back empty *)
   s_global_sink : No_trace.Trace.sink option;
       (** extra fleet-wide sink fed every client's events re-stamped
@@ -136,10 +136,6 @@ val scenario : ?policy:Pool.policy -> ?migrate:bool -> string -> scenario
     mid-run).  [migrate:false] runs the same situation with the
     rollback + local-replay recovery only, for comparison.  Raises
     [Invalid_argument] on an unknown name. *)
-
-val latency_hist : result -> No_obs.Hist.t
-(** The streamed offload-span latency histogram — available at any
-    fleet size, recording on or off. *)
 
 val latency_percentile : result -> p:float -> float
 (** Nearest-rank percentile (p in [0,100]) of the streamed offload

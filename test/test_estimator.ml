@@ -148,7 +148,7 @@ let test_dynamic_estimator () =
    refuse — the paper's "unexpected slow network" scenario driven
    through the NWSLite-style feedback loop rather than configuration. *)
 let test_predictor_collapse_flips_decision () =
-  let pred = Predictor.create ~initial_bps:80e6 () in
+  let pred = Predictor.create ~initial_bps:80e6 in
   let d = Dynamic.create ~r:5.0 ~bw_bps:(Predictor.predict_bps pred) in
   (* Table 3's getAITurn: Tm = 26 s, 12 MB footprint — comfortably
      profitable at 80 Mbps. *)
