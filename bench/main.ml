@@ -61,7 +61,7 @@ let wall_since t0 =
 
 let fleet_mix = [ "fleet.micro"; "fleet.micro"; "fleet.micro.heavy" ]
 
-(* Recording off; every row streams into [series] through the
+(* Recording off; every event streams into [series] through the
    simulator's global sink, and [sampler], if any, keeps whole
    tasks. *)
 let fleet_config ?sampler ~servers ~slots ~queue ~policy series =
@@ -106,8 +106,7 @@ let run_fleet ?(clients = 1000) ?(servers = 4) ?(slots = 2) ?(queue = 2)
       Option.map
         (fun budget ->
           Trace.Sampler.create ~slo_limit_s:(Slo.span_limit_s objectives)
-            ~exemplar:(fun ~ts ~kind ~value ~trace_id ->
-              Series.add_exemplar series ~ts ~kind ~value ~trace_id)
+            ~exemplar:(Series.add_exemplar series)
             ~keep:(fun ~client ~task ->
               Rng.task_keep ~seed:(Int64.of_int sample_seed) ~client ~task
                 ~budget)

@@ -530,38 +530,35 @@ let analyze_cmd =
              quantiles, the estimator audit table and its summary.")
   in
   (* Per-kind cost distributions: which events feed which histogram,
-     and how to print that histogram's values. *)
+     and how to print that histogram's values.  Each time histogram is
+     one of [Trace.latency_names] and holds what [Trace.latency]
+     charges. *)
   let hist_specs :
       (string * int * (Trace.event -> float option)) list =
+    let charged label kind =
+      let slot =
+        Option.get (List.find_index (String.equal kind) Trace.latency_names)
+      in
+      ( label, 6,
+        fun ev ->
+          if Trace.latency_slot ev = slot then Some (Trace.latency ev)
+          else None )
+    in
     [
-      ( "offload span (s)", 6,
-        function Trace.Offload_end { span_s; _ } -> Some span_s | _ -> None );
-      ( "page-fault service (s)", 6,
-        function Trace.Page_fault { service_s; _ } -> Some service_s | _ -> None );
-      ( "flush transfer+codec (s)", 6,
-        function
-        | Trace.Flush { transfer_s; codec_s; _ } -> Some (transfer_s +. codec_s)
-        | _ -> None );
+      charged "offload span (s)" "offload-span";
+      charged "page-fault service (s)" "page-fault";
+      charged "flush transfer+codec (s)" "flush";
       ( "flush wire (bytes)", 0,
         function
         | Trace.Flush { wire_bytes; _ } -> Some (float_of_int wire_bytes)
         | _ -> None );
-      ( "remote-io cost (s)", 6,
-        function Trace.Remote_io { cost_s; _ } -> Some cost_s | _ -> None );
-      ( "fnptr translate (s)", 6,
-        function Trace.Fnptr_translate { cost_s } -> Some cost_s | _ -> None );
-      ( "rpc-timeout wait (s)", 6,
-        function Trace.Rpc_timeout { waited_s; _ } -> Some waited_s | _ -> None );
-      ( "retry backoff (s)", 6,
-        function Trace.Retry { backoff_s; _ } -> Some backoff_s | _ -> None );
-      ( "local replay (s)", 6,
-        function Trace.Replay { replay_s; _ } -> Some replay_s | _ -> None );
-      ( "queue wait (s)", 6,
-        function Trace.Queue { wait_s; _ } -> Some wait_s | _ -> None );
-      ( "migrate transfer (s)", 6,
-        function
-        | Trace.Migrate_start { transfer_s; _ } -> Some transfer_s
-        | _ -> None );
+      charged "remote-io cost (s)" "remote-io";
+      charged "fnptr translate (s)" "fnptr-translate";
+      charged "rpc-timeout wait (s)" "rpc-timeout";
+      charged "retry backoff (s)" "retry-backoff";
+      charged "local replay (s)" "replay";
+      charged "queue wait (s)" "queue-wait";
+      charged "migrate transfer (s)" "migrate-transfer";
     ]
   in
   (* Machine-readable twin of the printed tables: per-kind histogram
@@ -1053,8 +1050,7 @@ let serve_cmd =
         let live = Series.create () in
         let sampler =
           Trace.Sampler.create ~slo_limit_s:(Slo.span_limit_s objectives)
-            ~exemplar:(fun ~ts ~kind ~value ~trace_id ->
-              Series.add_exemplar live ~ts ~kind ~value ~trace_id)
+            ~exemplar:(Series.add_exemplar live)
             ~keep:(fun ~client ~task ->
               Rng.task_keep
                 ~seed:(Int64.of_int sample_seed)

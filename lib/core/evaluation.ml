@@ -350,7 +350,7 @@ let fig7 () : Table.t =
 
 (* {1 Figure 8 — power over time}
 
-   The timeline is resampled from the Power_state rows in the run's
+   The timeline is resampled from the Power_state events in the run's
    ledger; the battery keeps no segment list of its own. *)
 
 let fig8_trace ~program ~(config : Session.config) ~points () :

@@ -460,14 +460,12 @@ let create ~arch ~role ~(modul : Ir.modul) ~layout
       Loader.write_init ~layout ~endianness:arch.Arch.endianness ~write_byte
         ~fn_addr:fn_addr_standard ~addr g.Ir.g_ty g.Ir.g_init)
     modul.Ir.m_globals;
-  if not (No_trace.Trace.is_null sink) then begin
-    let row = No_trace.Trace.Row.create () in
-    No_trace.Trace.Row.set_module_load row
-      ~role:(match role with Mobile -> "mobile" | Server -> "server")
-      ~functions:(List.length modul.Ir.m_funcs)
-      ~globals:(List.length modul.Ir.m_globals);
-    sink ~ts:host.clock.now row
-  end;
+  if not (No_trace.Trace.is_null sink) then
+    sink ~ts:host.clock.now
+      (Module_load
+         { role = (match role with Mobile -> "mobile" | Server -> "server");
+           functions = List.length modul.Ir.m_funcs;
+           globals = List.length modul.Ir.m_globals });
   host
 
 let charge host cls =

@@ -18,7 +18,6 @@ type t = {
   compress : bool;
   mutable pending : Buffer.t;
   sink : No_trace.Trace.sink;     (* receives one Flush per transfer *)
-  row : No_trace.Trace.Row.t;     (* scratch for zero-alloc emission *)
   clock : unit -> float;          (* timestamps for emitted events *)
   bw_factor : unit -> float;      (* usable-bandwidth scale at flush time *)
 }
@@ -39,7 +38,6 @@ let create ?(compress = false) ?(sink = No_trace.Trace.null)
     compress;
     pending = Buffer.create 4096;
     sink;
-    row = No_trace.Trace.Row.create ();
     clock;
     bw_factor;
   }
@@ -77,8 +75,9 @@ let flush t : float =
     let transfer =
       Link.transfer_time_scaled t.link ~bytes:wire ~bw_factor:(t.bw_factor ())
     in
-    No_trace.Trace.Row.set_flush t.row ~direction:t.direction ~raw_bytes:raw
-      ~wire_bytes:wire ~transfer_s:transfer ~codec_s:codec_time;
-    t.sink ~ts:(t.clock ()) t.row;
+    t.sink ~ts:(t.clock ())
+      (Flush
+         { direction = t.direction; raw_bytes = raw; wire_bytes = wire;
+           transfer_s = transfer; codec_s = codec_time });
     transfer +. codec_time
   end

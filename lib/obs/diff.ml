@@ -83,35 +83,37 @@ let align (a : Span.node) (b : Span.node) : row list =
 
 (* {1 Kind attribution} *)
 
-(* Coarse event kind and its charged duration; power segments are the
-   timeline itself, not a cost, so they are left out. *)
-let kind_of_event : Trace.event -> (string * float) option = function
-  | Trace.Flush { direction; transfer_s; codec_s; _ } ->
-    Some ("flush:" ^ Trace.direction_to_string direction,
-          transfer_s +. codec_s)
-  | Trace.Page_fault { service_s; _ } -> Some ("page-fault", service_s)
-  | Trace.Prefetch _ -> Some ("prefetch", 0.0)
-  | Trace.Fnptr_translate { cost_s } -> Some ("fnptr-translate", cost_s)
-  | Trace.Remote_io { cost_s; _ } -> Some ("remote-io", cost_s)
+(* Coarse event kind and its charged duration ([Trace.latency]);
+   power segments are the timeline itself, not a cost, so they are
+   left out. *)
+let kind_of_event (ev : Trace.event) : (string * float) option =
+  let charged kind = Some (kind, Trace.latency ev)
+  and marker kind = Some (kind, 0.0) in
+  match ev with
+  | Trace.Flush { direction; _ } ->
+    charged ("flush:" ^ Trace.direction_to_string direction)
+  | Trace.Page_fault _ -> charged "page-fault"
+  | Trace.Prefetch _ -> marker "prefetch"
+  | Trace.Fnptr_translate _ -> charged "fnptr-translate"
+  | Trace.Remote_io _ -> charged "remote-io"
   | Trace.Offload_begin _ -> None
-  | Trace.Offload_end { span_s; _ } -> Some ("offload-span", span_s)
-  | Trace.Refusal _ -> Some ("refusal", 0.0)
+  | Trace.Offload_end _ -> charged "offload-span"
+  | Trace.Refusal _ -> marker "refusal"
   | Trace.Power_state _ -> None
-  | Trace.Estimate _ -> Some ("estimate", 0.0)
-  | Trace.Module_load _ -> Some ("module-load", 0.0)
-  | Trace.Fault_injected _ -> Some ("fault-injected", 0.0)
-  | Trace.Rpc_timeout { waited_s; _ } -> Some ("rpc-timeout", waited_s)
-  | Trace.Retry { backoff_s; _ } -> Some ("retry", backoff_s)
-  | Trace.Fallback_local _ -> Some ("fallback-local", 0.0)
-  | Trace.Rollback _ -> Some ("rollback", 0.0)
-  | Trace.Replay { replay_s; _ } -> Some ("local-replay", replay_s)
-  | Trace.Queue { wait_s; _ } -> Some ("queue-wait", wait_s)
-  | Trace.Admit _ -> Some ("admit", 0.0)
-  | Trace.Reject _ -> Some ("reject", 0.0)
-  | Trace.Checkpoint _ -> Some ("checkpoint", 0.0)
-  | Trace.Migrate_start { transfer_s; _ } ->
-    Some ("migrate-transfer", transfer_s)
-  | Trace.Migrate_done _ -> Some ("migrate-done", 0.0)
+  | Trace.Estimate _ -> marker "estimate"
+  | Trace.Module_load _ -> marker "module-load"
+  | Trace.Fault_injected _ -> marker "fault-injected"
+  | Trace.Rpc_timeout _ -> charged "rpc-timeout"
+  | Trace.Retry _ -> charged "retry"
+  | Trace.Fallback_local _ -> marker "fallback-local"
+  | Trace.Rollback _ -> marker "rollback"
+  | Trace.Replay _ -> charged "local-replay"
+  | Trace.Queue _ -> charged "queue-wait"
+  | Trace.Admit _ -> marker "admit"
+  | Trace.Reject _ -> marker "reject"
+  | Trace.Checkpoint _ -> marker "checkpoint"
+  | Trace.Migrate_start _ -> charged "migrate-transfer"
+  | Trace.Migrate_done _ -> marker "migrate-done"
   | Trace.Bw_sample _ -> None
 
 let kind_totals events : (string, int * float) Hashtbl.t =

@@ -24,8 +24,8 @@ let default_window_s = 1.0
 
 (* The latency-bearing kinds' names, in histogram-slot order: the
    stable telemetry vocabulary (OpenMetrics label values, SLO grammar
-   kinds).  The kind -> slot mapping lives in [Trace.Row]. *)
-let latency_kinds = Trace.Row.latency_names
+   kinds).  The event -> slot mapping lives in [Trace]. *)
+let latency_kinds = Trace.latency_names
 
 type window = {
   w_index : int;
@@ -107,52 +107,51 @@ let slot_at t index =
 let window_at t index = (slot_at t index).sw
 
 (* Metrics fold into the window's record, the (at most one) latency
-   sample goes to the window's histogram, and the gauges read the row
-   in place — nothing here boxes an event. *)
+   sample goes to the window's histogram, and the gauges read the
+   event's fields. *)
 let sink t : Trace.sink =
- fun ~ts (r : Trace.Row.t) ->
+ fun ~ts ev ->
   let index =
     if ts <= 0.0 then 0 else int_of_float (Float.floor (ts /. t.window_s))
   in
   let s = slot_at t index in
   let w = s.sw in
-  Trace.Metrics.sink w.w_metrics ~ts r;
-  let k = r.Trace.Row.kind in
-  let li = Trace.Row.latency_slot k in
-  if li >= 0 then Hist.add s.s_harr.(li) (Trace.Row.latency r);
-  (if k = Trace.Row.k_queue then
-     (* i2 requests already waiting, plus this one. *)
-     w.w_peak_queue_depth <- max w.w_peak_queue_depth (r.Trace.Row.i2 + 1)
-   else if k = Trace.Row.k_reject then
-     w.w_peak_queue_depth <- max w.w_peak_queue_depth r.Trace.Row.i2
-   else if k = Trace.Row.k_admit then begin
-     let server = r.Trace.Row.i1 and occupancy = r.Trace.Row.i2 in
-     w.w_peak_occupancy <- max w.w_peak_occupancy occupancy;
-     let rec bump = function
-       | [] -> [ (server, occupancy) ]
-       | (s, peak) :: rest when s = server -> (s, max peak occupancy) :: rest
-       | (s, _) as hd :: rest when s < server -> hd :: bump rest
-       | rest -> (server, occupancy) :: rest
-     in
-     w.w_server_peaks <- bump w.w_server_peaks
-   end
-   else if k = Trace.Row.k_bw_sample then w.w_bw_bps <- r.Trace.Row.f.(0));
+  Trace.Metrics.sink w.w_metrics ~ts ev;
+  let li = Trace.latency_slot ev in
+  if li >= 0 then Hist.add s.s_harr.(li) (Trace.latency ev);
+  (match ev with
+  | Trace.Queue { depth; _ } ->
+    (* [depth] requests already waiting, plus this one. *)
+    w.w_peak_queue_depth <- max w.w_peak_queue_depth (depth + 1)
+  | Trace.Reject { queue_depth; _ } ->
+    w.w_peak_queue_depth <- max w.w_peak_queue_depth queue_depth
+  | Trace.Admit { server; occupancy; _ } ->
+    w.w_peak_occupancy <- max w.w_peak_occupancy occupancy;
+    let rec bump = function
+      | [] -> [ (server, occupancy) ]
+      | (s, peak) :: rest when s = server -> (s, max peak occupancy) :: rest
+      | (s, _) as hd :: rest when s < server -> hd :: bump rest
+      | rest -> (server, occupancy) :: rest
+    in
+    w.w_server_peaks <- bump w.w_server_peaks
+  | Trace.Bw_sample { bps } -> w.w_bw_bps <- bps
+  | _ -> ());
   (* Span.run_end_s ends a run at the same close, so a series over a
      session trace covers exactly the run's wall clock. *)
-  let close = Trace.Row.close_s ~ts r in
+  let close = Trace.close_s ~ts ev in
   if close > t.end_s then t.end_s <- close
 
-(* Exemplar attachment: route a kept trace's latency sample to the
+(* Exemplar attachment: route a kept event's latency sample to the
    same per-kind window histogram [sink] charged it to, as an
    out-of-band annotation.  Kinds that carry no latency are ignored. *)
-let add_exemplar t ~ts ~kind ~value ~trace_id =
-  let li = Trace.Row.latency_slot kind in
+let add_exemplar t ~ts ev ~trace_id =
+  let li = Trace.latency_slot ev in
   if li >= 0 then begin
     let index =
       if ts <= 0.0 then 0 else int_of_float (Float.floor (ts /. t.window_s))
     in
     let s = slot_at t index in
-    Hist.note_exemplar s.s_harr.(li) ~trace_id value
+    Hist.note_exemplar s.s_harr.(li) ~trace_id (Trace.latency ev)
   end
 
 let of_events ?window_s events =

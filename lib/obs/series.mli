@@ -21,7 +21,7 @@ val latency_kinds : string list
     rpc-timeout, retry-backoff, replay, queue-wait, migrate-transfer.
     The names are the stable telemetry vocabulary shared by the
     windowed histograms, the SLO grammar and the OpenMetrics
-    exposition; {!No_trace.Trace.Row.latency_slot} maps row kinds onto
+    exposition; {!No_trace.Trace.latency_slot} maps events onto
     them. *)
 
 type window = {
@@ -52,12 +52,12 @@ val sink : t -> No_trace.Trace.sink
 (** Live attachment: fan this out next to the metrics/ring sinks. *)
 
 val add_exemplar :
-  t -> ts:float -> kind:int -> value:float -> trace_id:string -> unit
-(** Attach a sampled-trace exemplar to the window and latency-kind
-    histogram the event at ([ts], row [kind]) was charged to — the
-    shape of {!No_trace.Trace.Sampler}'s exemplar hook.  Out of band:
-    never affects counts, quantiles or conservation.  Kinds that carry
-    no latency are ignored. *)
+  t -> ts:float -> No_trace.Trace.event -> trace_id:string -> unit
+(** Attach the latency of a kept event stamped [ts] as a sampled-trace
+    exemplar to the window and latency-kind histogram {!sink} charged
+    it to — the shape of {!No_trace.Trace.Sampler}'s exemplar hook.
+    Out of band: never affects counts, quantiles or conservation.
+    Kinds that carry no latency are ignored. *)
 
 val of_events :
   ?window_s:float -> (float * No_trace.Trace.event) list -> t

@@ -54,53 +54,44 @@ type attempt = {
   mutable at_items : item list;     (* reversed *)
 }
 
-(* Named cost/marker of one event inside its enclosing scope; None for
-   events the tree handles structurally (offload life cycle, replay)
-   or intentionally leaves out (decisions, power segments — they are
-   their own tracks, not cost spans). *)
-let item_of_event : Trace.event -> item option = function
-  | Trace.Flush { direction; transfer_s; codec_s; _ } ->
-    Some { i_name = "flush:" ^ Trace.direction_to_string direction;
-           i_dur = transfer_s +. codec_s }
-  | Trace.Page_fault { service_s; _ } ->
-    Some { i_name = "page-fault"; i_dur = service_s }
-  | Trace.Prefetch _ -> Some { i_name = "prefetch"; i_dur = 0.0 }
-  | Trace.Fnptr_translate { cost_s } ->
-    Some { i_name = "fnptr-translate"; i_dur = cost_s }
-  | Trace.Remote_io { io_name; cost_s; _ } ->
-    Some { i_name = "remote-io:" ^ io_name; i_dur = cost_s }
-  | Trace.Module_load { role; _ } ->
-    Some { i_name = "module-load:" ^ role; i_dur = 0.0 }
-  | Trace.Fault_injected { kind; _ } ->
-    Some { i_name = "fault:" ^ kind; i_dur = 0.0 }
-  | Trace.Rpc_timeout { op; waited_s; _ } ->
-    Some { i_name = "rpc-timeout:" ^ op; i_dur = waited_s }
-  | Trace.Retry { op; backoff_s; _ } ->
-    Some { i_name = "backoff:" ^ op; i_dur = backoff_s }
-  | Trace.Rollback _ -> Some { i_name = "rollback"; i_dur = 0.0 }
-  | Trace.Fallback_local _ -> Some { i_name = "fallback-local"; i_dur = 0.0 }
-  | Trace.Queue { wait_s; _ } ->
-    Some { i_name = "queue-wait"; i_dur = wait_s }
-  | Trace.Admit _ -> Some { i_name = "admit"; i_dur = 0.0 }
-  | Trace.Reject _ -> Some { i_name = "reject"; i_dur = 0.0 }
-  | Trace.Checkpoint _ -> Some { i_name = "checkpoint"; i_dur = 0.0 }
-  | Trace.Migrate_start { transfer_s; _ } ->
-    Some { i_name = "migrate-transfer"; i_dur = transfer_s }
-  | Trace.Migrate_done _ -> Some { i_name = "migrate-done"; i_dur = 0.0 }
+(* Named cost/marker of one event inside its enclosing scope, lasting
+   what its kind charges ([Trace.latency]); None for events the tree
+   handles structurally (offload life cycle, replay) or intentionally
+   leaves out (decisions, power segments — they are their own tracks,
+   not cost spans). *)
+let item_of_event (ev : Trace.event) : item option =
+  let charged i_name = Some { i_name; i_dur = Trace.latency ev }
+  and marker i_name = Some { i_name; i_dur = 0.0 } in
+  match ev with
+  | Trace.Flush { direction; _ } ->
+    charged ("flush:" ^ Trace.direction_to_string direction)
+  | Trace.Page_fault _ -> charged "page-fault"
+  | Trace.Prefetch _ -> marker "prefetch"
+  | Trace.Fnptr_translate _ -> charged "fnptr-translate"
+  | Trace.Remote_io { io_name; _ } -> charged ("remote-io:" ^ io_name)
+  | Trace.Module_load { role; _ } -> marker ("module-load:" ^ role)
+  | Trace.Fault_injected { kind; _ } -> marker ("fault:" ^ kind)
+  | Trace.Rpc_timeout { op; _ } -> charged ("rpc-timeout:" ^ op)
+  | Trace.Retry { op; _ } -> charged ("backoff:" ^ op)
+  | Trace.Rollback _ -> marker "rollback"
+  | Trace.Fallback_local _ -> marker "fallback-local"
+  | Trace.Queue _ -> charged "queue-wait"
+  | Trace.Admit _ -> marker "admit"
+  | Trace.Reject _ -> marker "reject"
+  | Trace.Checkpoint _ -> marker "checkpoint"
+  | Trace.Migrate_start _ -> charged "migrate-transfer"
+  | Trace.Migrate_done _ -> marker "migrate-done"
   | Trace.Offload_begin _ | Trace.Offload_end _ | Trace.Replay _
   | Trace.Refusal _ | Trace.Estimate _ | Trace.Power_state _
   | Trace.Bw_sample _ -> None
 
 (* The run's wall clock: the latest instant any event reaches
-   (Trace.Row.close_s, which Series.duration_s reads too).  Power
-   segments partition the timeline, so on a session trace this equals
+   (Trace.close_s, which Series.duration_s reads too).  Power segments
+   partition the timeline, so on a session trace this equals
    Trace.Metrics.total_s (the span-tree invariant tests lock this). *)
 let run_end_s events =
-  let row = Trace.Row.create () in
   List.fold_left
-    (fun acc (ts, ev) ->
-      Trace.Row.of_event row ev;
-      Float.max acc (Trace.Row.close_s ~ts row))
+    (fun acc (ts, ev) -> Float.max acc (Trace.close_s ~ts ev))
     0.0 events
 
 (* {1 Merging} *)

@@ -125,7 +125,7 @@ type config = {
   initial_bw_bps : float option; (* stale bandwidth belief; None = the
                                     configured link's effective rate *)
   trace : Trace.sink;            (* runtime event spine: receives every
-                                    row the session's ledger folds *)
+                                    event the session's ledger folds *)
   faults : Fault_plan.t option;  (* deterministic fault schedule; None
                                     (and the empty plan) = no faults *)
   server_handle : server_handle option;
@@ -174,7 +174,7 @@ type t = {
   targets : Partition.target list;
   uva_globals : Ir.global list;
   unified_layout : Layout.env;
-  ledger : Trace.Metrics.t;                (* every row emitted, folded *)
+  ledger : Trace.Metrics.t;                (* every event emitted, folded *)
   sink : Trace.sink;                       (* the ledger, fanned out with
                                               [config.trace] *)
   mem_estimate : (string, int) Hashtbl.t;  (* per-target footprint *)
@@ -194,8 +194,6 @@ type t = {
   contention : float ref;                  (* shared-link bandwidth scale
                                               while admitted to a contended
                                               server; 1.0 otherwise *)
-  row : Trace.Row.t;                       (* scratch for zero-alloc
-                                              emission on the hot path *)
 }
 
 (* {1 Power bookkeeping} *)
@@ -220,16 +218,9 @@ let advance t seconds = t.clock.Host.now <- t.clock.Host.now +. seconds
 
    Events mirror exactly what the session charges: span events are
    stamped with the span's start.  The session keeps no counters of
-   its own: every row goes to its ledger, a [Trace.Metrics] fold, and
-   on to [config.trace]; [run] reads the report off the ledger.
-
-   The caller fills [t.row] with a [Trace.Row.set_*] and emits it in
-   place — no event is boxed unless a capture sink (ring, sampler)
-   sits behind the trace.  The row is only valid for the duration of
-   the call. *)
-let emit_row_at t ~ts = t.sink ~ts t.row
-
-let emit_row t = emit_row_at t ~ts:t.clock.Host.now
+   its own: every event goes to its ledger, a [Trace.Metrics] fold,
+   and on to [config.trace]; [run] reads the report off the ledger. *)
+let emit t ev = t.sink ~ts:t.clock.Host.now ev
 
 (* {1 Construction} *)
 
@@ -356,9 +347,12 @@ let create ?(config = default_config ()) ?(script = []) ?(files = [])
      reflect the charged (zero) cost. *)
   let channel_sink =
     if config.ideal then
-      fun ~ts row ->
-        Trace.zero_cost_row row;
-        sink ~ts row
+      fun ~ts ev ->
+        sink ~ts
+          (match ev with
+          | Trace.Flush f ->
+            Trace.Flush { f with transfer_s = 0.0; codec_s = 0.0 }
+          | ev -> ev)
     else sink
   in
   let channel_clock () = clock.Host.now in
@@ -407,7 +401,6 @@ let create ?(config = default_config ()) ?(script = []) ?(files = [])
       server_dead = false;
       current_server = None;
       contention;
-      row = Trace.Row.create ();
     }
   in
   t
@@ -426,8 +419,7 @@ let observe_transfer t ~bytes ~seconds =
     Dynamic_estimate.set_bandwidth t.estimator belief;
     (* Sampling hook for the telemetry layer: the refreshed belief as
        a gauge, so windowed series can chart what the estimator saw. *)
-    Trace.Row.set_bw_sample t.row ~bps:belief;
-    emit_row t
+    emit t (Trace.Bw_sample { bps = belief })
   end
 
 let send_to_server t (payload : Bytes.t) =
@@ -502,8 +494,7 @@ let exchange t ~op ~state (deliver : unit -> 'a) : 'a =
         let backoff = Injector.backoff_s policy ~attempt in
         let ts = t.clock.Host.now in
         wait backoff;
-        Trace.Row.set_retry t.row ~op ~attempt ~backoff_s:backoff;
-        emit_row_at t ~ts
+        t.sink ~ts (Trace.Retry { op; attempt; backoff_s = backoff })
       end
     in
     let rec go attempt =
@@ -512,29 +503,26 @@ let exchange t ~op ~state (deliver : unit -> 'a) : 'a =
       match verdict with
       | Injector.Deliver -> with_state t state deliver
       | Injector.Server_down ->
-        Trace.Row.set_fault_injected t.row ~kind:"server-crash" ~op;
-        emit_row t;
+        emit t (Trace.Fault_injected { kind = "server-crash"; op });
         t.server_dead <- true;
         give_up "server crashed"
       | Injector.Outage _ | Injector.Drop ->
         (* The message vanishes into dead air; we only learn by
            waiting out the deadline. *)
-        Trace.Row.set_fault_injected t.row
-          ~kind:(Injector.verdict_kind verdict) ~op;
-        emit_row t;
+        emit t
+          (Trace.Fault_injected { kind = Injector.verdict_kind verdict; op });
         let ts = t.clock.Host.now in
         wait policy.Injector.deadline_s;
-        Trace.Row.set_rpc_timeout t.row ~op ~attempt
-          ~waited_s:policy.Injector.deadline_s;
-        emit_row_at t ~ts;
+        t.sink ~ts
+          (Trace.Rpc_timeout
+             { op; attempt; waited_s = policy.Injector.deadline_s });
         backoff_then attempt;
         go (attempt + 1)
       | Injector.Corrupt ->
         (* The payload crossed but arrived mangled; the receiver's
            checksum rejects it and NACKs — one small control round
            trip, then an immediate resend. *)
-        Trace.Row.set_fault_injected t.row ~kind:"corruption" ~op;
-        emit_row t;
+        emit t (Trace.Fault_injected { kind = "corruption"; op });
         let nack_s =
           Link.round_trip_time_scaled t.config.link ~req:48 ~resp:48
             ~bw_factor:(bw_factor t)
@@ -573,9 +561,9 @@ let service_fault_unprofiled t (mem : Memory.t) page =
             ~resp:(Region.page_size + 48) ~bw_factor:(bw_factor t)
         in
         charge_comm t seconds;
-        Trace.Row.set_page_fault t.row ~page
-          ~service_s:(if t.config.ideal then 0.0 else seconds);
-        emit_row_at t ~ts);
+        t.sink ~ts
+          (Trace.Page_fault
+             { page; service_s = (if t.config.ideal then 0.0 else seconds) }));
     Memory.install_page mem page (Memory.page_copy t.mobile.Host.mem page)
   end
 
@@ -608,9 +596,10 @@ let push_pages_to_server t (pages : int list) =
             send_to_server t (Bytes.make 8 '\000') (* page header *))
           pages;
         flush_to_server t;
-        Trace.Row.set_prefetch t.row ~pages:(List.length pages)
-          ~bytes:(List.length pages * Region.page_size);
-        emit_row_at t ~ts)
+        t.sink ~ts
+          (Trace.Prefetch
+             { pages = List.length pages;
+               bytes = List.length pages * Region.page_size }))
 
 (* {1 Initialization / finalization} *)
 
@@ -706,8 +695,10 @@ let finalization t : int =
 (* {1 Server-side externs and intercepts} *)
 
 (* Bookkeeping cost of one function-pointer translation: ~100 ns real,
-   on the CPU time scale. *)
+   on the CPU time scale.  Every translation emits the same event. *)
 let fnptr_translation_s = 2.0e-4
+
+let fnptr_translate = Trace.Fnptr_translate { cost_s = fnptr_translation_s }
 
 let target_by_id t id =
   List.find_opt (fun tg -> tg.Partition.t_id = id) t.targets
@@ -729,9 +720,10 @@ let remote_io_cost t ~(io_name : string) ~(request : int) ~(response : int)
               ~bw_factor:(bw_factor t)
         in
         advance t seconds;
-        Trace.Row.set_remote_io t.row ~io_name ~request_bytes:request
-          ~response_bytes:response ~cost_s:seconds;
-        emit_row_at t ~ts)
+        t.sink ~ts
+          (Trace.Remote_io
+             { io_name; request_bytes = request; response_bytes = response;
+               cost_s = seconds }))
 
 (* Intercept the server's remote I/O builtins: add the network cost of
    the request; the functional work then runs against the *shared*
@@ -803,8 +795,7 @@ let install_server_hooks t =
         if not t.config.ideal then begin
           let ts = t.clock.Host.now in
           advance t fnptr_translation_s;
-          Trace.Row.set_fnptr_translate t.row ~cost_s:fnptr_translation_s;
-          emit_row_at t ~ts
+          t.sink ~ts fnptr_translate
         end;
         let addr = Value.to_addr v in
         match dir with
@@ -914,15 +905,14 @@ let image_bytes ~dirty_pages ~ledger_bytes =
 let local_replay t tname args =
   let t0 = t.clock.Host.now in
   let result = Interp.call t.mobile tname args in
-  Trace.Row.set_replay t.row ~target:tname ~replay_s:(t.clock.Host.now -. t0);
-  emit_row_at t ~ts:t0;
+  t.sink ~ts:t0
+    (Trace.Replay { target = tname; replay_s = t.clock.Host.now -. t0 });
   result
 
 (* Close the invocation's span, opened at [t0]. *)
 let end_span t tname ~t0 ~dirty_pages =
   let span_s = t.clock.Host.now -. t0 in
-  Trace.Row.set_offload_end t.row ~target:tname ~dirty_pages ~span_s;
-  emit_row t
+  emit t (Trace.Offload_end { target = tname; dirty_pages; span_s })
 
 (* Occupy a granted slot: wait out the FIFO queue (the mobile radio
    idles in Waiting), then price the contention — the server's slice
@@ -933,12 +923,11 @@ let end_span t tname ~t0 ~dirty_pages =
 let occupy t sh tname ~server ~wait_s ~occupancy ~slot ~queue_depth ~r_scale
     ~bw_scale =
   if wait_s > 0.0 then begin
-    Trace.Row.set_queue t.row ~target:tname ~server ~wait_s ~depth:queue_depth;
-    emit_row t;
+    emit t
+      (Trace.Queue { target = tname; server; wait_s; depth = queue_depth });
     with_state t Power_model.Waiting (fun () -> advance t wait_s)
   end;
-  Trace.Row.set_admit t.row ~target:tname ~server ~occupancy ~slot;
-  emit_row t;
+  emit t (Trace.Admit { target = tname; server; occupancy; slot });
   t.server.Host.slowdown <- 1.0 /. r_scale;
   t.contention := bw_scale;
   t.current_server <- Some server;
@@ -986,9 +975,9 @@ let migrate t sh tname snap ~from_server ~reason ~io0 =
   let io_cursor = t.ledger.Trace.Metrics.remote_io_count - io0 in
   Selfprof.leave Checkpoint;
   let image_bytes = image_bytes ~dirty_pages:pages ~ledger_bytes in
-  Trace.Row.set_checkpoint t.row ~target:tname ~pages ~image_bytes ~io_cursor
-    ~ledger_bytes;
-  emit_row t;
+  emit t
+    (Trace.Checkpoint
+       { target = tname; pages; image_bytes; io_cursor; ledger_bytes });
   match
     sh.sh_migrate ~now:t.clock.Host.now ~target:tname ~from_server
       ~crashed:t.server_dead
@@ -1004,9 +993,9 @@ let migrate t sh tname snap ~from_server ~reason ~io0 =
         Link.transfer_time_scaled t.config.link ~bytes:image_bytes
           ~bw_factor:(bw_factor t)
     in
-    Trace.Row.set_migrate_start t.row ~target:tname ~from_server ~to_server
-      ~reason ~transfer_s;
-    emit_row t;
+    emit t
+      (Trace.Migrate_start
+         { target = tname; from_server; to_server; reason; transfer_s });
     with_state t Power_model.Transmitting (fun () -> advance t transfer_s);
     ignore (restore_base t snap ~console:Console.resume_at : int);
     if t.server_dead then begin
@@ -1024,12 +1013,11 @@ let migrate t sh tname snap ~from_server ~reason ~io0 =
    attempt's side effects, and replay the task locally from it. *)
 let fall_back t tname args snap ~t0 ~reason =
   let bytes_discarded = restore_base t snap ~console:Console.rollback_to in
-  Trace.Row.set_rollback t.row ~target:tname ~pages_restored:snap.sn_pages
-    ~bytes_discarded;
-  emit_row t;
+  emit t
+    (Trace.Rollback
+       { target = tname; pages_restored = snap.sn_pages; bytes_discarded });
   let recovery_s = t.clock.Host.now -. t0 in
-  Trace.Row.set_fallback_local t.row ~target:tname ~reason ~recovery_s;
-  emit_row t;
+  emit t (Trace.Fallback_local { target = tname; reason; recovery_s });
   end_span t tname ~t0 ~dirty_pages:0;
   local_replay t tname args
 
@@ -1047,8 +1035,7 @@ let offload_invoke t (target : Partition.target) (args : Value.t list) :
   in
   match admission with
   | Some (_, Rejected { server; queue_depth }) ->
-    Trace.Row.set_reject t.row ~target:tname ~server ~queue_depth;
-    emit_row t;
+    emit t (Trace.Reject { target = tname; server; queue_depth });
     local_replay t tname args
   | None | Some (_, Admitted _) ->
     (* A snapshot is needed whenever [Server_lost] can reach us: from
@@ -1065,8 +1052,7 @@ let offload_invoke t (target : Partition.target) (args : Value.t list) :
     t.in_offload <- true;
     let t0 = t.clock.Host.now in
     let io0 = t.ledger.Trace.Metrics.remote_io_count in
-    Trace.Row.set_offload_begin t.row ~target:tname;
-    emit_row_at t ~ts:t0;
+    t.sink ~ts:t0 (Trace.Offload_begin { target = tname });
     (* The attempt loop.  A migrated task goes back through the same
        attempt and the same success tail as the first try; [resumed] is
        then the new member, the instant its attempt began and the first
@@ -1081,9 +1067,8 @@ let offload_invoke t (target : Partition.target) (args : Value.t list) :
         Option.iter
           (fun (server, resume_t0, _) ->
             let resumed_span_s = t.clock.Host.now -. resume_t0 in
-            Trace.Row.set_migrate_done t.row ~target:tname ~server
-              ~resumed_span_s;
-            emit_row t)
+            emit t
+              (Trace.Migrate_done { target = tname; server; resumed_span_s }))
           resumed;
         end_span t tname ~t0 ~dirty_pages;
         release ();
@@ -1126,7 +1111,7 @@ let offload_invoke t (target : Partition.target) (args : Value.t list) :
 (* {1 Mobile-side externs} *)
 
 (* Dynamic estimation, once per call: the decision and the Estimate
-   row both read the one estimate.  "The dynamic performance
+   event both read the one estimate.  "The dynamic performance
    estimation reflects the current network bandwidth, memory usage,
    and target execution time": the footprint estimate is the live UVA
    heap (what copy-on-demand and write-back would move), refined after
@@ -1150,10 +1135,10 @@ let estimate t target =
     Dynamic_estimate.estimate ~r_factor ~bw_factor t.estimator ~name:target
       ~mem_bytes
   in
-  Trace.Row.set_estimate t.row ~target
-    ~predicted_gain_s:e.Dynamic_estimate.gain_s ~local_s:e.local_s
-    ~decision:e.offload;
-  emit_row t;
+  emit t
+    (Trace.Estimate
+       { target; predicted_gain_s = e.Dynamic_estimate.gain_s;
+         local_s = e.local_s; decision = e.offload });
   e.offload
 
 (* Once the server's crash was observed it is gone: refuse without
@@ -1163,8 +1148,7 @@ let estimate t target =
 let should_offload t target =
   let offload = (not t.server_dead) && estimate t target in
   if not offload then begin
-    Trace.Row.set_refusal t.row ~target;
-    emit_row t
+    emit t (Trace.Refusal { target })
   end;
   offload
 
@@ -1286,5 +1270,5 @@ let run t : report =
     rep_migrate_resume_s = m.migrate_resume_s;
   }
 
-(* The session's one book: every row it emitted, folded. *)
+(* The session's one book: every event it emitted, folded. *)
 let ledger t = t.ledger

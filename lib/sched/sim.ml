@@ -261,10 +261,11 @@ let run ?(config = default_config) (clients : client list) : result =
      interleaving cannot perturb the result. *)
   let latency = Hist.create () in
   let event_count = ref 0 in
-  let stream_sink ~ts:_ (row : Trace.Row.t) =
+  let stream_sink ~ts:_ (ev : Trace.event) =
     incr event_count;
-    if row.Trace.Row.kind = Trace.Row.k_offload_end then
-      Hist.add latency row.Trace.Row.f.(0)
+    match ev with
+    | Trace.Offload_end { span_s; _ } -> Hist.add latency span_s
+    | _ -> ()
   in
   let results = Array.make n None in
   let client_main idx (cl : client) () =
@@ -282,7 +283,7 @@ let run ?(config = default_config) (clients : client list) : result =
              fleet-wide consumer (SLO series, telemetry) never needs the
              per-client rings.  The wrapper only rewrites the
              timestamp. *)
-          [ (fun ~ts row -> global ~ts:(cl.cl_start_s +. ts) row) ])
+          [ (fun ~ts ev -> global ~ts:(cl.cl_start_s +. ts) ev) ])
       @
       match config.s_sampler with
       | None -> []

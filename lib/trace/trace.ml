@@ -48,6 +48,10 @@ let json_string s =
   add_json_string buf s;
   Buffer.contents buf
 
+(* The one representation of an event, from the emitter to every
+   analysis: emitters build the constructor, sinks read it as it
+   arrives and may keep it, and captures, trace files and the
+   analyses hold the same values. *)
 type event =
   | Flush of {
       direction : direction;
@@ -108,52 +112,113 @@ type event =
       resumed_span_s : float;     (* remote span on the new member *)
     }
 
-(* {1 The scratch row}
+(* {1 What an event charges}
 
-   Every emitter fills a preallocated mutable row (ints, a flat float
-   array, shared strings — nothing the write allocates) and hands it
-   to the sink; the boxed [event] variant above is the decoded view,
-   materialized only at capture boundaries (ring buffers, the tail
-   sampler's kept traces) via [Row.to_event].  Aggregating sinks
-   (metrics, windowed series, the simulator's latency stream) read the
-   row's fields in place.
+   The kinds that carry a latency, in histogram-slot order, with their
+   telemetry names (OpenMetrics label values, SLO grammar kinds).  The
+   windowed series, the trace sampler and every analysis that charges
+   time to an event read these definitions. *)
+let latency_names =
+  [ "offload-span"; "page-fault"; "flush"; "remote-io"; "fnptr-translate";
+    "rpc-timeout"; "retry-backoff"; "replay"; "queue-wait";
+    "migrate-transfer" ]
 
-   A row is only valid for the duration of the sink call: sinks must
-   copy (or box) anything they keep. *)
+let latency_slot = function
+  | Offload_end _ -> 0
+  | Page_fault _ -> 1
+  | Flush _ -> 2
+  | Remote_io _ -> 3
+  | Fnptr_translate _ -> 4
+  | Rpc_timeout _ -> 5
+  | Retry _ -> 6
+  | Replay _ -> 7
+  | Queue _ -> 8
+  | Migrate_start _ -> 9
+  | Prefetch _ | Offload_begin _ | Refusal _ | Power_state _ | Estimate _
+  | Module_load _ | Fault_injected _ | Fallback_local _ | Rollback _
+  | Admit _ | Reject _ | Bw_sample _ | Checkpoint _ | Migrate_done _ -> -1
+
+(* A flush's latency is its transfer plus codec legs; every other
+   latency kind carries one duration. *)
+let latency = function
+  | Flush { transfer_s; codec_s; _ } -> transfer_s +. codec_s
+  | Offload_end { span_s = d; _ } | Page_fault { service_s = d; _ }
+  | Remote_io { cost_s = d; _ } | Fnptr_translate { cost_s = d }
+  | Rpc_timeout { waited_s = d; _ } | Retry { backoff_s = d; _ }
+  | Replay { replay_s = d; _ } | Queue { wait_s = d; _ }
+  | Migrate_start { transfer_s = d; _ } -> d
+  | _ -> Float.nan
+
+(* An offload-end event is stamped at its span's close, so it adds
+   nothing here; a power segment adds its duration. *)
+let close_s ~ts = function
+  | Power_state { duration_s; _ } -> ts +. duration_s
+  | Flush { transfer_s; codec_s; _ } -> ts +. transfer_s +. codec_s
+  | Page_fault { service_s = d; _ } | Fnptr_translate { cost_s = d }
+  | Remote_io { cost_s = d; _ } | Rpc_timeout { waited_s = d; _ }
+  | Retry { backoff_s = d; _ } | Replay { replay_s = d; _ }
+  | Queue { wait_s = d; _ } | Migrate_start { transfer_s = d; _ } -> ts +. d
+  | _ -> ts
+
+(* {1 Sinks}
+
+   Events that carry a time-span are stamped with the *start* of the
+   span; the clock value is simulated seconds.  A sink may keep the
+   event it is handed: nothing mutates an event after emission. *)
+type sink = ts:float -> event -> unit
+
+let null : sink = fun ~ts:_ _ -> ()
+
+(* Physical equality against the unique [null] closure lets emitters
+   skip building an event entirely. *)
+let is_null (sink : sink) = sink == null
+
+(* Null sinks drop out, so fanning a sink out with [null] costs
+   nothing. *)
+let fan_out sinks =
+  match List.filter (fun s -> not (is_null s)) sinks with
+  | [] -> null
+  | [ sink ] -> sink
+  | sinks -> fun ~ts ev -> List.iter (fun (s : sink) -> s ~ts ev) sinks
+
+let replay (sink : sink) events = List.iter (fun (ts, ev) -> sink ~ts ev) events
+
+let event_name = function
+  | Flush { direction; _ } -> "flush:" ^ direction_to_string direction
+  | Page_fault _ -> "page-fault"
+  | Prefetch _ -> "prefetch"
+  | Fnptr_translate _ -> "fnptr-translate"
+  | Remote_io { io_name; _ } -> "remote-io:" ^ io_name
+  | Offload_begin { target } | Offload_end { target; _ } -> "offload:" ^ target
+  | Refusal { target } -> "refusal:" ^ target
+  | Power_state { state; _ } -> "power:" ^ state
+  | Estimate { target; _ } -> "estimate:" ^ target
+  | Module_load { role; _ } -> "module-load:" ^ role
+  | Fault_injected { kind; _ } -> "fault:" ^ kind
+  | Rpc_timeout _ -> "rpc-timeout"
+  | Retry _ -> "retry"
+  | Fallback_local { target; _ } -> "fallback:" ^ target
+  | Rollback { target; _ } -> "rollback:" ^ target
+  | Replay { target; _ } -> "replay:" ^ target
+  | Queue { target; _ } -> "queue:" ^ target
+  | Admit { target; _ } -> "admit:" ^ target
+  | Reject { target; _ } -> "reject:" ^ target
+  | Bw_sample _ -> "bw-sample"
+  | Checkpoint { target; _ } -> "checkpoint:" ^ target
+  | Migrate_start { target; _ } -> "migrate:" ^ target
+  | Migrate_done { target; _ } -> "migrate-done:" ^ target
+
+(* {1 The raw-trace codec's slot view}
+
+   The jsonl codec walks one table, [schema], instead of 24 hand-written
+   encoders and decoders.  So it reads and writes an event through a
+   row of generic slots (four ints, two floats, two strings), one kind
+   code per constructor, and [to_event]/[of_event] are the one mapping
+   between the constructors and those slots. *)
 
 module Row = struct
-  (* Kind codes, one per [event] constructor. *)
-  let k_flush = 0
-  let k_page_fault = 1
-  let k_prefetch = 2
-  let k_fnptr_translate = 3
-  let k_remote_io = 4
-  let k_offload_begin = 5
-  let k_offload_end = 6
-  let k_refusal = 7
-  let k_power_state = 8
-  let k_estimate = 9
-  let k_module_load = 10
-  let k_fault_injected = 11
-  let k_rpc_timeout = 12
-  let k_retry = 13
-  let k_fallback_local = 14
-  let k_rollback = 15
-  let k_replay = 16
-  let k_queue = 17
-  let k_admit = 18
-  let k_reject = 19
-  let k_bw_sample = 20
-  let k_checkpoint = 21
-  let k_migrate_start = 22
-  let k_migrate_done = 23
-
-  (* Generic slots; the [set_*]/[to_event] pair below is the typed
-     field mapping, and [schema] names the same slots for the wire.
-     Floats live in a flat array so filling a row never boxes (mutable
-     float fields of a mixed record would). *)
   type t = {
-    mutable kind : int;
+    mutable kind : int;               (* index into [schema] *)
     mutable i1 : int;
     mutable i2 : int;
     mutable i3 : int;
@@ -167,263 +232,186 @@ module Row = struct
     { kind = -1; i1 = 0; i2 = 0; i3 = 0; i4 = 0; f = Array.make 2 0.0;
       s1 = ""; s2 = "" }
 
-  (* Setters are small on purpose: the non-flambda inliner folds them
-     into the emitter, so the float arguments land in [f] unboxed. *)
-  let set_flush r ~direction ~raw_bytes ~wire_bytes ~transfer_s ~codec_s =
-    r.kind <- k_flush;
-    r.i1 <- (match direction with To_server -> 0 | To_mobile -> 1);
-    r.i2 <- raw_bytes;
-    r.i3 <- wire_bytes;
-    r.f.(0) <- transfer_s;
-    r.f.(1) <- codec_s
-
-  let set_page_fault r ~page ~service_s =
-    r.kind <- k_page_fault;
-    r.i1 <- page;
-    r.f.(0) <- service_s
-
-  let set_prefetch r ~pages ~bytes =
-    r.kind <- k_prefetch;
-    r.i1 <- pages;
-    r.i2 <- bytes
-
-  let set_fnptr_translate r ~cost_s =
-    r.kind <- k_fnptr_translate;
-    r.f.(0) <- cost_s
-
-  let set_remote_io r ~io_name ~request_bytes ~response_bytes ~cost_s =
-    r.kind <- k_remote_io;
-    r.s1 <- io_name;
-    r.i1 <- request_bytes;
-    r.i2 <- response_bytes;
-    r.f.(0) <- cost_s
-
-  let set_offload_begin r ~target =
-    r.kind <- k_offload_begin;
-    r.s1 <- target
-
-  let set_offload_end r ~target ~dirty_pages ~span_s =
-    r.kind <- k_offload_end;
-    r.s1 <- target;
-    r.i1 <- dirty_pages;
-    r.f.(0) <- span_s
-
-  let set_refusal r ~target =
-    r.kind <- k_refusal;
-    r.s1 <- target
-
-  let set_power_state r ~state ~mw ~duration_s =
-    r.kind <- k_power_state;
-    r.s1 <- state;
-    r.f.(0) <- mw;
-    r.f.(1) <- duration_s
-
-  let set_estimate r ~target ~predicted_gain_s ~local_s ~decision =
-    r.kind <- k_estimate;
-    r.s1 <- target;
-    r.f.(0) <- predicted_gain_s;
-    r.f.(1) <- local_s;
-    r.i1 <- (if decision then 1 else 0)
-
-  let set_module_load r ~role ~functions ~globals =
-    r.kind <- k_module_load;
-    r.s1 <- role;
-    r.i1 <- functions;
-    r.i2 <- globals
-
-  let set_fault_injected r ~kind ~op =
-    r.kind <- k_fault_injected;
-    r.s1 <- kind;
-    r.s2 <- op
-
-  let set_rpc_timeout r ~op ~attempt ~waited_s =
-    r.kind <- k_rpc_timeout;
-    r.s1 <- op;
-    r.i1 <- attempt;
-    r.f.(0) <- waited_s
-
-  let set_retry r ~op ~attempt ~backoff_s =
-    r.kind <- k_retry;
-    r.s1 <- op;
-    r.i1 <- attempt;
-    r.f.(0) <- backoff_s
-
-  let set_fallback_local r ~target ~reason ~recovery_s =
-    r.kind <- k_fallback_local;
-    r.s1 <- target;
-    r.s2 <- reason;
-    r.f.(0) <- recovery_s
-
-  let set_rollback r ~target ~pages_restored ~bytes_discarded =
-    r.kind <- k_rollback;
-    r.s1 <- target;
-    r.i1 <- pages_restored;
-    r.i2 <- bytes_discarded
-
-  let set_replay r ~target ~replay_s =
-    r.kind <- k_replay;
-    r.s1 <- target;
-    r.f.(0) <- replay_s
-
-  let set_queue r ~target ~server ~wait_s ~depth =
-    r.kind <- k_queue;
-    r.s1 <- target;
-    r.i1 <- server;
-    r.i2 <- depth;
-    r.f.(0) <- wait_s
-
-  let set_admit r ~target ~server ~occupancy ~slot =
-    r.kind <- k_admit;
-    r.s1 <- target;
-    r.i1 <- server;
-    r.i2 <- occupancy;
-    r.i3 <- slot
-
-  let set_reject r ~target ~server ~queue_depth =
-    r.kind <- k_reject;
-    r.s1 <- target;
-    r.i1 <- server;
-    r.i2 <- queue_depth
-
-  let set_bw_sample r ~bps =
-    r.kind <- k_bw_sample;
-    r.f.(0) <- bps
-
-  let set_checkpoint r ~target ~pages ~image_bytes ~io_cursor ~ledger_bytes =
-    r.kind <- k_checkpoint;
-    r.s1 <- target;
-    r.i1 <- pages;
-    r.i2 <- image_bytes;
-    r.i3 <- io_cursor;
-    r.i4 <- ledger_bytes
-
-  let set_migrate_start r ~target ~from_server ~to_server ~reason ~transfer_s =
-    r.kind <- k_migrate_start;
-    r.s1 <- target;
-    r.s2 <- reason;
-    r.i1 <- from_server;
-    r.i2 <- to_server;
-    r.f.(0) <- transfer_s
-
-  let set_migrate_done r ~target ~server ~resumed_span_s =
-    r.kind <- k_migrate_done;
-    r.s1 <- target;
-    r.i1 <- server;
-    r.f.(0) <- resumed_span_s
-
-  (* Boxing boundary: exact inverse of the setters, so a captured
-     stream decodes to exactly the events the emitters described. *)
+  (* Kind codes follow the constructors' order, and so does [schema]. *)
   let to_event (r : t) : event =
-    if r.kind = k_flush then
+    match r.kind with
+    | 0 ->
       Flush
-        {
-          direction = (if r.i1 = 0 then To_server else To_mobile);
-          raw_bytes = r.i2;
-          wire_bytes = r.i3;
-          transfer_s = r.f.(0);
-          codec_s = r.f.(1);
-        }
-    else if r.kind = k_page_fault then
-      Page_fault { page = r.i1; service_s = r.f.(0) }
-    else if r.kind = k_prefetch then Prefetch { pages = r.i1; bytes = r.i2 }
-    else if r.kind = k_fnptr_translate then
-      Fnptr_translate { cost_s = r.f.(0) }
-    else if r.kind = k_remote_io then
+        { direction = (if r.i1 = 0 then To_server else To_mobile);
+          raw_bytes = r.i2; wire_bytes = r.i3; transfer_s = r.f.(0);
+          codec_s = r.f.(1) }
+    | 1 -> Page_fault { page = r.i1; service_s = r.f.(0) }
+    | 2 -> Prefetch { pages = r.i1; bytes = r.i2 }
+    | 3 -> Fnptr_translate { cost_s = r.f.(0) }
+    | 4 ->
       Remote_io
         { io_name = r.s1; request_bytes = r.i1; response_bytes = r.i2;
           cost_s = r.f.(0) }
-    else if r.kind = k_offload_begin then Offload_begin { target = r.s1 }
-    else if r.kind = k_offload_end then
-      Offload_end { target = r.s1; dirty_pages = r.i1; span_s = r.f.(0) }
-    else if r.kind = k_refusal then Refusal { target = r.s1 }
-    else if r.kind = k_power_state then
-      Power_state { state = r.s1; mw = r.f.(0); duration_s = r.f.(1) }
-    else if r.kind = k_estimate then
+    | 5 -> Offload_begin { target = r.s1 }
+    | 6 -> Offload_end { target = r.s1; dirty_pages = r.i1; span_s = r.f.(0) }
+    | 7 -> Refusal { target = r.s1 }
+    | 8 -> Power_state { state = r.s1; mw = r.f.(0); duration_s = r.f.(1) }
+    | 9 ->
       Estimate
         { target = r.s1; predicted_gain_s = r.f.(0); local_s = r.f.(1);
           decision = r.i1 <> 0 }
-    else if r.kind = k_module_load then
-      Module_load { role = r.s1; functions = r.i1; globals = r.i2 }
-    else if r.kind = k_fault_injected then
-      Fault_injected { kind = r.s1; op = r.s2 }
-    else if r.kind = k_rpc_timeout then
-      Rpc_timeout { op = r.s1; attempt = r.i1; waited_s = r.f.(0) }
-    else if r.kind = k_retry then
-      Retry { op = r.s1; attempt = r.i1; backoff_s = r.f.(0) }
-    else if r.kind = k_fallback_local then
+    | 10 -> Module_load { role = r.s1; functions = r.i1; globals = r.i2 }
+    | 11 -> Fault_injected { kind = r.s1; op = r.s2 }
+    | 12 -> Rpc_timeout { op = r.s1; attempt = r.i1; waited_s = r.f.(0) }
+    | 13 -> Retry { op = r.s1; attempt = r.i1; backoff_s = r.f.(0) }
+    | 14 ->
       Fallback_local { target = r.s1; reason = r.s2; recovery_s = r.f.(0) }
-    else if r.kind = k_rollback then
+    | 15 ->
       Rollback { target = r.s1; pages_restored = r.i1; bytes_discarded = r.i2 }
-    else if r.kind = k_replay then
-      Replay { target = r.s1; replay_s = r.f.(0) }
-    else if r.kind = k_queue then
+    | 16 -> Replay { target = r.s1; replay_s = r.f.(0) }
+    | 17 ->
       Queue { target = r.s1; server = r.i1; wait_s = r.f.(0); depth = r.i2 }
-    else if r.kind = k_admit then
+    | 18 ->
       Admit { target = r.s1; server = r.i1; occupancy = r.i2; slot = r.i3 }
-    else if r.kind = k_reject then
-      Reject { target = r.s1; server = r.i1; queue_depth = r.i2 }
-    else if r.kind = k_bw_sample then Bw_sample { bps = r.f.(0) }
-    else if r.kind = k_checkpoint then
+    | 19 -> Reject { target = r.s1; server = r.i1; queue_depth = r.i2 }
+    | 20 -> Bw_sample { bps = r.f.(0) }
+    | 21 ->
       Checkpoint
         { target = r.s1; pages = r.i1; image_bytes = r.i2; io_cursor = r.i3;
           ledger_bytes = r.i4 }
-    else if r.kind = k_migrate_start then
+    | 22 ->
       Migrate_start
         { target = r.s1; from_server = r.i1; to_server = r.i2; reason = r.s2;
           transfer_s = r.f.(0) }
-    else if r.kind = k_migrate_done then
+    | 23 ->
       Migrate_done { target = r.s1; server = r.i1; resumed_span_s = r.f.(0) }
-    else invalid_arg "Trace.Row.to_event: uninitialized row"
+    | _ -> invalid_arg "Trace.Row.to_event: uninitialized row"
 
-  (* Unboxing boundary: how a captured stream re-enters a sink. *)
+  (* The exact inverse of [to_event]: it writes the slots [schema]
+     names for the event's kind, and no other. *)
   let of_event (r : t) (ev : event) : unit =
     match ev with
     | Flush { direction; raw_bytes; wire_bytes; transfer_s; codec_s } ->
-      set_flush r ~direction ~raw_bytes ~wire_bytes ~transfer_s ~codec_s
-    | Page_fault { page; service_s } -> set_page_fault r ~page ~service_s
-    | Prefetch { pages; bytes } -> set_prefetch r ~pages ~bytes
-    | Fnptr_translate { cost_s } -> set_fnptr_translate r ~cost_s
+      r.kind <- 0;
+      r.i1 <- (match direction with To_server -> 0 | To_mobile -> 1);
+      r.i2 <- raw_bytes;
+      r.i3 <- wire_bytes;
+      r.f.(0) <- transfer_s;
+      r.f.(1) <- codec_s
+    | Page_fault { page; service_s } ->
+      r.kind <- 1;
+      r.i1 <- page;
+      r.f.(0) <- service_s
+    | Prefetch { pages; bytes } ->
+      r.kind <- 2;
+      r.i1 <- pages;
+      r.i2 <- bytes
+    | Fnptr_translate { cost_s } ->
+      r.kind <- 3;
+      r.f.(0) <- cost_s
     | Remote_io { io_name; request_bytes; response_bytes; cost_s } ->
-      set_remote_io r ~io_name ~request_bytes ~response_bytes ~cost_s
-    | Offload_begin { target } -> set_offload_begin r ~target
+      r.kind <- 4;
+      r.s1 <- io_name;
+      r.i1 <- request_bytes;
+      r.i2 <- response_bytes;
+      r.f.(0) <- cost_s
+    | Offload_begin { target } ->
+      r.kind <- 5;
+      r.s1 <- target
     | Offload_end { target; dirty_pages; span_s } ->
-      set_offload_end r ~target ~dirty_pages ~span_s
-    | Refusal { target } -> set_refusal r ~target
+      r.kind <- 6;
+      r.s1 <- target;
+      r.i1 <- dirty_pages;
+      r.f.(0) <- span_s
+    | Refusal { target } ->
+      r.kind <- 7;
+      r.s1 <- target
     | Power_state { state; mw; duration_s } ->
-      set_power_state r ~state ~mw ~duration_s
+      r.kind <- 8;
+      r.s1 <- state;
+      r.f.(0) <- mw;
+      r.f.(1) <- duration_s
     | Estimate { target; predicted_gain_s; local_s; decision } ->
-      set_estimate r ~target ~predicted_gain_s ~local_s ~decision
+      r.kind <- 9;
+      r.s1 <- target;
+      r.f.(0) <- predicted_gain_s;
+      r.f.(1) <- local_s;
+      r.i1 <- (if decision then 1 else 0)
     | Module_load { role; functions; globals } ->
-      set_module_load r ~role ~functions ~globals
-    | Fault_injected { kind; op } -> set_fault_injected r ~kind ~op
+      r.kind <- 10;
+      r.s1 <- role;
+      r.i1 <- functions;
+      r.i2 <- globals
+    | Fault_injected { kind; op } ->
+      r.kind <- 11;
+      r.s1 <- kind;
+      r.s2 <- op
     | Rpc_timeout { op; attempt; waited_s } ->
-      set_rpc_timeout r ~op ~attempt ~waited_s
-    | Retry { op; attempt; backoff_s } -> set_retry r ~op ~attempt ~backoff_s
+      r.kind <- 12;
+      r.s1 <- op;
+      r.i1 <- attempt;
+      r.f.(0) <- waited_s
+    | Retry { op; attempt; backoff_s } ->
+      r.kind <- 13;
+      r.s1 <- op;
+      r.i1 <- attempt;
+      r.f.(0) <- backoff_s
     | Fallback_local { target; reason; recovery_s } ->
-      set_fallback_local r ~target ~reason ~recovery_s
+      r.kind <- 14;
+      r.s1 <- target;
+      r.s2 <- reason;
+      r.f.(0) <- recovery_s
     | Rollback { target; pages_restored; bytes_discarded } ->
-      set_rollback r ~target ~pages_restored ~bytes_discarded
-    | Replay { target; replay_s } -> set_replay r ~target ~replay_s
+      r.kind <- 15;
+      r.s1 <- target;
+      r.i1 <- pages_restored;
+      r.i2 <- bytes_discarded
+    | Replay { target; replay_s } ->
+      r.kind <- 16;
+      r.s1 <- target;
+      r.f.(0) <- replay_s
     | Queue { target; server; wait_s; depth } ->
-      set_queue r ~target ~server ~wait_s ~depth
+      r.kind <- 17;
+      r.s1 <- target;
+      r.i1 <- server;
+      r.i2 <- depth;
+      r.f.(0) <- wait_s
     | Admit { target; server; occupancy; slot } ->
-      set_admit r ~target ~server ~occupancy ~slot
+      r.kind <- 18;
+      r.s1 <- target;
+      r.i1 <- server;
+      r.i2 <- occupancy;
+      r.i3 <- slot
     | Reject { target; server; queue_depth } ->
-      set_reject r ~target ~server ~queue_depth
-    | Bw_sample { bps } -> set_bw_sample r ~bps
+      r.kind <- 19;
+      r.s1 <- target;
+      r.i1 <- server;
+      r.i2 <- queue_depth
+    | Bw_sample { bps } ->
+      r.kind <- 20;
+      r.f.(0) <- bps
     | Checkpoint { target; pages; image_bytes; io_cursor; ledger_bytes } ->
-      set_checkpoint r ~target ~pages ~image_bytes ~io_cursor ~ledger_bytes
+      r.kind <- 21;
+      r.s1 <- target;
+      r.i1 <- pages;
+      r.i2 <- image_bytes;
+      r.i3 <- io_cursor;
+      r.i4 <- ledger_bytes
     | Migrate_start { target; from_server; to_server; reason; transfer_s } ->
-      set_migrate_start r ~target ~from_server ~to_server ~reason ~transfer_s
+      r.kind <- 22;
+      r.s1 <- target;
+      r.s2 <- reason;
+      r.i1 <- from_server;
+      r.i2 <- to_server;
+      r.f.(0) <- transfer_s
     | Migrate_done { target; server; resumed_span_s } ->
-      set_migrate_done r ~target ~server ~resumed_span_s
+      r.kind <- 23;
+      r.s1 <- target;
+      r.i1 <- server;
+      r.f.(0) <- resumed_span_s
 
   (* {2 The wire schema}
 
      Each kind's raw-trace form, written once: its wire name and, in
-     wire order, each field's name, type and the slot the setters above
-     fill.  The jsonl encoder and decoder are walks over this table, so
-     a new field is one entry here plus its typed setter. *)
+     wire order, each field's name, type and the slot [of_event]
+     fills.  The jsonl encoder and decoder are walks over this table,
+     so a new field is its constructor field, its slot in the two
+     mappings above and one entry here. *)
 
   type ty = Int | Float | String | Bool | Direction
 
@@ -435,7 +423,7 @@ module Row = struct
   (* A Direction slot holds its direction's index in this array. *)
   let directions = [| To_server; To_mobile |]
 
-  (* Indexed by kind code, so the entries follow the [k_*] order. *)
+  (* Indexed by kind code. *)
   let schema =
     let kind wire fields = { wire; fields = Array.of_list fields } in
     let i name slot = { name; ty = Int; slot }
@@ -491,125 +479,14 @@ module Row = struct
 
   let string_slot r slot = if slot = 1 then r.s1 else r.s2
   let set_string_slot r slot v = if slot = 1 then r.s1 <- v else r.s2 <- v
-
-  (* The kinds that carry a latency, in histogram-slot order, with
-     their telemetry names (OpenMetrics label values, SLO grammar
-     kinds).  The windowed series and the trace sampler both read the
-     mapping from here. *)
-  let latency_kinds =
-    [
-      (k_offload_end, "offload-span");
-      (k_page_fault, "page-fault");
-      (k_flush, "flush");
-      (k_remote_io, "remote-io");
-      (k_fnptr_translate, "fnptr-translate");
-      (k_rpc_timeout, "rpc-timeout");
-      (k_retry, "retry-backoff");
-      (k_replay, "replay");
-      (k_queue, "queue-wait");
-      (k_migrate_start, "migrate-transfer");
-    ]
-
-  let latency_names = List.map snd latency_kinds
-
-  let slot_of_kind =
-    let a = Array.make (Array.length schema) (-1) in
-    List.iteri (fun slot (k, _) -> a.(k) <- slot) latency_kinds;
-    a
-
-  let latency_slot kind =
-    if kind >= 0 && kind < Array.length schema then slot_of_kind.(kind) else -1
-
-  (* A flush's latency is its transfer plus codec legs; every other
-     latency kind keeps its duration in f.(0). *)
-  let latency (r : t) =
-    if latency_slot r.kind < 0 then Float.nan
-    else if r.kind = k_flush then r.f.(0) +. r.f.(1)
-    else r.f.(0)
-
-  (* An offload-end row is stamped at its span's close, so it adds
-     nothing here; a power segment's duration is f.(1). *)
-  let close_s ~ts (r : t) =
-    let k = r.kind in
-    if k = k_power_state then ts +. r.f.(1)
-    else if k = k_flush then ts +. r.f.(0) +. r.f.(1)
-    else if
-      k = k_page_fault || k = k_fnptr_translate || k = k_remote_io
-      || k = k_rpc_timeout || k = k_retry || k = k_replay || k = k_queue
-      || k = k_migrate_start
-    then ts +. r.f.(0)
-    else ts
 end
-
-(* Events that carry a time-span are stamped with the *start* of the
-   span; the clock value is simulated seconds.  The scratch row is the
-   only way into a sink; capture sinks box it with [Row.to_event]. *)
-type sink = ts:float -> Row.t -> unit
-
-let null : sink = fun ~ts:_ _ -> ()
-
-(* Physical equality against the unique [null] closure lets hot
-   emitters skip filling a row entirely. *)
-let is_null (sink : sink) = sink == null
-
-(* Null sinks drop out, so fanning a sink out with [null] costs
-   nothing. *)
-let fan_out sinks =
-  match List.filter (fun s -> not (is_null s)) sinks with
-  | [] -> null
-  | [ sink ] -> sink
-  | sinks -> fun ~ts row -> List.iter (fun (s : sink) -> s ~ts row) sinks
-
-(* Captured events go back in through one scratch row. *)
-let replay (sink : sink) events =
-  let row = Row.create () in
-  List.iter
-    (fun (ts, ev) ->
-      Row.of_event row ev;
-      sink ~ts row)
-    events
-
-(* An ideal (zero-communication-cost) run still moves bytes logically;
-   only the charged times vanish.  Sessions wrap their channel sink
-   with this so the stream always reflects what was *charged*.
-   Mutating the row is fine: it belongs to the emitter, which is done
-   with the charged values once it hands the row over. *)
-let zero_cost_row (r : Row.t) =
-  if r.Row.kind = Row.k_flush then begin
-    r.Row.f.(0) <- 0.0;
-    r.Row.f.(1) <- 0.0
-  end
-
-let event_name = function
-  | Flush { direction; _ } -> "flush:" ^ direction_to_string direction
-  | Page_fault _ -> "page-fault"
-  | Prefetch _ -> "prefetch"
-  | Fnptr_translate _ -> "fnptr-translate"
-  | Remote_io { io_name; _ } -> "remote-io:" ^ io_name
-  | Offload_begin { target } | Offload_end { target; _ } -> "offload:" ^ target
-  | Refusal { target } -> "refusal:" ^ target
-  | Power_state { state; _ } -> "power:" ^ state
-  | Estimate { target; _ } -> "estimate:" ^ target
-  | Module_load { role; _ } -> "module-load:" ^ role
-  | Fault_injected { kind; _ } -> "fault:" ^ kind
-  | Rpc_timeout _ -> "rpc-timeout"
-  | Retry _ -> "retry"
-  | Fallback_local { target; _ } -> "fallback:" ^ target
-  | Rollback { target; _ } -> "rollback:" ^ target
-  | Replay { target; _ } -> "replay:" ^ target
-  | Queue { target; _ } -> "queue:" ^ target
-  | Admit { target; _ } -> "admit:" ^ target
-  | Reject { target; _ } -> "reject:" ^ target
-  | Bw_sample _ -> "bw-sample"
-  | Checkpoint { target; _ } -> "checkpoint:" ^ target
-  | Migrate_start { target; _ } -> "migrate:" ^ target
-  | Migrate_done { target; _ } -> "migrate-done:" ^ target
 
 (* {1 Aggregating metrics sink}
 
-   The fold of a run's rows into its totals.  Each session folds every
-   row it emits into one of these, its ledger, and reads its report
-   off it; the Figure 7 and Figure 8 views read the same record. *)
+   The fold of a run's events into its totals.  Each session folds
+   every event it emits into one of these, its ledger, and reads its
+   report off it; the Figure 7 and Figure 8 views read the same
+   record. *)
 
 module Metrics = struct
   type t = {
@@ -622,9 +499,9 @@ module Metrics = struct
     mutable transfer_s : float;
     mutable codec_s : float;
     (* Charged communication time: transfer + codec per flush, service
-       per page fault, added in row order as the session charges them.
-       Summing the three parts afterwards would differ in the last
-       bits. *)
+       per page fault, added in emission order as the session charges
+       them.  Summing the three parts afterwards would differ in the
+       last bits. *)
     mutable comm_s : float;
     mutable fault_count : int;
     mutable fault_s : float;
@@ -713,100 +590,83 @@ module Metrics = struct
       power_rev = [];
     }
 
-  (* The one fold: every row updates the record in place, so it is
+  (* The one fold: every event updates the record in place, so it is
      current at every read.  Float sums are mutable fields of a mixed
      record and box on each write — at most two per event. *)
-  let observe_row t ~ts (r : Row.t) =
+  let observe t ~ts ev =
     Selfprof.enter Sink_emit;
-    let k = r.Row.kind in
-    (if k = Row.k_flush then begin
-       (if r.Row.i1 = 0 then begin
-          t.flushes_to_server <- t.flushes_to_server + 1;
-          t.raw_to_server <- t.raw_to_server + r.Row.i2;
-          t.wire_to_server <- t.wire_to_server + r.Row.i3
-        end
-        else begin
-          t.flushes_to_mobile <- t.flushes_to_mobile + 1;
-          t.raw_to_mobile <- t.raw_to_mobile + r.Row.i2;
-          t.wire_to_mobile <- t.wire_to_mobile + r.Row.i3
-        end);
-       t.transfer_s <- t.transfer_s +. r.Row.f.(0);
-       t.codec_s <- t.codec_s +. r.Row.f.(1);
-       t.comm_s <- t.comm_s +. (r.Row.f.(0) +. r.Row.f.(1))
-     end
-     else if k = Row.k_page_fault then begin
-       t.fault_count <- t.fault_count + 1;
-       t.fault_s <- t.fault_s +. r.Row.f.(0);
-       t.comm_s <- t.comm_s +. r.Row.f.(0)
-     end
-     else if k = Row.k_prefetch then begin
-       t.prefetched_pages <- t.prefetched_pages + r.Row.i1;
-       t.prefetched_bytes <- t.prefetched_bytes + r.Row.i2
-     end
-     else if k = Row.k_fnptr_translate then begin
-       t.fnptr_count <- t.fnptr_count + 1;
-       t.fnptr_s <- t.fnptr_s +. r.Row.f.(0)
-     end
-     else if k = Row.k_remote_io then begin
-       t.remote_io_count <- t.remote_io_count + 1;
-       t.remote_io_s <- t.remote_io_s +. r.Row.f.(0)
-     end
-     else if k = Row.k_offload_begin then t.offloads <- t.offloads + 1
-     else if k = Row.k_offload_end then
-       t.offload_span_s <- t.offload_span_s +. r.Row.f.(0)
-     else if k = Row.k_refusal then t.refusals <- t.refusals + 1
-     else if k = Row.k_power_state then begin
-       let mw = r.Row.f.(0) and duration_s = r.Row.f.(1) in
-       t.energy_mj <- t.energy_mj +. (mw *. duration_s);
-       let state = r.Row.s1 in
-       let prev =
-         Option.value ~default:0.0 (Hashtbl.find_opt t.power_s state)
-       in
-       Hashtbl.replace t.power_s state (prev +. duration_s);
-       t.power_rev <- (ts, mw, duration_s, state) :: t.power_rev
-     end
-     else if k = Row.k_estimate then t.estimates <- t.estimates + 1
-     else if k = Row.k_fault_injected then
-       t.faults_injected <- t.faults_injected + 1
-     else if k = Row.k_rpc_timeout then begin
-       t.rpc_timeouts <- t.rpc_timeouts + 1;
-       t.retry_wait_s <- t.retry_wait_s +. r.Row.f.(0)
-     end
-     else if k = Row.k_retry then begin
-       t.retries <- t.retries + 1;
-       t.retry_wait_s <- t.retry_wait_s +. r.Row.f.(0)
-     end
-     else if k = Row.k_fallback_local then begin
-       t.fallbacks <- t.fallbacks + 1;
-       t.recovery_s <- t.recovery_s +. r.Row.f.(0)
-     end
-     else if k = Row.k_rollback then t.rollbacks <- t.rollbacks + 1
-     else if k = Row.k_replay then begin
-       t.replays <- t.replays + 1;
-       t.replay_s <- t.replay_s +. r.Row.f.(0)
-     end
-     else if k = Row.k_queue then begin
-       t.queued <- t.queued + 1;
-       t.queue_wait_s <- t.queue_wait_s +. r.Row.f.(0)
-     end
-     else if k = Row.k_admit then t.admits <- t.admits + 1
-     else if k = Row.k_reject then t.rejects <- t.rejects + 1
-     else if k = Row.k_checkpoint then begin
-       t.checkpoints <- t.checkpoints + 1;
-       t.checkpoint_pages <- t.checkpoint_pages + r.Row.i1;
-       t.checkpoint_bytes <- t.checkpoint_bytes + r.Row.i2
-     end
-     else if k = Row.k_migrate_start then begin
-       t.migrations <- t.migrations + 1;
-       t.migrate_transfer_s <- t.migrate_transfer_s +. r.Row.f.(0)
-     end
-     else if k = Row.k_migrate_done then begin
-       t.migrations_done <- t.migrations_done + 1;
-       t.migrate_resume_s <- t.migrate_resume_s +. r.Row.f.(0)
-     end);
+    (match ev with
+    | Flush { direction; raw_bytes; wire_bytes; transfer_s; codec_s } ->
+      (match direction with
+      | To_server ->
+        t.flushes_to_server <- t.flushes_to_server + 1;
+        t.raw_to_server <- t.raw_to_server + raw_bytes;
+        t.wire_to_server <- t.wire_to_server + wire_bytes
+      | To_mobile ->
+        t.flushes_to_mobile <- t.flushes_to_mobile + 1;
+        t.raw_to_mobile <- t.raw_to_mobile + raw_bytes;
+        t.wire_to_mobile <- t.wire_to_mobile + wire_bytes);
+      t.transfer_s <- t.transfer_s +. transfer_s;
+      t.codec_s <- t.codec_s +. codec_s;
+      t.comm_s <- t.comm_s +. (transfer_s +. codec_s)
+    | Page_fault { service_s; _ } ->
+      t.fault_count <- t.fault_count + 1;
+      t.fault_s <- t.fault_s +. service_s;
+      t.comm_s <- t.comm_s +. service_s
+    | Prefetch { pages; bytes } ->
+      t.prefetched_pages <- t.prefetched_pages + pages;
+      t.prefetched_bytes <- t.prefetched_bytes + bytes
+    | Fnptr_translate { cost_s } ->
+      t.fnptr_count <- t.fnptr_count + 1;
+      t.fnptr_s <- t.fnptr_s +. cost_s
+    | Remote_io { cost_s; _ } ->
+      t.remote_io_count <- t.remote_io_count + 1;
+      t.remote_io_s <- t.remote_io_s +. cost_s
+    | Offload_begin _ -> t.offloads <- t.offloads + 1
+    | Offload_end { span_s; _ } ->
+      t.offload_span_s <- t.offload_span_s +. span_s
+    | Refusal _ -> t.refusals <- t.refusals + 1
+    | Power_state { state; mw; duration_s } ->
+      t.energy_mj <- t.energy_mj +. (mw *. duration_s);
+      let prev =
+        Option.value ~default:0.0 (Hashtbl.find_opt t.power_s state)
+      in
+      Hashtbl.replace t.power_s state (prev +. duration_s);
+      t.power_rev <- (ts, mw, duration_s, state) :: t.power_rev
+    | Estimate _ -> t.estimates <- t.estimates + 1
+    | Module_load _ | Bw_sample _ -> ()
+    | Fault_injected _ -> t.faults_injected <- t.faults_injected + 1
+    | Rpc_timeout { waited_s; _ } ->
+      t.rpc_timeouts <- t.rpc_timeouts + 1;
+      t.retry_wait_s <- t.retry_wait_s +. waited_s
+    | Retry { backoff_s; _ } ->
+      t.retries <- t.retries + 1;
+      t.retry_wait_s <- t.retry_wait_s +. backoff_s
+    | Fallback_local { recovery_s; _ } ->
+      t.fallbacks <- t.fallbacks + 1;
+      t.recovery_s <- t.recovery_s +. recovery_s
+    | Rollback _ -> t.rollbacks <- t.rollbacks + 1
+    | Replay { replay_s; _ } ->
+      t.replays <- t.replays + 1;
+      t.replay_s <- t.replay_s +. replay_s
+    | Queue { wait_s; _ } ->
+      t.queued <- t.queued + 1;
+      t.queue_wait_s <- t.queue_wait_s +. wait_s
+    | Admit _ -> t.admits <- t.admits + 1
+    | Reject _ -> t.rejects <- t.rejects + 1
+    | Checkpoint { pages; image_bytes; _ } ->
+      t.checkpoints <- t.checkpoints + 1;
+      t.checkpoint_pages <- t.checkpoint_pages + pages;
+      t.checkpoint_bytes <- t.checkpoint_bytes + image_bytes
+    | Migrate_start { transfer_s; _ } ->
+      t.migrations <- t.migrations + 1;
+      t.migrate_transfer_s <- t.migrate_transfer_s +. transfer_s
+    | Migrate_done { resumed_span_s; _ } ->
+      t.migrations_done <- t.migrations_done + 1;
+      t.migrate_resume_s <- t.migrate_resume_s +. resumed_span_s);
     Selfprof.leave Sink_emit
 
-  let sink = observe_row
+  let sink : t -> sink = observe
 
   (* Field-wise addition, used to reconstitute run totals from
      windowed per-interval metrics (Obs.Series).  Power segments are
@@ -974,8 +834,7 @@ module Ring = struct
     t.next <- (t.next + 1) mod t.capacity;
     Selfprof.leave Sink_emit
 
-  (* Rows are boxed here — the ring is a capture boundary. *)
-  let sink t : sink = fun ~ts row -> record t ~ts (Row.to_event row)
+  let sink t : sink = record t
 
   let length t = t.stored
   let dropped t = t.dropped
@@ -1000,19 +859,17 @@ end
    cost the self-profiler shows dominating fleet runs, so at 10^4+
    clients the spine needs a sampling layer: keep every trace that
    *matters* (faulted, migrated, SLO-violating, top-of-the-latency
-   tail) plus a seeded budget of the rest, and pay the boxing cost
-   only for kept tasks.
+   tail) plus a seeded budget of the rest, and hold the rest only
+   while its task is in flight.
 
-   Mechanics: each client sink buffers incoming rows — copied into
-   preallocated scratch rows, never boxed — for the task currently in
-   flight.  A task runs from its first row to its terminal row
-   (offload-end, refusal or reject) plus the epilogue that follows it
-   (rollback/replay, power segments, mobile flushes); the keep/drop
-   decision falls when the *next* task starts (estimate or
-   offload-begin) or at {!flush}.  Kept tasks box their buffered rows
-   into events under a stable trace id ("c<client>-t<task>"); dropped
-   tasks just rewind the buffer — no allocation beyond the buffer's
-   own growth to its working size.
+   Mechanics: each client sink buffers the (timestamp, event) pairs of
+   the task currently in flight.  A task runs from its first event to
+   its terminal event (offload-end, refusal or reject) plus the
+   epilogue that follows it (rollback/replay, power segments, mobile
+   flushes); the keep/drop decision falls when the *next* task starts
+   (estimate or offload-begin) or at {!flush}.  A kept task keeps its
+   buffered events under a stable trace id ("c<client>-t<task>"); a
+   dropped task's buffer is simply let go.
 
    Every decision is a pure function of (stream content, seed), never
    of arrival interleaving: the probabilistic leg is a stateless
@@ -1025,21 +882,14 @@ end
 module Sampler = struct
   type reason = Faulted | Migrated | Slo | Reservoir | Budget
 
-  (* Growable buffer of copied rows + their (already re-stamped)
-     global timestamps.  Slots are reused across tasks, so a client's
-     steady-state cost is its longest task, not its task count. *)
-  type buf = {
-    mutable bts : float array;
-    mutable brows : Row.t array;
-    mutable blen : int;
-  }
-
   type cstate = {
     c_id : int;
     c_start : float;
-    c_buf : buf;
+    mutable c_buf : (float * event) list;
+        (* the in-flight task on the global clock, newest first *)
+    mutable c_len : int;
     mutable c_task : int;         (* next task ordinal for this client *)
-    mutable c_pending : bool;     (* terminal row seen; close on task start *)
+    mutable c_pending : bool;     (* terminal event seen; close on task start *)
     mutable c_faulted : bool;
     mutable c_migrated : bool;
     mutable c_latency : float;    (* max offload span inside the task *)
@@ -1049,8 +899,7 @@ module Sampler = struct
     sp_slo_limit : float;
     sp_reservoir : int;
     sp_keep : client:int -> task:int -> bool;
-    sp_exemplar :
-      (ts:float -> kind:int -> value:float -> trace_id:string -> unit) option;
+    sp_exemplar : (ts:float -> event -> trace_id:string -> unit) option;
     sp_clients : (int, cstate) Hashtbl.t;
     mutable sp_res : float list;  (* reservoir latencies, ascending *)
     mutable sp_res_n : int;
@@ -1092,17 +941,6 @@ module Sampler = struct
       sp_r_budget = 0;
     }
 
-  let copy_row (dst : Row.t) (src : Row.t) =
-    dst.Row.kind <- src.Row.kind;
-    dst.Row.i1 <- src.Row.i1;
-    dst.Row.i2 <- src.Row.i2;
-    dst.Row.i3 <- src.Row.i3;
-    dst.Row.i4 <- src.Row.i4;
-    dst.Row.f.(0) <- src.Row.f.(0);
-    dst.Row.f.(1) <- src.Row.f.(1);
-    dst.Row.s1 <- src.Row.s1;
-    dst.Row.s2 <- src.Row.s2
-
   (* Online fleet-wide top-K reservoir: admit a completed task's peak
      latency when the reservoir has room or the latency beats its
      current minimum.  Stream order is deterministic, so the admitted
@@ -1121,24 +959,11 @@ module Sampler = struct
         true
       | _ -> false
 
-  let grow_buf b want =
-    let cap = ref (Stdlib.max 1 (Array.length b.brows)) in
-    while !cap <= want do
-      cap := !cap * 2
-    done;
-    let bts = Array.make !cap 0.0 in
-    let brows = Array.init !cap (fun _ -> Row.create ()) in
-    Array.blit b.bts 0 bts 0 b.blen;
-    Array.blit b.brows 0 brows 0 b.blen;
-    b.bts <- bts;
-    b.brows <- brows
-
-  (* Close the in-flight task of [c] and decide its fate.  Kept tasks
-     box here — the only place the sampler allocates per event — and
-     feed the exemplar hook so aggregate views can point back at a
-     trace id that is actually retained. *)
+  (* Close the in-flight task of [c] and decide its fate.  A kept task
+     feeds the exemplar hook, newest event first, so aggregate views
+     can point back at a trace id that is actually retained. *)
   let close_task t (c : cstate) =
-    if c.c_buf.blen > 0 then begin
+    if c.c_len > 0 then begin
       t.sp_tasks <- t.sp_tasks + 1;
       let reason =
         if c.c_faulted then Some Faulted
@@ -1158,22 +983,19 @@ module Sampler = struct
         | Reservoir -> t.sp_r_reservoir <- t.sp_r_reservoir + 1
         | Budget -> t.sp_r_budget <- t.sp_r_budget + 1);
         let trace_id = Printf.sprintf "c%d-t%d" c.c_id c.c_task in
-        let events = ref [] in
-        for i = c.c_buf.blen - 1 downto 0 do
-          let ts = c.c_buf.bts.(i) and row = c.c_buf.brows.(i) in
-          events := (ts, Row.to_event row) :: !events;
-          match t.sp_exemplar with
-          | None -> ()
-          | Some hook ->
-            let v = Row.latency row in
-            if not (Float.is_nan v) then
-              hook ~ts ~kind:row.Row.kind ~value:v ~trace_id
-        done;
-        t.sp_kept <- (trace_id, !events) :: t.sp_kept;
+        Option.iter
+          (fun hook ->
+            List.iter
+              (fun (ts, ev) ->
+                if latency_slot ev >= 0 then hook ~ts ev ~trace_id)
+              c.c_buf)
+          t.sp_exemplar;
+        t.sp_kept <- (trace_id, List.rev c.c_buf) :: t.sp_kept;
         t.sp_kept_n <- t.sp_kept_n + 1;
-        t.sp_rows_kept <- t.sp_rows_kept + c.c_buf.blen);
-      t.sp_live_rows <- t.sp_live_rows - c.c_buf.blen;
-      c.c_buf.blen <- 0;
+        t.sp_rows_kept <- t.sp_rows_kept + c.c_len);
+      t.sp_live_rows <- t.sp_live_rows - c.c_len;
+      c.c_buf <- [];
+      c.c_len <- 0;
       c.c_task <- c.c_task + 1;
       c.c_pending <- false;
       c.c_faulted <- false;
@@ -1181,36 +1003,31 @@ module Sampler = struct
       c.c_latency <- 0.0
     end
 
-  let observe_row t (c : cstate) ~ts (row : Row.t) =
+  let observe t (c : cstate) ~ts ev =
     Selfprof.enter Sink_emit;
     t.sp_rows_seen <- t.sp_rows_seen + 1;
-    let k = row.Row.kind in
-    (* A task-starting row first closes the pending task. *)
-    if c.c_pending && (k = Row.k_estimate || k = Row.k_offload_begin) then
-      close_task t c;
-    let b = c.c_buf in
-    if b.blen >= Array.length b.brows then grow_buf b b.blen;
-    b.bts.(b.blen) <- ts;
-    copy_row b.brows.(b.blen) row;
-    b.blen <- b.blen + 1;
+    (* A task-starting event first closes the pending task. *)
+    (match ev with
+    | (Estimate _ | Offload_begin _) when c.c_pending -> close_task t c
+    | _ -> ());
+    c.c_buf <- (ts, ev) :: c.c_buf;
+    c.c_len <- c.c_len + 1;
     t.sp_live_rows <- t.sp_live_rows + 1;
     if t.sp_live_rows > t.sp_peak_rows then t.sp_peak_rows <- t.sp_live_rows;
     (* The fault-recovery machinery marks a task as faulted; a bare
        Replay (the admission-reject path's forced local run) does not —
        rejection under saturation is routine, and a replay that follows
        a real failure always rides with a rollback/fallback marker. *)
-    if
-      k = Row.k_fault_injected || k = Row.k_rpc_timeout || k = Row.k_retry
-      || k = Row.k_fallback_local || k = Row.k_rollback
-    then c.c_faulted <- true
-    else if
-      k = Row.k_checkpoint || k = Row.k_migrate_start
-      || k = Row.k_migrate_done
-    then c.c_migrated <- true;
-    if k = Row.k_offload_end && row.Row.f.(0) > c.c_latency then
-      c.c_latency <- row.Row.f.(0);
-    if k = Row.k_offload_end || k = Row.k_refusal || k = Row.k_reject then
-      c.c_pending <- true;
+    (match ev with
+    | Fault_injected _ | Rpc_timeout _ | Retry _ | Fallback_local _
+    | Rollback _ ->
+      c.c_faulted <- true
+    | Checkpoint _ | Migrate_start _ | Migrate_done _ -> c.c_migrated <- true
+    | Offload_end { span_s; _ } ->
+      if span_s > c.c_latency then c.c_latency <- span_s;
+      c.c_pending <- true
+    | Refusal _ | Reject _ -> c.c_pending <- true
+    | _ -> ());
     Selfprof.leave Sink_emit
 
   let cstate_of t ~client ~start_s =
@@ -1221,9 +1038,8 @@ module Sampler = struct
         {
           c_id = client;
           c_start = start_s;
-          c_buf = { bts = Array.make 32 0.0;
-                    brows = Array.init 32 (fun _ -> Row.create ());
-                    blen = 0 };
+          c_buf = [];
+          c_len = 0;
           c_task = 0;
           c_pending = false;
           c_faulted = false;
@@ -1239,11 +1055,11 @@ module Sampler = struct
      clients interleave on one timeline. *)
   let client_sink t ~client ~start_s : sink =
     let c = cstate_of t ~client ~start_s in
-    fun ~ts row -> observe_row t c ~ts:(c.c_start +. ts) row
+    fun ~ts ev -> observe t c ~ts:(c.c_start +. ts) ev
 
   (* A client's session ended: decide its trailing task now, so its
      buffer frees while the fleet is still running — peak resident
-     rows track *concurrent* sessions, not total clients. *)
+     events track *concurrent* sessions, not total clients. *)
   let close_client t ~client =
     match Hashtbl.find_opt t.sp_clients client with
     | Some c -> close_task t c
@@ -1325,12 +1141,14 @@ module Chrome = struct
     Buffer.add_char b '}';
     Buffer.contents b
 
+  (* An X event lasts what its kind charges ([latency]). *)
   let of_event (ts, ev) : string =
     let name = event_name ev in
     let ts = us ts in
+    let x ~tid = record ~name ~ph:"X" ~ts ~dur:(us (latency ev)) ~tid in
     match ev with
     | Flush { raw_bytes; wire_bytes; transfer_s; codec_s; _ } ->
-      record ~name ~ph:"X" ~ts ~dur:(us (transfer_s +. codec_s)) ~tid:net_tid
+      x ~tid:net_tid
         ~args:
           [
             ("raw_bytes", string_of_int raw_bytes);
@@ -1339,19 +1157,16 @@ module Chrome = struct
             ("codec_us", Printf.sprintf "%.3f" (us codec_s));
           ]
         ()
-    | Page_fault { page; service_s } ->
-      record ~name ~ph:"X" ~ts ~dur:(us service_s) ~tid:net_tid
-        ~args:[ ("page", string_of_int page) ]
-        ()
+    | Page_fault { page; _ } ->
+      x ~tid:net_tid ~args:[ ("page", string_of_int page) ] ()
     | Prefetch { pages; bytes } ->
       record ~name ~ph:"i" ~ts ~tid:net_tid
         ~args:
           [ ("pages", string_of_int pages); ("bytes", string_of_int bytes) ]
         ()
-    | Fnptr_translate { cost_s } ->
-      record ~name ~ph:"X" ~ts ~dur:(us cost_s) ~tid:net_tid ()
-    | Remote_io { request_bytes; response_bytes; cost_s; _ } ->
-      record ~name ~ph:"X" ~ts ~dur:(us cost_s) ~tid:net_tid
+    | Fnptr_translate _ -> x ~tid:net_tid ()
+    | Remote_io { request_bytes; response_bytes; _ } ->
+      x ~tid:net_tid
         ~args:
           [
             ("request_bytes", string_of_int request_bytes);
@@ -1394,12 +1209,8 @@ module Chrome = struct
       record ~name ~ph:"i" ~ts ~tid:net_tid
         ~args:[ ("op", json_string op) ]
         ()
-    | Rpc_timeout { op; attempt; waited_s } ->
-      record ~name ~ph:"X" ~ts ~dur:(us waited_s) ~tid:net_tid
-        ~args:[ ("op", json_string op); ("attempt", string_of_int attempt) ]
-        ()
-    | Retry { op; attempt; backoff_s } ->
-      record ~name ~ph:"X" ~ts ~dur:(us backoff_s) ~tid:net_tid
+    | Rpc_timeout { op; attempt; _ } | Retry { op; attempt; _ } ->
+      x ~tid:net_tid
         ~args:[ ("op", json_string op); ("attempt", string_of_int attempt) ]
         ()
     | Fallback_local { reason; recovery_s; _ } ->
@@ -1418,10 +1229,9 @@ module Chrome = struct
             ("bytes_discarded", string_of_int bytes_discarded);
           ]
         ()
-    | Replay { replay_s; _ } ->
-      record ~name ~ph:"X" ~ts ~dur:(us replay_s) ~tid:session_tid ()
-    | Queue { server; wait_s; depth; _ } ->
-      record ~name ~ph:"X" ~ts ~dur:(us wait_s) ~tid:session_tid
+    | Replay _ -> x ~tid:session_tid ()
+    | Queue { server; depth; _ } ->
+      x ~tid:session_tid
         ~args:
           [ ("server", string_of_int server);
             ("depth", string_of_int depth) ]
@@ -1453,8 +1263,8 @@ module Chrome = struct
             ("ledger_bytes", string_of_int ledger_bytes);
           ]
         ()
-    | Migrate_start { from_server; to_server; reason; transfer_s; _ } ->
-      record ~name ~ph:"X" ~ts ~dur:(us transfer_s) ~tid:net_tid
+    | Migrate_start { from_server; to_server; reason; _ } ->
+      x ~tid:net_tid
         ~args:
           [
             ("from_server", string_of_int from_server);

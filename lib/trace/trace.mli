@@ -109,121 +109,80 @@ type event =
       (** the migrated task resumed and completed on member [server];
           [resumed_span_s] is the remote span after resumption *)
 
-(** The scratch row, the only way an event enters a {!sink}: every
-    emitter fills a preallocated mutable row (ints, a flat float
-    array, shared strings — nothing a fill allocates) and hands it
-    over; the boxed {!event} is the decoded view, materialized only at
-    capture boundaries via {!Row.to_event}.  A row is valid only for
-    the duration of the sink call — sinks must copy what they keep. *)
+(** {1 What an event charges} *)
+
+val latency_names : string list
+(** The kinds that carry a latency, by telemetry name in histogram
+    slot order: offload-span, page-fault, flush, remote-io,
+    fnptr-translate, rpc-timeout, retry-backoff, replay, queue-wait,
+    migrate-transfer. *)
+
+val latency_slot : event -> int
+(** The event's index into {!latency_names}; -1 for kinds that carry
+    no latency. *)
+
+val latency : event -> float
+(** The time the event charges: a flush's transfer plus codec legs,
+    otherwise its one duration (span, service, cost, wait, backoff,
+    replay or migration transfer); NaN for kinds without one. *)
+
+val close_s : ts:float -> event -> float
+(** The instant the span of an event stamped [ts] closes: [ts] plus a
+    power segment's duration, a flush's transfer and codec legs, or
+    the span of a page fault, fn-ptr translation, remote I/O, RPC
+    timeout, retry backoff, replay, queue wait or migration transfer;
+    [ts] for every other kind.  A run ends at the latest close of its
+    events. *)
+
+(** {1 Sinks} *)
+
+type sink = ts:float -> event -> unit
+(** [ts] is simulated seconds; events that span time are stamped with
+    the {e start} of their span.  A sink may keep the event it is
+    handed: nothing mutates an event after emission. *)
+
+val null : sink
+(** Discards everything. *)
+
+val is_null : sink -> bool
+(** Physical check against {!null}, letting an emitter skip building
+    an event. *)
+
+val fan_out : sink list -> sink
+(** Emit to every sink in order; {!null} sinks are left out. *)
+
+val replay : sink -> (float * event) list -> unit
+(** Feed a captured stream to [sink], in order. *)
+
+val event_name : event -> string
+(** Short display name, e.g. ["flush:to-server"]. *)
+
+(** The raw-trace codec's slot view of an event: a row of generic
+    slots, one kind code per constructor, that {!Row.schema} names
+    field by field, so the jsonl encoder and decoder are walks over
+    one table. *)
 module Row : sig
   type t = {
-    mutable kind : int;  (** one of the [k_*] codes *)
+    mutable kind : int;  (** index into {!schema} *)
     mutable i1 : int;
     mutable i2 : int;
     mutable i3 : int;
     mutable i4 : int;
-    f : float array;  (** 2 slots, unboxed *)
+    f : float array;  (** 2 slots *)
     mutable s1 : string;
     mutable s2 : string;
   }
 
-  (** Kind codes, one per {!event} constructor. *)
-
-  val k_flush : int
-  val k_page_fault : int
-  val k_prefetch : int
-  val k_fnptr_translate : int
-  val k_remote_io : int
-  val k_offload_begin : int
-  val k_offload_end : int
-  val k_refusal : int
-  val k_power_state : int
-  val k_estimate : int
-  val k_module_load : int
-  val k_fault_injected : int
-  val k_rpc_timeout : int
-  val k_retry : int
-  val k_fallback_local : int
-  val k_rollback : int
-  val k_replay : int
-  val k_queue : int
-  val k_admit : int
-  val k_reject : int
-  val k_bw_sample : int
-  val k_checkpoint : int
-  val k_migrate_start : int
-  val k_migrate_done : int
-
   val create : unit -> t
 
-  (** Setters, the typed slot mapping (inverted exactly by
-      {!to_event}; {!schema} names the same slots for the wire).  Small
-      on purpose so the inliner keeps the float arguments unboxed. *)
-
-  val set_flush :
-    t -> direction:direction -> raw_bytes:int -> wire_bytes:int ->
-    transfer_s:float -> codec_s:float -> unit
-
-  val set_page_fault : t -> page:int -> service_s:float -> unit
-  val set_prefetch : t -> pages:int -> bytes:int -> unit
-  val set_fnptr_translate : t -> cost_s:float -> unit
-
-  val set_remote_io :
-    t -> io_name:string -> request_bytes:int -> response_bytes:int ->
-    cost_s:float -> unit
-
-  val set_offload_begin : t -> target:string -> unit
-
-  val set_offload_end :
-    t -> target:string -> dirty_pages:int -> span_s:float -> unit
-
-  val set_refusal : t -> target:string -> unit
-  val set_power_state : t -> state:string -> mw:float -> duration_s:float -> unit
-
-  val set_estimate :
-    t -> target:string -> predicted_gain_s:float -> local_s:float ->
-    decision:bool -> unit
-
-  val set_module_load : t -> role:string -> functions:int -> globals:int -> unit
-  val set_fault_injected : t -> kind:string -> op:string -> unit
-  val set_rpc_timeout : t -> op:string -> attempt:int -> waited_s:float -> unit
-  val set_retry : t -> op:string -> attempt:int -> backoff_s:float -> unit
-
-  val set_fallback_local :
-    t -> target:string -> reason:string -> recovery_s:float -> unit
-
-  val set_rollback :
-    t -> target:string -> pages_restored:int -> bytes_discarded:int -> unit
-
-  val set_replay : t -> target:string -> replay_s:float -> unit
-
-  val set_queue :
-    t -> target:string -> server:int -> wait_s:float -> depth:int -> unit
-
-  val set_admit :
-    t -> target:string -> server:int -> occupancy:int -> slot:int -> unit
-
-  val set_reject : t -> target:string -> server:int -> queue_depth:int -> unit
-  val set_bw_sample : t -> bps:float -> unit
-
-  val set_checkpoint :
-    t -> target:string -> pages:int -> image_bytes:int -> io_cursor:int ->
-    ledger_bytes:int -> unit
-
-  val set_migrate_start :
-    t -> target:string -> from_server:int -> to_server:int -> reason:string ->
-    transfer_s:float -> unit
-
-  val set_migrate_done :
-    t -> target:string -> server:int -> resumed_span_s:float -> unit
-
   val to_event : t -> event
-  (** Boxing boundary, the exact inverse of the setters.  Raises
-      [Invalid_argument] on an uninitialized row. *)
+  (** The event a filled row describes.  Raises [Invalid_argument] on
+      an uninitialized row. *)
 
   val of_event : t -> event -> unit
-  (** Fill the row from a boxed event — how a captured stream
-      re-enters a sink (see {!replay}). *)
+  (** Fill the row from an event: the exact inverse of {!to_event},
+      writing the slots {!schema} names for the event's kind and no
+      other. *)
 
   (** {2 The wire schema}
 
@@ -241,7 +200,7 @@ module Row : sig
 
   val schema : kind_schema array
   (** Indexed by kind code: a kind's wire name and fields, naming
-      exactly the slots its setter fills. *)
+      exactly the slots {!of_event} fills. *)
 
   val directions : direction array
 
@@ -249,58 +208,10 @@ module Row : sig
   val set_int_slot : t -> int -> int -> unit
   val string_slot : t -> int -> string
   val set_string_slot : t -> int -> string -> unit
-
-  val latency_names : string list
-  (** The kinds that carry a latency, by telemetry name in histogram
-      slot order: offload-span, page-fault, flush, remote-io,
-      fnptr-translate, rpc-timeout, retry-backoff, replay, queue-wait,
-      migrate-transfer. *)
-
-  val latency_slot : int -> int
-  (** Kind code -> index into {!latency_names}; -1 for kinds (or
-      out-of-range codes) that carry no latency. *)
-
-  val latency : t -> float
-  (** The row's latency sample (a flush's transfer plus codec legs,
-      otherwise the span in [f.(0)]); NaN for kinds without one. *)
-
-  val close_s : ts:float -> t -> float
-  (** The instant the span of a row stamped [ts] closes: [ts] plus a
-      power segment's duration, a flush's transfer and codec legs, or
-      the span of a page fault, fn-ptr translation, remote I/O, RPC
-      timeout, retry backoff, replay, queue wait or migration
-      transfer; [ts] for every other kind.  A run ends at the latest
-      close of its rows. *)
 end
 
-type sink = ts:float -> Row.t -> unit
-(** [ts] is simulated seconds; events that span time are stamped with
-    the {e start} of their span.  The row belongs to the emitter and is
-    only valid for the duration of the call. *)
-
-val null : sink
-(** Discards everything. *)
-
-val is_null : sink -> bool
-(** Physical check against {!null}, letting hot emitters skip filling
-    a row. *)
-
-val fan_out : sink list -> sink
-(** Emit to every sink in order; {!null} sinks are left out. *)
-
-val replay : sink -> (float * event) list -> unit
-(** Feed a captured stream to [sink] through one scratch row
-    ({!Row.of_event}). *)
-
-val zero_cost_row : Row.t -> unit
-(** Zero the charged-time fields of a flush row in place (ideal-mode
-    wrapper); other kinds pass through. *)
-
-val event_name : event -> string
-(** Short display name, e.g. ["flush:to-server"]. *)
-
-(** The fold of a run's rows into its totals.  A session folds every
-    row it emits into one of these, its ledger ([Session.ledger]), and
+(** The fold of a run's events into its totals.  A session folds every
+    event it emits into one of these, its ledger ([Session.ledger]), and
     fills its report from it. *)
 module Metrics : sig
   type t = {
@@ -313,8 +224,8 @@ module Metrics : sig
     mutable transfer_s : float;
     mutable codec_s : float;
     mutable comm_s : float;
-        (** charged communication time, in row order: transfer + codec
-            per flush, service per page fault *)
+        (** charged communication time, in emission order: transfer +
+            codec per flush, service per page fault *)
     mutable fault_count : int;
     mutable fault_s : float;
     mutable prefetched_pages : int;
@@ -355,7 +266,7 @@ module Metrics : sig
   val create : unit -> t
 
   val sink : t -> sink
-  (** Folds each row into the record in place, so the record is
+  (** Folds each event into the record in place, so the record is
       current at every read. *)
 
   val merge_into : into:t -> t -> unit
@@ -406,21 +317,22 @@ end
 (** Tail-based per-task sampler over the event spine.
 
     One shared sampler receives each client's stream through a
-    {!Sampler.client_sink} view, buffers rows per in-flight task
-    (copied into reusable scratch rows — dropped tasks never box), and
-    decides keep/drop at task completion: always keep faulted,
+    {!Sampler.client_sink} view, buffers each in-flight task's
+    (timestamp, event) pairs, and decides keep/drop at task
+    completion: always keep faulted,
     migrated, SLO-violating and top-latency-reservoir tasks, plus a
     seeded budget of the rest via the caller's [keep] closure.  Every
     decision is a pure function of stream content and seed — same
-    seed, same kept set — and kept traces are complete (every row of
-    the task, including its recovery/power epilogue). *)
+    seed, same kept set — and kept traces are complete (every event
+    of the task, including its recovery/power epilogue).  Its [rows]
+    counters count events. *)
 module Sampler : sig
   type t
 
   val create :
     ?reservoir:int ->
     ?slo_limit_s:float ->
-    ?exemplar:(ts:float -> kind:int -> value:float -> trace_id:string -> unit) ->
+    ?exemplar:(ts:float -> event -> trace_id:string -> unit) ->
     keep:(client:int -> task:int -> bool) ->
     unit ->
     t
@@ -428,9 +340,9 @@ module Sampler : sig
       that is always kept; [slo_limit_s] (default [infinity]) keeps
       any task whose offload span reaches it; [keep] is the seeded
       probabilistic leg — it must be stateless in (client, task), e.g.
-      [Rng.task_keep].  [exemplar] fires once per latency-bearing row
-      of each {e kept} task, so exemplars always reference retained
-      trace ids. *)
+      [Rng.task_keep].  [exemplar] fires once per latency-bearing
+      event of each {e kept} task, newest first, so exemplars always
+      reference retained trace ids. *)
 
   val client_sink : t -> client:int -> start_s:float -> sink
   (** The per-client door.  [start_s] re-stamps the client's local
@@ -438,7 +350,7 @@ module Sampler : sig
 
   val close_client : t -> client:int -> unit
   (** Decide [client]'s trailing in-flight task now — call when its
-      session completes, so peak resident rows track concurrent
+      session completes, so peak resident events track concurrent
       sessions rather than total clients. *)
 
   val flush : t -> unit
@@ -456,8 +368,8 @@ module Sampler : sig
       order. *)
 
   val kept_traces : t -> (string * (float * event) list) list
-  (** Kept tasks in decision order, each with its complete boxed
-      trace on the global clock. *)
+  (** Kept tasks in decision order, each with its complete trace on
+      the global clock. *)
 
   val kept_events : t -> (float * event) list
   (** All kept events merged onto one timeline (stable sort by
@@ -471,7 +383,7 @@ module Sampler : sig
   val rows_kept : t -> int
 
   val buffered_rows_peak : t -> int
-  (** High-water mark of rows resident in task buffers fleet-wide —
+  (** High-water mark of events resident in task buffers fleet-wide —
       the bounded-memory claim, measured. *)
 end
 

@@ -246,13 +246,32 @@ let test_sim_rerun_deterministic () =
   let ids () = Trace.Sampler.kept_ids (snd (run_with_sampler ~budget:0.05 ~seed:9L ())) in
   Alcotest.(check (list string)) "kept ids byte-identical" (ids ()) (ids ())
 
+let fleet_12 = lazy (snd (run_with_sampler ~count:12 ~budget:0.05 ~seed:3L ()))
+
 let test_peak_buffering_bounded () =
-  let _, sampler = run_with_sampler ~count:12 ~budget:0.05 ~seed:3L () in
+  let sampler = Lazy.force fleet_12 in
   let peak = Trace.Sampler.buffered_rows_peak sampler in
   let seen = Trace.Sampler.rows_seen sampler in
   Alcotest.(check bool)
     (Printf.sprintf "peak %d < total rows %d" peak seen)
     true (peak < seen)
+
+(* The same fleet's kept traces, byte for byte as a sampled raw-trace
+   file, with the counters that describe them. *)
+let test_kept_golden () =
+  let s = Lazy.force fleet_12 in
+  Alcotest.(check string) "kept traces MD5" "701cf23d4484f0094e364a501d7f7801"
+    (Digest.to_hex
+       (Digest.string
+          (Trace_file.to_string_traces (Trace.Sampler.kept_traces s))));
+  Alcotest.(check (list int)) "tasks, kept, rows seen, kept, peak"
+    [ 12; 5; 143; 101; 105 ]
+    Trace.Sampler.
+      [ tasks s; kept s; rows_seen s; rows_kept s; buffered_rows_peak s ];
+  Alcotest.(check (list (pair string int))) "reasons"
+    [ ("faulted", 3); ("migrated", 0); ("slo", 1); ("reservoir", 0);
+      ("budget", 1) ]
+    (Trace.Sampler.reasons s)
 
 (* {1 Histogram exemplars} *)
 
@@ -290,7 +309,8 @@ let test_series_exemplar_merges () =
   let series = Series.create () in
   Trace.replay (Series.sink series)
     [ (0.5, Trace.Page_fault { page = 1; service_s = 0.2 }) ];
-  Series.add_exemplar series ~ts:0.5 ~kind:Trace.Row.k_page_fault ~value:0.2
+  Series.add_exemplar series ~ts:0.5
+    (Trace.Page_fault { page = 1; service_s = 0.2 })
     ~trace_id:"c0-t0";
   let h = Series.kind_hist series "page-fault" in
   Alcotest.(check bool) "exemplar reaches the merged kind hist" true
@@ -342,7 +362,8 @@ let test_incident_still_firing () =
 let test_incident_exemplars_and_jsonl () =
   let objectives = slo_exn "p99(page-fault)<=50ms" in
   let series = outage_series ~heal:true in
-  Series.add_exemplar series ~ts:2.2 ~kind:Trace.Row.k_page_fault ~value:0.2
+  Series.add_exemplar series ~ts:2.2
+    (Trace.Page_fault { page = 1; service_s = 0.2 })
     ~trace_id:"c3-t1";
   (match Incident.detect objectives series with
   | [ i ] ->
@@ -481,6 +502,7 @@ let tests =
       test_sim_rerun_deterministic;
     Alcotest.test_case "sim: peak buffering bounded" `Quick
       test_peak_buffering_bounded;
+    Alcotest.test_case "sim: kept traces golden" `Quick test_kept_golden;
     Alcotest.test_case "hist: exemplar reservoir" `Quick
       test_hist_exemplar_reservoir;
     Alcotest.test_case "series: exemplar merges into kind hist" `Quick

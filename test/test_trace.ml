@@ -19,7 +19,7 @@ module Sim = No_sched.Sim
 
 let recording () =
   let log = ref [] in
-  let sink ~ts row = log := (ts, Trace.Row.to_event row) :: !log in
+  let sink ~ts ev = log := (ts, ev) :: !log in
   (sink, fun () -> List.rev !log)
 
 let some_flush =

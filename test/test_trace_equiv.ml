@@ -1,11 +1,11 @@
-(* What can still diverge on the one-door event spine (QCheck): a row
-   of every event kind, with any values in its fields, must come back
-   bit for bit through the boxed event and through a jsonl line, the
-   jsonl form of a hand-built stream is pinned verbatim, the loader
-   answers mutants of that file with [Ok] or [Error] only, and a
-   captured stream replayed through fresh sinks must rebuild the
-   Metrics and windowed Series the live run folded, bitwise — checked
-   on real workload runs under a fault plan. *)
+(* What can still diverge on the event spine (QCheck): a row of the
+   raw-trace codec's slot view, of every event kind and with any values
+   in its fields, must come back bit for bit through the event and
+   through a jsonl line, the jsonl form of a hand-built stream is
+   pinned verbatim, the loader answers mutants of that file with [Ok]
+   or [Error] only, and a captured stream replayed through fresh sinks
+   must rebuild the Metrics and windowed Series the live run folded,
+   bitwise — checked on real workload runs under a fault plan. *)
 
 module Trace = No_trace.Trace
 module Row = Trace.Row
@@ -372,9 +372,11 @@ let test_many_unknown_members () =
 
 (* {1 Replay = live, on real workloads under a fault plan}
 
-   The live run folds rows straight from the emitters; the capture is
-   the ring's boxed copy of the same stream, fed back through
-   [Trace.replay]. *)
+   The live run folds events as the emitters hand them over; the
+   capture is the ring's copy of the same stream, fed back through
+   [Trace.replay].  A sink that keeps every event it is handed, without
+   copying it, must hold exactly the ring's stream: no emitter changes
+   an event after handing it over. *)
 
 let chess_compiled =
   lazy
@@ -396,12 +398,14 @@ let check_replay seed =
   let ring = Trace.Ring.create () in
   let metrics = Trace.Metrics.create () in
   let series = Series.create () in
+  let kept = ref [] in
+  let keep ~ts ev = kept := (ts, ev) :: !kept in
   let config =
     { (Experiment.fast_config ()) with
       Session.trace =
         Trace.fan_out
           [ Trace.Ring.sink ring; Trace.Metrics.sink metrics;
-            Series.sink series ];
+            Series.sink series; keep ];
       Session.faults = Some plan }
   in
   let session =
@@ -412,6 +416,8 @@ let check_replay seed =
   ignore (Session.run session);
   Alcotest.(check int) "ring kept everything" 0 (Trace.Ring.dropped ring);
   let events = Trace.Ring.events ring in
+  Alcotest.(check bool) "kept events = ring bitwise" true
+    (bits (List.rev !kept) = bits events);
   let replayed = Trace.Metrics.create () in
   Trace.replay (Trace.Metrics.sink replayed) events;
   Alcotest.(check bool) "metrics replay bitwise" true
