@@ -970,6 +970,14 @@ let serve_cmd =
       Fmt.epr "need at least one server@.";
       exit 1
     end;
+    if queue < 0 then begin
+      Fmt.epr "--queue must be at least 0@.";
+      exit 1
+    end;
+    if not (Float.is_finite stagger && stagger >= 0.0) then begin
+      Fmt.epr "--stagger must be a finite number of seconds >= 0@.";
+      exit 1
+    end;
     let policy =
       match Pool.policy_of_string policy with
       | Some p -> p

@@ -12,17 +12,14 @@
 
 module Ir = No_ir.Ir
 module Arch = No_arch.Arch
-module Layout = No_arch.Layout
 module Validate = No_ir.Validate
-module Host = No_exec.Host
 module Interp = No_exec.Interp
-module Console = No_exec.Console
-module Fs = No_exec.Fs
 module Profiler = No_profiler.Profiler
 module Filter = No_analysis.Filter
 module Static_estimate = No_estimator.Static_estimate
 module Pipeline = No_transform.Pipeline
 module Session = No_runtime.Session
+module Local_run = No_runtime.Local_run
 
 type compiled = {
   c_original : Ir.modul;
@@ -36,18 +33,10 @@ type compiled = {
 
 exception No_profitable_target of string
 
-(* Run the unmodified module on a simulated mobile device under the
-   profiler. *)
-let profile ?(arch = Arch.arm32) ~script ~files (m : Ir.modul) :
-    Profiler.sample list =
-  let structs name = Ir.find_struct_exn m name in
-  let layout = Layout.env_of_arch arch ~structs in
-  let console = Console.create ~script () in
-  let fs = Fs.create () in
-  List.iter (fun (name, data) -> Fs.add_file fs name data) files;
-  let host =
-    Host.create ~arch ~role:Host.Mobile ~modul:m ~layout ~console ~fs ()
-  in
+(* Run the unmodified module on a simulated mobile device, the host a
+   local run uses, under the profiler. *)
+let profile ?arch ~script ~files (m : Ir.modul) : Profiler.sample list =
+  let host = Local_run.host ?arch ~script ~files m in
   let profiler = Profiler.attach host in
   ignore (Interp.run_main host);
   Profiler.detach profiler;

@@ -14,13 +14,8 @@
    Absolute numbers are simulated (see the sim scales in No_arch.Arch
    and No_netsim.Link); the shapes are what reproduces the paper. *)
 
-module Ir = No_ir.Ir
 module Arch = No_arch.Arch
-module Layout = No_arch.Layout
 module Link = No_netsim.Link
-module Host = No_exec.Host
-module Interp = No_exec.Interp
-module Console = No_exec.Console
 module Profiler = No_profiler.Profiler
 module Static_estimate = No_estimator.Static_estimate
 module Pipeline = No_transform.Pipeline
@@ -34,21 +29,13 @@ module Related_systems = No_corpus.Related_systems
 
 (* {1 Table 1 — chess on two machines} *)
 
+(* Time only the AI movement computation, as Table 1 does. *)
 let chess_time_on (arch : Arch.t) ~depth : float =
-  let m = Chess.build () in
-  let structs name = Ir.find_struct_exn m name in
-  let layout = Layout.env_of_arch arch ~structs in
-  let console =
-    Console.create ~script:(Chess.script ~depth ~turns:1) ()
-  in
-  let host = Host.create ~arch ~role:Host.Mobile ~modul:m ~layout ~console () in
-  (* Time only the AI movement computation, as Table 1 does. *)
-  let profiler = Profiler.attach host in
-  ignore (Interp.run_main host);
-  Profiler.detach profiler;
   match
-    Profiler.find_sample (Profiler.results profiler) ~kind:Profiler.Func
-      ~name:"getAITurn"
+    Profiler.find_sample
+      (Compiler.profile ~arch ~script:(Chess.script ~depth ~turns:1) ~files:[]
+         (Chess.build ()))
+      ~kind:Profiler.Func ~name:"getAITurn"
   with
   | Some s -> s.Profiler.s_time
   | None -> invalid_arg "Evaluation.chess_time_on: getAITurn not profiled"

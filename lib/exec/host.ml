@@ -481,25 +481,3 @@ let global_addr host name =
   | None -> invalid_arg (Printf.sprintf "Host.global_addr: %s" name)
 
 let compiled host name = Hashtbl.find_opt host.code name
-
-(* {1 Endianness-aware scalar memory access at native widths}
-
-   Little-endian hosts hit the word-width slab path in [Memory];
-   big-endian ones go through [Scalar]'s byte loop (the closure there
-   is off the dominant path — the reference archs are all LE). *)
-
-let load_bits host addr nbytes =
-  match host.arch.Arch.endianness with
-  | Arch.Little -> Memory.load_le host.mem addr nbytes
-  | Arch.Big ->
-    No_mem.Scalar.load_int Arch.Big
-      ~read_byte:(fun a -> Memory.read_byte host.mem a)
-      addr nbytes
-
-let store_bits host addr nbytes bits =
-  match host.arch.Arch.endianness with
-  | Arch.Little -> Memory.store_le host.mem addr nbytes bits
-  | Arch.Big ->
-    No_mem.Scalar.store_int Arch.Big
-      ~write_byte:(fun a b -> Memory.write_byte host.mem a b)
-      addr nbytes bits

@@ -354,10 +354,10 @@ and run_blocks frame idx : Value.t =
     | Host.I_load (d, a, n, sg, f32) ->
       let p = addr s a in
       (* A little-endian host reads a word inside one page straight off
-         the slab: [load_base] performs [Memory.load_le]'s checks,
-         touch, translation and fault service, and hands back an offset
-         instead of a boxed word.  Page-straddling words and big-endian
-         hosts take [Host.load_bits]. *)
+         the slab: [load_base] performs the checks, touch, translation
+         and fault service, and hands back an offset instead of a boxed
+         word.  Page-straddling words and big-endian hosts take
+         [Memory.load_word]. *)
       let mem = host.Host.mem in
       let base = if little then Memory.load_base mem p n else -1 in
       let x =
@@ -370,7 +370,7 @@ and run_blocks frame idx : Value.t =
               lor (Bytes.get_uint16_le mem.Memory.slab (base + 2) lsl 16))
           | 2 -> Int64.of_int (Bytes.get_uint16_le mem.Memory.slab base)
           | _ -> Int64.of_int (Bytes.get_uint8 mem.Memory.slab base)
-        else Host.load_bits host p n
+        else Memory.load_word mem host.Host.arch.Arch.endianness p n
       in
       if f32 then Array.unsafe_set s d (Int32.float_of_bits (Int64.to_int32 x))
       else set_bits s d (Int64.shift_right (Int64.shift_left x sg) sg)
@@ -391,7 +391,7 @@ and run_blocks frame idx : Value.t =
           Bytes.set_uint16_le mem.Memory.slab (base + 2) ((w lsr 16) land 0xffff)
         | 2 -> Bytes.set_uint16_le mem.Memory.slab base (Int64.to_int x land 0xffff)
         | _ -> Bytes.set_uint8 mem.Memory.slab base (Int64.to_int x land 0xff)
-      else Host.store_bits host p n x
+      else Memory.store_word mem host.Host.arch.Arch.endianness p n x
     | Host.I_alloca (d, size, align) ->
       set_bits s d (Int64.of_int (Stack_alloc.alloc host.Host.stack size align))
     | Host.I_gep (d, base, const, dyn) ->

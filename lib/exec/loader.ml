@@ -29,7 +29,7 @@ let assign_addresses (layout : Layout.env) ~base (globals : Ir.global list) :
 let rec write_init ~(layout : Layout.env) ~(endianness : Arch.endianness)
     ~(write_byte : int -> int -> unit) ~(fn_addr : string -> int) ~addr
     (ty : Ty.t) (init : Ir.const_init) : unit =
-  let store_bits nbytes bits =
+  let store nbytes bits =
     No_mem.Scalar.store_int endianness ~write_byte addr nbytes bits
   in
   match init with
@@ -38,11 +38,11 @@ let rec write_init ~(layout : Layout.env) ~(endianness : Arch.endianness)
     for i = 0 to size - 1 do
       write_byte (addr + i) 0
     done
-  | Ir.Int_init (v, ity) -> store_bits (Layout.size_of layout ity) v
+  | Ir.Int_init (v, ity) -> store (Layout.size_of layout ity) v
   | Ir.Float_init (v, fty) ->
     let f32 = Ty.equal fty Ty.F32 in
-    store_bits (Layout.size_of layout fty) (No_mem.Scalar.float_to_bits ~f32 v)
-  | Ir.Fn_init name -> store_bits layout.Layout.ptr_bytes (Int64.of_int (fn_addr name))
+    store (Layout.size_of layout fty) (No_mem.Scalar.float_to_bits ~f32 v)
+  | Ir.Fn_init name -> store layout.Layout.ptr_bytes (Int64.of_int (fn_addr name))
   | Ir.String_init s ->
     String.iteri (fun i c -> write_byte (addr + i) (Char.code c)) s;
     write_byte (addr + String.length s) 0

@@ -49,7 +49,8 @@ let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
 let parse_float ~what s =
   match float_of_string_opt (String.trim s) with
-  | Some v -> Ok v
+  | Some v when Float.is_finite v -> Ok v
+  | Some _ -> Error (Printf.sprintf "%s: not a finite number (%S)" what s)
   | None -> Error (Printf.sprintf "%s: not a number (%S)" what s)
 
 let parse_time ~what s =

@@ -45,6 +45,26 @@ type castop =
   | Ptr_to_int
   | Int_to_ptr
 
+(* Each opcode's name in the textual IR, one table per family: the
+   printer and the parser both read these. *)
+let binop_names =
+  [ (Add, "add"); (Sub, "sub"); (Mul, "mul"); (Sdiv, "sdiv");
+    (Udiv, "udiv"); (Srem, "srem"); (Urem, "urem"); (And, "and");
+    (Or, "or"); (Xor, "xor"); (Shl, "shl"); (Lshr, "lshr");
+    (Ashr, "ashr"); (Fadd, "fadd"); (Fsub, "fsub"); (Fmul, "fmul");
+    (Fdiv, "fdiv") ]
+
+let cmpop_names =
+  [ (Eq, "eq"); (Ne, "ne"); (Slt, "slt"); (Sle, "sle"); (Sgt, "sgt");
+    (Sge, "sge"); (Ult, "ult"); (Ule, "ule"); (Ugt, "ugt"); (Uge, "uge");
+    (Feq, "feq"); (Fne, "fne"); (Flt, "flt"); (Fle, "fle"); (Fgt, "fgt");
+    (Fge, "fge") ]
+
+let castop_names =
+  [ (Zext, "zext"); (Sext, "sext"); (Trunc, "trunc"); (Bitcast, "bitcast");
+    (Fp_to_si, "fptosi"); (Si_to_fp, "sitofp"); (Fp_ext, "fpext");
+    (Fp_trunc, "fptrunc"); (Ptr_to_int, "ptrtoint"); (Int_to_ptr, "inttoptr") ]
+
 type gep_index =
   | Field of string             (* struct field by name *)
   | Index of operand            (* array element *)

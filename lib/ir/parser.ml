@@ -246,34 +246,9 @@ let parse_operand c : Ir.operand =
 
 (* {1 Rvalues and instructions} *)
 
-let binop_of_name = function
-  | "add" -> Some Ir.Add | "sub" -> Some Ir.Sub | "mul" -> Some Ir.Mul
-  | "sdiv" -> Some Ir.Sdiv | "udiv" -> Some Ir.Udiv
-  | "srem" -> Some Ir.Srem | "urem" -> Some Ir.Urem
-  | "and" -> Some Ir.And | "or" -> Some Ir.Or | "xor" -> Some Ir.Xor
-  | "shl" -> Some Ir.Shl | "lshr" -> Some Ir.Lshr | "ashr" -> Some Ir.Ashr
-  | "fadd" -> Some Ir.Fadd | "fsub" -> Some Ir.Fsub | "fmul" -> Some Ir.Fmul
-  | "fdiv" -> Some Ir.Fdiv
-  | _ -> None
-
-let cmpop_of_name = function
-  | "eq" -> Some Ir.Eq | "ne" -> Some Ir.Ne
-  | "slt" -> Some Ir.Slt | "sle" -> Some Ir.Sle
-  | "sgt" -> Some Ir.Sgt | "sge" -> Some Ir.Sge
-  | "ult" -> Some Ir.Ult | "ule" -> Some Ir.Ule
-  | "ugt" -> Some Ir.Ugt | "uge" -> Some Ir.Uge
-  | "feq" -> Some Ir.Feq | "fne" -> Some Ir.Fne
-  | "flt" -> Some Ir.Flt | "fle" -> Some Ir.Fle
-  | "fgt" -> Some Ir.Fgt | "fge" -> Some Ir.Fge
-  | _ -> None
-
-let castop_of_name = function
-  | "zext" -> Some Ir.Zext | "sext" -> Some Ir.Sext
-  | "trunc" -> Some Ir.Trunc | "bitcast" -> Some Ir.Bitcast
-  | "fptosi" -> Some Ir.Fp_to_si | "sitofp" -> Some Ir.Si_to_fp
-  | "fpext" -> Some Ir.Fp_ext | "fptrunc" -> Some Ir.Fp_trunc
-  | "ptrtoint" -> Some Ir.Ptr_to_int | "inttoptr" -> Some Ir.Int_to_ptr
-  | _ -> None
+(* The opcode of [name] in one of [Ir]'s name tables. *)
+let op_of_name names name =
+  List.find_map (fun (op, n) -> if n = name then Some op else None) names
 
 let parse_args c =
   expect c "(";
@@ -308,7 +283,7 @@ let parse_rvalue c : Ir.rvalue =
   | "cmp" ->
     let opname = ident c in
     let op =
-      match cmpop_of_name opname with
+      match op_of_name Ir.cmpop_names opname with
       | Some op -> op
       | None -> fail c.line "unknown compare %s" opname
     in
@@ -354,14 +329,14 @@ let parse_rvalue c : Ir.rvalue =
   | "m2sFcnMap" -> Ir.Fn_map (Ir.Mobile_to_server, parse_operand c)
   | "s2mFcnMap" -> Ir.Fn_map (Ir.Server_to_mobile, parse_operand c)
   | other -> (
-    match binop_of_name other with
+    match op_of_name Ir.binop_names other with
     | Some op ->
       let a = parse_operand c in
       expect c ",";
       let b = parse_operand c in
       Ir.Bin (op, a, b)
     | None -> (
-      match castop_of_name other with
+      match op_of_name Ir.castop_names other with
       | Some op ->
         let src = parse_ty c in
         let a = parse_operand c in

@@ -12,26 +12,6 @@ let pp_operand ppf op =
   | Global name -> Fmt.pf ppf "@%s" name
   | Fn_addr name -> Fmt.pf ppf "&%s" name
 
-let binop_name = function
-  | Add -> "add" | Sub -> "sub" | Mul -> "mul"
-  | Sdiv -> "sdiv" | Udiv -> "udiv" | Srem -> "srem" | Urem -> "urem"
-  | And -> "and" | Or -> "or" | Xor -> "xor"
-  | Shl -> "shl" | Lshr -> "lshr" | Ashr -> "ashr"
-  | Fadd -> "fadd" | Fsub -> "fsub" | Fmul -> "fmul" | Fdiv -> "fdiv"
-
-let cmpop_name = function
-  | Eq -> "eq" | Ne -> "ne"
-  | Slt -> "slt" | Sle -> "sle" | Sgt -> "sgt" | Sge -> "sge"
-  | Ult -> "ult" | Ule -> "ule" | Ugt -> "ugt" | Uge -> "uge"
-  | Feq -> "feq" | Fne -> "fne" | Flt -> "flt" | Fle -> "fle"
-  | Fgt -> "fgt" | Fge -> "fge"
-
-let castop_name = function
-  | Zext -> "zext" | Sext -> "sext" | Trunc -> "trunc"
-  | Bitcast -> "bitcast" | Fp_to_si -> "fptosi" | Si_to_fp -> "sitofp"
-  | Fp_ext -> "fpext" | Fp_trunc -> "fptrunc"
-  | Ptr_to_int -> "ptrtoint" | Int_to_ptr -> "inttoptr"
-
 let pp_gep_index ppf = function
   | Field name -> Fmt.pf ppf ".%s" name
   | Index op -> Fmt.pf ppf "[%a]" pp_operand op
@@ -39,12 +19,14 @@ let pp_gep_index ppf = function
 let pp_rvalue ppf rv =
   match rv with
   | Bin (op, a, b) ->
-    Fmt.pf ppf "%s %a, %a" (binop_name op) pp_operand a pp_operand b
+    Fmt.pf ppf "%s %a, %a" (List.assoc op binop_names) pp_operand a
+      pp_operand b
   | Cmp (op, a, b) ->
-    Fmt.pf ppf "cmp %s %a, %a" (cmpop_name op) pp_operand a pp_operand b
+    Fmt.pf ppf "cmp %s %a, %a" (List.assoc op cmpop_names) pp_operand a
+      pp_operand b
   | Cast (op, src, a, ty) ->
-    Fmt.pf ppf "%s %a %a to %a" (castop_name op) Ty.pp src pp_operand a Ty.pp
-      ty
+    Fmt.pf ppf "%s %a %a to %a" (List.assoc op castop_names) Ty.pp src
+      pp_operand a Ty.pp ty
   | Select (c, a, b) ->
     Fmt.pf ppf "select %a, %a, %a" pp_operand c pp_operand a pp_operand b
   | Load (ty, a) -> Fmt.pf ppf "load %a, %a" Ty.pp ty pp_operand a

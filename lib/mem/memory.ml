@@ -36,7 +36,6 @@ type t = {
   mutable track_dirty : bool;
   mutable on_touch : (int -> unit) option;
       (* profiler hook: called once per page each access covers *)
-  mutable fault_count : int;
 }
 
 (* Fleet runs create two memories per client, most touching a handful
@@ -58,7 +57,6 @@ let create role =
     track_dirty = false;
     on_fault = None;
     on_touch = None;
-    fault_count = 0;
   }
 
 (* Frame offsets are stable across growth: the old prefix is blitted
@@ -127,7 +125,6 @@ let frame_off t page =
       Hashtbl.replace t.table page f;
       off
     | Remote -> (
-      t.fault_count <- t.fault_count + 1;
       match t.on_fault with
       | Some handler -> (
         handler t page;
@@ -191,91 +188,23 @@ let write_byte t addr v =
   touch t (Region.page_of_addr addr);
   set_byte t addr v
 
-(* Word-width scalar access, the interpreter's hot path.
-
-   The fast path applies when the access stays inside one page: one
-   region check (regions are page-aligned, so every byte of a same-page
-   word shares the first byte's region), one touch, one TLB
-   translation, one unaligned word read or write on the slab, and at
-   most one dirty mark.  A word that crosses a page boundary checks
-   both ends' regions, reports both pages, then goes through
-   [Scalar]'s byte loop.
-
-   The byte order is always little-endian (the unified order);
-   big-endian hosts go through the [Scalar] path in [Host]. *)
+(* Word-width scalar access has two paths.  The interpreter's fast
+   path admits a little-endian word that stays inside one page and
+   moves it with one unaligned word access on the slab; regions are
+   page-aligned, so one region check covers every byte of such a word.
+   Every other word, one that crosses a page on any host and every word
+   on a big-endian host, takes [load_word]/[store_word]. *)
 
 let page_limit = Region.page_size
-
-(* A word spans at most two pages, so its ends' regions cover it. *)
-let check_and_touch_span t addr nbytes =
-  let last = addr + nbytes - 1 in
-  check_mapped addr;
-  check_mapped last;
-  match t.on_touch with
-  | Some callback ->
-    for page = Region.page_of_addr addr to Region.page_of_addr last do
-      callback page
-    done
-  | None -> ()
-
-let load_le t addr nbytes =
-  let in_page = Region.offset_in_page addr in
-  if in_page + nbytes <= page_limit then begin
-    check_mapped addr;
-    let page = Region.page_of_addr addr in
-    touch t page;
-    let base = page_off t page lor in_page in
-    match nbytes with
-    | 8 -> Bytes.get_int64_le t.slab base
-    | 4 ->
-      Int64.of_int
-        (Bytes.get_uint16_le t.slab base
-        lor (Bytes.get_uint16_le t.slab (base + 2) lsl 16))
-    | 2 -> Int64.of_int (Bytes.get_uint16_le t.slab base)
-    | 1 -> Int64.of_int (Bytes.get_uint8 t.slab base)
-    | _ ->
-      Scalar.load_int No_arch.Arch.Little ~read_byte:(get_byte t) addr nbytes
-  end
-  else begin
-    check_and_touch_span t addr nbytes;
-    Scalar.load_int No_arch.Arch.Little ~read_byte:(get_byte t) addr nbytes
-  end
-
-let store_le t addr nbytes value =
-  let in_page = Region.offset_in_page addr in
-  if in_page + nbytes <= page_limit then begin
-    check_mapped addr;
-    let page = Region.page_of_addr addr in
-    touch t page;
-    let base = page_off t page lor in_page in
-    (match nbytes with
-    | 8 -> Bytes.set_int64_le t.slab base value
-    | 4 ->
-      let v = Int64.to_int value in
-      Bytes.set_uint16_le t.slab base (v land 0xffff);
-      Bytes.set_uint16_le t.slab (base + 2) ((v lsr 16) land 0xffff)
-    | 2 -> Bytes.set_uint16_le t.slab base (Int64.to_int value land 0xffff)
-    | 1 -> Bytes.set_uint8 t.slab base (Int64.to_int value land 0xff)
-    | _ ->
-      Scalar.store_int No_arch.Arch.Little ~write_byte:(set_byte t) addr
-        nbytes value);
-    if t.track_dirty then mark_dirty t page
-  end
-  else begin
-    check_and_touch_span t addr nbytes;
-    Scalar.store_int No_arch.Arch.Little ~write_byte:(set_byte t) addr nbytes
-      value
-  end
 
 (* Fast-path admission for callers that access the slab directly (the
    interpreter's loads and stores, which must not box an int64 across a
    function return): the byte offset of [addr]'s word in [slab] when
-   the [nbytes] access stays inside one page — performing the same
-   region check, touch, TLB translation and fault service as
-   [load_le]/[store_le] — or -1, having done none of them, when the
-   caller must take the [load_le]/[store_le] slow path.  [store_base]
-   also marks the page dirty (bookkeeping only; the order relative to
-   the write is unobservable). *)
+   the [nbytes] access stays inside one page — after the region check,
+   touch, TLB translation and fault service — or -1, having done none
+   of them, when the caller must take [load_word]/[store_word].
+   [store_base] also marks the page dirty (bookkeeping only; the order
+   relative to the write is unobservable). *)
 
 let load_base t addr nbytes =
   let in_page = Region.offset_in_page addr in
@@ -298,6 +227,30 @@ let store_base t addr nbytes =
     base
   end
   else -1
+
+(* The slow path.  A word spans at most two pages, so its ends' regions
+   cover it: both are checked, and each page reported to the touch
+   hook, before any byte moves.  The bytes then go through [Scalar]'s
+   loop in the given order, which also fixes the order in which the
+   pages are translated and faulted. *)
+let check_and_touch_span t addr nbytes =
+  let last = addr + nbytes - 1 in
+  check_mapped addr;
+  check_mapped last;
+  match t.on_touch with
+  | Some callback ->
+    for page = Region.page_of_addr addr to Region.page_of_addr last do
+      callback page
+    done
+  | None -> ()
+
+let load_word t endianness addr nbytes =
+  check_and_touch_span t addr nbytes;
+  Scalar.load_int endianness ~read_byte:(get_byte t) addr nbytes
+
+let store_word t endianness addr nbytes value =
+  check_and_touch_span t addr nbytes;
+  Scalar.store_int endianness ~write_byte:(set_byte t) addr nbytes value
 
 (* Bulk transfer helpers used by memcpy/memset builtins and by the
    communication manager: one touch and one blit per page segment,

@@ -36,7 +36,6 @@ type t = {
   mutable on_touch : (int -> unit) option;
       (** profiler hook: called once per page per access, with each
           page the accessed bytes cover, in ascending order *)
-  mutable fault_count : int;
 }
 
 val create : role -> t
@@ -51,29 +50,30 @@ val drop_page : t -> int -> unit
 val read_byte : t -> int -> int
 val write_byte : t -> int -> int -> unit
 
-val load_le : t -> int -> int -> int64
-(** [load_le t addr nbytes] reads an [nbytes]-wide little-endian
-    scalar ([nbytes] ≤ 8; the result's high bits are zero).
-    Equivalent to [Scalar.load_int Little] over [read_byte] — same
-    faults — but a single word access on the slab when the word stays
-    inside one page. *)
-
-val store_le : t -> int -> int -> int64 -> unit
-(** [store_le t addr nbytes v] writes the low [nbytes] bytes of [v]
-    little-endian; the word-access twin of
-    [Scalar.store_int Little]. *)
-
 val load_base : t -> int -> int -> int
 (** [load_base t addr nbytes] admits a direct slab access: the byte
-    offset of the word in [slab] (after the same region check, TLB
-    translation and fault service [load_le] performs), or [-1] when
-    the access crosses a page and the caller must use [load_le]; [-1]
-    is returned before any check, touch or fault.  Lets the
-    interpreter read words without boxing an int64 across a function
+    offset of the word in [slab], after the region check, TLB
+    translation and fault service, when the [nbytes] access stays
+    inside one page; otherwise [-1], before any check, touch or fault,
+    and the caller uses {!load_word}.  Lets the interpreter read
+    little-endian words without boxing an int64 across a function
     boundary. *)
 
 val store_base : t -> int -> int -> int
 (** Store twin of [load_base]; also marks the page dirty. *)
+
+val load_word : t -> No_arch.Arch.endianness -> int -> int -> int64
+(** [load_word t endianness addr nbytes] reads an [nbytes]-wide scalar
+    in [endianness] byte order ([nbytes] ≤ 8; the result's high bits
+    are zero): the one path for every word [load_base] does not admit.
+    Both ends' regions are checked, and each covered page touched once
+    in ascending order, before any byte is read; the bytes are then
+    read as [Scalar.load_int] reads them. *)
+
+val store_word : t -> No_arch.Arch.endianness -> int -> int -> int64 -> unit
+(** [store_word t endianness addr nbytes v] writes the low [nbytes]
+    bytes of [v] in [endianness] byte order, with [load_word]'s checks
+    and touches before any byte is written. *)
 
 val read_block : t -> int -> int -> Bytes.t
 val write_block : t -> int -> Bytes.t -> unit

@@ -161,7 +161,7 @@ let of_run ?series (m : Trace.Metrics.t) : string =
           sample ~labels:[ ("kind", kind) ] "offload_latency_seconds_count"
             (float_of_int (Hist.count h))
         end)
-      Series.latency_kinds;
+      Trace.latency_names;
     (* Exemplar-bearing histogram family: only emitted when the trace
        sampler attached exemplars, so an unsampled run's exposition is
        byte-identical to what it was before exemplars existed.  Fixed
@@ -184,7 +184,7 @@ let of_run ?series (m : Trace.Metrics.t) : string =
         (fun kind ->
           let h = Series.kind_hist series kind in
           match Hist.exemplars h with [] -> None | exs -> Some (kind, h, exs))
-        Series.latency_kinds
+        Trace.latency_names
     in
     if kinds_with_exemplars <> [] then begin
       family "offload_latency_seconds_hist" "histogram"

@@ -22,16 +22,11 @@ module Trace = No_trace.Trace
 
 let default_window_s = 1.0
 
-(* The latency-bearing kinds' names, in histogram-slot order: the
-   stable telemetry vocabulary (OpenMetrics label values, SLO grammar
-   kinds).  The event -> slot mapping lives in [Trace]. *)
-let latency_kinds = Trace.latency_names
-
 type window = {
   w_index : int;
   w_start_s : float;
   w_metrics : Trace.Metrics.t;
-  w_hists : (string * Hist.t) list;      (* latency_kinds order *)
+  w_hists : (string * Hist.t) list;      (* Trace.latency_names order *)
   mutable w_peak_queue_depth : int;
   mutable w_peak_occupancy : int;
   mutable w_server_peaks : (int * int) list;
@@ -41,8 +36,8 @@ type window = {
 }
 
 (* A window plus its latency histograms as an array, indexed in
-   [latency_kinds] order so the per-event charge is one array read
-   instead of an assoc walk.  The array aliases the same [Hist.t]
+   [Trace.latency_names] order so the per-event charge is one array
+   read instead of an assoc walk.  The array aliases the same [Hist.t]
    values as the public [w_hists] list. *)
 type slot = { sw : window; s_harr : Hist.t array }
 
@@ -70,7 +65,9 @@ let window_s t = t.window_s
 let duration_s t = t.end_s
 
 let fresh_slot t index =
-  let hists = List.map (fun name -> (name, Hist.create ())) latency_kinds in
+  let hists =
+    List.map (fun name -> (name, Hist.create ())) Trace.latency_names
+  in
   {
     sw =
       {

@@ -15,20 +15,12 @@
 val default_window_s : float
 (** 1.0 simulated second. *)
 
-val latency_kinds : string list
-(** The latency-bearing event kinds, by name in histogram order:
-    offload-span, page-fault, flush, remote-io, fnptr-translate,
-    rpc-timeout, retry-backoff, replay, queue-wait, migrate-transfer.
-    The names are the stable telemetry vocabulary shared by the
-    windowed histograms, the SLO grammar and the OpenMetrics
-    exposition; {!No_trace.Trace.latency_slot} maps events onto
-    them. *)
-
 type window = {
   w_index : int;
   w_start_s : float;
   w_metrics : No_trace.Trace.Metrics.t;
-  w_hists : (string * Hist.t) list;  (** {!latency_kinds} order *)
+  w_hists : (string * Hist.t) list;
+      (** {!No_trace.Trace.latency_names} order *)
   mutable w_peak_queue_depth : int;
   mutable w_peak_occupancy : int;
   mutable w_server_peaks : (int * int) list;
@@ -73,5 +65,5 @@ val totals : t -> No_trace.Trace.Metrics.t
     partner of an independent end-of-run metrics sink. *)
 
 val kind_hist : t -> string -> Hist.t
-(** Merge of one {!latency_kinds} histogram across all windows; empty
-    histogram for unknown names. *)
+(** Merge of one {!No_trace.Trace.latency_names} histogram across all
+    windows; empty histogram for unknown names. *)

@@ -74,7 +74,7 @@ let kind_of_string s =
   let key = normalize s in
   List.find_opt
     (fun name -> String.equal (normalize name) key)
-    Series.latency_kinds
+    Trace.latency_names
 
 let counters : (string * (Trace.Metrics.t -> int)) list =
   [

@@ -133,7 +133,8 @@ let plain events =
    and the incident timeline reference, so `analyze` can link an
    aggregate back to a concrete kept task.  Old readers that ignore
    unknown fields still load the stream.  The traces merge into one
-   time-ordered stream. *)
+   time-ordered stream by a stable sort: ties keep decision order, so
+   seeded reruns serialize byte-identically. *)
 let kept traces =
   let tagged =
     List.concat_map

@@ -23,23 +23,28 @@ type report = {
   lr_instrs : int;
 }
 
-let run ?(arch = Arch.arm32) ?(script = []) ?(files = [])
-    ?(fast_radio = true) (m : Ir.modul) : report =
+(* The untransformed module on a mobile device of [arch] under its
+   native layout, with [script] as console input and [files] in its
+   file system: the host a local run and the compiler's profiling run
+   both execute. *)
+let host ?(arch = Arch.arm32) ?(script = []) ?(files = []) (m : Ir.modul) :
+    Host.t =
   let structs name = Ir.find_struct_exn m name in
   let layout = Layout.env_of_arch arch ~structs in
-  let console = Console.create ~script () in
   let fs = Fs.create () in
   List.iter (fun (name, data) -> Fs.add_file fs name data) files;
-  let host =
-    Host.create ~arch ~role:Host.Mobile ~modul:m ~layout ~console ~fs ()
-  in
+  Host.create ~arch ~role:Host.Mobile ~modul:m ~layout
+    ~console:(Console.create ~script ()) ~fs ()
+
+let run ?arch ?script ?files ?(fast_radio = true) (m : Ir.modul) : report =
+  let host = host ?arch ?script ?files m in
   let battery = Battery.create (Power_model.galaxy_s5 ~fast_radio) in
   let result = Interp.run_main host in
   Battery.spend battery ~from_s:0.0 ~to_s:host.Host.clock.Host.now
     Power_model.Computing;
   {
     lr_result = result;
-    lr_console = Console.contents console;
+    lr_console = Console.contents host.Host.console;
     lr_total_s = host.Host.clock.Host.now;
     lr_energy_mj = Battery.energy_mj battery;
     lr_instrs = host.Host.instr_count;

@@ -22,7 +22,6 @@ module Arch = No_arch.Arch
 module Layout = No_arch.Layout
 module Memory = No_mem.Memory
 module Region = No_mem.Region
-module Scalar = No_mem.Scalar
 module Uva = No_mem.Uva
 module Stack_alloc = No_mem.Stack_alloc
 module Link = No_netsim.Link
@@ -613,14 +612,8 @@ let sync_uva_slots t =
       let slot = Global_realloc.slot_name g.Ir.g_name in
       let mob_addr = Host.global_addr t.mobile slot in
       let srv_addr = Host.global_addr t.server slot in
-      let value =
-        Scalar.load_int (unified_endianness t)
-          ~read_byte:(Memory.read_byte t.mobile.Host.mem)
-          mob_addr 4
-      in
-      Scalar.store_int (unified_endianness t)
-        ~write_byte:(Memory.write_byte t.server.Host.mem)
-        srv_addr 4 value)
+      Memory.store_word t.server.Host.mem (unified_endianness t) srv_addr 4
+        (Memory.load_word t.mobile.Host.mem (unified_endianness t) mob_addr 4))
     t.uva_globals
 
 let initialization t (args : Value.t list) =

@@ -1090,14 +1090,6 @@ module Sampler = struct
       ("reservoir", t.sp_r_reservoir);
       ("budget", t.sp_r_budget);
     ]
-
-  (* All kept events on the global clock, stably sorted — what a
-     sampled raw-trace file holds.  Ties keep decision order, so
-     seeded reruns serialize byte-identically. *)
-  let kept_events t =
-    List.stable_sort
-      (fun (a, _) (b, _) -> Float.compare a b)
-      (List.concat_map snd (List.rev t.sp_kept))
 end
 
 (* {1 Chrome-trace JSON exporter}

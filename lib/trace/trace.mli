@@ -115,7 +115,9 @@ val latency_names : string list
 (** The kinds that carry a latency, by telemetry name in histogram
     slot order: offload-span, page-fault, flush, remote-io,
     fnptr-translate, rpc-timeout, retry-backoff, replay, queue-wait,
-    migrate-transfer. *)
+    migrate-transfer.  The names are the stable telemetry vocabulary
+    shared by the windowed histograms, the SLO grammar and the
+    OpenMetrics exposition. *)
 
 val latency_slot : event -> int
 (** The event's index into {!latency_names}; -1 for kinds that carry
@@ -370,10 +372,6 @@ module Sampler : sig
   val kept_traces : t -> (string * (float * event) list) list
   (** Kept tasks in decision order, each with its complete trace on
       the global clock. *)
-
-  val kept_events : t -> (float * event) list
-  (** All kept events merged onto one timeline (stable sort by
-      timestamp) — the content of a sampled raw-trace file. *)
 
   val reasons : t -> (string * int) list
   (** Kept-task counts by decision reason, fixed order:

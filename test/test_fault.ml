@@ -70,7 +70,14 @@ let test_plan_parse () =
       | Ok _ -> Alcotest.failf "accepted invalid plan %S" bad
       | Error _ -> ())
     [ "drop=2.0"; "drop=-0.1"; "outage=5:1"; "collapse=1:0"; "collapse=1:1.5";
-      "wat=3"; "seed=xyz"; "outage=1"; "crash=" ]
+      "wat=3"; "seed=xyz"; "outage=1"; "crash=";
+      (* non-finite numbers, which every comparison above lets through *)
+      "crash=nan"; "crash=inf"; "outage=1:nan"; "outage=nan:2";
+      "outage=1:inf"; "drop=nan"; "corrupt=nan"; "collapse=nan:0.5";
+      "collapse=1:nan"; "collapse=inf:0.5" ];
+  Alcotest.(check (result reject string)) "a NaN names its field"
+    (Error "crash: not a finite number (\"nan\")")
+    (Result.map ignore (Fault_plan.parse "crash=nan"))
 
 (* {1 Injector verdicts} *)
 

@@ -235,6 +235,57 @@ let test_traps () =
   | exception No_mem.Memory.Bad_access (addr, _) ->
     Alcotest.(check bool) "fault in null guard" true (addr < 0x1_0000)
 
+(* A word that runs past the end of its region traps before any byte
+   moves, at the same address on every host (its last byte), whatever
+   the byte order: an i32 load two bytes below the globals limit and
+   an i16 store of 0x0107 into the last byte of the mobile stack. *)
+let test_straddling_traps () =
+  let module Region = No_mem.Region in
+  let module Memory = No_mem.Memory in
+  let load_at = Region.globals_limit - 2 in
+  let store_at = Region.mobile_stack_limit - 1 in
+  let t = B.create "edges" in
+  let ptr fb ty addr =
+    B.cast fb Ir.Int_to_ptr ~src:Ty.I64 (B.i64 addr) ~dst:(Ty.Ptr ty)
+  in
+  let _ =
+    B.func t "load_edge" ~params:[] ~ret:Ty.I64 (fun fb _ ->
+        let v = B.load fb Ty.I32 (ptr fb Ty.I32 load_at) in
+        B.ret fb (Some (B.cast fb Ir.Sext ~src:Ty.I32 v ~dst:Ty.I64)))
+  in
+  let _ =
+    B.func t "store_edge" ~params:[] ~ret:Ty.Void (fun fb _ ->
+        B.store fb Ty.I16 (B.i16 0x0107) (ptr fb Ty.I16 store_at);
+        B.ret_void fb)
+  in
+  let _ =
+    B.func t "main" ~params:[] ~ret:Ty.I64 (fun fb _ ->
+        B.ret fb (Some (B.i64 0)))
+  in
+  let m = B.finish t in
+  List.iter
+    (fun (arch : Arch.t) ->
+      let host = make_host ~arch m in
+      let traps name ~at =
+        match Interp.call host name [] with
+        | _ -> Alcotest.failf "%s: %s did not trap" arch.Arch.name name
+        | exception Memory.Bad_access (addr, reason) ->
+          Alcotest.(check (pair int string))
+            (Printf.sprintf "%s: %s trap" arch.Arch.name name)
+            (at, "unmapped address") (addr, reason)
+      in
+      traps "load_edge" ~at:(load_at + 3);
+      traps "store_edge" ~at:(store_at + 1);
+      Alcotest.(check int)
+        (arch.Arch.name ^ ": no page materialized")
+        0
+        (Memory.resident_count host.Host.mem);
+      Alcotest.(check int)
+        (arch.Arch.name ^ ": stack byte unwritten")
+        0
+        (Memory.read_byte host.Host.mem store_at))
+    [ Arch.arm32; Arch.arm32_be; Arch.x86_64 ]
+
 (* A register read before any write on the executed path holds
    all-zero bits: a float one reads +0.0, so [f] takes the branch that
    skips the assignment and returns 0.0 + 1.0. *)
@@ -268,6 +319,8 @@ let tests =
     Alcotest.test_case "fn ptr table" `Quick test_fn_ptr_table;
     Alcotest.test_case "clock and ratio" `Quick test_clock_and_ratio;
     Alcotest.test_case "traps" `Quick test_traps;
+    Alcotest.test_case "straddling traps agree across hosts" `Quick
+      test_straddling_traps;
     Alcotest.test_case "unwritten register reads zero bits" `Quick
       test_unwritten_register;
   ]

@@ -116,12 +116,13 @@ let test_recursion () =
 
    Every memory entry point reports each page its bytes cover exactly
    once, in ascending order — whether the access stays in one page,
-   crosses into the next, or is a multi-page block. *)
+   crosses into the next, or is a multi-page block, and in either byte
+   order on the word path. *)
 
 type access =
-  | Load of int * int              (* addr, width *)
-  | Store of int * int
-  | Load_base of int * int         (* slab admission, else load_le *)
+  | Load of Arch.endianness * int * int  (* byte order, addr, width *)
+  | Store of Arch.endianness * int * int
+  | Load_base of int * int         (* slab admission, else load_word *)
   | Store_base of int * int
   | Read_byte of int
   | Write_byte of int
@@ -129,15 +130,19 @@ type access =
   | Write_block of int * int
 
 let span = function
-  | Load (a, w) | Store (a, w) | Load_base (a, w) | Store_base (a, w) -> (a, w)
+  | Load (_, a, w) | Store (_, a, w) | Load_base (a, w) | Store_base (a, w) ->
+    (a, w)
   | Read_byte a | Write_byte a -> (a, 1)
   | Read_block (a, n) | Write_block (a, n) -> (a, n)
 
 let show_access acc =
   let a, n = span acc in
+  let order = function Arch.Little -> "le" | Arch.Big -> "be" in
   let kind =
     match acc with
-    | Load _ -> "load" | Store _ -> "store" | Load_base _ -> "load_base"
+    | Load (e, _, _) -> "load_word " ^ order e
+    | Store (e, _, _) -> "store_word " ^ order e
+    | Load_base _ -> "load_base"
     | Store_base _ -> "store_base" | Read_byte _ -> "read_byte"
     | Write_byte _ -> "write_byte" | Read_block _ -> "read_block"
     | Write_block _ -> "write_block"
@@ -145,12 +150,13 @@ let show_access acc =
   Printf.sprintf "%s heap+%d (%d bytes)" kind (a - Region.heap_base) n
 
 let perform m = function
-  | Load (a, w) -> ignore (Memory.load_le m a w)
-  | Store (a, w) -> Memory.store_le m a w 0x0102030405060708L
+  | Load (e, a, w) -> ignore (Memory.load_word m e a w)
+  | Store (e, a, w) -> Memory.store_word m e a w 0x0102030405060708L
   | Load_base (a, w) ->
-    if Memory.load_base m a w < 0 then ignore (Memory.load_le m a w)
+    if Memory.load_base m a w < 0 then
+      ignore (Memory.load_word m Arch.Little a w)
   | Store_base (a, w) ->
-    if Memory.store_base m a w < 0 then Memory.store_le m a w 7L
+    if Memory.store_base m a w < 0 then Memory.store_word m Arch.Little a w 7L
   | Read_byte a -> ignore (Memory.read_byte m a)
   | Write_byte a -> Memory.write_byte m a 0x5a
   | Read_block (a, n) -> ignore (Memory.read_block m a n)
@@ -170,10 +176,11 @@ let gen_access =
       map2 (fun p o -> Region.heap_base + (p * Region.page_size) + o) page offset
     in
     let width = oneofl [ 1; 2; 4; 8 ] in
+    let order = oneofl [ Arch.Little; Arch.Big ] in
     let len = int_range 0 (3 * Region.page_size) in
     oneof
-      [ map2 (fun a w -> Load (a, w)) addr width;
-        map2 (fun a w -> Store (a, w)) addr width;
+      [ map3 (fun e a w -> Load (e, a, w)) order addr width;
+        map3 (fun e a w -> Store (e, a, w)) order addr width;
         map2 (fun a w -> Load_base (a, w)) addr width;
         map2 (fun a w -> Store_base (a, w)) addr width;
         map (fun a -> Read_byte a) addr;

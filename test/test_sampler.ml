@@ -197,11 +197,20 @@ let run_with_sampler ?(count = 6) ~budget ~seed () =
   (result, sampler)
 
 (* Budget 1.0 keeps every task, so the sampled stream must reproduce
-   the full capture: same event count, same span-tree root. *)
+   the full capture: same event count, same span-tree root.  The kept
+   traces merge onto one timeline as a sampled raw-trace file holds
+   them. *)
 let test_budget_one_matches_full_capture () =
   let result, sampler = run_with_sampler ~budget:1.0 ~seed:1L () in
   let full = Sim.global_events result in
-  let kept = Trace.Sampler.kept_events sampler in
+  let kept =
+    match
+      Trace_file.of_string_traces
+        (Trace_file.to_string_traces (Trace.Sampler.kept_traces sampler))
+    with
+    | Ok (lines, _sampled) -> List.map (fun (ts, ev, _) -> (ts, ev)) lines
+    | Error msg -> Alcotest.failf "sampled file does not load: %s" msg
+  in
   Alcotest.(check int)
     "all tasks kept"
     (Trace.Sampler.tasks sampler)

@@ -109,7 +109,7 @@ let test_global_realloc () =
         match name with
         | "__uva_init_global$counter" ->
           let addr = No_mem.Uva.alloc host.Host.uva 8 in
-          Host.store_bits host addr 8 40L;
+          No_mem.Memory.store_word host.Host.mem Arch.Little addr 8 40L;
           Some (Value.VInt (Int64.of_int addr))
         | _ -> None);
   Alcotest.(check int64) "reallocated behaviour" 42L
