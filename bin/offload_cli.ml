@@ -978,6 +978,10 @@ let serve_cmd =
       Fmt.epr "--stagger must be a finite number of seconds >= 0@.";
       exit 1
     end;
+    if workloads = [] then begin
+      Fmt.epr "--workloads needs at least one workload name@.";
+      exit 1
+    end;
     let policy =
       match Pool.policy_of_string policy with
       | Some p -> p

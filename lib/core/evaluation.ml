@@ -148,8 +148,16 @@ let table3 () : Table.t =
 
 (* {1 The 17-program sweep (shared by Table 4 and the figures)} *)
 
+(* One lazy run per program: Figure 8 forces the two it plots, the
+   others force them all. *)
+let runs : (string * Experiment.program_result Lazy.t) list =
+  List.map
+    (fun (e : Registry.entry) ->
+      (e.Registry.e_name, lazy (Experiment.run_entry e)))
+    Registry.spec
+
 let all_results : Experiment.program_result list Lazy.t =
-  lazy (List.map Experiment.run_entry Registry.spec)
+  lazy (List.map (fun (_, result) -> Lazy.force result) runs)
 
 (* Coverage: share of the local execution time the offloaded targets
    account for, measured on the evaluation input.  In the ideal
@@ -337,26 +345,22 @@ let fig7 () : Table.t =
 
 (* {1 Figure 8 — power over time}
 
-   The timeline is resampled from the Power_state events in the run's
-   ledger; the battery keeps no segment list of its own. *)
+   The timeline is resampled from the Power_state events in the ledger
+   of a run the 17-program sweep made under [config]; the battery
+   keeps no segment list of its own. *)
 
-let fig8_trace ~program ~(config : Session.config) ~points () :
+let fig8_trace ~(config : Session.config) ~points (run : Experiment.run) :
     (float * float) list =
-  match Registry.by_name program with
-  | None -> invalid_arg ("Evaluation.fig8_trace: " ^ program)
-  | Some entry ->
-    let compiled = Compiler.compile_entry entry in
-    let run, _report = Experiment.offloaded_run ~config compiled entry in
-    let metrics = Option.get run.Experiment.run_metrics in
-    let horizon =
-      List.fold_left
-        (fun acc (ts, _, dur, _) -> Float.max acc (ts +. dur))
-        0.0
-        (No_trace.Trace.Metrics.power_segments metrics)
-    in
-    let period = Float.max (horizon /. float_of_int points) 1e-9 in
-    No_trace.Trace.Metrics.resample_power metrics ~period_s:period
-      ~idle_mw:(Experiment.idle_mw_of_config config)
+  let metrics = Option.get run.Experiment.run_metrics in
+  let horizon =
+    List.fold_left
+      (fun acc (ts, _, dur, _) -> Float.max acc (ts +. dur))
+      0.0
+      (No_trace.Trace.Metrics.power_segments metrics)
+  in
+  let period = Float.max (horizon /. float_of_int points) 1e-9 in
+  No_trace.Trace.Metrics.resample_power metrics ~period_s:period
+    ~idle_mw:(Experiment.idle_mw_of_config config)
 
 let fig8 ?(points = 60) () : Table.t =
   let table =
@@ -364,18 +368,13 @@ let fig8 ?(points = 60) () : Table.t =
       ~title:"Figure 8: power consumption over time (mW, resampled)"
       [ "t/horizon"; "sjeng fast"; "gobmk fast"; "gobmk slow" ]
   in
-  let sjeng_fast =
-    fig8_trace ~program:"458.sjeng" ~config:(Experiment.fast_config ())
-      ~points ()
-  in
-  let gobmk_fast =
-    fig8_trace ~program:"445.gobmk" ~config:(Experiment.fast_config ())
-      ~points ()
-  in
-  let gobmk_slow =
-    fig8_trace ~program:"445.gobmk" ~config:(Experiment.slow_config ())
-      ~points ()
-  in
+  let sjeng = Lazy.force (List.assoc "458.sjeng" runs)
+  and gobmk = Lazy.force (List.assoc "445.gobmk" runs) in
+  let fast = fig8_trace ~config:(Experiment.fast_config ()) ~points
+  and slow = fig8_trace ~config:(Experiment.slow_config ()) ~points in
+  let sjeng_fast = fast sjeng.Experiment.pres_fast
+  and gobmk_fast = fast gobmk.Experiment.pres_fast
+  and gobmk_slow = slow gobmk.Experiment.pres_slow in
   let value trace i =
     match List.nth_opt trace i with
     | Some (_, mw) -> Table.cell_f ~digits:0 mw

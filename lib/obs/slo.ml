@@ -147,6 +147,11 @@ let call_clause clause =
 
 let ( let* ) = Result.bind
 
+(* A limit no measurement can be below. *)
+let non_negative what = function
+  | Ok f when f < 0.0 -> Error (Printf.sprintf "%s must be >= 0" what)
+  | r -> r
+
 let parse_clause clause =
   let clause = strip clause in
   let err msg = Error (Printf.sprintf "%S: %s" clause msg) in
@@ -167,7 +172,7 @@ let parse_clause clause =
       in
       let* limit_s =
         Result.map_error (fun m -> Printf.sprintf "%S: %s" clause m)
-          (duration_of rhs)
+          (non_negative "duration" (duration_of rhs))
       in
       Ok (Quantile { q; kind; limit_s })
     else if String.equal head "rate" then
@@ -178,7 +183,7 @@ let parse_clause clause =
       in
       let* max_per_s =
         Result.map_error (fun m -> Printf.sprintf "%S: %s" clause m)
-          (float_of rhs)
+          (non_negative "rate limit" (float_of rhs))
       in
       Ok (Rate { counter; max_per_s })
     else if String.equal head "burn" then (
@@ -208,7 +213,7 @@ let parse_clause clause =
         in
         let* max_rate =
           Result.map_error (fun m -> Printf.sprintf "%S: %s" clause m)
-            (float_of rhs)
+            (non_negative "burn limit" (float_of rhs))
         in
         Ok (Burn { target; max_rate; fast; slow })
       | [] -> err "burn needs a target, e.g. burn(0.99)<=14")
@@ -222,8 +227,10 @@ let parse_clause clause =
            && String.equal (normalize (String.sub clause 0 i)) "avail" ->
       let rhs = String.sub clause (i + 2) (String.length clause - i - 2) in
       let* min =
-        Result.map_error (fun m -> Printf.sprintf "%S: %s" clause m)
-          (float_of rhs)
+        match float_of rhs with
+        | Ok f when f >= 0.0 && f <= 1.0 -> Ok f
+        | Ok _ -> err "availability must be in [0,1]"
+        | Error m -> err m
       in
       Ok (Avail { min })
     | _ -> err "expected avail>=F, pQ(KIND)<=DUR, rate(..)<=F or burn(..)<=F")

@@ -5,8 +5,10 @@
         global reallocation, layout realignment (GEP lowering against
         the unified environment);
      2. partition into mobile and server modules;
-     3. server-specific optimization: remote I/O, function pointer
-        mapping, address size conversion, endianness translation.
+     3. server-specific optimization: remote I/O, then one rewrite of
+        every server load and store ({!Server_access}: function
+        pointer mapping, address size conversion and endianness
+        translation, decided together from the two architectures).
 
    Target selection (profiling + filter + Equation 1) happens before
    this, in the facade library, because it needs to *run* the program
@@ -71,17 +73,7 @@ let run ?(lower_geps = false) ~(mobile : Arch.t) ~(server : Arch.t)
   (* 3. Server-specific optimization. *)
   let server_m = parts.Partition.p_server in
   let server_m, rio_stats = Remote_io.run server_m in
-  let server_m, fnptr_stats = Fnptr_map.run server_m in
-  let server_m, addr_stats =
-    Addr_convert.run
-      ~device_ptr_bytes:(Arch.ptr_bytes server)
-      ~unified_ptr_bytes:(Arch.ptr_bytes mobile)
-      server_m
-  in
-  let server_m, endian_stats =
-    Endian_translate.run ~device:server.Arch.endianness
-      ~unified:mobile.Arch.endianness server_m
-  in
+  let server_m, access = Server_access.run ~mobile ~server server_m in
   Validate.check_module server_m;
   {
     o_mobile = parts.Partition.p_mobile;
@@ -97,11 +89,11 @@ let run ?(lower_geps = false) ~(mobile : Arch.t) ~(server : Arch.t)
         st_total_globals = total_globals;
         st_geps_lowered = gep_stats.Lower_gep.geps_lowered;
         st_remote_io_sites = rio_stats.Remote_io.sites_rewritten;
-        st_fnptr_load_maps = fnptr_stats.Fnptr_map.load_maps;
-        st_fnptr_store_maps = fnptr_stats.Fnptr_map.store_maps;
-        st_addr_loads = addr_stats.Addr_convert.loads_converted;
-        st_addr_stores = addr_stats.Addr_convert.stores_converted;
-        st_endian_swaps = endian_stats.Endian_translate.swaps_inserted;
+        st_fnptr_load_maps = access.Server_access.fnptr_load_maps;
+        st_fnptr_store_maps = access.Server_access.fnptr_store_maps;
+        st_addr_loads = access.Server_access.addr_loads;
+        st_addr_stores = access.Server_access.addr_stores;
+        st_endian_swaps = access.Server_access.swaps;
         st_removed_functions = parts.Partition.p_removed;
         st_total_functions = total_functions;
         st_server_functions = List.length server_m.Ir.m_funcs;

@@ -284,7 +284,9 @@ let test_slo_parse () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail (Printf.sprintf "%S should not parse" bad))
     [ ""; "p99(nope)<=5ms"; "p0(flush)<=1s"; "rate(bogus)<=1";
-      "burn(1.5)<=14"; "burn(0.99,fast=0)<=14"; "avail>=x"; "nonsense" ]
+      "burn(1.5)<=14"; "burn(0.99,fast=0)<=14"; "avail>=x"; "nonsense";
+      "p99(page-fault)<=-5ms"; "rate(retries)<=-1"; "burn(0.99)<=-2";
+      "avail>=1.5"; "avail>=-1" ]
 
 (* Synthetic series with a failure burst at the end: avail degrades,
    the fast burn window sees the burst but the slow window absorbs
