@@ -231,13 +231,6 @@ let run_cmd =
              the runtime rolls back and replays locally; the run must still \
              match the local console output.")
   in
-  let seed_arg =
-    Arg.(
-      value
-      & opt (some int64) None
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Override the fault plan's RNG seed (reproducible runs).")
-  in
   let metrics_out_arg =
     Arg.(
       value
@@ -247,22 +240,17 @@ let run_cmd =
             "Write the run's metrics and windowed time series as \
              OpenMetrics/Prometheus text exposition to $(docv).")
   in
-  let run name trace_file trace_raw metrics metrics_out link faults seed
+  let run name trace_file trace_raw metrics metrics_out link faults
       self_prof =
     let entry = entry_of_name name in
     (* Validate the fault-run options before the (slow) sweep. *)
     let faulty_config =
-      if faults = None && link = None && seed = None then None
+      if faults = None && link = None then None
       else begin
         let plan =
           match faults with
           | Some text -> fault_plan_of_string text
           | None -> Fault_plan.empty
-        in
-        let plan =
-          match seed with
-          | Some s -> Fault_plan.with_seed plan s
-          | None -> plan
         in
         let link =
           match link with
@@ -345,7 +333,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Run one workload in all configurations")
     Term.(
       const run $ name_arg $ trace_arg $ trace_raw_arg $ metrics_arg
-      $ metrics_out_arg $ link_arg $ faults_arg $ seed_arg $ self_prof_arg)
+      $ metrics_out_arg $ link_arg $ faults_arg $ self_prof_arg)
 
 let report_cmd =
   let what_arg =
@@ -859,13 +847,6 @@ let serve_cmd =
              client gets a distinct derived seed), e.g. \
              $(b,outage=0.5:2.0,drop=0.05,seed=7).")
   in
-  let seed_arg =
-    Arg.(
-      value
-      & opt (some int64) None
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Override the fault plan's base RNG seed.")
-  in
   let eval_arg =
     Arg.(
       value & flag
@@ -956,7 +937,7 @@ let serve_cmd =
              Requires $(b,--sample).")
   in
   let run clients slots queue servers policy workloads stagger link faults
-      seed eval metrics_out migrate no_migrate slo sample sample_seed
+      eval metrics_out migrate no_migrate slo sample sample_seed
       incidents_out sample_out self_prof =
     if clients < 1 then begin
       Fmt.epr "need at least one client@.";
@@ -1038,20 +1019,7 @@ let serve_cmd =
     List.iter
       (fun name -> ignore (entry_of_name name : Registry.entry))
       workloads;
-    let plan =
-      match (faults, seed) with
-      | None, None -> None
-      | _ ->
-        let p =
-          match faults with
-          | Some text -> fault_plan_of_string text
-          | None -> Fault_plan.empty
-        in
-        Some
-          (match seed with
-          | Some s -> Fault_plan.with_seed p s
-          | None -> p)
-    in
+    let plan = Option.map fault_plan_of_string faults in
     (* With --sample, a live windowed series rides the streaming global
        sink so the sampler's exemplar hook can attach kept-trace ids to
        the same windows the SLO incident timeline is detected over. *)
@@ -1168,7 +1136,7 @@ let serve_cmd =
     Term.(
       const run $ clients_arg $ slots_arg $ queue_arg $ servers_arg
       $ policy_arg $ workloads_arg $ stagger_arg $ link_arg $ faults_arg
-      $ seed_arg $ eval_arg $ metrics_out_arg $ migrate_arg $ no_migrate_arg
+      $ eval_arg $ metrics_out_arg $ migrate_arg $ no_migrate_arg
       $ slo_arg $ sample_arg $ sample_seed_arg $ incidents_out_arg
       $ sample_out_arg $ self_prof_arg)
 

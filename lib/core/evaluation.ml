@@ -346,11 +346,12 @@ let fig7 () : Table.t =
 (* {1 Figure 8 — power over time}
 
    The timeline is resampled from the Power_state events in the ledger
-   of a run the 17-program sweep made under [config]; the battery
-   keeps no segment list of its own. *)
+   of a run the 17-program sweep made; the battery keeps no segment
+   list of its own. *)
 
-let fig8_trace ~(config : Session.config) ~points (run : Experiment.run) :
-    (float * float) list =
+let fig8_points = 60
+
+let fig8_trace (run : Experiment.run) : (float * float) list =
   let metrics = Option.get run.Experiment.run_metrics in
   let horizon =
     List.fold_left
@@ -358,11 +359,11 @@ let fig8_trace ~(config : Session.config) ~points (run : Experiment.run) :
       0.0
       (No_trace.Trace.Metrics.power_segments metrics)
   in
-  let period = Float.max (horizon /. float_of_int points) 1e-9 in
+  let period = Float.max (horizon /. float_of_int fig8_points) 1e-9 in
   No_trace.Trace.Metrics.resample_power metrics ~period_s:period
-    ~idle_mw:(Experiment.idle_mw_of_config config)
+    ~idle_mw:Experiment.idle_mw
 
-let fig8 ?(points = 60) () : Table.t =
+let fig8 () : Table.t =
   let table =
     Table.create
       ~title:"Figure 8: power consumption over time (mW, resampled)"
@@ -370,20 +371,18 @@ let fig8 ?(points = 60) () : Table.t =
   in
   let sjeng = Lazy.force (List.assoc "458.sjeng" runs)
   and gobmk = Lazy.force (List.assoc "445.gobmk" runs) in
-  let fast = fig8_trace ~config:(Experiment.fast_config ()) ~points
-  and slow = fig8_trace ~config:(Experiment.slow_config ()) ~points in
-  let sjeng_fast = fast sjeng.Experiment.pres_fast
-  and gobmk_fast = fast gobmk.Experiment.pres_fast
-  and gobmk_slow = slow gobmk.Experiment.pres_slow in
+  let sjeng_fast = fig8_trace sjeng.Experiment.pres_fast
+  and gobmk_fast = fig8_trace gobmk.Experiment.pres_fast
+  and gobmk_slow = fig8_trace gobmk.Experiment.pres_slow in
   let value trace i =
     match List.nth_opt trace i with
     | Some (_, mw) -> Table.cell_f ~digits:0 mw
     | None -> "-"
   in
-  for i = 0 to points do
+  for i = 0 to fig8_points do
     Table.add_row table
       [
-        Printf.sprintf "%.3f" (float_of_int i /. float_of_int points);
+        Printf.sprintf "%.3f" (float_of_int i /. float_of_int fig8_points);
         value sjeng_fast i;
         value gobmk_fast i;
         value gobmk_slow i;
@@ -455,8 +454,7 @@ let decision_ablation () : Table.t =
       List.iter
         (fun (label, decision) ->
           let config =
-            { (Session.default_config ~link ()) with
-              Session.decision; Session.fast_radio = false }
+            { (Session.default_config ~link ()) with Session.decision }
           in
           let _, r = Experiment.offloaded_run ~config compiled gzip in
           Table.add_row table

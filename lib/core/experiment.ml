@@ -82,9 +82,7 @@ let offloaded_run ?(label = "offloaded") ~(config : Session.config)
   let report = Session.run session in
   (run_of_session ~metrics:(Session.ledger session) label report, report)
 
-let slow_config () =
-  { (Session.default_config ~link:Link.slow_wifi ()) with
-    Session.fast_radio = false }
+let slow_config () = Session.default_config ~link:Link.slow_wifi ()
 
 let fast_config () = Session.default_config ~link:Link.fast_wifi ()
 
@@ -162,8 +160,9 @@ let geomean values =
       /. float_of_int (List.length values))
 
 (* The idle power level of the session's battery model: what a
-   resampled power timeline shows where no segment covers a sample. *)
-let idle_mw_of_config (config : Session.config) : float =
+   resampled power timeline shows where no segment covers a sample.
+   The radio sets only the remote-I/O level, so either serves. *)
+let idle_mw =
   No_power.Power_model.draw_mw
-    (No_power.Power_model.galaxy_s5 ~fast_radio:config.Session.fast_radio)
+    (No_power.Power_model.galaxy_s5 ~fast_radio:false)
     No_power.Power_model.Idle

@@ -247,7 +247,9 @@ let compile_func ~(arch : Arch.t) ~(layout : Layout.env) ~(modul : Ir.modul)
       match op with
       | Ir.Zext -> I_ext (dst, a, fill src, fill ty)
       | Ir.Sext | Ir.Trunc | Ir.Ptr_to_int -> I_ext (dst, a, 0, fill ty)
-      | Ir.Bitcast | Ir.Fp_ext | Ir.Int_to_ptr -> I_move (dst, a)
+      (* A narrower integer zero-extends to a pointer, as in LLVM. *)
+      | Ir.Int_to_ptr -> I_ext (dst, a, fill src, 0)
+      | Ir.Bitcast | Ir.Fp_ext -> I_move (dst, a)
       | Ir.Fp_to_si -> I_fp_to_si (dst, a, fill ty)
       | Ir.Si_to_fp -> I_si_to_fp (dst, a)
       | Ir.Fp_trunc -> I_fp_trunc (dst, a))

@@ -3,8 +3,8 @@
    Every stochastic choice in a fault plan (message drop, corruption)
    draws from one of these generators, seeded from the plan — never
    from the global [Random] state — so a run is reproducible from its
-   [--seed] alone.  SplitMix64: tiny state, good distribution, and the
-   same sequence on every platform. *)
+   plan's [seed=N] alone.  SplitMix64: tiny state, good distribution,
+   and the same sequence on every platform. *)
 
 type t = { mutable state : int64 }
 

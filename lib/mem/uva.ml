@@ -8,13 +8,12 @@
    (the paper's UVA manager).
 
    First-fit free list with address-ordered coalescing; 16-byte
-   alignment; allocation sizes remembered for u_free. *)
+   alignment; allocation sizes remembered for u_free.  The heap is
+   [Region]'s UVA heap, from [heap_base] up to [heap_limit]. *)
 
 type range = { addr : int; size : int }
 
 type t = {
-  base : int;
-  limit : int;
   mutable brk : int;                    (* end of ever-used area *)
   mutable free_list : range list;       (* address-ordered, coalesced *)
   sizes : (int, int) Hashtbl.t;         (* live allocation sizes *)
@@ -26,12 +25,9 @@ exception Invalid_free of int          (* address *)
 
 let alignment = 16
 
-let create ?(base = Region.heap_base) ?(limit = Region.heap_limit) () =
-  if base land (alignment - 1) <> 0 then invalid_arg "Uva.create: misaligned";
+let create () =
   {
-    base;
-    limit;
-    brk = base;
+    brk = Region.heap_base;
     free_list = [];
     sizes = Hashtbl.create 256;
     live_bytes = 0;
@@ -64,7 +60,7 @@ let alloc t size =
     | Some addr -> addr
     | None ->
       let addr = t.brk in
-      if addr + size > t.limit then raise (Out_of_memory size);
+      if addr + size > Region.heap_limit then raise (Out_of_memory size);
       t.brk <- addr + size;
       addr
   in
@@ -103,7 +99,7 @@ let dealloc t addr =
     insert_free t { addr; size }
 
 let live_bytes t = t.live_bytes
-let high_water_mark t = t.brk - t.base
+let high_water_mark t = t.brk - Region.heap_base
 
 (* Snapshots, for offload recovery: allocator metadata is shared
    between the devices, so a rolled-back offload must also forget any
@@ -133,7 +129,7 @@ let restore t s =
 
 (* Every page the heap has ever handed out, for prefetch decisions. *)
 let used_pages t =
-  let first = Region.page_of_addr t.base in
-  let last = Region.page_of_addr (max t.base (t.brk - 1)) in
-  if t.brk = t.base then []
+  let first = Region.page_of_addr Region.heap_base in
+  let last = Region.page_of_addr (max Region.heap_base (t.brk - 1)) in
+  if t.brk = Region.heap_base then []
   else List.init (last - first + 1) (fun i -> first + i)

@@ -18,8 +18,8 @@ exception Invalid_free of int
 
 val alignment : int
 
-val create : ?base:int -> ?limit:int -> unit -> t
-(** Defaults to the UVA heap region of {!Region}. *)
+val create : unit -> t
+(** An empty allocator over the UVA heap region of {!Region}. *)
 
 val alloc : t -> int -> int
 (** [alloc t size] returns the address of a fresh block.

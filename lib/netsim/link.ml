@@ -11,6 +11,8 @@ type t = {
   nominal_bps : float;
   efficiency : float;      (* fraction of nominal actually achieved *)
   latency_s : float;       (* one-way, per message *)
+  fast_radio : bool;       (* the 802.11ac radio, whose remote-I/O
+                              service draws more (Section 5.2) *)
 }
 
 (* Simulation time scales for the network, companions of
@@ -36,6 +38,7 @@ let slow_wifi = {
   nominal_bps = 144e6;
   efficiency = 0.60;
   latency_s = 2.5e-3;
+  fast_radio = false;
 }
 
 (* Latency barely improves from n to ac: RTT is dominated by MAC
@@ -48,6 +51,7 @@ let fast_wifi = {
   nominal_bps = 844e6;
   efficiency = 0.65;
   latency_s = 2.2e-3;
+  fast_radio = true;
 }
 
 (* A link so slow that dynamic estimation should always refuse to
@@ -57,6 +61,7 @@ let congested = {
   nominal_bps = 2e6;
   efficiency = 0.5;
   latency_s = 30e-3;
+  fast_radio = false;
 }
 
 let all = [ slow_wifi; fast_wifi; congested ]

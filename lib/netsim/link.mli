@@ -13,6 +13,9 @@ type t = {
   nominal_bps : float;    (** radio's nominal rate *)
   efficiency : float;     (** fraction of nominal actually achieved *)
   latency_s : float;      (** one-way per-message latency (real) *)
+  fast_radio : bool;
+      (** the 802.11ac radio: true on {!fast_wifi} only; selects the
+          handset's remote-I/O power level *)
 }
 
 val sim_bw_scale : float

@@ -7,11 +7,12 @@
    first violating window's start, resolved at the end of the last one
    — or still firing if the violation reaches the end of the series.
 
-   The per-window violation tests deliberately reuse the Slo module's
-   own definitions (avail_of, the counter table, burn_rate and its
-   fast/slow trailing means), so an incident is exactly "this clause,
-   scoped to a window".  Empty windows never violate — no attempts
-   means no evidence, not an outage.
+   The per-window verdicts are [Slo.per_window]'s: the clause measured
+   over one window by the function [Slo.evaluate] measures the run
+   with, or a burn clause's fast/slow pair at that window, so an
+   incident is exactly "this clause, scoped to a window".  Empty
+   windows never violate — no attempts means no evidence, not an
+   outage.
 
    Each incident carries up to four exemplar trace ids harvested from
    the violating windows' latency histograms (attached there by the
@@ -38,61 +39,6 @@ let max_exemplars = 4
 let exemplar_kind = function
   | Slo.Quantile { kind; _ } -> kind
   | Slo.Avail _ | Slo.Rate _ | Slo.Burn _ -> "offload-span"
-
-(* Per-window (violates, measured value) signal for one objective.
-   Windows arrive dense and chronological; burn needs the trailing
-   prefix, so the whole vector is computed in one left-to-right pass. *)
-let signal objective (windows : Series.window list) window_s =
-  match objective with
-  | Slo.Avail { min } ->
-    List.map
-      (fun (w : Series.window) ->
-        let m = w.Series.w_metrics in
-        let attempts = m.Trace.Metrics.offloads + m.Trace.Metrics.rejects in
-        let v = Slo.avail_of m in
-        (attempts > 0 && v < min, v))
-      windows
-  | Slo.Quantile { q; kind; limit_s } ->
-    List.map
-      (fun (w : Series.window) ->
-        match List.assoc_opt kind w.Series.w_hists with
-        | Some h when Hist.count h > 0 ->
-          let v = Hist.quantile h q in
-          (v > limit_s, v)
-        | _ -> (false, 0.0))
-      windows
-  | Slo.Rate { counter; max_per_s } ->
-    List.map
-      (fun (w : Series.window) ->
-        let v =
-          float_of_int (Slo.counter_value counter w.Series.w_metrics)
-          /. window_s
-        in
-        (v > max_per_s, v))
-      windows
-  | Slo.Burn { target; max_rate; fast; slow } ->
-    (* Trailing fast/slow means over the burn-rate vector, alerting
-       only when both exceed the limit — the same pair Slo.evaluate
-       applies once at end of run, here applied at every window. *)
-    let burns =
-      List.map
-        (fun (w : Series.window) -> Slo.burn_rate ~target w.Series.w_metrics)
-        windows
-      |> Array.of_list
-    in
-    let trailing_mean upto n =
-      let lo = Stdlib.max 0 (upto + 1 - n) in
-      let sum = ref 0.0 in
-      for i = lo to upto do
-        sum := !sum +. burns.(i)
-      done;
-      !sum /. float_of_int (upto + 1 - lo)
-    in
-    List.mapi
-      (fun i _ ->
-        let f = trailing_mean i fast and s = trailing_mean i slow in
-        (f > max_rate && s > max_rate, Float.max f s))
-      windows
 
 (* The worse of two measured values: the lower for an availability
    floor, the higher for every other clause. *)
@@ -126,8 +72,8 @@ let detect objectives series =
   let total = List.length windows in
   let per_objective o =
     let label = Slo.label_of o in
-    let sig_ = signal o windows window_s in
-    let flags = List.map fst sig_ in
+    let signal = Slo.per_window o series in
+    let flags = List.map (fun (_, holds) -> not holds) signal in
     let exemplars_of lo hi =
       let scoped = List.mapi (fun i f -> f && i >= lo && i <= hi) flags in
       harvest_exemplars (exemplar_kind o) windows scoped
@@ -152,16 +98,16 @@ let detect objectives series =
     in
     let run = ref None in
     List.iteri
-      (fun i (violates, value) ->
-        match (!run, violates) with
-        | None, false -> ()
-        | None, true -> run := Some (i, 1, value)
-        | Some (first, count, peak), true ->
+      (fun i (value, holds) ->
+        match (!run, holds) with
+        | None, true -> ()
+        | None, false -> run := Some (i, 1, value)
+        | Some (first, count, peak), false ->
           run := Some (first, count + 1, worse o peak value)
-        | Some state, false ->
+        | Some state, true ->
           close state (i - 1);
           run := None)
-      sig_;
+      signal;
     (match !run with Some state -> close state (total - 1) | None -> ());
     List.rev !incidents
   in

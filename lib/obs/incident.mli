@@ -2,7 +2,8 @@
     over {!Series} windows.
 
     Where {!Slo.evaluate} gives one end-of-run verdict per clause,
-    {!detect} re-evaluates each clause per window and folds maximal
+    {!detect} reads each clause's verdict per window
+    ({!Slo.per_window}) and folds maximal
     consecutive runs of violating windows into incidents — fired at
     the first violating window, resolved at the end of the last, or
     still firing if the violation reaches the end of the series.  Burn

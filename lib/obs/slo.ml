@@ -270,26 +270,22 @@ let parse spec =
 
 (* {1 Evaluation} *)
 
-(* Availability of the offload service in one metrics aggregate:
+(* The offload service's error ratio in one metrics aggregate: of the
    attempts that reached a decision to use the server (begun offloads
-   plus admission rejects), minus the ones that failed (local
-   fallbacks) or never ran there (rejects). *)
-let avail_of (m : Trace.Metrics.t) =
-  let attempts = m.Trace.Metrics.offloads + m.Trace.Metrics.rejects in
-  if attempts = 0 then 1.0
-  else
-    let failures = m.Trace.Metrics.fallbacks + m.Trace.Metrics.rejects in
-    1.0 -. (float_of_int failures /. float_of_int attempts)
-
-(* Error-budget burn rate of one metrics aggregate: its error ratio,
-   with the [avail_of] definitions of attempts and failures, over the
-   budget (1 - target); 0 when there were no attempts. *)
-let burn_rate ~target (m : Trace.Metrics.t) =
+   plus admission rejects), the ones that failed (local fallbacks) or
+   never ran there (rejects); 0 when there were no attempts. *)
+let error_ratio (m : Trace.Metrics.t) =
   let attempts = m.Trace.Metrics.offloads + m.Trace.Metrics.rejects in
   if attempts = 0 then 0.0
   else
     let failures = m.Trace.Metrics.fallbacks + m.Trace.Metrics.rejects in
-    float_of_int failures /. float_of_int attempts /. (1.0 -. target)
+    float_of_int failures /. float_of_int attempts
+
+let avail_of m = 1.0 -. error_ratio m
+
+(* Error-budget burn rate: the error ratio over the budget
+   (1 - target). *)
+let burn_rate ~target m = error_ratio m /. (1.0 -. target)
 
 (* A sampler keeps whole tasks, and a task's latency is its offload
    span: its SLO keep-leg threshold is the tightest offload-span
@@ -312,52 +308,98 @@ let label_of = function
   | Burn { target; max_rate; fast; slow } ->
     Printf.sprintf "burn(%g,fast=%d,slow=%d)<=%g" target fast slow max_rate
 
-let counter_value name m =
-  match List.assoc_opt name counters with Some f -> f m | None -> 0
+(* What a clause is measured over: the whole run (its totals, merged
+   histograms and duration) or one window (its metrics, histograms and
+   width). *)
+type scope = {
+  metrics : Trace.Metrics.t;
+  hist : string -> Hist.t option;
+  duration_s : float;
+}
 
-let mean = function
-  | [] -> 0.0
-  | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
+let run_scope series =
+  {
+    metrics = Series.totals series;
+    hist = (fun kind -> Some (Series.kind_hist series kind));
+    duration_s = Series.duration_s series;
+  }
 
-let last_n n l =
-  let len = List.length l in
-  if len <= n then l else List.filteri (fun i _ -> i >= len - n) l
+let window_scope series (w : Series.window) =
+  {
+    metrics = w.Series.w_metrics;
+    hist = (fun kind -> List.assoc_opt kind w.Series.w_hists);
+    duration_s = Series.window_s series;
+  }
 
-let evaluate_objective series totals o =
-  let value, pass =
-    match o with
-    | Avail { min } ->
-      let v = avail_of totals in
-      (v, v >= min)
-    | Quantile { q; kind; limit_s } ->
-      let h = Series.kind_hist series kind in
-      if Hist.count h = 0 then (0.0, true)
-      else
-        let v = Hist.quantile h q in
-        (v, v <= limit_s)
-    | Rate { counter; max_per_s } ->
-      let count = (List.assoc counter counters) totals in
-      let dur = Series.duration_s series in
-      let v = if dur > 0.0 then float_of_int count /. dur else 0.0 in
-      (v, v <= max_per_s)
-    | Burn { target; max_rate; fast; slow } ->
-      (* Alert — fail — only when both the fast and the slow trailing
-         means of the per-window burn rates exceed the limit. *)
-      let burns =
-        List.map
-          (fun (w : Series.window) -> burn_rate ~target w.Series.w_metrics)
-          (Series.windows series)
-      in
-      let fast_burn = mean (last_n fast burns) in
-      let slow_burn = mean (last_n slow burns) in
-      (Float.max fast_burn slow_burn,
-       not (fast_burn > max_rate && slow_burn > max_rate))
+(* A clause's measured value over one scope and whether it holds
+   there.  An empty scope never fails: no attempts read as full
+   availability, no samples as a zero quantile. *)
+let measure scope o =
+  match o with
+  | Avail { min } ->
+    let v = avail_of scope.metrics in
+    (v, v >= min)
+  | Quantile { q; kind; limit_s } -> (
+    match scope.hist kind with
+    | Some h when Hist.count h > 0 ->
+      let v = Hist.quantile h q in
+      (v, v <= limit_s)
+    | _ -> (0.0, true))
+  | Rate { counter; max_per_s } ->
+    let count = (List.assoc counter counters) scope.metrics in
+    let v =
+      if scope.duration_s > 0.0 then float_of_int count /. scope.duration_s
+      else 0.0
+    in
+    (v, v <= max_per_s)
+  | Burn _ -> invalid_arg "Slo.measure: a burn clause spans windows"
+
+(* The burn signal: at each window, the fast and slow trailing means of
+   the per-window burn rates, summed oldest first; the clause fails
+   there only when both exceed the limit. *)
+let burn_signal ~target ~max_rate ~fast ~slow windows =
+  let burns =
+    Array.of_list
+      (List.map
+         (fun (w : Series.window) -> burn_rate ~target w.Series.w_metrics)
+         windows)
   in
-  { v_label = label_of o; v_value = value; v_pass = pass }
+  let trailing_mean upto n =
+    let lo = Stdlib.max 0 (upto + 1 - n) in
+    let sum = ref 0.0 in
+    for i = lo to upto do
+      sum := !sum +. burns.(i)
+    done;
+    !sum /. float_of_int (upto + 1 - lo)
+  in
+  List.init (Array.length burns) (fun i ->
+      let f = trailing_mean i fast and s = trailing_mean i slow in
+      (Float.max f s, not (f > max_rate && s > max_rate)))
 
+let per_window o series =
+  let windows = Series.windows series in
+  match o with
+  | Burn { target; max_rate; fast; slow } ->
+    burn_signal ~target ~max_rate ~fast ~slow windows
+  | Avail _ | Quantile _ | Rate _ ->
+    List.map (fun w -> measure (window_scope series w) o) windows
+
+(* The run's verdicts.  A burn clause's is its signal at the last
+   window (no windows, no burn). *)
 let evaluate objectives series =
-  let totals = Series.totals series in
-  List.map (evaluate_objective series totals) objectives
+  let run = run_scope series in
+  List.map
+    (fun o ->
+      let value, pass =
+        match o with
+        | Burn _ ->
+          List.fold_left
+            (fun _ last -> last)
+            (0.0, true) (per_window o series)
+        | Avail _ | Quantile _ | Rate _ -> measure run o
+      in
+      { v_label = label_of o; v_value = value; v_pass = pass })
+    objectives
 
 let pass verdicts = List.for_all (fun v -> v.v_pass) verdicts
 

@@ -47,30 +47,23 @@ val label_of : objective -> string
 (** The clause in normalized form, e.g. ["p99(page-fault)<=0.05s"] —
     the label incidents and verdicts share. *)
 
-val avail_of : No_trace.Trace.Metrics.t -> float
-(** Offload availability of one metrics aggregate:
-    [1 - (fallbacks + rejects) / (offloads + rejects)]; 1.0 when there
-    were no attempts.  Exposed for the per-window incident engine,
-    which needs the same definition the [avail] clause uses. *)
-
-val burn_rate : target:float -> No_trace.Trace.Metrics.t -> float
-(** Error-budget burn rate of one metrics aggregate: its failure ratio
-    (as in {!avail_of}) over the budget [1 - target]; 0.0 when there
-    were no attempts.  [burn] clauses apply it per window, in
-    {!evaluate} and in the incident engine alike. *)
-
 val span_limit_s : objective list -> float
 (** The tightest [offload-span] quantile limit in the spec, or
     [infinity] when there is none: a trace sampler's SLO keep-leg
     threshold, since it keeps whole tasks and a task's latency is its
     offload span. *)
 
-val counter_value : string -> No_trace.Trace.Metrics.t -> int
-(** Value of a [rate(...)] counter by its grammar name; 0 for unknown
-    names. *)
+val per_window : objective -> Series.t -> (float * bool) list
+(** Each window's measured value of the clause and whether the clause
+    holds there, chronologically: a [burn] clause's fast/slow trailing
+    pair ending at that window; any other clause measured over that
+    window alone (its metrics, histograms and width), as {!evaluate}
+    measures it over the whole run.  Empty windows never fail. *)
 
 val evaluate : objective list -> Series.t -> verdict list
-(** Verdicts in spec order. *)
+(** Verdicts in spec order.  A [burn] clause's is its {!per_window}
+    value at the last window; every other clause is measured over the
+    run: its totals, merged histograms and duration. *)
 
 val pass : verdict list -> bool
 

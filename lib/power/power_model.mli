@@ -24,7 +24,8 @@ type t = {
 
 val galaxy_s5 : fast_radio:bool -> t
 (** The paper's handset; [fast_radio] selects the remote-I/O level
-    (2000 mW on 802.11ac, 1700 mW on 802.11n). *)
+    (2000 mW on 802.11ac, 1700 mW on 802.11n).  A session takes it
+    from its link's [fast_radio]. *)
 
 val draw_mw : t -> state -> float
 val state_to_string : state -> string

@@ -110,9 +110,9 @@ type server_handle = {
          falls back to rollback + local replay *)
 }
 
+(* Only choices: the architecture pair comes with the compiled
+   output, the radio with the link. *)
 type config = {
-  mobile_arch : Arch.t;
-  server_arch : Arch.t;
   link : Link.t;
   compress_writeback : bool;     (* server->mobile compression (paper) *)
   compress_upload : bool;        (* ablation: compress mobile->server too *)
@@ -120,7 +120,6 @@ type config = {
   prefetch : bool;
   decision : decision_mode;
   ideal : bool;                  (* zero communication/translation cost *)
-  fast_radio : bool;             (* selects the remote-I/O power level *)
   initial_bw_bps : float option; (* stale bandwidth belief; None = the
                                     configured link's effective rate *)
   trace : Trace.sink;            (* runtime event spine: receives every
@@ -137,8 +136,6 @@ type config = {
 }
 
 let default_config ?(link = Link.fast_wifi) () = {
-  mobile_arch = Arch.arm32;
-  server_arch = Arch.x86_64;
   link;
   compress_writeback = true;
   compress_upload = false;
@@ -146,7 +143,6 @@ let default_config ?(link = Link.fast_wifi) () = {
   prefetch = true;
   decision = Dynamic;
   ideal = false;
-  fast_radio = true;
   initial_bw_bps = None;
   trace = Trace.null;
   faults = None;
@@ -177,7 +173,6 @@ type t = {
   sink : Trace.sink;                       (* the ledger, fanned out with
                                               [config.trace] *)
   mem_estimate : (string, int) Hashtbl.t;  (* per-target footprint *)
-  uva_global_addr : (string, int) Hashtbl.t; (* g -> UVA object address *)
   mutable last_mark : float;
   mutable in_offload : bool;
   mutable pending_request : (int * Value.t list) option;
@@ -226,18 +221,14 @@ let emit t ev = t.sink ~ts:t.clock.Host.now ev
 let server_globals_base = Host.globals_base_of_role Host.Server
 
 (* Pre-decoded code tables, shared across every session created from
-   the same pipeline output on the same architectures.  Lowering
-   depends only on the module, the unified layout — itself a function
-   of the mobile arch and the module's structs — and the role's
+   the same pipeline output.  Lowering depends only on the modules,
+   the pair and the unified layout the output carries, and the role's
    deterministic global/function address assignment, so a fleet of
    hundreds of clients pays for it once per workload instead of twice
    per session.  Keys compare physically: the fleet driver caches its
-   compiled outputs, and arch descriptors are the shared [Arch]
-   constants; a miss merely recompiles. *)
+   compiled outputs; a miss merely recompiles. *)
 let code_memo :
     (Pipeline.output
-    * Arch.t
-    * Arch.t
     * ((string, Host.compiled) Hashtbl.t * (string, Host.compiled) Hashtbl.t))
     list
     ref =
@@ -245,23 +236,21 @@ let code_memo :
 
 let code_memo_max = 8
 
-let session_code ~(output : Pipeline.output) ~mobile_arch ~server_arch ~layout
-    ~mobile_table ~server_table =
-  match
-    List.find_opt
-      (fun (o, ma, sa, _) -> o == output && ma == mobile_arch && sa == server_arch)
-      !code_memo
-  with
-  | Some (_, _, _, codes) -> codes
+let session_code (output : Pipeline.output) ~mobile_table ~server_table =
+  match List.find_opt (fun (o, _) -> o == output) !code_memo with
+  | Some (_, codes) -> codes
   | None ->
+    let layout = output.Pipeline.o_layout in
     let codes =
-      ( Host.compile_module ~arch:mobile_arch ~role:Host.Mobile
-          ~modul:output.Pipeline.o_mobile ~layout ~fn_table:mobile_table (),
-        Host.compile_module ~arch:server_arch ~role:Host.Server
-          ~modul:output.Pipeline.o_server ~layout ~fn_table:server_table () )
+      ( Host.compile_module ~arch:output.Pipeline.o_mobile_arch
+          ~role:Host.Mobile ~modul:output.Pipeline.o_mobile ~layout
+          ~fn_table:mobile_table (),
+        Host.compile_module ~arch:output.Pipeline.o_server_arch
+          ~role:Host.Server ~modul:output.Pipeline.o_server ~layout
+          ~fn_table:server_table () )
     in
     code_memo :=
-      (output, mobile_arch, server_arch, codes)
+      (output, codes)
       :: (if List.length !code_memo >= code_memo_max then
             List.filteri (fun i _ -> i < code_memo_max - 1) !code_memo
           else !code_memo);
@@ -287,10 +276,9 @@ let create ?(config = default_config ()) ?(script = []) ?(files = [])
   let console = Console.create ~script () in
   let fs = Fs.create () in
   List.iter (fun (name, data) -> Fs.add_file fs name data) files;
-  let structs name = Ir.find_struct_exn output.Pipeline.o_unified name in
-  let unified_layout =
-    Layout.unified_env ~mobile:config.mobile_arch ~structs
-  in
+  let mobile_arch = output.Pipeline.o_mobile_arch
+  and server_arch = output.Pipeline.o_server_arch
+  and unified_layout = output.Pipeline.o_layout in
   let mobile_fn_names =
     List.map (fun (f : Ir.func) -> f.Ir.f_name)
       output.Pipeline.o_mobile.Ir.m_funcs
@@ -302,29 +290,24 @@ let create ?(config = default_config ()) ?(script = []) ?(files = [])
   let mobile_table = Fn_table.mobile mobile_fn_names in
   let server_table = Fn_table.server server_fn_names in
   let mobile_code, server_code =
-    session_code ~output ~mobile_arch:config.mobile_arch
-      ~server_arch:config.server_arch ~layout:unified_layout
-      ~mobile_table ~server_table
+    session_code output ~mobile_table ~server_table
   in
   let ledger = Trace.Metrics.create () in
   let sink = Trace.fan_out [ Trace.Metrics.sink ledger; config.trace ] in
   let mobile =
-    Host.create ~arch:config.mobile_arch ~role:Host.Mobile
+    Host.create ~arch:mobile_arch ~role:Host.Mobile
       ~modul:output.Pipeline.o_mobile ~layout:unified_layout
       ~fn_table:mobile_table ~uva ~console ~fs ~clock ~sink
       ~code:mobile_code ()
   in
   let server =
-    Host.create ~arch:config.server_arch ~role:Host.Server
+    Host.create ~arch:server_arch ~role:Host.Server
       ~modul:output.Pipeline.o_server ~layout:unified_layout
       ~fn_table:server_table
       ~fn_addr_standard:(Fn_table.addr_of mobile_table)
       ~uva ~console ~fs ~clock ~sink ~code:server_code ()
   in
-  let r =
-    Arch.performance_ratio ~mobile:config.mobile_arch
-      ~server:config.server_arch
-  in
+  let r = Arch.performance_ratio ~mobile:mobile_arch ~server:server_arch in
   let initial_bw =
     Option.value ~default:(Link.effective_bps config.link)
       config.initial_bw_bps
@@ -371,7 +354,7 @@ let create ?(config = default_config ()) ?(script = []) ?(files = [])
       clock;
       battery =
         Battery.create ~sink
-          (Power_model.galaxy_s5 ~fast_radio:config.fast_radio);
+          (Power_model.galaxy_s5 ~fast_radio:config.link.Link.fast_radio);
       estimator;
       predictor = Bandwidth_predictor.create ~initial_bps:initial_bw;
       to_server =
@@ -388,7 +371,6 @@ let create ?(config = default_config ()) ?(script = []) ?(files = [])
       ledger;
       sink;
       mem_estimate;
-      uva_global_addr = Hashtbl.create 16;
       last_mark = 0.0;
       in_offload = false;
       pending_request = None;
@@ -602,18 +584,22 @@ let push_pages_to_server t (pages : int list) =
 
 (* {1 Initialization / finalization} *)
 
-let unified_endianness t = t.config.mobile_arch.Arch.endianness
+(* The unified layout is the mobile's: its byte order is the mobile
+   host's. *)
+let unified_endianness t = t.mobile.Host.arch.Arch.endianness
 
 (* Copy the reallocated-global slot values mobile -> server.  Slots
-   hold unified-width (32-bit) UVA addresses in unified byte order. *)
+   hold unified-width UVA addresses in unified byte order. *)
 let sync_uva_slots t =
+  let order = unified_endianness t
+  and width = t.unified_layout.Layout.ptr_bytes in
   List.iter
     (fun (g : Ir.global) ->
       let slot = Global_realloc.slot_name g.Ir.g_name in
       let mob_addr = Host.global_addr t.mobile slot in
       let srv_addr = Host.global_addr t.server slot in
-      Memory.store_word t.server.Host.mem (unified_endianness t) srv_addr 4
-        (Memory.load_word t.mobile.Host.mem (unified_endianness t) mob_addr 4))
+      Memory.store_word t.server.Host.mem order srv_addr width
+        (Memory.load_word t.mobile.Host.mem order mob_addr width))
     t.uva_globals
 
 let initialization t (args : Value.t list) =
@@ -693,9 +679,6 @@ let fnptr_translation_s = 2.0e-4
 
 let fnptr_translate = Trace.Fnptr_translate { cost_s = fnptr_translation_s }
 
-let target_by_id t id =
-  List.find_opt (fun tg -> tg.Partition.t_id = id) t.targets
-
 let target_by_name t name =
   List.find_opt (fun tg -> String.equal tg.Partition.t_name name) t.targets
 
@@ -754,29 +737,32 @@ let server_builtin_override t name (argv : Value.t list) : Value.t option =
     None
   | _ -> None
 
+(* The listener's externs, by the names [Partition] generates them
+   under. *)
 let server_extern t name (argv : Value.t list) : Value.t option =
-  match name with
-  | "__accept_offload" -> (
+  let is extern = String.equal name extern in
+  if is Partition.accept_extern then (
     match t.pending_request with
     | Some (id, args) ->
       t.pending_request <- None;
       t.pending_args <- Array.of_list args;
       Some (Value.VInt (Int64.of_int id))
     | None -> Some (Value.VInt (-1L)))
-  | "__arg_i64" | "__arg_f64" -> (
+  else if is Partition.arg_i64_extern || is Partition.arg_f64_extern then (
     match argv with
     | [ k ] -> Some t.pending_args.(Int64.to_int (Value.to_int k))
     | _ -> raise (Offload_error "bad __arg call"))
-  | "__ret_i64" | "__ret_f64" -> (
+  else if is Partition.ret_i64_extern || is Partition.ret_f64_extern then (
     match argv with
     | [ v ] ->
       t.pending_ret <- v;
       Some Value.zero
     | _ -> raise (Offload_error "bad __ret call"))
-  | "__ret_void" ->
+  else if is Partition.ret_void_extern then begin
     t.pending_ret <- Value.zero;
     Some Value.zero
-  | _ -> None
+  end
+  else None
 
 let install_server_hooks t =
   let hooks = t.server.Host.hooks in
@@ -1176,7 +1162,6 @@ let mobile_extern t name (argv : Value.t list) : Value.t option =
         ~write_byte:(Memory.write_byte t.mobile.Host.mem)
         ~fn_addr:(Fn_table.addr_of t.mobile.Host.fn_table)
         ~addr g.Ir.g_ty g.Ir.g_init;
-      Hashtbl.replace t.uva_global_addr gname addr;
       Some (Value.VInt (Int64.of_int addr))
   end
   else None

@@ -36,11 +36,17 @@ type stats = {
   st_server_functions : int;
 }
 
+(* The pair a module was compiled for travels with the partitions:
+   the runtime builds its two hosts, its estimator's R and its UVA
+   slots' byte order from it, so no second copy can disagree. *)
 type output = {
   o_mobile : Ir.modul;
   o_server : Ir.modul;
   o_targets : Partition.target list;
-  o_unified : Ir.modul;            (* post-unification, pre-partition *)
+  o_mobile_arch : Arch.t;
+  o_server_arch : Arch.t;
+  o_layout : Layout.env;           (* the unified layout both partitions
+                                      run under *)
   o_stats : stats;
 }
 
@@ -79,7 +85,9 @@ let run ?(lower_geps = false) ~(mobile : Arch.t) ~(server : Arch.t)
     o_mobile = parts.Partition.p_mobile;
     o_server = server_m;
     o_targets = parts.Partition.p_targets;
-    o_unified = m;
+    o_mobile_arch = mobile;
+    o_server_arch = server;
+    o_layout = unified_layout;
     o_stats =
       {
         st_malloc_sites = heap_stats.Heap_replace.malloc_sites;

@@ -309,6 +309,26 @@ use:
   Alcotest.(check int64) "returns 1.0" (Int64.bits_of_float 1.0)
     (Int64.bits_of_float (Value.to_float v))
 
+(* A narrower integer zero-extends into a pointer, as LLVM's inttoptr
+   does: a 32-bit address at or above 2^31 keeps its value on every
+   host, through the round trip back to i64. *)
+let test_inttoptr_zero_fills () =
+  let t = B.create "inttoptr" in
+  let ptr = Ty.Ptr Ty.I8 in
+  let _ =
+    B.func t "f" ~params:[] ~ret:Ty.I64 (fun fb _ ->
+        let p =
+          B.cast fb Ir.Int_to_ptr ~src:Ty.I32 (B.i32 0x9000_0010) ~dst:ptr
+        in
+        B.ret fb (Some (B.cast fb Ir.Ptr_to_int ~src:ptr p ~dst:Ty.I64)))
+  in
+  let m = B.finish t in
+  List.iter
+    (fun (arch : Arch.t) ->
+      Alcotest.(check int64) arch.Arch.name 2415919120L
+        (Value.to_int (Interp.call (make_host ~arch m) "f" [])))
+    Arch.all
+
 let tests =
   [
     Alcotest.test_case "loop sum" `Quick test_loop_sum;
@@ -323,4 +343,5 @@ let tests =
       test_straddling_traps;
     Alcotest.test_case "unwritten register reads zero bits" `Quick
       test_unwritten_register;
+    Alcotest.test_case "inttoptr zero-fills" `Quick test_inttoptr_zero_fills;
   ]

@@ -139,10 +139,7 @@ let test_cross_endian_offload () =
   let stats = compiled.Compiler.c_output.Pipeline.o_stats in
   Alcotest.(check bool) "swaps inserted" true
     (stats.Pipeline.st_endian_swaps > 0);
-  let config =
-    { (Session.default_config ()) with Session.mobile_arch = Arch.arm32_be }
-  in
-  let report = run_with config compiled in
+  let report = run_with (Session.default_config ()) compiled in
   let local =
     Local_run.run ~arch:Arch.arm32_be ~script:eval_script
       compiled.Compiler.c_original
@@ -153,16 +150,20 @@ let test_cross_endian_offload () =
 
 (* 32-bit little-endian server with the IA32 struct rules: same
    pointer width (no address conversion), no endian swaps — but the
-   unified layout is what keeps struct offsets agreeing (Figure 4). *)
+   unified layout is what keeps struct offsets agreeing (Figure 4).
+   The session's server is the one the code was compiled for. *)
 let test_x86_32_server () =
   let compiled = compile_scaler ~server:Arch.x86_32 () in
   let stats = compiled.Compiler.c_output.Pipeline.o_stats in
   Alcotest.(check int) "no addr conversion" 0 stats.Pipeline.st_addr_loads;
   Alcotest.(check int) "no endian swaps" 0 stats.Pipeline.st_endian_swaps;
-  let config =
-    { (Session.default_config ()) with Session.server_arch = Arch.x86_32 }
+  let session =
+    Session.create ~config:(Session.default_config ()) ~script:eval_script
+      compiled.Compiler.c_output ~seeds:compiled.Compiler.c_seeds
   in
-  let report = run_with config compiled in
+  Alcotest.(check string) "server arch" Arch.x86_32.Arch.name
+    session.Session.server.No_exec.Host.arch.Arch.name;
+  let report = Session.run session in
   Alcotest.(check string) "x86_32 server correct" (local_console compiled)
     report.Session.rep_console
 
@@ -194,13 +195,10 @@ let check_pair ~(mobile : Arch.t) ~(server : Arch.t) locals =
       swaps := !swaps + stats.Pipeline.st_endian_swaps;
       widened :=
         !widened + stats.Pipeline.st_addr_loads + stats.Pipeline.st_addr_stores;
-      let config =
-        { (Experiment.fast_config ()) with
-          Session.mobile_arch = mobile; Session.server_arch = server }
-      in
       let report =
         Session.run
-          (Session.create ~config ~script:e.Registry.e_profile_script
+          (Session.create ~config:(Experiment.fast_config ())
+             ~script:e.Registry.e_profile_script
              ~files:e.Registry.e_files compiled.Compiler.c_output
              ~seeds:compiled.Compiler.c_seeds)
       in
@@ -267,11 +265,9 @@ let test_figure4_chess_on_x86_32 () =
   in
   let script = No_workloads.Chess.script ~depth:5 ~turns:2 in
   let local = Local_run.run ~script compiled.Compiler.c_original in
-  let config =
-    { (Session.default_config ()) with Session.server_arch = Arch.x86_32 }
-  in
   let session =
-    Session.create ~config ~script compiled.Compiler.c_output
+    Session.create ~config:(Session.default_config ()) ~script
+      compiled.Compiler.c_output
       ~seeds:compiled.Compiler.c_seeds
   in
   let report = Session.run session in
@@ -392,4 +388,84 @@ let bandwidth_tests =
       test_session_adapts_to_real_bandwidth;
   ]
 
-let tests = tests @ bandwidth_tests
+(* {1 One source per fact} *)
+
+(* A pointer at or above 2^31 stored and reloaded by the server of
+   [arm32_be -> x86_32], where the pointer crosses memory as a
+   byte-swapped i32 ([load i32, bswap, inttoptr]): it keeps its value
+   only if [inttoptr] zero-fills. *)
+let test_high_pointer_round_trip () =
+  let t = B.create "high_pointer" in
+  let ptr = Ty.Ptr Ty.I8 in
+  B.global t "slot" ptr Ir.Zero_init;
+  let _ =
+    B.func t "hot" ~params:[] ~ret:Ty.I64 (fun fb _ ->
+        let p =
+          B.cast fb Ir.Int_to_ptr ~src:Ty.I32 (B.i32 0x9000_0010) ~dst:ptr
+        in
+        B.store fb ptr p (Ir.Global "slot");
+        let q = B.load fb ptr (Ir.Global "slot") in
+        B.ret fb (Some (B.cast fb Ir.Ptr_to_int ~src:ptr q ~dst:Ty.I64)))
+  in
+  let _ =
+    B.func t "main" ~params:[] ~ret:Ty.I64 (fun fb _ ->
+        W.print_result t fb ~label:"addr" (B.call fb "hot" []);
+        B.ret fb (Some (B.i64 0)))
+  in
+  let m = B.finish t in
+  let output =
+    Pipeline.run ~mobile:Arch.arm32_be ~server:Arch.x86_32
+      ~targets:[ "hot" ] m
+  in
+  let config =
+    { (Session.default_config ()) with
+      Session.decision = Session.Always_offload }
+  in
+  let report = Session.run (Session.create ~config output ~seeds:[]) in
+  let local = Local_run.run ~arch:Arch.arm32_be m in
+  Alcotest.(check int) "offloaded" 1 report.Session.rep_offloads;
+  Alcotest.(check bool) "local run prints the address" true
+    (String.equal local.Local_run.lr_console "addr=2415919120\n");
+  Alcotest.(check string) "console" local.Local_run.lr_console
+    report.Session.rep_console
+
+(* The link carries its radio: a session on 802.11n built from the
+   default config draws what the slow-network configuration does,
+   the 802.11n radio's 1700 mW while serving remote I/O, on a program
+   that offloads and serves remote I/O there. *)
+let test_link_sets_radio () =
+  let e = Option.get (Registry.by_name "300.twolf") in
+  let compiled = Compiler.compile_entry e in
+  let run config =
+    let session =
+      Session.create ~config ~script:e.Registry.e_profile_script
+        ~files:e.Registry.e_files compiled.Compiler.c_output
+        ~seeds:compiled.Compiler.c_seeds
+    in
+    let report = Session.run session in
+    (report, Session.ledger session)
+  in
+  let default, ledger =
+    run (Session.default_config ~link:Link.slow_wifi ())
+  in
+  let slow, _ = run (Experiment.slow_config ()) in
+  Alcotest.(check bool) "offloads" true (default.Session.rep_offloads > 0);
+  Alcotest.(check bool) "remote I/O" true
+    (default.Session.rep_remote_io_ops > 0);
+  List.iter
+    (fun (_, mw, _, state) ->
+      if String.equal state "remote-io" then
+        Alcotest.(check (float 0.0)) "remote-I/O draw" 1700.0 mw)
+    (No_trace.Trace.Metrics.power_segments ledger);
+  Alcotest.(check int64) "energy"
+    (Int64.bits_of_float slow.Session.rep_energy_mj)
+    (Int64.bits_of_float default.Session.rep_energy_mj)
+
+let single_source_tests =
+  [
+    Alcotest.test_case "high pointer crosses arm32_be -> x86_32" `Quick
+      test_high_pointer_round_trip;
+    Alcotest.test_case "link sets the radio" `Quick test_link_sets_radio;
+  ]
+
+let tests = tests @ bandwidth_tests @ single_source_tests
