@@ -554,7 +554,7 @@ let analyze_cmd =
      function of the trace, so re-analyzing is byte-identical. *)
   let analysis_json ~hists ~sampled ~exemplars ~rows events =
     let b = Buffer.create 2048 in
-    let jf = Printf.sprintf "%.9g" in
+    let jf = Trace.json_float in
     Buffer.add_string b
       (Printf.sprintf "{\n  \"events\": %d,\n  \"histograms\": ["
          (List.length events));
@@ -614,10 +614,8 @@ let analyze_cmd =
              \"mean_rel_err\": %s}"
             s.Audit.s_estimates s.Audit.s_true_pos s.Audit.s_false_pos
             s.Audit.s_true_neg s.Audit.s_false_neg s.Audit.s_unverified
-            (if Float.is_nan s.Audit.s_mean_abs_err_s then "null"
-             else jf s.Audit.s_mean_abs_err_s)
-            (if Float.is_nan s.Audit.s_mean_rel_err then "null"
-             else jf s.Audit.s_mean_rel_err))
+            (jf s.Audit.s_mean_abs_err_s)
+            (jf s.Audit.s_mean_rel_err))
      end);
     Buffer.add_string b "\n}\n";
     Buffer.contents b
@@ -862,8 +860,8 @@ let serve_cmd =
       & info [ "metrics-out" ] ~docv:"FILE"
           ~doc:
             "Write the fleet-wide metrics and windowed time series (every \
-             client's trace merged onto the global clock) as OpenMetrics \
-             text exposition to $(docv).")
+             client's events on the global clock) as OpenMetrics text \
+             exposition to $(docv).")
   in
   let migrate_arg =
     Arg.(
@@ -987,8 +985,16 @@ let serve_cmd =
       Fmt.epr "--sample budget must be within [0,1]@.";
       exit 1
     | _ -> ());
-    let print_slo result =
-      let series = Series.of_events (Sim.global_events result) in
+    (* Every run streams its events, on the global clock, into one
+       live windowed series: the SLO line, the incident timeline and
+       --metrics-out all read it, and no client keeps a trace. *)
+    let series = Series.create () in
+    let streaming config =
+      { config with
+        Sim.s_record_events = false;
+        Sim.s_global_sink = Some (Series.sink series) }
+    in
+    let print_slo () =
       let verdicts = Slo.evaluate objectives series in
       Fmt.pr "%s@." (Slo.render verdicts);
       Fmt.pr "SLO (%s): %s@."
@@ -1007,39 +1013,39 @@ let serve_cmd =
           Fmt.epr "%s@." msg;
           exit 1
       in
-      let result = Sim.run ~config:sc.Sim.sc_config sc.Sim.sc_clients in
+      let result =
+        Sim.run ~config:(streaming sc.Sim.sc_config) sc.Sim.sc_clients
+      in
       print_endline
         (Sim.render
            ~title:
              (Printf.sprintf "%s: %s%s" sc.Sim.sc_name sc.Sim.sc_title
                 (if no_migrate then " (migration disabled)" else ""))
            result);
-      print_slo result
+      print_slo ()
     | None ->
     List.iter
       (fun name -> ignore (entry_of_name name : Registry.entry))
       workloads;
     let plan = Option.map fault_plan_of_string faults in
-    (* With --sample, a live windowed series rides the streaming global
-       sink so the sampler's exemplar hook can attach kept-trace ids to
-       the same windows the SLO incident timeline is detected over. *)
+    (* With --sample, the sampler's exemplar hook attaches kept-trace
+       ids to the same windows the SLO incident timeline is detected
+       over. *)
     let sampling =
-      match sample with
-      | None -> None
-      | Some budget ->
-        let live = Series.create () in
-        let sampler =
-          Trace.Sampler.create ~slo_limit_s:(Slo.span_limit_s objectives)
-            ~exemplar:(Series.add_exemplar live)
-            ~keep:(fun ~client ~task ->
-              Rng.task_keep
-                ~seed:(Int64.of_int sample_seed)
-                ~client ~task ~budget)
-            ()
-        in
-        Some (budget, sampler, live)
+      Option.map
+        (fun budget ->
+          ( budget,
+            Trace.Sampler.create ~slo_limit_s:(Slo.span_limit_s objectives)
+              ~exemplar:(Series.add_exemplar series)
+              ~keep:(fun ~client ~task ->
+                Rng.task_keep
+                  ~seed:(Int64.of_int sample_seed)
+                  ~client ~task ~budget)
+              () ))
+        sample
     in
     let config =
+      streaming
       { Sim.default_config with
         Sim.s_load =
           { Server_load.default with Server_load.slots;
@@ -1052,12 +1058,7 @@ let serve_cmd =
           | None -> Link.fast_wifi);
         Sim.s_scale = (if eval then Sim.Eval else Sim.Profile);
         Sim.s_migrate = not no_migrate;
-        Sim.s_record_events = true;
-        Sim.s_global_sink =
-          (match sampling with
-          | Some (_, _, live) -> Some (Series.sink live)
-          | None -> Sim.default_config.Sim.s_global_sink);
-        Sim.s_sampler = Option.map (fun (_, s, _) -> s) sampling }
+        Sim.s_sampler = Option.map snd sampling }
     in
     let cs =
       Sim.make_clients ~stagger_s:stagger ?faults:plan ~workloads
@@ -1070,10 +1071,10 @@ let serve_cmd =
            (Printf.sprintf "%d client(s), %d server(s) x %d slots, queue %d, %s"
               clients servers slots queue (Pool.policy_to_string policy))
          result);
-    print_slo result;
+    print_slo ();
     (match sampling with
     | None -> ()
-    | Some (budget, sampler, live) ->
+    | Some (budget, sampler) ->
       Fmt.pr
         "sampling budget %g (seed %d): kept %d/%d tasks (%s), rows %d/%d, \
          peak buffered rows %d@."
@@ -1087,7 +1088,7 @@ let serve_cmd =
         (Trace.Sampler.rows_kept sampler)
         (Trace.Sampler.rows_seen sampler)
         (Trace.Sampler.buffered_rows_peak sampler);
-      let incidents = Incident.detect objectives live in
+      let incidents = Incident.detect objectives series in
       Fmt.pr "incident timeline:@.%s@." (Incident.render incidents);
       Option.iter
         (fun path ->
@@ -1113,12 +1114,6 @@ let serve_cmd =
     (match metrics_out with
     | None -> ()
     | Some file -> (
-      let series =
-        (* The live sampled series is the same stream plus exemplars. *)
-        match sampling with
-        | Some (_, _, live) -> live
-        | None -> Series.of_events (Sim.global_events result)
-      in
       match Openmetrics.write file ~series (Series.totals series) with
       | exception Sys_error msg ->
         Fmt.epr "cannot write metrics: %s@." msg;

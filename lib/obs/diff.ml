@@ -231,7 +231,7 @@ let render ?(top_n = 10) r : string =
   end;
   Buffer.contents b
 
-let jf = Printf.sprintf "%.9g"
+let jf = Trace.json_float
 
 let to_json ?(top_n = 10) r : string =
   let b = Buffer.create 1024 in

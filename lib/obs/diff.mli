@@ -57,4 +57,5 @@ val render : ?top_n:int -> report -> string
 
 val to_json : ?top_n:int -> report -> string
 (** Deterministic JSON document (nodes truncated to [top_n], kinds
-    complete); consumed by scripts/bench_guard.py --explain. *)
+    complete; non-finite floats as [null]); consumed by
+    scripts/bench_guard.py --explain. *)

@@ -36,9 +36,10 @@ let s_sum = 0
 let s_min = 1
 let s_max = 2
 
-(* Dense-index ceiling: finite doubles reach bucket
-   1 + 8*log2(max_float/1e-12) ≈ 8300, far below this; anything larger
-   (ties to +inf via int_of_float) is clamped into the top bucket. *)
+(* Dense-index ceiling, the top bucket.  Values up to about 1.8e296
+   reach at most bucket 1 + floor (8 * log2 max_float) = 8193, far
+   below it; above that, [v /. v_min] overflows to +inf, and those
+   values and +inf itself land here. *)
 let max_index = 16_383
 
 type t = {
@@ -70,11 +71,14 @@ let create () =
     exm = [];
   }
 
+(* The octave position is compared as a float: native [int_of_float]
+   of +inf is 0, which would put an overflowed value in bucket 1. *)
 let index_of v =
   if v <= v_min then 0
   else
-    let idx = 1 + int_of_float (floor (Float.log2 (v /. v_min) *. sub_buckets)) in
-    if idx < 0 then 0 else if idx > max_index then max_index else idx
+    let octaves = floor (Float.log2 (v /. v_min) *. sub_buckets) in
+    if octaves >= float_of_int (max_index - 1) then max_index
+    else 1 + int_of_float octaves
 
 let grow t want =
   let cap = ref (Array.length t.counts) in

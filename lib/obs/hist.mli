@@ -14,7 +14,8 @@ val create : unit -> t
 
 val add : t -> float -> unit
 (** Record one sample.  NaN samples are ignored; values at or below
-    1e-12 share the lowest bucket. *)
+    1e-12 share the lowest bucket, and values above about 1.8e296
+    (+inf included) the highest. *)
 
 val count : t -> int
 val sum : t -> float

@@ -136,18 +136,18 @@ let render incidents =
              | ids -> " exemplars: " ^ String.concat "," ids))
          incidents)
 
-(* One JSON object per incident, %.9g floats — same stability contract
-   as the raw-trace files. *)
+(* One JSON object per incident, floats through [Trace.json_float] —
+   same stability contract as the raw-trace files. *)
 let to_jsonl incidents =
   let line i =
     Printf.sprintf
-      "{\"label\":%s,\"start_s\":%.9g,\"end_s\":%s,\"windows\":%d,\
-       \"peak\":%.9g,\"exemplars\":[%s]}"
-      (Trace.json_string i.i_label) i.i_start_s
-      (match i.i_end_s with
-      | Some e -> Printf.sprintf "%.9g" e
-      | None -> "null")
-      i.i_windows i.i_peak
+      "{\"label\":%s,\"start_s\":%s,\"end_s\":%s,\"windows\":%d,\
+       \"peak\":%s,\"exemplars\":[%s]}"
+      (Trace.json_string i.i_label)
+      (Trace.json_float i.i_start_s)
+      (match i.i_end_s with Some e -> Trace.json_float e | None -> "null")
+      i.i_windows
+      (Trace.json_float i.i_peak)
       (String.concat "," (List.map Trace.json_string i.i_exemplars))
   in
   String.concat "" (List.map (fun i -> line i ^ "\n") incidents)

@@ -37,8 +37,9 @@ val render : incident list -> string
 (** Deterministic text timeline; ["no incidents"] when empty. *)
 
 val to_jsonl : incident list -> string
-(** One JSON object per incident per line ([%.9g] floats;
-    [end_s] is [null] while still firing). *)
+(** One JSON object per incident per line (floats through
+    {!No_trace.Trace.json_float}; [end_s] is [null] while still
+    firing). *)
 
 val save : string -> incident list -> unit
 (** Write {!to_jsonl} to a file. *)

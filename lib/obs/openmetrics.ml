@@ -135,10 +135,7 @@ let of_run ?series (m : Trace.Metrics.t) : string =
       sample
         ~labels:[ ("state", state) ]
         "offload_power_state_seconds_total" seconds)
-    (List.sort compare
-       (Hashtbl.fold
-          (fun state s acc -> (state, s) :: acc)
-          m.Trace.Metrics.power_s []));
+    (Trace.Metrics.residency m);
   (match series with
   | None -> ()
   | Some series ->

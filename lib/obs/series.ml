@@ -6,17 +6,21 @@
    *start* timestamp falls in — the same stamping convention as the
    sinks — so a window holds:
 
-     - a full Trace.Metrics aggregate of just that interval (counts,
-       bytes, seconds, energy, power residencies);
+     - a Trace.Metrics fold of just that interval's counters, bytes
+       and seconds, but no power segments: a segment would be charged
+       whole to the window its start falls in, so per-window energy
+       is not an interval quantity, and no per-window reader wants it;
      - one latency histogram per event kind (lossless HDR sketches, so
        merging all windows reproduces the whole-run distribution);
      - gauges: peak queue depth, peak slot occupancy and the bandwidth
-       predictor's last sampled belief.
+       predictor's latest sampled belief.
+
+   Beside the windows, every event is folded into one whole-run
+   Trace.Metrics as it streams: [totals] is that record, equal field
+   for field, bit for bit, to any other sink's fold of the same stream.
 
    Everything is driven by the simulated clock, never the host's, so
-   a seeded rerun produces a byte-identical series.  Conservation —
-   summing every window's metrics equals the end-of-run Metrics of the
-   same stream — is a locked test invariant. *)
+   a seeded rerun produces a byte-identical series. *)
 
 module Trace = No_trace.Trace
 
@@ -32,17 +36,20 @@ type window = {
   mutable w_server_peaks : (int * int) list;
       (* per-server peak admit occupancy, ascending server id; servers
          with no admit in the window are absent *)
-  mutable w_bw_bps : float;              (* last sampled belief; NaN = none *)
+  mutable w_bw_bps : float;              (* latest sampled belief; NaN = none *)
 }
 
 (* A window plus its latency histograms as an array, indexed in
    [Trace.latency_names] order so the per-event charge is one array
    read instead of an assoc walk.  The array aliases the same [Hist.t]
-   values as the public [w_hists] list. *)
-type slot = { sw : window; s_harr : Hist.t array }
+   values as the public [w_hists] list.  [s_bw_ts] stamps the belief
+   in [w_bw_bps]: a fleet streams its clients' events out of time
+   order, and the gauge keeps the latest sample in simulated time. *)
+type slot = { sw : window; s_harr : Hist.t array; mutable s_bw_ts : float }
 
 type t = {
   window_s : float;
+  total : Trace.Metrics.t;               (* the whole run's fold *)
   by_index : (int, slot) Hashtbl.t;
   mutable max_index : int;               (* highest window touched; -1 = none *)
   mutable end_s : float;                 (* latest instant any event reaches *)
@@ -54,6 +61,7 @@ let create ?(window_s = default_window_s) () =
   if not (window_s > 0.0) then invalid_arg "Series.create: window_s";
   {
     window_s;
+    total = Trace.Metrics.create ();
     by_index = Hashtbl.create 64;
     max_index = -1;
     end_s = 0.0;
@@ -81,6 +89,7 @@ let fresh_slot t index =
         w_bw_bps = Float.nan;
       };
     s_harr = Array.of_list (List.map snd hists);
+    s_bw_ts = neg_infinity;
   }
 
 let slot_at t index =
@@ -103,9 +112,10 @@ let slot_at t index =
 
 let window_at t index = (slot_at t index).sw
 
-(* Metrics fold into the window's record, the (at most one) latency
-   sample goes to the window's histogram, and the gauges read the
-   event's fields. *)
+(* Every event folds into the run's record, and all but power
+   segments into the window's; the (at most one) latency sample goes
+   to the window's histogram, and the gauges read the event's
+   fields. *)
 let sink t : Trace.sink =
  fun ~ts ev ->
   let index =
@@ -113,7 +123,10 @@ let sink t : Trace.sink =
   in
   let s = slot_at t index in
   let w = s.sw in
-  Trace.Metrics.sink w.w_metrics ~ts ev;
+  Trace.Metrics.sink t.total ~ts ev;
+  (match ev with
+  | Trace.Power_state _ -> ()
+  | _ -> Trace.Metrics.sink w.w_metrics ~ts ev);
   let li = Trace.latency_slot ev in
   if li >= 0 then Hist.add s.s_harr.(li) (Trace.latency ev);
   (match ev with
@@ -131,7 +144,11 @@ let sink t : Trace.sink =
       | rest -> (server, occupancy) :: rest
     in
     w.w_server_peaks <- bump w.w_server_peaks
-  | Trace.Bw_sample { bps } -> w.w_bw_bps <- bps
+  | Trace.Bw_sample { bps } ->
+    if ts >= s.s_bw_ts then begin
+      w.w_bw_bps <- bps;
+      s.s_bw_ts <- ts
+    end
   | _ -> ());
   (* Span.run_end_s ends a run at the same close, so a series over a
      session trace covers exactly the run's wall clock. *)
@@ -167,12 +184,7 @@ let windows t =
   let last = max 0 (max t.max_index last_covered) in
   List.init (last + 1) (fun i -> window_at t i)
 
-let totals t =
-  let m = Trace.Metrics.create () in
-  List.iter
-    (fun w -> Trace.Metrics.merge_into ~into:m w.w_metrics)
-    (windows t);
-  m
+let totals t = t.total
 
 let kind_hist t name =
   Hist.merge

@@ -2,15 +2,16 @@
 
     The virtual timeline is cut into fixed-width windows; every event
     is charged to the window its start timestamp falls in (the sinks'
-    stamping convention).  Each window carries a full
-    {!No_trace.Trace.Metrics} aggregate of just that interval, one
-    lossless latency histogram per event kind, and gauges (peak queue
-    depth, peak slot occupancy, last sampled bandwidth belief).
+    stamping convention).  Each window carries a
+    {!No_trace.Trace.Metrics} fold of just that interval's counters,
+    bytes and seconds (power segments excluded: a segment would land
+    whole in the window its start falls in), one lossless latency
+    histogram per event kind, and gauges (peak queue depth, peak slot
+    occupancy, latest sampled bandwidth belief).  Beside the windows, the
+    series folds every event into one whole-run record, {!totals}.
 
     Driven entirely by the simulated clock, so seeded reruns produce
-    byte-identical series.  Conservation invariant (locked by tests):
-    merging every window's metrics equals the end-of-run metrics of
-    the same stream. *)
+    byte-identical series. *)
 
 val default_window_s : float
 (** 1.0 simulated second. *)
@@ -19,6 +20,8 @@ type window = {
   w_index : int;
   w_start_s : float;
   w_metrics : No_trace.Trace.Metrics.t;
+      (** this interval's fold, power segments excluded (no energy,
+          no residency) *)
   w_hists : (string * Hist.t) list;
       (** {!No_trace.Trace.latency_names} order *)
   mutable w_peak_queue_depth : int;
@@ -26,7 +29,9 @@ type window = {
   mutable w_server_peaks : (int * int) list;
       (** per-server peak admit occupancy within the window, ascending
           server id; servers with no admit in the window are absent *)
-  mutable w_bw_bps : float;  (** last sampled belief; NaN when none *)
+  mutable w_bw_bps : float;
+      (** the latest sampled belief in simulated time (of equal
+          stamps, the later arrival); NaN when none *)
 }
 
 type t
@@ -61,8 +66,10 @@ val windows : t -> window list
     structure. *)
 
 val totals : t -> No_trace.Trace.Metrics.t
-(** All windows merged in chronological order — the conservation
-    partner of an independent end-of-run metrics sink. *)
+(** The whole run's fold of every event the series observed, in
+    arrival order: bit for bit what an independent
+    {!No_trace.Trace.Metrics.sink} over the same stream holds.  Live:
+    later events keep updating it. *)
 
 val kind_hist : t -> string -> Hist.t
 (** Merge of one {!No_trace.Trace.latency_names} histogram across all

@@ -8,13 +8,9 @@ let table ?(title = "Run metrics (event-stream derived)")
     (m : Trace.Metrics.t) : Table.t =
   let t = Table.create ~title [ "metric"; "value" ] in
   List.iter (fun (k, v) -> Table.add_row t [ k; v ]) (Trace.Metrics.to_rows m);
-  (* Per-power-state residency, sorted for stable output. *)
   List.iter
     (fun (state, seconds) ->
       Table.add_row t
         [ "power: " ^ state ^ " (s)"; Printf.sprintf "%.4f" seconds ])
-    (List.sort compare
-       (Hashtbl.fold
-          (fun state s acc -> (state, s) :: acc)
-          m.Trace.Metrics.power_s []));
+    (Trace.Metrics.residency m);
   t

@@ -120,8 +120,6 @@ type config = {
   prefetch : bool;
   decision : decision_mode;
   ideal : bool;                  (* zero communication/translation cost *)
-  initial_bw_bps : float option; (* stale bandwidth belief; None = the
-                                    configured link's effective rate *)
   trace : Trace.sink;            (* runtime event spine: receives every
                                     event the session's ledger folds *)
   faults : Fault_plan.t option;  (* deterministic fault schedule; None
@@ -143,7 +141,6 @@ let default_config ?(link = Link.fast_wifi) () = {
   prefetch = true;
   decision = Dynamic;
   ideal = false;
-  initial_bw_bps = None;
   trace = Trace.null;
   faults = None;
   server_handle = None;
@@ -308,10 +305,7 @@ let create ?(config = default_config ()) ?(script = []) ?(files = [])
       ~uva ~console ~fs ~clock ~sink ~code:server_code ()
   in
   let r = Arch.performance_ratio ~mobile:mobile_arch ~server:server_arch in
-  let initial_bw =
-    Option.value ~default:(Link.effective_bps config.link)
-      config.initial_bw_bps
-  in
+  let initial_bw = Link.effective_bps config.link in
   let estimator = Dynamic_estimate.create ~r ~bw_bps:initial_bw in
   (match config.decision with
   | Dynamic -> ()

@@ -35,8 +35,9 @@
    Offload-span latencies stream into an Obs.Hist as sessions run, so
    fleet-scale sweeps never materialize per-event lists; full
    per-client traces (Ring buffers) are kept only while
-   [s_record_events] is on — the default for tests and telemetry, off
-   for 10^4-client benches.
+   [s_record_events] is on — the default, for tests; telemetry
+   ([serve], the fleet benches) turns it off and streams through
+   [s_global_sink].
 
    Everything is deterministic: same client mix, same stagger, same
    policy, same fault seeds — byte-identical trace streams and
@@ -414,8 +415,7 @@ let migration_totals result =
 (* One merged fleet-wide stream on the global clock: every client's
    session-local trace shifted by its start instant, then stably
    sorted by timestamp (client order breaks ties, so seeded reruns
-   interleave identically).  This is what the telemetry layer windows
-   over for multi-client runs.  Empty unless the run recorded events. *)
+   interleave identically).  Empty unless the run recorded events. *)
 let global_events result =
   List.concat_map
     (fun c ->

@@ -106,8 +106,8 @@ val global_events : result -> (float * No_trace.Trace.event) list
 (** Every client's trace merged onto the global clock ([cr_start_s]
     added to each session-local timestamp), stably sorted by time —
     client order breaks ties, so seeded reruns interleave
-    byte-identically.  Feed to [Series.of_events] for fleet-wide
-    telemetry.  Empty unless the run recorded events. *)
+    byte-identically.  Empty unless the run recorded events; live
+    fleet-wide telemetry streams through [s_global_sink] instead. *)
 
 val flipped_local : result -> int
 (** Clients with at least one estimator refusal or queue rejection —

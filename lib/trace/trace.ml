@@ -48,6 +48,10 @@ let json_string s =
   add_json_string buf s;
   Buffer.contents buf
 
+(* The one JSON number printer of the reports: JSON has no infinity or
+   NaN, so a non-finite value prints as null. *)
+let json_float v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
+
 (* The one representation of an event, from the emitter to every
    analysis: emitters build the constructor, sinks read it as it
    arrives and may keep it, and captures, trace files and the
@@ -483,10 +487,11 @@ end
 
 (* {1 Aggregating metrics sink}
 
-   The fold of a run's events into its totals.  Each session folds
-   every event it emits into one of these, its ledger, and reads its
-   report off it; the Figure 7 and Figure 8 views read the same
-   record. *)
+   The fold of a run's events into its totals, and the only thing
+   that builds one.  Each session folds every event it emits into one
+   of these, its ledger, and reads its report off it; the Figure 7 and
+   Figure 8 views read the same record, and a windowed series keeps
+   one for its whole run. *)
 
 module Metrics = struct
   type t = {
@@ -536,9 +541,8 @@ module Metrics = struct
     mutable migrate_transfer_s : float; (* checkpoint shipping time *)
     mutable migrate_resume_s : float;   (* remote span after resuming *)
     mutable energy_mj : float;
-    power_s : (string, float) Hashtbl.t;
-    (* (start, mw, duration, state), reversed — the Figure-8 raw
-       material. *)
+    (* (start, mw, duration, state), reversed: the Figure-8 timeline
+       and the per-state residencies are read off it. *)
     mutable power_rev : (float * float * float * string) list;
   }
 
@@ -586,7 +590,6 @@ module Metrics = struct
       migrate_transfer_s = 0.0;
       migrate_resume_s = 0.0;
       energy_mj = 0.0;
-      power_s = Hashtbl.create 8;
       power_rev = [];
     }
 
@@ -628,10 +631,6 @@ module Metrics = struct
     | Refusal _ -> t.refusals <- t.refusals + 1
     | Power_state { state; mw; duration_s } ->
       t.energy_mj <- t.energy_mj +. (mw *. duration_s);
-      let prev =
-        Option.value ~default:0.0 (Hashtbl.find_opt t.power_s state)
-      in
-      Hashtbl.replace t.power_s state (prev +. duration_s);
       t.power_rev <- (ts, mw, duration_s, state) :: t.power_rev
     | Estimate _ -> t.estimates <- t.estimates + 1
     | Module_load _ | Bw_sample _ -> ()
@@ -668,72 +667,24 @@ module Metrics = struct
 
   let sink : t -> sink = observe
 
-  (* Field-wise addition, used to reconstitute run totals from
-     windowed per-interval metrics (Obs.Series).  Power segments are
-     prepended so that merging windows in chronological order keeps
-     [power_rev] reverse-chronological, like a single sink would. *)
-  let merge_into ~into src =
-    into.flushes_to_server <- into.flushes_to_server + src.flushes_to_server;
-    into.flushes_to_mobile <- into.flushes_to_mobile + src.flushes_to_mobile;
-    into.raw_to_server <- into.raw_to_server + src.raw_to_server;
-    into.raw_to_mobile <- into.raw_to_mobile + src.raw_to_mobile;
-    into.wire_to_server <- into.wire_to_server + src.wire_to_server;
-    into.wire_to_mobile <- into.wire_to_mobile + src.wire_to_mobile;
-    into.transfer_s <- into.transfer_s +. src.transfer_s;
-    into.codec_s <- into.codec_s +. src.codec_s;
-    into.comm_s <- into.comm_s +. src.comm_s;
-    into.fault_count <- into.fault_count + src.fault_count;
-    into.fault_s <- into.fault_s +. src.fault_s;
-    into.prefetched_pages <- into.prefetched_pages + src.prefetched_pages;
-    into.prefetched_bytes <- into.prefetched_bytes + src.prefetched_bytes;
-    into.fnptr_count <- into.fnptr_count + src.fnptr_count;
-    into.fnptr_s <- into.fnptr_s +. src.fnptr_s;
-    into.remote_io_count <- into.remote_io_count + src.remote_io_count;
-    into.remote_io_s <- into.remote_io_s +. src.remote_io_s;
-    into.offloads <- into.offloads + src.offloads;
-    into.offload_span_s <- into.offload_span_s +. src.offload_span_s;
-    into.refusals <- into.refusals + src.refusals;
-    into.estimates <- into.estimates + src.estimates;
-    into.faults_injected <- into.faults_injected + src.faults_injected;
-    into.rpc_timeouts <- into.rpc_timeouts + src.rpc_timeouts;
-    into.retries <- into.retries + src.retries;
-    into.retry_wait_s <- into.retry_wait_s +. src.retry_wait_s;
-    into.fallbacks <- into.fallbacks + src.fallbacks;
-    into.rollbacks <- into.rollbacks + src.rollbacks;
-    into.recovery_s <- into.recovery_s +. src.recovery_s;
-    into.replays <- into.replays + src.replays;
-    into.replay_s <- into.replay_s +. src.replay_s;
-    into.queued <- into.queued + src.queued;
-    into.queue_wait_s <- into.queue_wait_s +. src.queue_wait_s;
-    into.admits <- into.admits + src.admits;
-    into.rejects <- into.rejects + src.rejects;
-    into.checkpoints <- into.checkpoints + src.checkpoints;
-    into.checkpoint_pages <- into.checkpoint_pages + src.checkpoint_pages;
-    into.checkpoint_bytes <- into.checkpoint_bytes + src.checkpoint_bytes;
-    into.migrations <- into.migrations + src.migrations;
-    into.migrations_done <- into.migrations_done + src.migrations_done;
-    into.migrate_transfer_s <-
-      into.migrate_transfer_s +. src.migrate_transfer_s;
-    into.migrate_resume_s <- into.migrate_resume_s +. src.migrate_resume_s;
-    into.energy_mj <- into.energy_mj +. src.energy_mj;
-    Hashtbl.iter
-      (fun state s ->
-        let prev =
-          Option.value ~default:0.0 (Hashtbl.find_opt into.power_s state)
-        in
-        Hashtbl.replace into.power_s state (prev +. s))
-      src.power_s;
-    into.power_rev <- src.power_rev @ into.power_rev
-
   (* Power segments partition the whole run, so their total duration
      is the run's wall clock. *)
   let total_s t =
     List.fold_left (fun acc (_, _, d, _) -> acc +. d) 0.0 t.power_rev
 
-  let time_in_state t state =
-    Option.value ~default:0.0 (Hashtbl.find_opt t.power_s state)
-
   let power_segments t = List.rev t.power_rev
+
+  (* Seconds per state, each summed over the segments in segment
+     order; ascending state name. *)
+  let residency t =
+    let add acc (_, _, duration_s, state) =
+      let prev = Option.value ~default:0.0 (List.assoc_opt state acc) in
+      (state, prev +. duration_s) :: List.remove_assoc state acc
+    in
+    List.sort compare (List.fold_left add [] (power_segments t))
+
+  let time_in_state t state =
+    Option.value ~default:0.0 (List.assoc_opt state (residency t))
 
   (* (time, mW) at a fixed period from 0 to the last segment's end,
      falling back to [idle_mw] where no segment covers the sample

@@ -21,6 +21,10 @@ val add_json_string : Buffer.t -> string -> unit
 val json_string : string -> string
 (** {!add_json_string} into a fresh string. *)
 
+val json_float : float -> string
+(** A JSON number: [%.9g] when finite, [null] otherwise (JSON has no
+    infinity or NaN).  The one float printer of the JSON reports. *)
+
 type event =
   | Flush of {
       direction : direction;
@@ -212,9 +216,10 @@ module Row : sig
   val set_string_slot : t -> int -> string -> unit
 end
 
-(** The fold of a run's events into its totals.  A session folds every
-    event it emits into one of these, its ledger ([Session.ledger]), and
-    fills its report from it. *)
+(** The fold of a run's events into its totals, and the only thing
+    that builds one.  A session folds every event it emits into one of
+    these, its ledger ([Session.ledger]), and fills its report from it;
+    a windowed series ([Series.totals]) keeps one for its whole run. *)
 module Metrics : sig
   type t = {
     mutable flushes_to_server : int;
@@ -261,7 +266,6 @@ module Metrics : sig
     mutable migrate_transfer_s : float;
     mutable migrate_resume_s : float;
     mutable energy_mj : float;
-    power_s : (string, float) Hashtbl.t;
     mutable power_rev : (float * float * float * string) list;
   }
 
@@ -271,19 +275,19 @@ module Metrics : sig
   (** Folds each event into the record in place, so the record is
       current at every read. *)
 
-  val merge_into : into:t -> t -> unit
-  (** Field-wise addition (power-state residencies included), so that
-      summing windowed metrics in chronological order reconstitutes
-      what a single sink over the whole run would have aggregated. *)
-
   val total_s : t -> float
   (** Sum of the power segments, which partition the timeline: the
       run's wall clock up to float rounding. *)
 
-  val time_in_state : t -> string -> float
-
   val power_segments : t -> (float * float * float * string) list
   (** (start, mW, duration, state), chronological. *)
+
+  val residency : t -> (string * float) list
+  (** Seconds per power state, ascending state name; each state's
+      segments are summed in segment order. *)
+
+  val time_in_state : t -> string -> float
+  (** A state's entry in {!residency}; 0 for a state never entered. *)
 
   val resample_power :
     t -> period_s:float -> idle_mw:float -> (float * float) list

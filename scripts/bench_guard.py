@@ -175,27 +175,31 @@ def check(pr, baseline):
     return rows
 
 
+def seconds(value, spec=".4f"):
+    """A diff-JSON time; the differ writes a non-finite one as null."""
+    return "null" if value is None else format(value, spec) + "s"
+
+
 def explain(path, top=3):
     """Summarise a trace-diff JSON (`offload-cli diff OLD NEW --json`)
     as attribution lines: where did the extra time go?"""
     report = load(path)
     lines = [
-        "attribution (from {}: wall {:.4f}s -> {:.4f}s, delta {:+.4f}s):".format(
+        "attribution (from {}: wall {} -> {}, delta {}):".format(
             path,
-            report.get("wall_a_s", 0.0),
-            report.get("wall_b_s", 0.0),
-            report.get("delta_s", 0.0),
+            seconds(report.get("wall_a_s", 0.0)),
+            seconds(report.get("wall_b_s", 0.0)),
+            seconds(report.get("delta_s", 0.0), "+.4f"),
         )
     ]
     nodes = sorted(
         report.get("nodes", []),
-        key=lambda n: abs(n.get("self_delta_s", 0.0)),
+        key=lambda n: abs(n.get("self_delta_s") or 0.0),
         reverse=True,
     )
     for node in nodes[:top]:
-        lines.append(
-            f"  {node.get('path', '?')}: self {node.get('self_delta_s', 0.0):+.4f}s"
-        )
+        delta = seconds(node.get("self_delta_s", 0.0), "+.4f")
+        lines.append(f"  {node.get('path', '?')}: self {delta}")
     if not nodes:
         lines.append("  (diff report carries no node rows)")
     return lines

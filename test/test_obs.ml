@@ -82,6 +82,22 @@ let test_hist_merge () =
   Alcotest.(check bool) "empty quantile is NaN" true
     (Float.is_nan (Hist.quantile empty 0.5))
 
+(* A value past about 1.8e296 overflows [v /. 1e-12]: it, and +inf,
+   belong in the top bucket, above every ordinary sample. *)
+let test_hist_huge_values () =
+  let exact label want got = Alcotest.(check (float 0.0)) label want got in
+  List.iter
+    (fun top ->
+      let h = Hist.create () in
+      List.iter (Hist.add h) [ 1.0; 2.0; top ];
+      let name = Printf.sprintf "[1; 2; %g]" top in
+      exact (name ^ " p33") 1.0 (Hist.quantile h 0.33);
+      exact (name ^ " p50") 2.0 (Hist.quantile h 0.50);
+      exact (name ^ " p99") top (Hist.quantile h 0.99);
+      Alcotest.(check int) (name ^ " count_le +inf") 3
+        (Hist.count_le h infinity))
+    [ 1e300; Float.max_float; infinity ]
+
 (* {1 Span trees: synthetic goldens} *)
 
 let synthetic_events =
@@ -514,4 +530,6 @@ let tests =
       test_trace_file_deterministic;
     Alcotest.test_case "trace-file: diagnostics" `Quick
       test_trace_file_diagnostics;
+    Alcotest.test_case "hist: huge and infinite samples" `Quick
+      test_hist_huge_values;
   ]

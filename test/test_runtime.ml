@@ -355,16 +355,22 @@ let test_predictor_unit () =
     true
     (predicted < 150_000.0 && predicted > 50_000.0)
 
-(* A session created on a congested link but seeded with a stale fast
-   belief: the first think() offloads on the stale belief, the
+(* A session on 802.11ac whose link collapses to 0.2 % of its rate
+   from the start: the estimator's first belief is the link's
+   effective rate, now stale, so the first think() offloads on it, the
    transfer observations correct it, and the remaining invocations are
    refused — mid-run adaptation with no reconfiguration. *)
 let test_session_adapts_to_real_bandwidth () =
   let entry = Option.get (No_workloads.Registry.by_name "458.sjeng") in
   let compiled = Compiler.compile_entry entry in
+  let plan =
+    match No_fault.Plan.parse "collapse=0:0.002" with
+    | Ok p -> p
+    | Error msg -> Alcotest.fail msg
+  in
   let config =
-    { (Session.default_config ~link:Link.congested ()) with
-      Session.initial_bw_bps = Some (Link.effective_bps Link.fast_wifi) }
+    { (Session.default_config ~link:Link.fast_wifi ()) with
+      Session.faults = Some plan }
   in
   let _, report =
     Experiment.offloaded_run ~config compiled entry

@@ -1,6 +1,7 @@
 (* Telemetry-layer tests: the windowed Series conservation invariant
-   (summing every window's metrics equals an independent end-of-run
-   aggregate) as a property over the whole registry and over the
+   (its run totals are the one fold of the stream, bit for bit an
+   independent end-of-run sink, and its windows add up to every int
+   counter) over the whole registry, a faulted run and the
    multi-client simulator, windowing mechanics on synthetic streams,
    the SLO grammar (parse + evaluate, including the fast/slow burn
    pair), OpenMetrics exposition format and determinism, and the trace
@@ -28,60 +29,35 @@ let close ?(tol = 1e-9) label a b =
     true
     (abs_float (a -. b) <= tol)
 
-(* Field-by-field conservation check: counters exactly, accumulated
-   floats to addition-reorder tolerance (windows sum in a different
-   order than the straight-line sink). *)
-let check_metrics_conserved name (a : Trace.Metrics.t) (b : Trace.Metrics.t) =
-  let ci label f = Alcotest.(check int) (name ^ ": " ^ label) (f a) (f b) in
-  let cf label f = close ~tol:1e-9 (name ^ ": " ^ label) (f a) (f b) in
-  ci "flushes_to_server" (fun m -> m.Trace.Metrics.flushes_to_server);
-  ci "flushes_to_mobile" (fun m -> m.Trace.Metrics.flushes_to_mobile);
-  ci "raw_to_server" (fun m -> m.Trace.Metrics.raw_to_server);
-  ci "raw_to_mobile" (fun m -> m.Trace.Metrics.raw_to_mobile);
-  ci "wire_to_server" (fun m -> m.Trace.Metrics.wire_to_server);
-  ci "wire_to_mobile" (fun m -> m.Trace.Metrics.wire_to_mobile);
-  cf "transfer_s" (fun m -> m.Trace.Metrics.transfer_s);
-  cf "codec_s" (fun m -> m.Trace.Metrics.codec_s);
-  ci "fault_count" (fun m -> m.Trace.Metrics.fault_count);
-  cf "fault_s" (fun m -> m.Trace.Metrics.fault_s);
-  ci "prefetched_pages" (fun m -> m.Trace.Metrics.prefetched_pages);
-  ci "prefetched_bytes" (fun m -> m.Trace.Metrics.prefetched_bytes);
-  ci "fnptr_count" (fun m -> m.Trace.Metrics.fnptr_count);
-  cf "fnptr_s" (fun m -> m.Trace.Metrics.fnptr_s);
-  ci "remote_io_count" (fun m -> m.Trace.Metrics.remote_io_count);
-  cf "remote_io_s" (fun m -> m.Trace.Metrics.remote_io_s);
-  ci "offloads" (fun m -> m.Trace.Metrics.offloads);
-  cf "offload_span_s" (fun m -> m.Trace.Metrics.offload_span_s);
-  ci "refusals" (fun m -> m.Trace.Metrics.refusals);
-  ci "estimates" (fun m -> m.Trace.Metrics.estimates);
-  ci "faults_injected" (fun m -> m.Trace.Metrics.faults_injected);
-  ci "rpc_timeouts" (fun m -> m.Trace.Metrics.rpc_timeouts);
-  ci "retries" (fun m -> m.Trace.Metrics.retries);
-  cf "retry_wait_s" (fun m -> m.Trace.Metrics.retry_wait_s);
-  ci "fallbacks" (fun m -> m.Trace.Metrics.fallbacks);
-  ci "rollbacks" (fun m -> m.Trace.Metrics.rollbacks);
-  cf "recovery_s" (fun m -> m.Trace.Metrics.recovery_s);
-  ci "replays" (fun m -> m.Trace.Metrics.replays);
-  cf "replay_s" (fun m -> m.Trace.Metrics.replay_s);
-  ci "queued" (fun m -> m.Trace.Metrics.queued);
-  cf "queue_wait_s" (fun m -> m.Trace.Metrics.queue_wait_s);
-  ci "admits" (fun m -> m.Trace.Metrics.admits);
-  ci "rejects" (fun m -> m.Trace.Metrics.rejects);
-  cf "energy_mj" (fun m -> m.Trace.Metrics.energy_mj);
-  cf "wall clock (total_s)" Trace.Metrics.total_s;
-  (* Power residencies: same states, same seconds. *)
-  let states m =
-    List.sort compare
-      (Hashtbl.fold (fun k _ acc -> k :: acc) m.Trace.Metrics.power_s [])
+(* Conservation: the series' run totals are the same fold as an
+   independent sink over the same stream, so the two records marshal
+   to the same bytes.  The windows fold the same events minus power
+   segments, so their int counters (the rows [to_rows] prints as
+   integers) add up to the run's. *)
+let check_metrics_conserved name series (direct : Trace.Metrics.t) =
+  let bits m = Marshal.to_string m [ Marshal.No_sharing ] in
+  Alcotest.(check bool)
+    (name ^ ": totals equal bit for bit")
+    true
+    (String.equal (bits (Series.totals series)) (bits direct));
+  let counters m =
+    List.filter_map
+      (fun (label, v) -> Option.map (fun n -> (label, n)) (int_of_string_opt v))
+      (Trace.Metrics.to_rows m)
   in
-  Alcotest.(check (list string)) (name ^ ": power states") (states a) (states b);
-  List.iter
-    (fun state ->
-      cf
-        ("power_s " ^ state)
-        (fun m -> Option.value ~default:0.0
-            (Hashtbl.find_opt m.Trace.Metrics.power_s state)))
-    (states a)
+  let summed =
+    List.fold_left
+      (fun acc (w : Series.window) ->
+        List.map2
+          (fun (label, a) (_, b) -> (label, a + b))
+          acc
+          (counters w.Series.w_metrics))
+      (List.map (fun (label, _) -> (label, 0)) (counters direct))
+      (Series.windows series)
+  in
+  Alcotest.(check (list (pair string int)))
+    (name ^ ": windows add up to the run")
+    (counters direct) summed
 
 (* {1 Windowing mechanics} *)
 
@@ -92,6 +68,9 @@ let test_series_windowing () =
   feed 0.3 (Trace.Queue { target = "w"; server = 0; wait_s = 0.1; depth = 2 });
   feed 0.4 (Trace.Admit { target = "w"; server = 0; occupancy = 2; slot = 1 });
   feed 0.5 (Trace.Bw_sample { bps = 8e6 });
+  (* A fleet streams out of time order: the gauge keeps the sample
+     that is latest in simulated time, not the last to arrive. *)
+  feed 0.45 (Trace.Bw_sample { bps = 1e6 });
   (* Window 1 is a gap; window 2 gets the tail. *)
   feed 2.5 (Trace.Page_fault { page = 3; service_s = 0.2 });
   feed 2.6
@@ -116,6 +95,10 @@ let test_series_windowing () =
     && Float.is_nan (w 1).Series.w_bw_bps);
   Alcotest.(check int) "w2 faults" 1
     (w 2).Series.w_metrics.Trace.Metrics.fault_count;
+  (* A power segment folds into the run's totals only. *)
+  close "w2 energy" 0.0 (w 2).Series.w_metrics.Trace.Metrics.energy_mj;
+  close "run energy" 1000.0
+    (Series.totals series).Trace.Metrics.energy_mj;
   (* Repeated calls hand back the same cached structure. *)
   Alcotest.(check bool) "windows cached" true
     (List.for_all2 ( == ) windows (Series.windows series));
@@ -157,8 +140,7 @@ let test_conservation_registry () =
       let _report, series, metrics =
         series_session entry (Compiler.compile_entry entry)
       in
-      check_metrics_conserved entry.Registry.e_name (Series.totals series)
-        metrics)
+      check_metrics_conserved entry.Registry.e_name series metrics)
     Registry.spec
 
 (* Conservation must survive the messy shapes too: a fault-injected
@@ -179,19 +161,29 @@ let test_conservation_faulty () =
   in
   Alcotest.(check bool) "the drops caused timeouts" true
     (report.Session.rep_rpc_timeouts > 0);
-  check_metrics_conserved "164.gzip/drop" (Series.totals series) metrics
+  check_metrics_conserved "164.gzip/drop" series metrics
 
 (* {1 Multi-client: global stream, conservation, byte-stable metrics} *)
 
+(* A 4-client fleet that records its per-client traces and also
+   streams every event, on the global clock, into a live series and an
+   independent sink — the path `serve` takes. *)
 let sim_result () =
+  let series = Series.create () and direct = Trace.Metrics.create () in
+  let config =
+    { Sim.default_config with
+      Sim.s_global_sink =
+        Some (Trace.fan_out [ Series.sink series; Trace.Metrics.sink direct ])
+    }
+  in
   let clients =
     Sim.make_clients ~stagger_s:0.02 ~workloads:[ "164.gzip" ] ~count:4 ()
   in
-  Sim.run clients
+  (Sim.run ~config clients, series, direct)
 
 let test_sim_series_deterministic () =
-  let events_of result = Sim.global_events result in
-  let ea = events_of (sim_result ()) and eb = events_of (sim_result ()) in
+  let ra, live_a, direct = sim_result () and rb, live_b, _ = sim_result () in
+  let ea = Sim.global_events ra and eb = Sim.global_events rb in
   Alcotest.(check int) "rerun event count" (List.length ea) (List.length eb);
   (* Global stream is chronological. *)
   let rec ascending = function
@@ -199,18 +191,12 @@ let test_sim_series_deterministic () =
     | _ -> true
   in
   Alcotest.(check bool) "globally sorted" true (ascending ea);
-  (* Conservation on the merged fleet stream. *)
-  let series = Series.of_events ea in
-  let direct = Trace.Metrics.create () in
-  Trace.replay (Trace.Metrics.sink direct) ea;
-  check_metrics_conserved "4-client fleet" (Series.totals series) direct;
+  check_metrics_conserved "4-client fleet" live_a direct;
   (* The whole OpenMetrics exposition is byte-identical across seeded
      reruns — the bench lane archives and diffs this file. *)
-  let expose events =
-    let s = Series.of_events events in
-    Openmetrics.of_run ~series:s (Series.totals s)
-  in
-  Alcotest.(check string) "OpenMetrics byte-identical" (expose ea) (expose eb)
+  let expose s = Openmetrics.of_run ~series:s (Series.totals s) in
+  Alcotest.(check string) "OpenMetrics byte-identical" (expose live_a)
+    (expose live_b)
 
 (* {1 OpenMetrics format} *)
 
