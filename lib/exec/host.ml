@@ -19,7 +19,8 @@ type clock = { mutable now : float }
 type hooks = {
   mutable on_enter : string -> unit;
   mutable on_exit : string -> unit;
-  mutable on_block : string -> string -> unit;   (* function, label *)
+  mutable on_block : (string -> string -> unit) option;
+      (* function, label; None (the default) costs one test per block *)
   mutable fn_map : (Ir.fn_map_dir -> Value.t -> Value.t) option;
       (* function-pointer translation; None = identity (single host) *)
   mutable extern_call : (string -> Value.t list -> Value.t option) option;
@@ -32,7 +33,7 @@ type hooks = {
 let default_hooks () = {
   on_enter = (fun _ -> ());
   on_exit = (fun _ -> ());
-  on_block = (fun _ _ -> ());
+  on_block = None;
   fn_map = None;
   extern_call = None;
   builtin_override = None;
@@ -79,10 +80,44 @@ type call = {
 
 (* Slot operands; the destination slot comes first.  [s] and [z] are
    shift counts: an integer is sign-filled by [(x lsl s) asr s] and
-   zero-filled by [(x lsl z) lsr z]. *)
+   zero-filled by [(x lsl z) lsr z].  Each arithmetic and compare
+   operator has a constructor of its own (dst, a, b), and so does a gep
+   with exactly one dynamic index, the only kind the registry runs
+   often: the interpreter dispatches once per instruction. *)
 type cinstr =
-  | I_bin of Ir.binop * int * int * int
-  | I_cmp of Ir.cmpop * int * int * int
+  | I_add of int * int * int
+  | I_sub of int * int * int
+  | I_mul of int * int * int
+  | I_sdiv of int * int * int
+  | I_udiv of int * int * int
+  | I_srem of int * int * int
+  | I_urem of int * int * int
+  | I_and of int * int * int
+  | I_or of int * int * int
+  | I_xor of int * int * int
+  | I_shl of int * int * int
+  | I_lshr of int * int * int
+  | I_ashr of int * int * int
+  | I_fadd of int * int * int
+  | I_fsub of int * int * int
+  | I_fmul of int * int * int
+  | I_fdiv of int * int * int
+  | I_eq of int * int * int
+  | I_ne of int * int * int
+  | I_slt of int * int * int
+  | I_sle of int * int * int
+  | I_sgt of int * int * int
+  | I_sge of int * int * int
+  | I_ult of int * int * int
+  | I_ule of int * int * int
+  | I_ugt of int * int * int
+  | I_uge of int * int * int
+  | I_feq of int * int * int
+  | I_fne of int * int * int
+  | I_flt of int * int * int
+  | I_fle of int * int * int
+  | I_fgt of int * int * int
+  | I_fge of int * int * int
   | I_ext of int * int * int * int             (* dst, a, z, then s *)
   | I_fp_to_si of int * int * int              (* dst, a, s *)
   | I_si_to_fp of int * int
@@ -92,8 +127,11 @@ type cinstr =
   | I_load of int * int * int * int * bool     (* dst, addr, bytes, s, f32 *)
   | I_store of int * int * int * bool          (* value, addr, bytes, f32 *)
   | I_alloca of int * int * int                (* dst, size, align *)
+  | I_gep1 of int * int * int * int * int
+      (* dst, base, constant offset, index, element size *)
   | I_gep of int * int * int * (int * int) array
-      (* dst, base, constant offset, (index, element size)s *)
+      (* dst, base, constant offset, (index, element size)s; any other
+         number of dynamic indices *)
   | I_call of string * call
   | I_call_ind of int * call                   (* callee address *)
   | I_bswap of int * int * int * bool          (* dst, a, bytes, f32 *)
@@ -142,7 +180,11 @@ type t = {
                                     session that owns this host *)
   code : (string, compiled) Hashtbl.t;
   mutable instr_count : int;
-  mutable fuel : int;            (* instructions left; -1 = unlimited *)
+  mutable fuel : int;
+      (* instructions left, terminators included; -1 = unlimited.  It is
+         debited a block at a time: a block runs only if the fuel
+         covers all its instructions and its terminator, else
+         [Interp.Out_of_fuel] is raised before any of them runs *)
   mutable slowdown : float;      (* execution-time multiplier; a shared,
                                     contended server runs its slice of
                                     the machine >1x slower.  1.0 (the
@@ -204,7 +246,10 @@ let compile_func ~(arch : Arch.t) ~(layout : Layout.env) ~(modul : Ir.modul)
        scaling when the index is a literal.  Integer address addition
        is exact, so folding constants cannot change the result. *)
     let rec walk acc dyn (ty : Ty.t) = function
-      | [] -> I_gep (dst, slot base, acc, Array.of_list (List.rev dyn))
+      | [] -> (
+        match dyn with
+        | [ (index, size) ] -> I_gep1 (dst, slot base, acc, index, size)
+        | _ -> I_gep (dst, slot base, acc, Array.of_list (List.rev dyn)))
       | Ir.Field fname :: rest -> (
         match ty with
         | Ty.Struct sname ->
@@ -240,8 +285,45 @@ let compile_func ~(arch : Arch.t) ~(layout : Layout.env) ~(modul : Ir.modul)
   in
   let crv dst (rv : Ir.rvalue) : cinstr =
     match rv with
-    | Ir.Bin (op, a, b) -> I_bin (op, dst, slot a, slot b)
-    | Ir.Cmp (op, a, b) -> I_cmp (op, dst, slot a, slot b)
+    | Ir.Bin (op, a, b) -> (
+      let a = slot a and b = slot b in
+      match op with
+      | Ir.Add -> I_add (dst, a, b)
+      | Ir.Sub -> I_sub (dst, a, b)
+      | Ir.Mul -> I_mul (dst, a, b)
+      | Ir.Sdiv -> I_sdiv (dst, a, b)
+      | Ir.Udiv -> I_udiv (dst, a, b)
+      | Ir.Srem -> I_srem (dst, a, b)
+      | Ir.Urem -> I_urem (dst, a, b)
+      | Ir.And -> I_and (dst, a, b)
+      | Ir.Or -> I_or (dst, a, b)
+      | Ir.Xor -> I_xor (dst, a, b)
+      | Ir.Shl -> I_shl (dst, a, b)
+      | Ir.Lshr -> I_lshr (dst, a, b)
+      | Ir.Ashr -> I_ashr (dst, a, b)
+      | Ir.Fadd -> I_fadd (dst, a, b)
+      | Ir.Fsub -> I_fsub (dst, a, b)
+      | Ir.Fmul -> I_fmul (dst, a, b)
+      | Ir.Fdiv -> I_fdiv (dst, a, b))
+    | Ir.Cmp (op, a, b) -> (
+      let a = slot a and b = slot b in
+      match op with
+      | Ir.Eq -> I_eq (dst, a, b)
+      | Ir.Ne -> I_ne (dst, a, b)
+      | Ir.Slt -> I_slt (dst, a, b)
+      | Ir.Sle -> I_sle (dst, a, b)
+      | Ir.Sgt -> I_sgt (dst, a, b)
+      | Ir.Sge -> I_sge (dst, a, b)
+      | Ir.Ult -> I_ult (dst, a, b)
+      | Ir.Ule -> I_ule (dst, a, b)
+      | Ir.Ugt -> I_ugt (dst, a, b)
+      | Ir.Uge -> I_uge (dst, a, b)
+      | Ir.Feq -> I_feq (dst, a, b)
+      | Ir.Fne -> I_fne (dst, a, b)
+      | Ir.Flt -> I_flt (dst, a, b)
+      | Ir.Fle -> I_fle (dst, a, b)
+      | Ir.Fgt -> I_fgt (dst, a, b)
+      | Ir.Fge -> I_fge (dst, a, b))
     | Ir.Cast (op, src, a, ty) -> (
       let a = slot a in
       match op with

@@ -62,30 +62,58 @@ let read_cstring host addr =
 (* {1 Slots}
 
    A slot holds an integer as its int64 bit pattern and a float as
-   itself.  These helpers are inlined, so the int64s they pass stay
-   unboxed: without flambda, a boxed number crossing a function return
-   is allocated. *)
+   itself.  A frame's slots are a flat [float array], so an integer
+   slot is read and written in place as the 8 bytes it occupies, with
+   the compiler's own unaligned-word primitives: no C call (as
+   [Int64.bits_of_float] is) and no allocation.  Native byte order on
+   both sides makes the bits those of [Int64.bits_of_float].  [bits]
+   and [set_bits] are inlined; pass [set_bits] a plain expression, not
+   a [match]: a [match] bound to an inlined function's parameter is
+   boxed in every arm (without flambda, a boxed number crossing a
+   function return is allocated). *)
 
-let[@inline] bits s i = Int64.bits_of_float (Array.unsafe_get s i)
-let[@inline] set_bits s i x = Array.unsafe_set s i (Int64.float_of_bits x)
+external get64 : float array -> int -> int64 = "%caml_bytes_get64u"
+external set64 : float array -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* The slot of the integer 1, a compare's true. *)
-let slot_true = Int64.float_of_bits 1L
+(* The view needs float arrays stored flat, OCaml's default; a compiler
+   configured with -no-flat-float-array boxes each element. *)
+let () =
+  if Obj.tag (Obj.repr (Array.make 1 0.0)) <> Obj.double_array_tag then
+    failwith
+      "No_exec.Interp: float arrays are not flat (compiler configured \
+       with -no-flat-float-array); the slot view needs them flat"
+
+let[@inline] bits s i = get64 s (i lsl 3)
+let[@inline] set_bits s i x = set64 s (i lsl 3) x
+
+(* A compare's outcome: the integer 1 or 0. *)
+let[@inline] set_flag s i c = set64 s (i lsl 3) (if c then 1L else 0L)
 
 (* An integer slot as a non-negative address, as {!Value.to_addr}. *)
 let[@inline] addr s i =
   let a = bits s i in
-  if Int64.compare a 0L < 0 then raise (Value.Type_trap "negative address");
+  if a < 0L then raise (Value.Type_trap "negative address");
   Int64.to_int a
+
+(* A division's right operand, trapping on zero. *)
+let[@inline] divisor s i =
+  let y = bits s i in
+  if y = 0L then trap "division by zero";
+  y
+
+(* Unsigned order is signed order shifted by 2^63. *)
+let[@inline] unsigned x = Int64.sub x Int64.min_int
 
 let box s i is_float =
   if is_float then Value.VFloat (Array.unsafe_get s i) else Value.VInt (bits s i)
 
 (* A value entering the frame; one of the other kind raises
-   {!Value.Type_trap} here. *)
+   {!Value.Type_trap} here.  Values enter rarely, so the slot index
+   stays bounds-checked. *)
 let unbox s i is_float v =
   if is_float then s.(i) <- Value.to_float v
-  else s.(i) <- Int64.float_of_bits (Value.to_int v)
+  else if i < Array.length s then set_bits s i (Value.to_int v)
+  else invalid_arg "index out of bounds"
 
 let rec box_args s (c : Host.call) i : Value.t list =
   if i >= Array.length c.Host.args then []
@@ -245,198 +273,208 @@ and run_function (host : Host.t) ~depth (compiled : Host.compiled) argv :
 
 (* One block, then the next by a tail call.  Every instruction writes
    its result into its slot inside this one match, so no int64 or float
-   it computes is boxed. *)
+   it computes is boxed, and each costs one dispatch and one clock add.
+
+   Fuel and the instruction count are settled once per block.  Under a
+   fuel limit a block runs only if the fuel left covers its
+   instructions and its terminator, and is debited for all of them
+   before any runs; otherwise [Out_of_fuel] is raised and none runs.
+   The count takes the whole block up front and gives back, if an
+   instruction raises, the ones after it (the one that raised counts,
+   as does a terminator that traps). *)
 and run_blocks frame idx : Value.t =
   let host = frame.host in
   let s = frame.slots in
-  let fname = frame.func.Host.c_func.Ir.f_name in
-  (* Fuel is also consumed per block so an instruction-free loop
-     cannot spin forever under a fuel limit. *)
-  if host.Host.fuel = 0 then raise Out_of_fuel;
-  if host.Host.fuel > 0 then host.Host.fuel <- host.Host.fuel - 1;
   let b = frame.func.Host.c_blocks.(idx) in
-  host.Host.hooks.Host.on_block fname b.Host.cb_label;
-  let little = host.Host.arch.Arch.endianness = Arch.Little in
   let instrs = b.Host.cb_instrs in
+  let n = Array.length instrs in
+  let fuel = host.Host.fuel in
+  if fuel >= 0 then begin
+    if fuel <= n then raise Out_of_fuel;
+    host.Host.fuel <- fuel - n - 1
+  end;
+  (match host.Host.hooks.Host.on_block with
+  | Some on_block -> on_block frame.func.Host.c_func.Ir.f_name b.Host.cb_label
+  | None -> ());
+  host.Host.instr_count <- host.Host.instr_count + n + 1;
+  let little = host.Host.arch.Arch.endianness = Arch.Little in
   let costs = b.Host.cb_costs in
-  for i = 0 to Array.length instrs - 1 do
-    (* Fuel, count, charge (precomputed seconds x slowdown: the very
-       floats [Host.charge] adds, so the clock is bit-identical), then
-       execute. *)
-    if host.Host.fuel = 0 then raise Out_of_fuel;
-    if host.Host.fuel > 0 then host.Host.fuel <- host.Host.fuel - 1;
-    host.Host.instr_count <- host.Host.instr_count + 1;
-    host.Host.clock.Host.now <-
-      host.Host.clock.Host.now
-      +. (Array.unsafe_get costs i *. host.Host.slowdown);
-    match Array.unsafe_get instrs i with
-    | Host.I_bin (((Ir.Fadd | Ir.Fsub | Ir.Fmul | Ir.Fdiv) as op), d, a, b) ->
-      let x = Array.unsafe_get s a and y = Array.unsafe_get s b in
-      Array.unsafe_set s d
-        (match op with
-        | Ir.Fadd -> x +. y
-        | Ir.Fsub -> x -. y
-        | Ir.Fmul -> x *. y
-        | _ -> x /. y)
-    | Host.I_bin (op, d, a, b) ->
-      let x = bits s a and y = bits s b in
-      (match op with
-      | (Ir.Sdiv | Ir.Udiv | Ir.Srem | Ir.Urem) when Int64.equal y 0L ->
-        trap "division by zero"
-      | _ -> ());
-      (* [Int64.float_of_bits] applied to the match itself, not through
-         [set_bits]: a match bound to an inlined function's parameter
-         is boxed in every arm. *)
-      Array.unsafe_set s d
-        (Int64.float_of_bits
-           (match op with
-           | Ir.Add -> Int64.add x y
-           | Ir.Sub -> Int64.sub x y
-           | Ir.Mul -> Int64.mul x y
-           | Ir.Sdiv -> Int64.div x y
-           | Ir.Udiv -> Int64.unsigned_div x y
-           | Ir.Srem -> Int64.rem x y
-           | Ir.Urem -> Int64.unsigned_rem x y
-           | Ir.And -> Int64.logand x y
-           | Ir.Or -> Int64.logor x y
-           | Ir.Xor -> Int64.logxor x y
-           | Ir.Shl -> Int64.shift_left x (Int64.to_int y land 63)
-           | Ir.Lshr -> Int64.shift_right_logical x (Int64.to_int y land 63)
-           | Ir.Ashr -> Int64.shift_right x (Int64.to_int y land 63)
-           | Ir.Fadd | Ir.Fsub | Ir.Fmul | Ir.Fdiv -> assert false))
-    | Host.I_cmp
-        (((Ir.Feq | Ir.Fne | Ir.Flt | Ir.Fle | Ir.Fgt | Ir.Fge) as op), d, a, b)
-      ->
-      (* IEEE compares: a NaN is unequal to everything, itself too. *)
-      let x = Array.unsafe_get s a and y = Array.unsafe_get s b in
-      Array.unsafe_set s d
-        (if
-           match op with
-           | Ir.Feq -> x = y
-           | Ir.Fne -> x <> y
-           | Ir.Flt -> x < y
-           | Ir.Fle -> x <= y
-           | Ir.Fgt -> x > y
-           | _ -> x >= y
-         then slot_true
-         else 0.0)
-    | Host.I_cmp (op, d, a, b) ->
-      let x = bits s a and y = bits s b in
-      Array.unsafe_set s d
-        (if
-           match op with
-           | Ir.Eq -> Int64.equal x y
-           | Ir.Ne -> not (Int64.equal x y)
-           | Ir.Slt -> Int64.compare x y < 0
-           | Ir.Sle -> Int64.compare x y <= 0
-           | Ir.Sgt -> Int64.compare x y > 0
-           | Ir.Sge -> Int64.compare x y >= 0
-           | Ir.Ult -> Int64.unsigned_compare x y < 0
-           | Ir.Ule -> Int64.unsigned_compare x y <= 0
-           | Ir.Ugt -> Int64.unsigned_compare x y > 0
-           | _ -> Int64.unsigned_compare x y >= 0
-         then slot_true
-         else 0.0)
-    | Host.I_ext (d, a, z, sg) ->
-      let x = Int64.shift_right_logical (Int64.shift_left (bits s a) z) z in
-      set_bits s d (Int64.shift_right (Int64.shift_left x sg) sg)
-    | Host.I_fp_to_si (d, a, sg) ->
-      let x = Int64.of_float (Array.unsafe_get s a) in
-      set_bits s d (Int64.shift_right (Int64.shift_left x sg) sg)
-    | Host.I_si_to_fp (d, a) -> Array.unsafe_set s d (Int64.to_float (bits s a))
-    | Host.I_fp_trunc (d, a) ->
-      Array.unsafe_set s d
-        (Int32.float_of_bits (Int32.bits_of_float (Array.unsafe_get s a)))
-    | Host.I_move (d, a) -> Array.unsafe_set s d (Array.unsafe_get s a)
-    | Host.I_select (d, c, a, b) ->
-      Array.unsafe_set s d
-        (Array.unsafe_get s (if Int64.equal (bits s c) 0L then b else a))
-    | Host.I_load (d, a, n, sg, f32) ->
-      let p = addr s a in
-      (* A little-endian host reads a word inside one page straight off
-         the slab: [load_base] performs the checks, touch, translation
-         and fault service, and hands back an offset instead of a boxed
-         word.  Page-straddling words and big-endian hosts take
-         [Memory.load_word]. *)
-      let mem = host.Host.mem in
-      let base = if little then Memory.load_base mem p n else -1 in
-      let x =
-        if base >= 0 then
-          match n with
-          | 8 -> Bytes.get_int64_le mem.Memory.slab base
-          | 4 ->
-            Int64.of_int
-              (Bytes.get_uint16_le mem.Memory.slab base
-              lor (Bytes.get_uint16_le mem.Memory.slab (base + 2) lsl 16))
-          | 2 -> Int64.of_int (Bytes.get_uint16_le mem.Memory.slab base)
-          | _ -> Int64.of_int (Bytes.get_uint8 mem.Memory.slab base)
-        else Memory.load_word mem host.Host.arch.Arch.endianness p n
-      in
-      if f32 then Array.unsafe_set s d (Int32.float_of_bits (Int64.to_int32 x))
-      else set_bits s d (Int64.shift_right (Int64.shift_left x sg) sg)
-    | Host.I_store (v, a, n, f32) ->
-      let x =
-        if f32 then Int64.of_int32 (Int32.bits_of_float (Array.unsafe_get s v))
-        else bits s v
-      in
-      let p = addr s a in
-      let mem = host.Host.mem in
-      let base = if little then Memory.store_base mem p n else -1 in
-      if base >= 0 then
-        match n with
-        | 8 -> Bytes.set_int64_le mem.Memory.slab base x
-        | 4 ->
-          let w = Int64.to_int x in
-          Bytes.set_uint16_le mem.Memory.slab base (w land 0xffff);
-          Bytes.set_uint16_le mem.Memory.slab (base + 2) ((w lsr 16) land 0xffff)
-        | 2 -> Bytes.set_uint16_le mem.Memory.slab base (Int64.to_int x land 0xffff)
-        | _ -> Bytes.set_uint8 mem.Memory.slab base (Int64.to_int x land 0xff)
-      else Memory.store_word mem host.Host.arch.Arch.endianness p n x
-    | Host.I_alloca (d, size, align) ->
-      set_bits s d (Int64.of_int (Stack_alloc.alloc host.Host.stack size align))
-    | Host.I_gep (d, base, const, dyn) ->
-      (* Address arithmetic wraps at the native-int width. *)
-      let p = ref (addr s base + const) in
-      for j = 0 to Array.length dyn - 1 do
-        let o, size = Array.unsafe_get dyn j in
-        p := !p + (Int64.to_int (bits s o) * size)
-      done;
-      set_bits s d (Int64.of_int !p)
-    | Host.I_call (name, c) ->
-      result s c (call_by_name host ~depth:(frame.depth + 1) name (box_args s c 0))
-    | Host.I_call_ind (fp, c) -> (
-      let p = addr s fp in
-      let argv = box_args s c 0 in
-      match Fn_table.name_of host.Host.fn_table p with
-      | name -> result s c (call_by_name host ~depth:(frame.depth + 1) name argv)
-      | exception Fn_table.Not_a_function _ ->
-        trap "indirect call through foreign or invalid address 0x%x" p)
-    | Host.I_bswap (d, a, n, f32) ->
-      if f32 then
-        Array.unsafe_set s d
-          (Int32.float_of_bits
-             (Int64.to_int32
-                (Scalar.bswap
-                   (Int64.of_int32 (Int32.bits_of_float (Array.unsafe_get s a)))
-                   4)))
-      else
-        let sg = 64 - (8 * n) in
-        set_bits s d
-          (Int64.shift_right (Int64.shift_left (Scalar.bswap (bits s a) n) sg) sg)
-    | Host.I_fn_map (dir, d, a) ->
-      set_bits s d (Value.to_int (eval_fn_map host dir (Value.VInt (bits s a))))
-    | Host.I_asm ->
-      (* Inline assembly runs only on its own machine; the filter keeps
-         it off the server.  Behaviour: an opaque no-op. *)
-      ()
-  done;
-  host.Host.clock.Host.now <-
-    host.Host.clock.Host.now +. (b.Host.cb_term_cost *. host.Host.slowdown);
-  host.Host.instr_count <- host.Host.instr_count + 1;
+  let clock = host.Host.clock in
+  let i = ref 0 in
+  (match
+     while !i < n do
+       (* Charge (precomputed seconds x slowdown: the very floats
+          [Host.charge] adds, so the clock is bit-identical), then
+          execute. *)
+       clock.Host.now <-
+         clock.Host.now +. (Array.unsafe_get costs !i *. host.Host.slowdown);
+       (match Array.unsafe_get instrs !i with
+       | Host.I_add (d, a, b) -> set_bits s d (Int64.add (bits s a) (bits s b))
+       | Host.I_sub (d, a, b) -> set_bits s d (Int64.sub (bits s a) (bits s b))
+       | Host.I_mul (d, a, b) -> set_bits s d (Int64.mul (bits s a) (bits s b))
+       | Host.I_sdiv (d, a, b) ->
+         set_bits s d (Int64.div (bits s a) (divisor s b))
+       | Host.I_udiv (d, a, b) ->
+         set_bits s d (Int64.unsigned_div (bits s a) (divisor s b))
+       | Host.I_srem (d, a, b) ->
+         set_bits s d (Int64.rem (bits s a) (divisor s b))
+       | Host.I_urem (d, a, b) ->
+         set_bits s d (Int64.unsigned_rem (bits s a) (divisor s b))
+       | Host.I_and (d, a, b) -> set_bits s d (Int64.logand (bits s a) (bits s b))
+       | Host.I_or (d, a, b) -> set_bits s d (Int64.logor (bits s a) (bits s b))
+       | Host.I_xor (d, a, b) -> set_bits s d (Int64.logxor (bits s a) (bits s b))
+       | Host.I_shl (d, a, b) ->
+         set_bits s d
+           (Int64.shift_left (bits s a) (Int64.to_int (bits s b) land 63))
+       | Host.I_lshr (d, a, b) ->
+         set_bits s d
+           (Int64.shift_right_logical (bits s a) (Int64.to_int (bits s b) land 63))
+       | Host.I_ashr (d, a, b) ->
+         set_bits s d
+           (Int64.shift_right (bits s a) (Int64.to_int (bits s b) land 63))
+       | Host.I_fadd (d, a, b) ->
+         Array.unsafe_set s d (Array.unsafe_get s a +. Array.unsafe_get s b)
+       | Host.I_fsub (d, a, b) ->
+         Array.unsafe_set s d (Array.unsafe_get s a -. Array.unsafe_get s b)
+       | Host.I_fmul (d, a, b) ->
+         Array.unsafe_set s d (Array.unsafe_get s a *. Array.unsafe_get s b)
+       | Host.I_fdiv (d, a, b) ->
+         Array.unsafe_set s d (Array.unsafe_get s a /. Array.unsafe_get s b)
+       | Host.I_eq (d, a, b) -> set_flag s d (bits s a = bits s b)
+       | Host.I_ne (d, a, b) -> set_flag s d (bits s a <> bits s b)
+       | Host.I_slt (d, a, b) -> set_flag s d (bits s a < bits s b)
+       | Host.I_sle (d, a, b) -> set_flag s d (bits s a <= bits s b)
+       | Host.I_sgt (d, a, b) -> set_flag s d (bits s a > bits s b)
+       | Host.I_sge (d, a, b) -> set_flag s d (bits s a >= bits s b)
+       | Host.I_ult (d, a, b) ->
+         set_flag s d (unsigned (bits s a) < unsigned (bits s b))
+       | Host.I_ule (d, a, b) ->
+         set_flag s d (unsigned (bits s a) <= unsigned (bits s b))
+       | Host.I_ugt (d, a, b) ->
+         set_flag s d (unsigned (bits s a) > unsigned (bits s b))
+       | Host.I_uge (d, a, b) ->
+         set_flag s d (unsigned (bits s a) >= unsigned (bits s b))
+       (* IEEE compares: a NaN is unequal to everything, itself too. *)
+       | Host.I_feq (d, a, b) ->
+         set_flag s d (Array.unsafe_get s a = Array.unsafe_get s b)
+       | Host.I_fne (d, a, b) ->
+         set_flag s d (Array.unsafe_get s a <> Array.unsafe_get s b)
+       | Host.I_flt (d, a, b) ->
+         set_flag s d (Array.unsafe_get s a < Array.unsafe_get s b)
+       | Host.I_fle (d, a, b) ->
+         set_flag s d (Array.unsafe_get s a <= Array.unsafe_get s b)
+       | Host.I_fgt (d, a, b) ->
+         set_flag s d (Array.unsafe_get s a > Array.unsafe_get s b)
+       | Host.I_fge (d, a, b) ->
+         set_flag s d (Array.unsafe_get s a >= Array.unsafe_get s b)
+       | Host.I_ext (d, a, z, sg) ->
+         let x = Int64.shift_right_logical (Int64.shift_left (bits s a) z) z in
+         set_bits s d (Int64.shift_right (Int64.shift_left x sg) sg)
+       | Host.I_fp_to_si (d, a, sg) ->
+         let x = Int64.of_float (Array.unsafe_get s a) in
+         set_bits s d (Int64.shift_right (Int64.shift_left x sg) sg)
+       | Host.I_si_to_fp (d, a) -> Array.unsafe_set s d (Int64.to_float (bits s a))
+       | Host.I_fp_trunc (d, a) ->
+         Array.unsafe_set s d
+           (Int32.float_of_bits (Int32.bits_of_float (Array.unsafe_get s a)))
+       | Host.I_move (d, a) -> Array.unsafe_set s d (Array.unsafe_get s a)
+       | Host.I_select (d, c, a, b) ->
+         Array.unsafe_set s d
+           (Array.unsafe_get s (if bits s c = 0L then b else a))
+       | Host.I_load (d, a, n, sg, f32) ->
+         let p = addr s a in
+         (* A little-endian host reads a word inside one page straight
+            off the slab: [load_base] performs the checks, touch,
+            translation and fault service, and hands back an offset
+            instead of a boxed word.  Page-straddling words and
+            big-endian hosts take [Memory.load_word]. *)
+         let mem = host.Host.mem in
+         let base = if little then Memory.load_base mem p n else -1 in
+         let x =
+           if base >= 0 then
+             match n with
+             | 8 -> Bytes.get_int64_le mem.Memory.slab base
+             | 4 ->
+               Int64.of_int
+                 (Bytes.get_uint16_le mem.Memory.slab base
+                 lor (Bytes.get_uint16_le mem.Memory.slab (base + 2) lsl 16))
+             | 2 -> Int64.of_int (Bytes.get_uint16_le mem.Memory.slab base)
+             | _ -> Int64.of_int (Bytes.get_uint8 mem.Memory.slab base)
+           else Memory.load_word mem host.Host.arch.Arch.endianness p n
+         in
+         if f32 then Array.unsafe_set s d (Int32.float_of_bits (Int64.to_int32 x))
+         else set_bits s d (Int64.shift_right (Int64.shift_left x sg) sg)
+       | Host.I_store (v, a, n, f32) ->
+         let x =
+           if f32 then Int64.of_int32 (Int32.bits_of_float (Array.unsafe_get s v))
+           else bits s v
+         in
+         let p = addr s a in
+         let mem = host.Host.mem in
+         let base = if little then Memory.store_base mem p n else -1 in
+         if base >= 0 then
+           match n with
+           | 8 -> Bytes.set_int64_le mem.Memory.slab base x
+           | 4 ->
+             let w = Int64.to_int x in
+             Bytes.set_uint16_le mem.Memory.slab base (w land 0xffff);
+             Bytes.set_uint16_le mem.Memory.slab (base + 2) ((w lsr 16) land 0xffff)
+           | 2 ->
+             Bytes.set_uint16_le mem.Memory.slab base (Int64.to_int x land 0xffff)
+           | _ -> Bytes.set_uint8 mem.Memory.slab base (Int64.to_int x land 0xff)
+         else Memory.store_word mem host.Host.arch.Arch.endianness p n x
+       | Host.I_alloca (d, size, align) ->
+         set_bits s d (Int64.of_int (Stack_alloc.alloc host.Host.stack size align))
+       (* Address arithmetic wraps at the native-int width. *)
+       | Host.I_gep1 (d, base, const, o, size) ->
+         set_bits s d
+           (Int64.of_int (addr s base + const + (Int64.to_int (bits s o) * size)))
+       | Host.I_gep (d, base, const, dyn) ->
+         let p = ref (addr s base + const) in
+         for j = 0 to Array.length dyn - 1 do
+           let o, size = Array.unsafe_get dyn j in
+           p := !p + (Int64.to_int (bits s o) * size)
+         done;
+         set_bits s d (Int64.of_int !p)
+       | Host.I_call (name, c) ->
+         result s c
+           (call_by_name host ~depth:(frame.depth + 1) name (box_args s c 0))
+       | Host.I_call_ind (fp, c) -> (
+         let p = addr s fp in
+         let argv = box_args s c 0 in
+         match Fn_table.name_of host.Host.fn_table p with
+         | name -> result s c (call_by_name host ~depth:(frame.depth + 1) name argv)
+         | exception Fn_table.Not_a_function _ ->
+           trap "indirect call through foreign or invalid address 0x%x" p)
+       | Host.I_bswap (d, a, n, f32) ->
+         if f32 then
+           Array.unsafe_set s d
+             (Int32.float_of_bits
+                (Int64.to_int32
+                   (Scalar.bswap
+                      (Int64.of_int32 (Int32.bits_of_float (Array.unsafe_get s a)))
+                      4)))
+         else
+           let sg = 64 - (8 * n) in
+           set_bits s d
+             (Int64.shift_right (Int64.shift_left (Scalar.bswap (bits s a) n) sg) sg)
+       | Host.I_fn_map (dir, d, a) ->
+         set_bits s d (Value.to_int (eval_fn_map host dir (Value.VInt (bits s a))))
+       | Host.I_asm ->
+         (* Inline assembly runs only on its own machine; the filter
+            keeps it off the server.  Behaviour: an opaque no-op. *)
+         ());
+       incr i
+     done
+   with
+  | () -> ()
+  | exception e ->
+    host.Host.instr_count <- host.Host.instr_count - (n - !i);
+    raise e);
+  clock.Host.now <- clock.Host.now +. (b.Host.cb_term_cost *. host.Host.slowdown);
   match b.Host.cb_term with
   | Host.Ct_br next -> run_blocks frame next
-  | Host.Ct_cbr (c, t, e) ->
-    run_blocks frame (if Int64.equal (bits s c) 0L then e else t)
+  | Host.Ct_cbr (c, t, e) -> run_blocks frame (if bits s c = 0L then e else t)
   | Host.Ct_switch (v, cases, default) ->
     let scrutinee = bits s v in
     let n = Array.length cases in
@@ -454,7 +492,8 @@ and run_blocks frame idx : Value.t =
     run_blocks frame !target
   | Host.Ct_ret_void -> Value.zero
   | Host.Ct_ret (r, is_float) -> box s r is_float
-  | Host.Ct_unreachable -> trap "%s: reached unreachable" fname
+  | Host.Ct_unreachable ->
+    trap "%s: reached unreachable" frame.func.Host.c_func.Ir.f_name
 
 (* {1 Entry points} *)
 

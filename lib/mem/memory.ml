@@ -204,27 +204,47 @@ let page_limit = Region.page_size
    touch, TLB translation and fault service — or -1, having done none
    of them, when the caller must take [load_word]/[store_word].
    [store_base] also marks the page dirty (bookkeeping only; the order
-   relative to the write is unobservable). *)
+   relative to the write is unobservable).
+
+   A TLB hit skips the region check.  Regions are page-aligned, and a
+   page enters the TLB only through [page_off], which every caller
+   reaches after checking an address in that page; so an address on the
+   TLB's page is mapped.  The hit still reports the page to the touch
+   hook. *)
 
 let load_base t addr nbytes =
   let in_page = Region.offset_in_page addr in
   if in_page + nbytes <= page_limit then begin
-    check_mapped addr;
     let page = Region.page_of_addr addr in
-    touch t page;
-    page_off t page lor in_page
+    if page = t.tlb_page then begin
+      touch t page;
+      t.tlb_off lor in_page
+    end
+    else begin
+      check_mapped addr;
+      touch t page;
+      page_off t page lor in_page
+    end
   end
   else -1
 
 let store_base t addr nbytes =
   let in_page = Region.offset_in_page addr in
   if in_page + nbytes <= page_limit then begin
-    check_mapped addr;
     let page = Region.page_of_addr addr in
-    touch t page;
-    let base = page_off t page lor in_page in
+    let off =
+      if page = t.tlb_page then begin
+        touch t page;
+        t.tlb_off
+      end
+      else begin
+        check_mapped addr;
+        touch t page;
+        page_off t page
+      end
+    in
     if t.track_dirty then mark_dirty t page;
-    base
+    off lor in_page
   end
   else -1
 
@@ -301,10 +321,9 @@ let clear_dirty t =
 
 let resident_count t = Hashtbl.length t.table
 
-(* Copy of a page's current contents (for transmission). *)
-let page_copy t page =
-  let off = page_off t page in
-  Bytes.sub t.slab off Region.page_size
+(* Copy of a page's current contents (for transmission).  It leaves
+   the TLB alone: no region check admits [page] here. *)
+let page_copy t page = Bytes.sub t.slab (frame_off t page) Region.page_size
 
 (* Deep snapshot of resident pages and dirty/tracking state, for
    offload recovery.  The snapshot copies the used slab prefix in one

@@ -52,12 +52,13 @@ val write_byte : t -> int -> int -> unit
 
 val load_base : t -> int -> int -> int
 (** [load_base t addr nbytes] admits a direct slab access: the byte
-    offset of the word in [slab], after the region check, TLB
+    offset of the word in [slab], after the region check, touch, TLB
     translation and fault service, when the [nbytes] access stays
     inside one page; otherwise [-1], before any check, touch or fault,
-    and the caller uses {!load_word}.  Lets the interpreter read
-    little-endian words without boxing an int64 across a function
-    boundary. *)
+    and the caller uses {!load_word}.  On a TLB hit the region check is
+    skipped: regions are page-aligned and only a page whose region was
+    checked enters the TLB.  Lets the interpreter read little-endian
+    words without boxing an int64 across a function boundary. *)
 
 val store_base : t -> int -> int -> int
 (** Store twin of [load_base]; also marks the page dirty. *)
@@ -86,7 +87,8 @@ val clear_dirty : t -> unit
 val resident_count : t -> int
 
 val page_copy : t -> int -> Bytes.t
-(** Copy of a page's current contents, for transmission. *)
+(** Copy of a page's current contents, for transmission.  Checks no
+    region, so it leaves the TLB alone. *)
 
 val set_touch_callback : t -> (int -> unit) option -> unit
 

@@ -46,7 +46,11 @@ type report = {
   r_kinds : kind_row list; (* descending |time delta|, ties by kind *)
 }
 
-let wall_delta_s r = r.r_wall_b_s -. r.r_wall_a_s
+(* A to B, per quantity; equal infinities differ by 0 (Trace.delta). *)
+let wall_delta_s r = Trace.delta r.r_wall_a_s r.r_wall_b_s
+let total_delta row = Trace.delta row.d_total_a_s row.d_total_b_s
+let self_delta row = Trace.delta row.d_self_a_s row.d_self_b_s
+let time_delta k = Trace.delta k.k_time_a_s k.k_time_b_s
 
 (* {1 Node alignment} *)
 
@@ -156,14 +160,12 @@ let compare_events ea eb : report =
   let ra = Span.of_events ea and rb = Span.of_events eb in
   let rows =
     List.sort
-      (by_magnitude (fun r -> r.d_self_b_s -. r.d_self_a_s)
-         (fun r -> r.d_path))
+      (by_magnitude self_delta (fun r -> r.d_path))
       (align ra rb)
   in
   let kinds =
     List.sort
-      (by_magnitude (fun k -> k.k_time_b_s -. k.k_time_a_s)
-         (fun k -> k.k_kind))
+      (by_magnitude time_delta (fun k -> k.k_kind))
       (align_kinds ea eb)
   in
   { r_wall_a_s = ra.Span.total_s; r_wall_b_s = rb.Span.total_s;
@@ -191,16 +193,20 @@ let top ?(n = 10) r =
 
 (* {1 Rendering} *)
 
+let seconds v = Trace.text_float ~digits:4 v
+let signed ~digits v = Trace.text_float ~plus:true ~digits v
+
 let pct_of delta base =
-  if base > 0.0 then Printf.sprintf " (%+.1f%%)" (100.0 *. delta /. base)
+  if base > 0.0 then " (" ^ signed ~digits:1 (100.0 *. delta /. base) ^ "%)"
   else ""
 
 let render ?(top_n = 10) r : string =
   let b = Buffer.create 1024 in
   let delta = wall_delta_s r in
   Buffer.add_string b
-    (Printf.sprintf "wall clock: %.4f s -> %.4f s, delta %+.4f s%s\n"
-       r.r_wall_a_s r.r_wall_b_s delta (pct_of delta r.r_wall_a_s));
+    (Printf.sprintf "wall clock: %s s -> %s s, delta %s s%s\n"
+       (seconds r.r_wall_a_s) (seconds r.r_wall_b_s) (signed ~digits:4 delta)
+       (pct_of delta r.r_wall_a_s));
   if is_zero r then
     Buffer.add_string b "no attributed delta: the traces cost the same\n"
   else begin
@@ -213,10 +219,10 @@ let render ?(top_n = 10) r : string =
     List.iter
       (fun row ->
         Buffer.add_string b
-          (Printf.sprintf "  %-52s %5d->%-5d %+12.4f %+12.4f\n"
+          (Printf.sprintf "  %-52s %5d->%-5d %12s %12s\n"
              row.d_path row.d_count_a row.d_count_b
-             (row.d_total_b_s -. row.d_total_a_s)
-             (row.d_self_b_s -. row.d_self_a_s)))
+             (signed ~digits:4 (total_delta row))
+             (signed ~digits:4 (self_delta row))))
       (top ~n:top_n r);
     Buffer.add_string b "\nevent kinds by |time delta|:\n";
     Buffer.add_string b
@@ -224,9 +230,9 @@ let render ?(top_n = 10) r : string =
     List.iter
       (fun k ->
         Buffer.add_string b
-          (Printf.sprintf "  %-24s %5d->%-5d %+12.4f\n" k.k_kind k.k_count_a
+          (Printf.sprintf "  %-24s %5d->%-5d %12s\n" k.k_kind k.k_count_a
              k.k_count_b
-             (k.k_time_b_s -. k.k_time_a_s)))
+             (signed ~digits:4 (time_delta k))))
       r.r_kinds
   end;
   Buffer.contents b
@@ -251,7 +257,7 @@ let to_json ?(top_n = 10) r : string =
            (Trace.json_string row.d_path) row.d_count_a row.d_count_b
            (jf row.d_total_a_s) (jf row.d_total_b_s) (jf row.d_self_a_s)
            (jf row.d_self_b_s)
-           (jf (row.d_self_b_s -. row.d_self_a_s))))
+           (jf (self_delta row))))
     (top ~n:top_n r);
   Buffer.add_string b "\n  ],\n  \"kinds\": [";
   List.iteri
@@ -263,7 +269,7 @@ let to_json ?(top_n = 10) r : string =
             \"time_a_s\": %s, \"time_b_s\": %s, \"time_delta_s\": %s}"
            (Trace.json_string k.k_kind) k.k_count_a k.k_count_b
            (jf k.k_time_a_s) (jf k.k_time_b_s)
-           (jf (k.k_time_b_s -. k.k_time_a_s))))
+           (jf (time_delta k))))
     r.r_kinds;
   Buffer.add_string b "\n  ]\n}\n";
   Buffer.contents b

@@ -34,9 +34,9 @@ let to_text (root : Span.node) : string =
       else n.Span.name
     in
     let times =
-      if n.Span.children = [] then Printf.sprintf "%.6fs" n.Span.total_s
-      else
-        Printf.sprintf "total %.6fs  self %.6fs" n.Span.total_s n.Span.self_s
+      let s v = No_trace.Trace.text_float ~digits:6 v ^ "s" in
+      if n.Span.children = [] then s n.Span.total_s
+      else Printf.sprintf "total %s  self %s" (s n.Span.total_s) (s n.Span.self_s)
     in
     Buffer.add_string buf
       (Printf.sprintf "%s%s%s  %s\n" prefix connector label times)

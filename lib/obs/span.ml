@@ -134,7 +134,7 @@ let node_of_attempts name (attempts : attempt list) : node =
   let items = List.concat_map (fun a -> List.rev a.at_items) attempts in
   let children = sort_children (leaves_of_items items) in
   { name; count = List.length attempts; total_s = total;
-    self_s = total -. children_total children; children }
+    self_s = Trace.delta (children_total children) total; children }
 
 let of_events ?(sampled = false) (events : (float * Trace.event) list) : node =
   let root_items = ref [] in        (* reversed *)
@@ -224,4 +224,4 @@ let of_events ?(sampled = false) (events : (float * Trace.event) list) : node =
   else
     let total = run_end_s events in
     { name = "run"; count = 1; total_s = total;
-      self_s = total -. children_total children; children }
+      self_s = Trace.delta (children_total children) total; children }

@@ -92,7 +92,7 @@ type t = {
   mutable last_top : int;
   saved_enter : string -> unit;
   saved_exit : string -> unit;
-  saved_block : string -> string -> unit;
+  saved_block : (string -> string -> unit) option;
   saved_touch : (int -> unit) option;
 }
 
@@ -266,7 +266,7 @@ let attach (host : Host.t) : t =
   in
   hooks.Host.on_enter <- on_enter t;
   hooks.Host.on_exit <- on_exit t;
-  hooks.Host.on_block <- on_block t;
+  hooks.Host.on_block <- Some (on_block t);
   Memory.set_touch_callback host.Host.mem (Some (on_touch t));
   t
 

@@ -16,7 +16,7 @@ let add_row t row =
     invalid_arg "Table.add_row: arity mismatch";
   t.rows <- row :: t.rows
 
-let cell_f ?(digits = 2) v = Printf.sprintf "%.*f" digits v
+let cell_f ?(digits = 2) v = No_trace.Trace.text_float ~digits v
 let cell_i v = string_of_int v
 let cell_pct v = Printf.sprintf "%.1f%%" v
 

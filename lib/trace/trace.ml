@@ -52,6 +52,23 @@ let json_string s =
    NaN, so a non-finite value prints as null. *)
 let json_float v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
 
+(* The one float printer of the text reports: fixed-point below 1e15 in
+   magnitude, exponent form at or above it (and for infinities), so a
+   huge value takes a bounded width instead of hundreds of digits. *)
+let text_float ?(plus = false) ~digits v =
+  match (Float.abs v < 1e15, plus) with
+  | true, false -> Printf.sprintf "%.*f" digits v
+  | true, true -> Printf.sprintf "%+.*f" digits v
+  | false, false -> Printf.sprintf "%.*e" digits v
+  | false, true -> Printf.sprintf "%+.*e" digits v
+
+(* [b -. a], except that equal values differ by 0 even when they are
+   infinite (where the subtraction gives NaN); every other pair,
+   NaN operands included, keeps the subtraction's bits. *)
+let delta a b =
+  let d = b -. a in
+  if Float.is_nan d && a = b then 0.0 else d
+
 (* The one representation of an event, from the emitter to every
    analysis: emitters build the constructor, sinks read it as it
    arrives and may keep it, and captures, trace files and the

@@ -25,6 +25,17 @@ val json_float : float -> string
 (** A JSON number: [%.9g] when finite, [null] otherwise (JSON has no
     infinity or NaN).  The one float printer of the JSON reports. *)
 
+val text_float : ?plus:bool -> digits:int -> float -> string
+(** A number for a text report: [%.*f] with [digits] below 1e15 in
+    magnitude, [%.*e] at or above it and for infinities, so no cell
+    grows to hundreds of digits.  [~plus:true] adds the sign of [%+].
+    The one float printer of the text reports' seconds. *)
+
+val delta : float -> float -> float
+(** [delta a b] is [b -. a], but 0 when [a = b], infinities included
+    (their subtraction is NaN).  Finite operands keep the
+    subtraction's bits. *)
+
 type event =
   | Flush of {
       direction : direction;

@@ -143,6 +143,37 @@ let test_fuel_limit () =
   | _ -> Alcotest.fail "expected fuel exhaustion"
   | exception Interp.Out_of_fuel -> ()
 
+(* Fuel is debited a block at a time, the terminator included: a
+   [main] of [k] instructions and [ret] runs on [k + 1] and leaves none,
+   and on [k] raises [Out_of_fuel] before any of it runs. *)
+let test_fuel_per_block () =
+  let k = 5 in
+  let t = B.create "block" in
+  let _ =
+    B.func t "main" ~params:[] ~ret:Ty.I64 (fun fb _ ->
+        let x = ref (B.i64 1) in
+        for _ = 1 to k do
+          x := B.iadd fb !x (B.i64 1)
+        done;
+        B.ret fb (Some !x))
+  in
+  let m = B.finish t in
+  let entry = List.hd (List.hd m.Ir.m_funcs).Ir.f_blocks in
+  Alcotest.(check int) "entry block size" k (List.length entry.Ir.instrs);
+  let host = make_host m in
+  host.Host.fuel <- k + 1;
+  Alcotest.(check int64) "returns on k + 1" (Int64.of_int (k + 1))
+    (Value.to_int (Interp.run_main host));
+  Alcotest.(check int) "fuel left" 0 host.Host.fuel;
+  Alcotest.(check int) "instructions run" (k + 1) host.Host.instr_count;
+  let host = make_host m in
+  host.Host.fuel <- k;
+  (match Interp.run_main host with
+  | _ -> Alcotest.fail "expected fuel exhaustion on k"
+  | exception Interp.Out_of_fuel -> ());
+  Alcotest.(check int) "nothing runs on k" 0 host.Host.instr_count;
+  Alcotest.(check int) "fuel kept" k host.Host.fuel
+
 let test_asm_is_local_noop () =
   let t = B.create "asm" in
   let _ =
@@ -191,4 +222,6 @@ let tests =
     Alcotest.test_case "math builtins" `Quick test_math_builtins;
     Alcotest.test_case "oversized global refused at link" `Quick
       test_oversized_global;
+    Alcotest.test_case "fuel debited a block at a time" `Quick
+      test_fuel_per_block;
   ]

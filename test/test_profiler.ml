@@ -117,7 +117,9 @@ let test_recursion () =
    Every memory entry point reports each page its bytes cover exactly
    once, in ascending order — whether the access stays in one page,
    crosses into the next, or is a multi-page block, and in either byte
-   order on the word path. *)
+   order on the word path.  An access the region map refuses raises
+   [Bad_access]: a word reports no page, a block only the pages before
+   its first unmapped byte. *)
 
 type access =
   | Load of Arch.endianness * int * int  (* byte order, addr, width *)
@@ -147,7 +149,7 @@ let show_access acc =
     | Write_byte _ -> "write_byte" | Read_block _ -> "read_block"
     | Write_block _ -> "write_block"
   in
-  Printf.sprintf "%s heap+%d (%d bytes)" kind (a - Region.heap_base) n
+  Printf.sprintf "%s 0x%x (%d bytes)" kind a n
 
 let perform m = function
   | Load (e, a, w) -> ignore (Memory.load_word m e a w)
@@ -162,9 +164,14 @@ let perform m = function
   | Read_block (a, n) -> ignore (Memory.read_block m a n)
   | Write_block (a, n) -> Memory.write_block m a (Bytes.make n 'x')
 
-let gen_access =
+(* Accesses to six consecutive pages: heap pages 0-5 (all mapped), or
+   from two pages below [Region.null_guard_end] (the two refused) or
+   [Region.globals_limit] (the four above refused).  One list keeps to
+   one area, so a refused access often follows an access to its mapped
+   neighbour, a TLB hit there, or repeats itself. *)
+let gen_access_near first_page =
   QCheck.Gen.(
-    let page = int_range 0 5 in
+    let page = int_range first_page (first_page + 5) in
     (* Offsets cluster at both page edges so crossings are common. *)
     let offset =
       oneof
@@ -172,9 +179,7 @@ let gen_access =
           int_range (Region.page_size - 16) (Region.page_size - 1);
           int_range 0 (Region.page_size - 1) ]
     in
-    let addr =
-      map2 (fun p o -> Region.heap_base + (p * Region.page_size) + o) page offset
-    in
+    let addr = map2 (fun p o -> (p * Region.page_size) + o) page offset in
     let width = oneofl [ 1; 2; 4; 8 ] in
     let order = oneofl [ Arch.Little; Arch.Big ] in
     let len = int_range 0 (3 * Region.page_size) in
@@ -188,10 +193,38 @@ let gen_access =
         map2 (fun a n -> Read_block (a, n)) addr len;
         map2 (fun a n -> Write_block (a, n)) addr len ])
 
+let gen_accesses =
+  QCheck.Gen.(
+    oneofl
+      [ Region.page_of_addr Region.heap_base;
+        Region.page_of_addr Region.null_guard_end - 2;
+        Region.page_of_addr Region.globals_limit - 2 ]
+    >>= fun first -> list_size (int_range 1 8) (gen_access_near first))
+
+let mapped a =
+  match Region.region_of_addr a with
+  | Region.Null_guard | Region.Unmapped -> false
+  | Region.Globals | Region.Mobile_stack | Region.Server_stack | Region.Heap ->
+    true
+
+(* The lowest address of [a, a + n) the region map refuses, byte by
+   byte. *)
+let first_unmapped a n =
+  let rec go x =
+    if x >= a + n then None else if mapped x then go (x + 1) else Some x
+  in
+  go a
+
+let pages_of a n =
+  if n = 0 then []
+  else
+    List.init
+      (Region.page_of_addr (a + n - 1) - Region.page_of_addr a + 1)
+      (fun k -> Region.page_of_addr a + k)
+
 let prop_touch_once_per_page =
   QCheck.Test.make ~name:"touch hook sees each covered page once" ~count:500
-    (QCheck.make ~print:(QCheck.Print.list show_access)
-       QCheck.Gen.(list_size (int_range 1 8) gen_access))
+    (QCheck.make ~print:(QCheck.Print.list show_access) gen_accesses)
     (fun accesses ->
       let m = Memory.create Memory.Home in
       m.Memory.track_dirty <- true;
@@ -200,16 +233,21 @@ let prop_touch_once_per_page =
       List.for_all
         (fun acc ->
           seen := [];
-          perform m acc;
-          let a, n = span acc in
-          let expected =
-            if n = 0 then []
-            else
-              List.init
-                (Region.page_of_addr (a + n - 1) - Region.page_of_addr a + 1)
-                (fun k -> Region.page_of_addr a + k)
+          let refused =
+            match perform m acc with
+            | () -> false
+            | exception Memory.Bad_access _ -> true
           in
-          List.rev !seen = expected)
+          let a, n = span acc in
+          let block =
+            match acc with Read_block _ | Write_block _ -> true | _ -> false
+          in
+          let expected_refused, expected =
+            match first_unmapped a n with
+            | None -> (false, pages_of a n)
+            | Some u -> (true, if block then pages_of a (u - a) else [])
+          in
+          refused = expected_refused && List.rev !seen = expected)
         accesses)
 
 (* A hot loop that loads, adds and stores an i64 per page, straight
